@@ -48,7 +48,6 @@ from .lattice import (
     sigma_product_oracle,
 )
 from .modular import (
-    Nome,
     TauPoint,
     as_tau,
     dedekind_eta,
@@ -79,7 +78,6 @@ __all__ = [
     "IdentityResidual",
     "InvariantData",
     "Lattice",
-    "Nome",
     "NotInOmegaError",
     "NumericError",
     "OddFunctionHandle",

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, IdentityNotSatisfiedError
 from .identity import extend_series
 from .invariants import hat_normalize, pq_of_series
-from .lattice import invert_j, reduce_tau
+from .lattice import invert_j, reduce_tau, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series, weierstrass_g
 from .series import TruncatedOddSeries, gauss_twist, scale_argument
 
@@ -220,8 +220,9 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
     linear:    twist of z;
     trig:      sine Taylor series with argument scale a, then twist;
     elliptic:  theta series at tau, argument scale 1/rho, the gauge twist
-               fixing sigma'(0) = 1 and a vanishing cubic term, then the
-               classification's own twist.
+               fixing sigma'(0) = 1 and a vanishing cubic term (from
+               ``lattice.sigma_gauge_from_head``), then the classification's
+               own twist.
     """
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
@@ -234,10 +235,10 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
             [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(count)]
         )
         return gauss_twist(scale_argument(sine, c.a), c.alpha, c.beta)
-    theta = theta1_odd_series(c.tau, max_degree)
-    scaled = scale_argument(theta, 1.0 / c.rho)
-    lead = scaled.odd_coefficients[0]
-    cubic = scaled.odd_coefficients[1]
-    gauge_alpha = -cubic / lead
-    gauge_beta = -cmath.log(lead)
-    return gauss_twist(scaled, gauge_alpha + c.alpha, gauge_beta + c.beta)
+    # The gauge needs the cubic coefficient even when max_degree is 1.
+    theta = theta1_odd_series(c.tau, max(max_degree, 3))
+    th1, th3 = theta.odd_coefficients[:2]
+    gauge_alpha, gauge_beta, _ = sigma_gauge_from_head(th1, th3, c.rho)
+    twisted = gauss_twist(scale_argument(theta, 1.0 / c.rho),
+                          gauge_alpha + c.alpha, gauge_beta + c.beta)
+    return TruncatedOddSeries(twisted.odd_coefficients[:count])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -252,6 +253,16 @@ def _cmd_invert_j(args) -> dict:
 
 
 def _cmd_psi(args) -> dict:
+    # JSON prints psi(n) as an integer through str(), which refuses more
+    # decimal digits than sys.get_int_max_str_digits() (Python 3.11+).
+    # For large odd n, |psi(n)| has exactly the floor(n*log10(2)) + 1
+    # digits of 2^n, since 2^n - 10^k is a multiple of 2^k.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.n % 2 and args.n * math.log10(2.0) >= limit:
+        raise DomainError(
+            f"psi({args.n}) has more than {limit} decimal digits, the "
+            "interpreter's limit for printing an integer"
+        )
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "psi",

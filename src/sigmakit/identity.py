@@ -29,12 +29,13 @@ determined uniquely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NotInOmegaError
+from .errors import DomainError, NotInOmegaError, NumericError
 from .series import TruncatedOddSeries, duplication_rhs, scale_argument
 
 # Default points at which handle oddness is spot-checked.
@@ -116,7 +117,8 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
     """Left-hand side of the four-point identity at one quadruple.
 
     ``scale`` is the largest magnitude among the three four-fold products,
-    the natural yardstick for calling the residual small.
+    the natural yardstick for calling the residual small.  Products outside
+    the double range raise NumericError.
     """
     x, y, z, w = pt.x, pt.y, pt.z, pt.w
     term1 = f(x) * f(y) * f(z) * f(w)
@@ -132,10 +134,18 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
         * f((x - y + z - w) / 2)
         * f((x - y - z + w) / 2)
     )
-    return IdentityResidual(
-        value=term1 - term2 - term3,
-        scale=max(abs(term1), abs(term2), abs(term3)),
-    )
+    value = term1 - term2 - term3
+    try:
+        scale = max(abs(term1), abs(term2), abs(term3))
+        finite = math.isfinite(scale) and math.isfinite(abs(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericError(
+            "four-point residual is outside the double range",
+            diagnostics={"quadruple": [[v.real, v.imag] for v in (x, y, z, w)]},
+        )
+    return IdentityResidual(value=value, scale=scale)
 
 
 def sample_quadruples(num_samples: int, seed: int, box_radius: float = 1.0):
@@ -209,9 +219,11 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
     Degrees 1..7 are the free data (psi(5) = psi(7) = 0); every higher odd
     coefficient is the unique value annihilating the corresponding residual
     coefficient.  The linearization slope is measured numerically from two
-    trial values and asserted against -a1^3 * psi(n), keeping the sign
-    convention self-calibrating.  Extension is degree-by-degree, so
-    extending to 11 and then to 13 equals extending to 13 directly.
+    trial values and checked against -a1^3 * psi(n), keeping the sign
+    convention self-calibrating; when cancellation in the residual
+    difference spoils the measurement, NumericError reports the degree and
+    both slopes.  Extension is degree-by-degree, so extending to 11 and then
+    to 13 equals extending to 13 directly.
     """
     if s.leading == 0:
         raise NotInOmegaError("leading odd coefficient vanishes")
@@ -222,7 +234,6 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
     a1 = s.leading
     coeffs = list(s.odd_coefficients)
     for n in range(s.max_degree + 2, target_degree + 1, 2):
-        assert psi(n) != 0
         r0 = duplication_residual(
             TruncatedOddSeries(coeffs + [0.0])
         ).coefficient(n)
@@ -231,7 +242,13 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
         ).coefficient(n)
         slope = r1 - r0
         expected = -(a1**3) * psi(n)
-        assert abs(slope - expected) <= 1e-9 * abs(expected)
+        if not abs(slope - expected) <= 1e-9 * abs(expected):
+            raise NumericError(
+                f"measured slope at degree {n} is {slope}, but -a1^3*psi(n) "
+                f"is {expected}: the residual difference lost its precision",
+                diagnostics={"degree": n, "measured_slope": [slope.real, slope.imag],
+                             "expected_slope": [expected.real, expected.imag]},
+            )
         coeffs.append(-r0 / slope)
     return TruncatedOddSeries(coeffs)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotInOmegaError
+from .errors import DomainError, NotInOmegaError, NumericError
 from .series import TruncatedOddSeries, gauss_twist
 
 # Relative threshold below which p or q counts as exactly zero, measured
@@ -130,7 +130,7 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
 
     Requires a1 != 0 and data through degree 7.  The returned series has
     a1 = 1 exactly and a3 snapped to zero (the twist annihilates it up to
-    roundoff, which is asserted before snapping).
+    roundoff, which is checked before snapping; NumericError otherwise).
     """
     if s.max_degree < 7:
         raise DomainError("hat normalization needs coefficients through degree 7")
@@ -141,8 +141,16 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
     twisted = gauss_twist(s, alpha, 0.0)
     coeffs = np.array(twisted.odd_coefficients) / a1
     scale = float(np.max(np.abs(coeffs)))
-    assert abs(coeffs[0] - 1.0) <= 64 * np.finfo(float).eps
-    assert abs(coeffs[1]) <= 1e-12 * max(scale, 1.0)
+    if not (abs(coeffs[0] - 1.0) <= 64 * np.finfo(float).eps
+            and abs(coeffs[1]) <= 1e-12 * max(scale, 1.0)):
+        lead, cubic = complex(coeffs[0]), complex(coeffs[1])
+        raise NumericError(
+            f"gauge twist left leading coefficient {lead} and cubic "
+            f"coefficient {cubic}, expected 1 and 0 up to roundoff",
+            diagnostics={"leading": [lead.real, lead.imag],
+                         "cubic": [cubic.real, cubic.imag],
+                         "coefficient_scale": scale},
+        )
     coeffs[0] = 1.0
     coeffs[1] = 0.0
     return HatForm(series=TruncatedOddSeries(coeffs), alpha=complex(alpha),

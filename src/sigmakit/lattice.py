@@ -18,8 +18,12 @@ vanishing z^3 coefficient:
     alpha = -theta1'''(0, tau) / (6 * rho^2 * theta1'(0, tau)).
 
 With this gauge the Taylor expansion starts z - (g2/240) z^5 - (g3/840) z^7
-with g2, g3 the invariants of the full lattice.  The canonical product over
-lattice points is kept alongside as a low-precision cross-check oracle.
+with g2, g3 the invariants of the full lattice.  ``Lattice.gauge`` computes
+(alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from the
+head of the theta series; ``sigma_eval`` and ``sigma_gauge`` read it, and
+``sigma_gauge_from_head`` is the one place the formula is written.  The
+canonical product over lattice points is kept alongside as a low-precision
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericError
 from .modular import (
     TERM_CAP,
     TauPoint,
@@ -149,6 +154,13 @@ class Lattice:
     tau: TauPoint
     reduction: UnimodularMap
     orientation_flipped: bool
+
+    @cached_property
+    def gauge(self) -> tuple[complex, complex, complex]:
+        """(alpha, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``,
+        computed on first use and kept for the life of the lattice."""
+        th1, th3 = theta1_odd_series(self.tau, 3).odd_coefficients
+        return sigma_gauge_from_head(th1, th3, self.rho)
 
     def points(self, index_bound: int):
         """All nonzero points m*rho + n*rho*tau with |m|, |n| <= index_bound."""
@@ -277,28 +289,44 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
     )
 
 
-def sigma_gauge(lat: Lattice, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
-    """The (alpha, beta) pair relating sigma(., Lambda) to theta1(./rho, tau).
+def sigma_gauge_from_head(th1: complex, th3: complex,
+                          rho: complex) -> tuple[complex, complex, complex]:
+    """(alpha, beta, scale) relating sigma(., Lambda) to theta1(./rho, tau).
 
-    beta uses the principal logarithm; exp(beta) = rho / theta1'(0, tau).
+    th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two
+    odd Taylor coefficients of theta1.  scale = rho/th1 = exp(beta), with
+    beta the principal logarithm.
     """
-    head = theta1_odd_series(lat.tau, 3, term_cap=term_cap)
-    th1 = head.odd_coefficients[0]          # theta1'(0)
-    th3 = head.odd_coefficients[1]          # theta1'''(0) / 6
-    alpha = -th3 / (lat.rho**2 * th1)
-    beta = cmath.log(lat.rho / th1)
-    return complex(alpha), complex(beta)
+    scale = complex(rho / th1)
+    return complex(-th3 / (rho**2 * th1)), cmath.log(scale), scale
+
+
+def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
+    """The (alpha, beta) pair of ``lat.gauge``."""
+    alpha, beta, _ = lat.gauge
+    return alpha, beta
 
 
 def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex:
-    """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1."""
+    """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
+
+    ``term_cap`` bounds the theta1 sum; the gauge is ``lat.gauge``.  A
+    value outside the double range raises NumericError.
+    """
     z = complex(z)
-    head = theta1_odd_series(lat.tau, 3, term_cap=term_cap)
-    th1 = head.odd_coefficients[0]
-    th3 = head.odd_coefficients[1]
-    alpha = -th3 / (lat.rho**2 * th1)
+    alpha, _, scale = lat.gauge
     theta = theta1_eval(z / lat.rho, lat.tau, term_cap=term_cap)
-    return complex(theta * cmath.exp(alpha * z * z) * lat.rho / th1)
+    try:
+        value = theta * cmath.exp(alpha * z * z) * scale
+    except OverflowError:
+        value = complex(math.inf)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise NumericError(
+            f"sigma at z={z} is outside the double range",
+            diagnostics={"z": [z.real, z.imag], "rho": [lat.rho.real, lat.rho.imag],
+                         "tau": [lat.tau.value.real, lat.tau.value.imag]},
+        )
+    return value
 
 
 def sigma_product_oracle(z: complex, lat: Lattice, radius: float) -> complex:

@@ -25,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, NumericError
 from .series import TruncatedOddSeries
 
@@ -59,20 +57,6 @@ def as_tau(tau) -> TauPoint:
     return TauPoint(complex(tau))
 
 
-@dataclass(frozen=True)
-class Nome:
-    """The exponentials exp(pi*i*tau) and exp(2*pi*i*tau)."""
-
-    q_half: complex
-    q_full: complex
-
-    @classmethod
-    def from_tau(cls, tau) -> "Nome":
-        t = as_tau(tau).value
-        qh = cmath.exp(1j * math.pi * t)
-        return cls(q_half=qh, q_full=qh * qh)
-
-
 def _cap_error(what, tau, partial, last_term, cap):
     return ConvergenceError(
         f"{what} did not converge within {cap} terms at tau={tau}; "
@@ -91,22 +75,53 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
 
     theta1(z, tau) = 2 * sum_{n>=0} (-1)^n exp(pi*i*tau*(n+1/2)^2)
                                      * sin((2n+1)*pi*z)
+
+    The sum runs on z reduced into the cell |Im z| <= Im(tau)/2,
+    |Re z| <= 1/2 by the quasi-periodicity (DLMF 20.2(ii))
+
+        theta1(z + m + n*tau) = (-1)^(m+n) exp(-pi*i*n*(n*tau + 2*z)) theta1(z),
+
+    so its terms never grow far beyond the result.  A value outside the
+    double range raises NumericError.
     """
     t = as_tau(tau).value
-    z = complex(z)
-    total = 0.0 + 0.0j
-    term = 0.0 + 0.0j
-    for n in range(term_cap):
-        term = (
-            2.0
-            * (-1) ** n
-            * cmath.exp(1j * math.pi * t * (n + 0.5) ** 2)
-            * cmath.sin((2 * n + 1) * math.pi * z)
+    u = z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
+    try:
+        n = round(z.imag / t.imag)
+        if n:
+            z -= n * t
+        m = round(z.real)
+        if m:
+            z -= m
+        i_pi_tau = 1j * math.pi * t
+        sign = 2.0
+        total = term = 0.0 + 0.0j
+        for k in range(term_cap):
+            term = (
+                sign
+                * cmath.exp(i_pi_tau * (k + 0.5) ** 2)
+                * cmath.sin((2 * k + 1) * math.pi * z)
+            )
+            sign = -sign
+            total += term
+            if abs(term) <= TERM_TOL * abs(total):
+                break
+        else:
+            raise _cap_error("theta1 series", t, total, term, term_cap)
+        if (m + n) % 2:
+            total = -total
+        if n:
+            total *= cmath.exp(-1j * math.pi * n * (n * t + 2.0 * z))
+    except OverflowError:
+        total = complex(math.inf)
+    if not cmath.isfinite(total):
+        raise NumericError(
+            f"theta1 at z={u} is outside the double range",
+            diagnostics={"z": [u.real, u.imag], "tau": [t.real, t.imag]},
         )
-        total += term
-        if abs(term) <= TERM_TOL * abs(total):
-            return total
-    raise _cap_error("theta1 series", t, total, term, term_cap)
+    return total
 
 
 def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> TruncatedOddSeries:
@@ -115,32 +130,38 @@ def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> Trun
     a_(2k+1) = 2 * sum_{n>=0} (-1)^n exp(pi*i*tau*(n+1/2)^2)
                                * (-1)^k ((2n+1)*pi)^(2k+1) / (2k+1)!
 
-    Inside the fundamental domain the truncation error is far below 1e-14
-    relative per coefficient.
+    Each term carries its Gaussian factor into a running odd power of
+    (2n+1)*pi.  Inside the fundamental domain the truncation error is far
+    below 1e-14 relative per coefficient.
     """
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
     t = as_tau(tau).value
-    ks = np.arange((max_degree + 1) // 2)
-    sine_coeffs = np.array(
-        [(-1.0) ** k / math.factorial(2 * k + 1) for k in ks], dtype=complex
-    )
-    partial = np.zeros(ks.size, dtype=complex)
-    term = np.zeros(ks.size, dtype=complex)
+    sine_coeffs = [(-1.0) ** k / math.factorial(2 * k + 1)
+                   for k in range((max_degree + 1) // 2)]
+    partial = [0.0 + 0.0j] * len(sine_coeffs)
+    lead = 0.0 + 0.0j
     for n in range(term_cap):
-        gauss = 2.0 * (-1) ** n * cmath.exp(1j * math.pi * t * (n + 0.5) ** 2)
-        odd_powers = ((2 * n + 1) * math.pi) ** (2 * ks + 1)
-        term = gauss * sine_coeffs * odd_powers
-        partial += term
-        if np.all(np.abs(term) <= TERM_TOL * np.abs(partial)):
+        w = (2 * n + 1) * math.pi
+        # The degree-1 term; sine_coeffs[0] is 1.
+        lead = 2.0 * (-1) ** n * cmath.exp(1j * math.pi * t * (n + 0.5) ** 2) * w
+        power = lead
+        w2 = w * w
+        converged = True
+        for k, c in enumerate(sine_coeffs):
+            term = power * c
+            partial[k] += term
+            converged = converged and abs(term) <= TERM_TOL * abs(partial[k])
+            power *= w2
+        if converged:
             return TruncatedOddSeries(partial)
-    raise _cap_error("theta1 coefficient series", t, partial[0], term[0], term_cap)
+    raise _cap_error("theta1 coefficient series", t, partial[0], lead, term_cap)
 
 
 def dedekind_eta(tau, *, term_cap: int = TERM_CAP) -> complex:
     """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n)."""
     t = as_tau(tau).value
-    q = Nome.from_tau(t).q_full
+    q = cmath.exp(2j * math.pi * t)
     prod = cmath.exp(1j * math.pi * t / 12.0)
     qn = 1.0 + 0.0j
     for _ in range(term_cap):
@@ -161,7 +182,7 @@ def weierstrass_g(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     n^k / (q^(-n) - 1), written here in the form that never overflows.
     """
     t = as_tau(tau).value
-    q = Nome.from_tau(t).q_full
+    q = cmath.exp(2j * math.pi * t)
     s3 = 1.0 / 12.0 + 0.0j
     s5 = 1.0 / 216.0 + 0.0j
     qn = 1.0 + 0.0j

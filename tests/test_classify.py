@@ -107,6 +107,16 @@ class TestSynthesizeExamples:
             got = s.odd_coefficients[k]
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
+    def test_elliptic_degree_one(self):
+        # sigma'(0) = 1, so only the classification's own exp(beta) remains.
+        c = Classification(
+            case="elliptic", alpha=0.3, beta=0.5, rho=0.8 + 0.1j, tau=TauPoint(1j)
+        )
+        s = synthesize(c, 1)
+        assert s.max_degree == 1
+        assert abs(s.leading - math.exp(0.5)) <= 1e-14
+        assert abs(s.leading - synthesize(c, 5).leading) <= 1e-15
+
 
 class TestRoundTrip:
     def test_twenty_seeded_members(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def run_strict(capsys, *argv):
+    """Like run, but NaN and Infinity in the output fail the parse."""
+    code = main(list(argv))
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    json.dumps(doc, allow_nan=False)
+    return code, doc
 
 
 @pytest.fixture
@@ -37,6 +50,15 @@ class TestPsiCommand:
         code, doc = run(capsys, "psi", "4")
         assert code == 1
         assert doc["error"]["type"] == "domain"
+
+    def test_beyond_integer_digit_limit(self, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no integer digit limit before Python 3.11")
+        limit = sys.get_int_max_str_digits()
+        code, doc = run(capsys, "psi", "999999")
+        assert code == 1
+        assert doc["error"]["type"] == "domain"
+        assert str(limit) in doc["error"]["message"]
 
 
 class TestInvariantsCommand:
@@ -103,6 +125,12 @@ class TestEvalCommand:
         code, doc = run(capsys, "eval", "theta1", "--tau", "0,1")
         assert code == 1
 
+    def test_theta1_far_from_real_axis(self, capsys):
+        code, doc = run_strict(capsys, "eval", "theta1", "--z", "0,300", "--tau", "0,1")
+        assert code in (0, 2)
+        if code == 2:
+            assert doc["error"]["type"] == "numeric"
+
 
 class TestClassifyCommand:
     def test_scaled_sine_file(self, capsys, tmp_path):
@@ -142,6 +170,16 @@ class TestVerifyCommands:
         assert doc["max_residual_over_scale"] <= 1e-9
         assert doc["num_samples"] == 50
         assert doc["seed"] == 7
+
+    @pytest.mark.parametrize("box", ["10", "30"])
+    def test_identity_sigma_large_box(self, capsys, box):
+        code, doc = run_strict(capsys, "verify-identity", "--function", "sigma",
+                               "--box", box)
+        assert code in (0, 2)
+        if code == 0:
+            assert doc["max_residual_over_scale"] <= 1e-9
+        else:
+            assert doc["error"]["type"] == "numeric"
 
     def test_identity_byte_identical_output(self, capsys):
         code1 = main(["verify-identity", "--function", "sigma", "--samples", "20"])

@@ -9,6 +9,7 @@ from sigmakit import (
     Classification,
     DomainError,
     NotInOmegaError,
+    NumericError,
     OddFunctionHandle,
     QuadruplePoint,
     TauPoint,
@@ -211,6 +212,17 @@ class TestExtendSeries:
         # so the unique duplication-consistent value is 6/168 = 1/28.
         ext = extend_series(TruncatedOddSeries([1, 1, 0, 0]), 9)
         assert abs(ext.coefficient(9) - 1 / 28) <= 1e-14
+
+    def test_cancellation_is_numeric_error(self):
+        # sin(30z): the residual difference r1 - r0 loses the slope to
+        # cancellation at degree 11.
+        data = synthesize(Classification("trig", 0, 0, a=30), 7)
+        with pytest.raises(NumericError) as err:
+            extend_series(data, 21)
+        diag = err.value.diagnostics
+        assert diag["degree"] == 11
+        assert diag["expected_slope"] == [-(30.0**3) * psi(11), 0.0]
+        assert diag["measured_slope"] != diag["expected_slope"]
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

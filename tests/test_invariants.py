@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import sigmakit.invariants
 from sigmakit import (
     DomainError,
     NotInOmegaError,
+    NumericError,
     ProjectiveValue,
     TruncatedOddSeries,
     gauss_twist,
@@ -129,6 +131,15 @@ class TestHatNormalize:
     def test_not_in_omega(self):
         with pytest.raises(NotInOmegaError):
             hat_normalize(TruncatedOddSeries([0, 1, 0, 0]))
+
+    def test_twist_leaving_cubic_term_is_numeric_error(self, monkeypatch):
+        # Exact arithmetic always annihilates the cubic term; a twist that
+        # does not is reported rather than snapped away.
+        monkeypatch.setattr(sigmakit.invariants, "gauss_twist",
+                            lambda s, alpha, beta: TruncatedOddSeries([1, 1e-3, 0, 0]))
+        with pytest.raises(NumericError) as err:
+            hat_normalize(SINE)
+        assert err.value.diagnostics["cubic"] == [1e-3, 0.0]
 
 
 class TestInvarianceProperties:

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import circle_coefficients, integer_combination
+import sigmakit.lattice
+import sigmakit.modular
 from sigmakit import (
     DomainError,
+    NumericError,
+    OddFunctionHandle,
     UnimodularMap,
+    identity_report,
     invert_j,
     j_invariant,
     lattice_from_rho_tau,
@@ -17,6 +22,7 @@ from sigmakit import (
     sigma_gauge,
     sigma_product_oracle,
     theta1_eval,
+    theta1_odd_series,
     weierstrass_g,
 )
 
@@ -238,6 +244,31 @@ class TestSigmaEval:
             assert abs(coeffs[3]) < 1e-9
             assert abs(coeffs[5] + g2 / 240) <= 1e-6 * abs(g2 / 240)
             assert abs(coeffs[7] + g3 / 840) <= 1e-6 * abs(g3 / 840)
+
+
+    def test_gauge_computed_once_per_lattice(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return theta1_odd_series(*args, **kwargs)
+
+        for module in (sigmakit.modular, sigmakit.lattice):
+            monkeypatch.setattr(module, "theta1_odd_series", counted)
+        for lat in (lattice_from_rho_tau(1, 1j), normalize_lattice(1.2, 0.3 + 1.1j)):
+            calls.clear()
+            identity_report(OddFunctionHandle.from_sigma(lat), num_samples=12,
+                            seed=5, box_radius=2.0)
+            for z in (0.4 + 0.1j, -1.3 + 0.7j):
+                sigma_eval(z, lat)
+            sigma_gauge(lat)
+            assert len(calls) <= 1
+
+    def test_outside_double_range_is_numeric_error(self):
+        lat = lattice_from_rho_tau(1, 1j)
+        with pytest.raises(NumericError) as err:
+            sigma_eval(40j, lat)
+        assert err.value.diagnostics["tau"] == [0.0, 1.0]
 
 
 class TestSigmaProductOracle:

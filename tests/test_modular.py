@@ -8,7 +8,7 @@ from conftest import eta_product_oracle, theta1_sum_oracle
 from sigmakit import (
     ConvergenceError,
     DomainError,
-    Nome,
+    NumericError,
     TauPoint,
     dedekind_eta,
     j_invariant,
@@ -25,7 +25,7 @@ CORNER = 0.5 + 1j * math.sqrt(3) / 2
 TWO_PI = 2 * math.pi
 
 
-class TestTauPointAndNome:
+class TestTauPoint:
     def test_rejects_lower_half_plane(self):
         for bad in (0.5, -1j, complex(2, 0), complex(1, -0.1)):
             with pytest.raises(DomainError):
@@ -36,10 +36,13 @@ class TestTauPointAndNome:
             TauPoint(complex(float("nan"), 1.0))
 
     def test_nome_invariants(self):
+        # The nome exp(2*pi*i*tau) of an upper-half-plane point lies in the
+        # unit disc, with modulus exp(-2*pi*Im(tau)).
         for tau in TAU_GRID:
-            nome = Nome.from_tau(tau)
-            assert abs(nome.q_full) < 1
-            assert abs(abs(nome.q_full) - abs(nome.q_half) ** 2) < 1e-15
+            t = TauPoint(tau).value
+            q = cmath.exp(2j * math.pi * t)
+            assert abs(q) < 1
+            assert abs(abs(q) - math.exp(-TWO_PI * t.imag)) < 1e-15
 
 
 class TestTheta1:
@@ -88,6 +91,35 @@ class TestTheta1:
         with pytest.raises(ConvergenceError) as err:
             theta1_eval(0.3, complex(0.0, 1e-4))
         assert err.value.diagnostics["term_cap"] == 200
+
+    def test_reduced_argument_matches_direct_sum(self):
+        # The sum runs on z reduced into the fundamental cell; the direct
+        # partial sum needs no reduction while |Im z| stays moderate.
+        rng = np.random.default_rng(8)
+        for tau in TAU_GRID + [CORNER - 1 + 1e-3j]:
+            for _ in range(12):
+                z = complex(rng.uniform(-2, 2), rng.uniform(-2.5, 2.5))
+                direct = theta1_sum_oracle(z, tau, terms=40)
+                assert abs(theta1_eval(z, tau) - direct) <= 1e-12 * abs(direct)
+
+    def test_quasi_periodicity_away_from_origin(self):
+        # theta1(z + 2*tau + 1) = -exp(-4*pi*i*(tau + z)) * theta1(z)
+        for tau in TAU_GRID:
+            for z in (0.2 + 0.1j, -0.35 + 0.6j):
+                lhs = theta1_eval(z + 2 * tau + 1, tau)
+                rhs = -cmath.exp(-4j * math.pi * (tau + z)) * theta1_eval(z, tau)
+                assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_outside_double_range_is_numeric_error(self):
+        for z in (300j, 1e308j, complex(5.0, -1e300)):
+            with pytest.raises(NumericError) as err:
+                theta1_eval(z, 1j)
+            assert err.value.diagnostics["z"] == [z.real, z.imag]
+
+    def test_non_finite_argument_is_domain_error(self):
+        for z in (complex(float("nan"), 0.0), complex(0.0, float("inf"))):
+            with pytest.raises(DomainError):
+                theta1_eval(z, 1j)
 
 
 class TestTheta1OddSeries:
