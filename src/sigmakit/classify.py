@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import DomainError, IdentityNotSatisfiedError
 from .identity import extend_series
-from .invariants import hat_normalize, pq_of_series
-from .lattice import invert_j, reduce_tau, sigma_gauge_from_head
+from .invariants import _invariants_and_hat
+from .lattice import invert_j, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series, weierstrass_g
 from .series import TruncatedOddSeries, gauss_twist, scale_argument
 
@@ -123,8 +123,7 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
     IdentityNotSatisfiedError, since degree-7 data alone is always
     realizable but higher coefficients are forced.
     """
-    inv = pq_of_series(s)
-    hat = hat_normalize(s)
+    inv, hat = _invariants_and_hat(s)
     diagnostics = dict(inv.to_json_dict())
     diagnostics["sign_convention"] = _SIGN_NOTE
 
@@ -159,7 +158,7 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
                 j = 1728.0 + 0.0j
             else:
                 j = 1728.0 * inv.mu.value / (inv.mu.value - MU_TRIG)
-            tau, _ = reduce_tau(invert_j(j))
+            tau = invert_j(j)
             ref_a, ref_b = _sigma_reference_coefficients(tau)
             diagnostics["j"] = [j.real, j.imag]
             if abs(j) <= _J_CORNER_TOL:

@@ -156,8 +156,8 @@ def _cmd_invariants(args) -> dict:
     return doc
 
 
-def _require_positive(**tolerances) -> None:
-    for name, value in tolerances.items():
+def _require_positive(**values) -> None:
+    for name, value in values.items():
         if not value > 0:
             raise DomainError(f"--{name} must be positive, got {value}")
 
@@ -186,6 +186,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_verify_identity(args) -> dict:
+    _require_positive(samples=args.samples, box=args.box)
     if args.series is not None:
         handle = OddFunctionHandle.from_series(load_series(args.series))
     elif args.function == "z":

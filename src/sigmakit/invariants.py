@@ -166,6 +166,11 @@ def pq_of_series(s: TruncatedOddSeries) -> InvariantData:
     p counts as zero below ZERO_TOL * |a1|^2 * t^4 and q below
     ZERO_TOL * |a1|^3 * t^6, matching their exact homogeneities.
     """
+    return _invariants_and_hat(s)[0]
+
+
+def _invariants_and_hat(s: TruncatedOddSeries) -> tuple[InvariantData, HatForm]:
+    """``pq_of_series`` together with the hat form it is scaled by."""
     if s.max_degree < 7:
         raise DomainError("invariants need coefficients through degree 7")
     a1 = s.leading
@@ -186,4 +191,4 @@ def pq_of_series(s: TruncatedOddSeries) -> InvariantData:
         p_scale=abs(a1) ** 2 * t**4,
         q_scale=abs(a1) ** 3 * t**6,
     )
-    return InvariantData(p=p, q=q, mu=mu)
+    return InvariantData(p=p, q=q, mu=mu), hat

@@ -21,9 +21,17 @@ With this gauge the Taylor expansion starts z - (g2/240) z^5 - (g3/840) z^7
 with g2, g3 the invariants of the full lattice.  ``Lattice.gauge`` computes
 (alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from the
 head of the theta series; ``sigma_eval`` and ``sigma_gauge`` read it, and
-``sigma_gauge_from_head`` is the one place the formula is written.  The
+``sigma_gauge_from_head`` is the one place the formula is written.  Where
+theta1 or the Gaussian alone leaves the double range, ``sigma_eval`` adds
+theta1's quasi-periodic exponent to alpha*z^2 before one exp.  The
 canonical product over lattice points is kept alongside as a low-precision
 cross-check oracle.
+
+``invert_j`` solves j(tau) = jval by Newton's method with the analytic
+derivative dj/dtau, every iterate reduced into the fundamental domain.  It
+starts from the q-expansion j ~ 1/q + 744 when |jval| > 2000, and otherwise
+from the local forms of j at its two critical points: a triple zero at the
+corner exp(2*pi*i/3) and a double point j - 1728 ~ c*(tau - i)^2 at i.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from .errors import ConvergenceError, DomainError, NumericError
 from .modular import (
     TERM_CAP,
     TauPoint,
+    _j_and_derivative,
+    _theta1_parts,
     as_tau,
     j_invariant,
     theta1_eval,
@@ -50,6 +60,13 @@ _EDGE = 1e-15
 # the answers are known exactly.
 _CORNER = complex(0.5, math.sqrt(3.0) / 2.0)
 J_TOLERANCE = 1e-8
+
+# Leading Taylor coefficients of j at its critical points:
+# j = _C3*(tau - _RHO)^3 + ... at the corner _RHO = exp(2*pi*i/3), and
+# j - 1728 = _C2*(tau - i)^2 + ... at i.
+_RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
+_C3 = -45745.0806460312j
+_C2 = -24827.5650501697
 
 
 @dataclass(frozen=True)
@@ -217,26 +234,41 @@ def lattice_from_rho_tau(rho: complex, tau) -> Lattice:
     return normalize_lattice(rho, rho * t)
 
 
-_RESTART_GRID = (
-    complex(0.0, 1.2),
-    complex(0.25, 1.1),
-    complex(-0.25, 1.1),
-    complex(0.4, 1.05),
-    complex(-0.4, 1.05),
-    complex(0.1, 1.5),
-    complex(-0.1, 1.5),
-    complex(0.0, 2.2),
-)
+def _newton_seeds(jval: complex) -> list[complex]:
+    """Starting points for ``invert_j``, most promising first.
+
+    Far out, one term of the Fourier expansion j = 1/q + 744 + ... gives
+    tau.  Otherwise j is inverted from its local behaviour at the two
+    critical points, j ~ C3*(tau - rho)^3 at the corner rho and
+    j - 1728 ~ C2*(tau - i)^2 at i, nearer point first.  1.2i comes last.
+    """
+    if abs(jval) > 2000.0:
+        return [cmath.log(1.0 / (jval - 744.0)) / (2j * math.pi), 1.2j]
+    cube = (jval / _C3) ** (1.0 / 3.0)
+    square = cmath.sqrt((jval - 1728.0) / _C2)
+    # _RHO is also a primitive cube root of unity.
+    at_corner = [_RHO + cube * w for w in (1.0, _RHO, _RHO * _RHO)]
+    at_i = [1j + square, 1j - square]
+    local = at_corner + at_i if abs(cube) <= abs(square) else at_i + at_corner
+    return local + [1.2j]
 
 
 def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: int = 60) -> TauPoint:
     """Find tau in the fundamental domain with j(tau) = jval.
 
-    Newton iteration on the holomorphic map j, with a finite-difference
-    derivative and a fixed, deterministic restart schedule.  The two
-    j-values where dj/dtau vanishes are special-cased: jval ~ 0 returns the
-    corner (1 + i*sqrt(3))/2 and jval ~ 1728 returns i.  On success
-    |j(tau) - jval| <= tolerance * max(1, |jval|).
+    Newton iteration on the holomorphic map j with the analytic derivative
+    dj/dtau = -2*pi*i * j * E6/E4, taken from the same q-series pass as j.
+    Every iterate is mapped back into the fundamental domain by
+    ``reduce_tau``; j is invariant under that map, and there the q-series
+    need few terms.  Steps are capped at half of Im(tau), so no iterate
+    leaves the upper half-plane or jumps towards the cusp.  Iteration stops
+    when the step falls to 1e-15 * |tau|, when it stops shrinking (roundoff
+    in j then dominates, as next to i), or after ``max_iterations``.  The
+    starts come from ``_newton_seeds``; the first that meets
+    |j(tau) - jval| <= tolerance * max(1, |jval|) wins, and if none does a
+    ConvergenceError carries each start's iterations and residual.  The
+    two j-values where dj/dtau vanishes are special-cased: jval ~ 0
+    returns the corner (1 + i*sqrt(3))/2 and jval ~ 1728 returns i.
     """
     jval = complex(jval)
     if not (math.isfinite(jval.real) and math.isfinite(jval.imag)):
@@ -247,42 +279,39 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
         return TauPoint(1j)
 
     scale = max(1.0, abs(jval))
-    starts = []
-    if abs(jval) > 2000.0:
-        # One term of the Fourier expansion gives an excellent seed.
-        q0 = 1.0 / (jval - 744.0)
-        starts.append(cmath.log(q0) / (2j * math.pi))
-    starts.extend(_RESTART_GRID)
-
+    starts = _newton_seeds(jval)
     trace = []
     for start in starts:
-        t = start
         iterations = 0
-        resid = math.inf
         try:
+            t = reduce_tau(start)[0].value
+            last = math.inf
             for iterations in range(1, max_iterations + 1):
-                jt = j_invariant(t)
-                resid = abs(jt - jval)
-                if resid <= 1e-9 * scale:
+                jt, djt = _j_and_derivative(t)
+                if djt == 0:
                     break
-                h = 1e-6 * max(1.0, abs(t))
-                deriv = (j_invariant(t + h) - j_invariant(t - h)) / (2.0 * h)
-                if deriv == 0:
+                step = (jt - jval) / djt
+                size = abs(step)
+                if size >= last:
+                    # Roundoff in j now dominates the step.
                     break
-                step = (jt - jval) / deriv
-                t = t - step
-                if t.imag < 0.05:
-                    t = complex(t.real, 0.05)
-        except ConvergenceError:
-            # A stray iterate left the convergent region; try the next start.
+                cap = 0.5 * t.imag
+                if size > cap:
+                    step *= cap / size
+                t = reduce_tau(t - step)[0].value
+                if size <= 1e-15 * abs(t):
+                    break
+                last = size
+            resid = abs(j_invariant(t) - jval)
+        except NumericError:
+            # The q-series or the discriminant failed; try the next start.
             trace.append({"start": [start.real, start.imag],
                           "iterations": iterations, "residual": None})
             continue
         trace.append({"start": [start.real, start.imag], "iterations": iterations,
                       "residual": resid})
         if resid <= tolerance * scale:
-            reduced, _ = reduce_tau(t)
-            return reduced
+            return TauPoint(t)
     raise ConvergenceError(
         f"invert_j failed for jval={jval} after {len(starts)} starts",
         diagnostics={"jval": [jval.real, jval.imag], "trace": trace},
@@ -310,17 +339,27 @@ def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
 def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    ``term_cap`` bounds the theta1 sum; the gauge is ``lat.gauge``.  A
-    value outside the double range raises NumericError.
+    ``term_cap`` bounds the theta1 sum; the gauge is ``lat.gauge``.  When
+    theta1 or exp(alpha*z^2) alone overflows, the two exponents are added
+    before one exp, so only a value outside the double range raises
+    NumericError.
     """
     z = complex(z)
     alpha, _, scale = lat.gauge
-    theta = theta1_eval(z / lat.rho, lat.tau, term_cap=term_cap)
+    w = z / lat.rho
     try:
-        value = theta * cmath.exp(alpha * z * z) * scale
-    except OverflowError:
+        value = theta1_eval(w, lat.tau, term_cap=term_cap) * cmath.exp(alpha * z * z) * scale
+    except (NumericError, OverflowError):
         value = complex(math.inf)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not cmath.isfinite(value):
+        # theta1 or the Gaussian overflowed on its own.  Their exponents
+        # nearly cancel, so add them before one exp.
+        total, exponent = _theta1_parts(w, lat.tau.value, term_cap)
+        try:
+            value = total * cmath.exp(exponent + alpha * z * z) * scale
+        except OverflowError:
+            value = complex(math.inf)
+    if not cmath.isfinite(value):
         raise NumericError(
             f"sigma at z={z} is outside the double range",
             diagnostics={"z": [z.real, z.imag], "rho": [lat.rho.real, lat.rho.imag],

@@ -85,43 +85,54 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     double range raises NumericError.
     """
     t = as_tau(tau).value
-    u = z = complex(z)
+    z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
     try:
-        n = round(z.imag / t.imag)
-        if n:
-            z -= n * t
-        m = round(z.real)
-        if m:
-            z -= m
-        i_pi_tau = 1j * math.pi * t
-        sign = 2.0
-        total = term = 0.0 + 0.0j
-        for k in range(term_cap):
-            term = (
-                sign
-                * cmath.exp(i_pi_tau * (k + 0.5) ** 2)
-                * cmath.sin((2 * k + 1) * math.pi * z)
-            )
-            sign = -sign
-            total += term
-            if abs(term) <= TERM_TOL * abs(total):
-                break
-        else:
-            raise _cap_error("theta1 series", t, total, term, term_cap)
-        if (m + n) % 2:
-            total = -total
-        if n:
-            total *= cmath.exp(-1j * math.pi * n * (n * t + 2.0 * z))
+        total, exponent = _theta1_parts(z, t, term_cap)
+        if exponent:
+            total *= cmath.exp(exponent)
     except OverflowError:
         total = complex(math.inf)
     if not cmath.isfinite(total):
         raise NumericError(
-            f"theta1 at z={u} is outside the double range",
-            diagnostics={"z": [u.real, u.imag], "tau": [t.real, t.imag]},
+            f"theta1 at z={z} is outside the double range",
+            diagnostics={"z": [z.real, z.imag], "tau": [t.real, t.imag]},
         )
     return total
+
+
+def _theta1_parts(z: complex, t: complex, term_cap: int) -> tuple[complex, complex]:
+    """(s, e) with theta1(z, t) = s * exp(e), for finite complex z.
+
+    s is the series summed on z reduced into the fundamental cell, with the
+    reduction's sign, and e is the exponent of the quasi-periodic factor,
+    exactly 0 when z already lies in the cell.
+    """
+    n = round(z.imag / t.imag)
+    if n:
+        z -= n * t
+    m = round(z.real)
+    if m:
+        z -= m
+    i_pi_tau = 1j * math.pi * t
+    sign = 2.0
+    total = term = 0.0 + 0.0j
+    for k in range(term_cap):
+        term = (
+            sign
+            * cmath.exp(i_pi_tau * (k + 0.5) ** 2)
+            * cmath.sin((2 * k + 1) * math.pi * z)
+        )
+        sign = -sign
+        total += term
+        if abs(term) <= TERM_TOL * abs(total):
+            break
+    else:
+        raise _cap_error("theta1 series", t, total, term, term_cap)
+    if (m + n) % 2:
+        total = -total
+    return total, (-1j * math.pi * n * (n * t + 2.0 * z) if n else 0j)
 
 
 def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> TruncatedOddSeries:
@@ -209,20 +220,30 @@ def modular_discriminant(tau, *, term_cap: int = TERM_CAP) -> complex:
     return _TWO_PI**12 * dedekind_eta(tau, term_cap=term_cap) ** 24
 
 
+def _j_and_derivative(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
+    """(j(tau), dj/dtau) from one g2/g3 pass and one discriminant pass.
+
+    dj/dtau = -2*pi*i * j * E6/E4, written as -15552*i * g2^2 * g3 / (pi * Delta)
+    so that nothing is divided by g2, which vanishes at the corner.
+    """
+    g2, g3 = weierstrass_g(tau, term_cap=term_cap)
+    delta = modular_discriminant(tau, term_cap=term_cap)
+    if delta == 0:
+        # Delta underflows only for Im(tau) beyond about 118.
+        t = as_tau(tau).value
+        raise NumericError(
+            f"discriminant underflows at tau={t}",
+            diagnostics={"tau": [t.real, t.imag]},
+        )
+    return 1728.0 * g2**3 / delta, -15552j * g2 * g2 * g3 / (math.pi * delta)
+
+
 def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
     """Modular invariant, normalized as j = 1728 * g2^3 / (g2^3 - 27*g3^2).
 
     This normalization has the Fourier expansion 1/q + 744 + 196884*q + ...
     """
-    g2, _ = weierstrass_g(tau, term_cap=term_cap)
-    delta = modular_discriminant(tau, term_cap=term_cap)
-    if delta == 0:
-        # Impossible for Im(tau) > 0 at working precision.
-        raise NumericError(
-            "vanishing discriminant in j evaluation (internal fault)",
-            diagnostics={"tau": [as_tau(tau).value.real, as_tau(tau).value.imag]},
-        )
-    return 1728.0 * g2**3 / delta
+    return _j_and_derivative(tau, term_cap=term_cap)[0]
 
 
 def modular_pq(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 # Relative magnitude above which an even coefficient disqualifies a general
 # series from conversion to odd form.
@@ -171,10 +171,22 @@ def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> Truncat
     identity up to truncation and roundoff.
     """
     alpha = complex(alpha)
+    beta = complex(beta)
     k = s.odd_coefficients.size
-    even = np.array([alpha**j / math.factorial(j) for j in range(k)], dtype=complex)
-    out = np.convolve(s.odd_coefficients, even)[:k]
-    return TruncatedOddSeries(out * np.exp(complex(beta)))
+    try:
+        even = np.array([alpha**j / math.factorial(j) for j in range(k)], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.convolve(s.odd_coefficients, even)[:k] * np.exp(beta)
+    except OverflowError:
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise NumericError(
+            f"the twist by exp({alpha}*z^2 + {beta}) through degree "
+            f"{s.max_degree} is outside the double range",
+            diagnostics={"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag],
+                         "max_degree": s.max_degree},
+        )
+    return TruncatedOddSeries(out)
 
 
 def _derivative(coeffs: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from sigmakit import (
     sigma_eval,
     synthesize,
     theta1_odd_series,
+    weierstrass_g,
 )
 
 
@@ -158,6 +159,25 @@ class TestRoundTrip:
             res = duplication_residual(rebuilt)
             scale = float(np.max(np.abs(rebuilt.odd_coefficients)))
             assert float(np.max(np.abs(res.odd_coefficients))) <= 1e-9 * max(1, scale)
+
+
+class TestNearCorner:
+    @pytest.mark.parametrize("offset, degree", [(1e-3j, 11), (3e-4j, 13)])
+    def test_member_next_to_the_corner(self, offset, degree):
+        # j has a triple zero at the corner, so a tau that merely meets the
+        # j tolerance would miss the lattice by far more than 1e-6.
+        tau = cmath.exp(2j * math.pi / 3) + offset
+        made = Classification(case="elliptic", alpha=0.1 - 0.2j, beta=0.3,
+                              rho=0.9 + 0.2j, tau=TauPoint(tau))
+        got = classify(synthesize(made, degree))
+        assert got.case == "elliptic"
+        assert abs(got.alpha - made.alpha) <= 1e-8
+        assert abs(wrap_to_principal(got.beta - made.beta)) <= 1e-8
+        want2, want3 = (g / made.rho**k for g, k in zip(weierstrass_g(tau), (4, 6)))
+        got2, got3 = (g / got.rho**k for g, k in zip(weierstrass_g(got.tau), (4, 6)))
+        s = max(abs(want2) ** 0.25, abs(want3) ** (1 / 6))
+        assert abs(got2 - want2) <= 1e-9 * s**4
+        assert abs(got3 - want3) <= 1e-9 * s**6
 
 
 class TestValidationOfHigherDegrees:

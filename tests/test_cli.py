@@ -132,6 +132,18 @@ class TestEvalCommand:
             assert doc["error"]["type"] == "numeric"
 
 
+    def test_sigma_beyond_theta_range(self, capsys):
+        # theta1(0.5 + 20i, i) alone overflows; sigma there is about 3.6e272.
+        code, doc = run_strict(capsys, "eval", "sigma", "--z", "0.5,20")
+        assert code == 0
+        assert abs(complex(*doc["value"]) - 3.563839142122604e272) <= 1e-12 * 3.6e272
+
+    def test_sigma_beyond_double_range(self, capsys):
+        code, doc = run_strict(capsys, "eval", "sigma", "--z", "0.5,26.5")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+
+
 class TestClassifyCommand:
     def test_scaled_sine_file(self, capsys, tmp_path):
         series = scale_argument(
@@ -162,6 +174,19 @@ class TestClassifyCommand:
         assert "forces" in doc["error"]["message"]
 
 
+class TestInvariantsOverflow:
+    def test_huge_cubic_ratio_is_numeric_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "max_degree": 7,
+            "odd_coefficients": [[1, 0], [1e200, 0], [0, 0], [0, 0]],
+        }))
+        code, doc = run_strict(capsys, "invariants", str(path))
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        assert doc["error"]["diagnostics"]["alpha"] == [-1e200, 0.0]
+
+
 class TestVerifyCommands:
     def test_identity_builtin_sin(self, capsys):
         code, doc = run(capsys, "verify-identity", "--function", "sin",
@@ -180,6 +205,15 @@ class TestVerifyCommands:
             assert doc["max_residual_over_scale"] <= 1e-9
         else:
             assert doc["error"]["type"] == "numeric"
+
+    @pytest.mark.parametrize("option, value", [
+        ("--samples", "-3"), ("--samples", "0"), ("--box", "-1"), ("--box", "0"),
+    ])
+    def test_identity_rejects_nonpositive_arguments(self, capsys, option, value):
+        code, doc = run_strict(capsys, "verify-identity", "--function", "sin", option, value)
+        assert code == 1
+        assert doc["error"]["type"] == "domain"
+        assert option in doc["error"]["message"]
 
     def test_identity_byte_identical_output(self, capsys):
         code1 = main(["verify-identity", "--function", "sigma", "--samples", "20"])
@@ -225,6 +259,11 @@ class TestTauCommands:
         code, doc = run(capsys, "invert-j", "--value", "1728,0")
         assert code == 0
         assert np.allclose(doc["tau"], [0, 1], atol=1e-12)
+
+    def test_invert_j_where_an_iterate_once_left_for_the_cusp(self, capsys):
+        code, doc = run_strict(capsys, "invert-j", "--value", "1361.6287913185577,0")
+        assert code == 0
+        assert abs(complex(*doc["tau"]) - (-0.12711040306569873 + 0.9918885751093596j)) < 1e-9
 
     def test_invert_j_corner(self, capsys):
         code, doc = run(capsys, "invert-j", "--value", "0,0")

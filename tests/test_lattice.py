@@ -8,6 +8,7 @@ from conftest import circle_coefficients, integer_combination
 import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
+    ConvergenceError,
     DomainError,
     NumericError,
     OddFunctionHandle,
@@ -189,6 +190,46 @@ class TestInvertJ:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             invert_j(complex(float("inf"), 0))
+
+    def test_round_trip_over_fundamental_domain(self):
+        # A grid of the domain, its arc, and points 1e-3 and 3e-4 from the
+        # two corners and from i; each must come back as itself or as its
+        # mirror across the boundary of the domain.
+        left, right = CORNER - 1, CORNER
+        taus = [complex(x, math.sqrt(1 - x * x) + y)
+                for x in np.linspace(-0.5, 0.49, 12) for y in (0.0, 0.05, 0.4, 1.2, 2.5)]
+        taus += [cmath.exp(1j * th) for th in np.linspace(math.pi / 2, 2 * math.pi / 3, 15)]
+        for r in (1e-3, 3e-4):
+            taus += [left + cmath.rect(r, math.radians(a)) for a in (40, 60, 80)]
+            taus += [right + cmath.rect(r, math.radians(a)) for a in (100, 120, 140)]
+            taus += [1j + cmath.rect(r, math.radians(a)) for a in (20, 90, 160)]
+        for tau in taus:
+            t = reduce_tau(tau)[0].value
+            back = invert_j(j_invariant(t)).value
+            assert min(abs(back - m) for m in (t, -1 / t, t + 1, t - 1)) <= 1e-9, (t, back)
+
+    def test_real_j_below_1728_lands_on_the_left_arc(self):
+        for jval in np.linspace(1728 / 200, 1728, 199, endpoint=False):
+            tau = invert_j(jval).value
+            assert tau.real <= 0.0, (jval, tau)
+            assert abs(abs(tau) - 1.0) <= 1e-12
+            assert abs(j_invariant(tau) - jval) <= 1e-8 * jval
+
+    def test_iterates_stay_away_from_the_cusp(self):
+        # Newton iterates once jumped from here to Im(tau) ~ 222, where the
+        # discriminant underflows.
+        jval = 1361.6287913185577
+        tau = invert_j(jval)
+        assert abs(j_invariant(tau) - jval) <= 1e-8 * jval
+        assert abs(tau.value - (-0.12711040306569873 + 0.9918885751093596j)) < 1e-9
+
+    def test_failure_reports_every_start(self):
+        with pytest.raises(ConvergenceError) as err:
+            invert_j(632.8, max_iterations=1)
+        trace = err.value.diagnostics["trace"]
+        assert len(trace) == 6
+        assert trace[-1]["start"] == [0.0, 1.2]
+        assert all(entry["iterations"] == 1 for entry in trace)
 
 
 class TestSigmaEval:

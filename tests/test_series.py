@@ -7,6 +7,7 @@ import pytest
 from conftest import third_derivative
 from sigmakit import (
     DomainError,
+    NumericError,
     TruncatedOddSeries,
     TruncatedSeries,
     duplication_rhs,
@@ -127,6 +128,14 @@ class TestGaussTwist:
             assert np.allclose(
                 back.odd_coefficients, s.odd_coefficients, rtol=1e-12, atol=1e-14
             )
+
+
+    @pytest.mark.parametrize("alpha, beta", [(-1e200, 0.0), (1e120, 0.0), (0.5, 800.0)])
+    def test_overflow_is_numeric_error(self, alpha, beta):
+        with pytest.raises(NumericError) as err:
+            gauss_twist(SINE, alpha, beta)
+        assert err.value.diagnostics["alpha"] == [alpha, 0.0]
+        assert err.value.diagnostics["max_degree"] == 7
 
 
 class TestDuplicationRhs:
