@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, IdentityNotSatisfiedError
 from .identity import extend_series
 from .invariants import _invariants_and_hat
-from .lattice import invert_j, sigma_gauge_from_head
+from .lattice import invert_j, reduce_tau, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series, weierstrass_g
 from .series import TruncatedOddSeries, gauss_twist, scale_argument
 
@@ -158,7 +158,9 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
                 j = 1728.0 + 0.0j
             else:
                 j = 1728.0 * inv.mu.value / (inv.mu.value - MU_TRIG)
-            tau = invert_j(j)
+            # invert_j's corner short-circuit returns (1 + i*sqrt(3))/2,
+            # the mirror of the reduced corner.
+            tau, _ = reduce_tau(invert_j(j))
             ref_a, ref_b = _sigma_reference_coefficients(tau)
             diagnostics["j"] = [j.real, j.imag]
             if abs(j) <= _J_CORNER_TOL:

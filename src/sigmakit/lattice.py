@@ -21,11 +21,11 @@ With this gauge the Taylor expansion starts z - (g2/240) z^5 - (g3/840) z^7
 with g2, g3 the invariants of the full lattice.  ``Lattice.gauge`` computes
 (alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from the
 head of the theta series; ``sigma_eval`` and ``sigma_gauge`` read it, and
-``sigma_gauge_from_head`` is the one place the formula is written.  Where
-theta1 or the Gaussian alone leaves the double range, ``sigma_eval`` adds
-theta1's quasi-periodic exponent to alpha*z^2 before one exp.  The
-canonical product over lattice points is kept alongside as a low-precision
-cross-check oracle.
+``sigma_gauge_from_head`` is the one place the formula is written.
+``sigma_eval`` adds theta1's quasi-periodic exponent to alpha*z^2 before
+one exp, so sigma is found wherever it fits in a double even when theta1
+or the Gaussian alone does not.  The canonical product over lattice points
+is kept alongside as a low-precision cross-check oracle.
 
 ``invert_j`` solves j(tau) = jval by Newton's method with the analytic
 derivative dj/dtau, every iterate reduced into the fundamental domain.  It
@@ -49,7 +49,6 @@ from .modular import (
     _theta1_parts,
     as_tau,
     j_invariant,
-    theta1_eval,
     theta1_odd_series,
 )
 
@@ -339,26 +338,20 @@ def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
 def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    ``term_cap`` bounds the theta1 sum; the gauge is ``lat.gauge``.  When
-    theta1 or exp(alpha*z^2) alone overflows, the two exponents are added
-    before one exp, so only a value outside the double range raises
-    NumericError.
+    ``term_cap`` bounds the theta1 sum; the gauge is ``lat.gauge``.  The
+    quasi-periodic exponent of theta1 is added to alpha*z^2 before one exp,
+    since the two nearly cancel, so only a value outside the double range
+    raises NumericError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
     alpha, _, scale = lat.gauge
-    w = z / lat.rho
     try:
-        value = theta1_eval(w, lat.tau, term_cap=term_cap) * cmath.exp(alpha * z * z) * scale
-    except (NumericError, OverflowError):
+        total, exponent = _theta1_parts(z / lat.rho, lat.tau.value, term_cap)
+        value = total * cmath.exp(exponent + alpha * z * z) * scale
+    except OverflowError:
         value = complex(math.inf)
-    if not cmath.isfinite(value):
-        # theta1 or the Gaussian overflowed on its own.  Their exponents
-        # nearly cancel, so add them before one exp.
-        total, exponent = _theta1_parts(w, lat.tau.value, term_cap)
-        try:
-            value = total * cmath.exp(exponent + alpha * z * z) * scale
-        except OverflowError:
-            value = complex(math.inf)
     if not cmath.isfinite(value):
         raise NumericError(
             f"sigma at z={z} is outside the double range",

@@ -179,6 +179,18 @@ class TestNearCorner:
         assert abs(got2 - want2) <= 1e-9 * s**4
         assert abs(got3 - want3) <= 1e-9 * s**6
 
+    @pytest.mark.parametrize("corner", [complex(-0.5, math.sqrt(3) / 2),
+                                        complex(0.5, math.sqrt(3) / 2)])
+    def test_member_at_the_corner_reports_reduced_tau(self, corner):
+        # j = 0 takes invert_j's corner short-circuit; the reported tau
+        # must still lie in the reduced domain -1/2 <= Re tau < 1/2.
+        made = Classification(case="elliptic", alpha=0.1 - 0.2j, beta=0.3,
+                              rho=0.9 + 0.2j, tau=TauPoint(corner))
+        got = classify(synthesize(made, 9))
+        assert got.case == "elliptic"
+        assert -0.5 <= got.tau.value.real < 0.5
+        assert abs(got.tau.value - complex(-0.5, math.sqrt(3) / 2)) <= 1e-15
+
 
 class TestValidationOfHigherDegrees:
     def test_cubic_rejected(self):
