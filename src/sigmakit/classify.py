@@ -31,10 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, IdentityNotSatisfiedError
-from .identity import extend_series
 from .invariants import _invariants_and_hat
 from .lattice import invert_j, reduce_tau, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series, weierstrass_g
@@ -118,8 +115,8 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
     """Identify the family of an odd series and recover its parameters.
 
     Input must carry a1 != 0 and coefficients through degree 7.  If data
-    beyond degree 7 is present it is validated against the duplication
-    extension of the recovered member; a mismatch raises
+    beyond degree 7 is present it is validated against the recovered
+    member's closed-form series from ``synthesize``; a mismatch raises
     IdentityNotSatisfiedError, since degree-7 data alone is always
     realizable but higher coefficients are forced.
     """
@@ -199,13 +196,17 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
 
 
 def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
-    """Check coefficients beyond degree 7 against the forced extension."""
-    candidate = synthesize(c, 7)
-    extended = extend_series(candidate, s.max_degree)
+    """Check coefficients beyond degree 7 against the member's closed form.
+
+    ``synthesize(c, s.max_degree)`` is the recovered member's own Taylor
+    series.  It is also the duplication recurrence's extension of the
+    member's degree-7 data, which is unique because psi(n) != 0 for odd
+    n >= 9, so no recurrence (and none of its cancellation) runs here.
+    """
     got = s.odd_coefficients
-    want = extended.odd_coefficients
-    scale = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))))
-    for k in range(4, got.size):
+    want = synthesize(c, s.max_degree).odd_coefficients
+    scale = max(max(abs(v) for v in got), max(abs(v) for v in want))
+    for k in range(4, len(got)):
         err = abs(got[k] - want[k])
         if err > tolerance * scale:
             raise IdentityNotSatisfiedError(

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand prints exactly one JSON document to standard output and
-exits with 0 on success, 1 on a domain error (bad arguments, malformed
-input, precondition violations), or 2 on a numeric error (non-convergent
-series, failed root searches).  Output is deterministic: identical
+Every subcommand prints exactly one strict JSON document (no NaN or
+Infinity) to standard output and exits with 0 on success, 1 on a domain
+error (bad or unparsable arguments, malformed input, precondition
+violations), or 2 on a numeric error (non-convergent series, failed root
+searches, non-finite results).  Output is deterministic: identical
 arguments and seed produce byte-identical documents.
 
 Conventions: complex numbers are written "re,im" on the command line (a
@@ -85,7 +86,12 @@ def load_series(path: str) -> TruncatedOddSeries:
 
 
 def emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    """Print a document as strict JSON; a NaN or infinity is a NumericError."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"the result is not finite ({exc})") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _lattice_from_args(args) -> "Lattice":
@@ -272,8 +278,33 @@ def _cmd_psi(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are DomainErrors, so that they
+    reach stdout as JSON documents like every other domain error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
+# Options taking a complex "re,im" value.  argparse reads a value such as
+# "-1,2" as an option string, so main() attaches it as "--z=-1,2".
+_COMPLEX_OPTIONS = ("--z", "--tau", "--rho", "--omega1", "--omega2", "--value")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _COMPLEX_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmakit",
         description=(
             "Weierstrass sigma / Jacobi theta toolkit. Complex arguments are "
@@ -362,22 +393,31 @@ def _error_doc(kind: str, exc: Exception) -> dict:
     return doc
 
 
+def _emit_error(kind: str, exc: Exception) -> None:
+    doc = _error_doc(kind, exc)
+    try:
+        emit(doc)
+    except NumericError:
+        # Diagnostics holding a NaN or infinity cannot be strict JSON.
+        del doc["error"]["diagnostics"]
+        emit(doc)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage/help; keep its success exits and
-        # map its failures to the domain-error exit code.
-        return EXIT_OK if exc.code in (0, None) else EXIT_DOMAIN
-    try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
         emit(args.func(args))
         return EXIT_OK
+    except SystemExit as exc:
+        # --help and --version print to stdout and exit; rejections
+        # arrive as DomainErrors from _Parser.error.
+        return EXIT_OK if exc.code in (0, None) else EXIT_DOMAIN
     except NumericError as exc:
-        emit(_error_doc("numeric", exc))
+        _emit_error("numeric", exc)
         return EXIT_NUMERIC
     except DomainError as exc:
-        emit(_error_doc("domain", exc))
+        _emit_error("domain", exc)
         return EXIT_DOMAIN
 
 

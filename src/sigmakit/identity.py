@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, NotInOmegaError, NumericError
 from .series import TruncatedOddSeries, duplication_rhs, scale_argument
 
@@ -149,7 +147,13 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
 
 
 def sample_quadruples(num_samples: int, seed: int, box_radius: float = 1.0):
-    """Deterministic quadruples with all four entries in |.| <= box_radius."""
+    """Deterministic quadruples with all four entries in |.| <= box_radius.
+
+    NumPy's generator keeps the samples of a seed fixed; it is imported
+    here, so only surveys load NumPy.
+    """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(num_samples):
@@ -201,8 +205,9 @@ def duplication_residual(s: TruncatedOddSeries) -> TruncatedOddSeries:
     a1 = s.leading
     doubled = scale_argument(s, 2.0)
     rhs = duplication_rhs(s)
+    cube = a1**3
     return TruncatedOddSeries(
-        a1**3 * doubled.odd_coefficients - rhs.odd_coefficients
+        [cube * d - r for d, r in zip(doubled.odd_coefficients, rhs.odd_coefficients)]
     )
 
 
@@ -261,14 +266,12 @@ def duplication_report(s: TruncatedOddSeries) -> dict:
     1e-12 * max(1, coefficient scale)^4 count.
     """
     res = duplication_residual(s)
-    mags = np.abs(res.odd_coefficients)
-    scale = max(1.0, float(np.max(np.abs(s.odd_coefficients))))
-    meaningful = np.nonzero(mags > 1e-12 * scale**4)[0]
+    mags = [abs(c) for c in res.odd_coefficients]
+    scale = max(1.0, max(abs(c) for c in s.odd_coefficients))
+    meaningful = [k for k, m in enumerate(mags) if m > 1e-12 * scale**4]
     return {
         "max_degree": res.max_degree,
         "residual_coefficients": [[c.real, c.imag] for c in res.odd_coefficients],
-        "max_abs_residual": float(mags.max()),
-        "first_nonzero_degree": (
-            int(2 * int(meaningful[0]) + 1) if meaningful.size else None
-        ),
+        "max_abs_residual": max(mags),
+        "first_nonzero_degree": 2 * meaningful[0] + 1 if meaningful else None,
     }

@@ -23,9 +23,8 @@ q(h) = 3*B.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NotInOmegaError, NumericError
 from .series import TruncatedOddSeries, gauss_twist
@@ -139,11 +138,11 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
         raise NotInOmegaError("leading odd coefficient vanishes")
     alpha = -s.coefficient(3) / a1
     twisted = gauss_twist(s, alpha, 0.0)
-    coeffs = np.array(twisted.odd_coefficients) / a1
-    scale = float(np.max(np.abs(coeffs)))
-    if not (abs(coeffs[0] - 1.0) <= 64 * np.finfo(float).eps
+    coeffs = [c / a1 for c in twisted.odd_coefficients]
+    scale = max(abs(c) for c in coeffs)
+    if not (abs(coeffs[0] - 1.0) <= 64 * sys.float_info.epsilon
             and abs(coeffs[1]) <= 1e-12 * max(scale, 1.0)):
-        lead, cubic = complex(coeffs[0]), complex(coeffs[1])
+        lead, cubic = coeffs[0], coeffs[1]
         raise NumericError(
             f"gauge twist left leading coefficient {lead} and cubic "
             f"coefficient {cubic}, expected 1 and 0 up to roundoff",

@@ -143,9 +143,12 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
             "fundamental-domain reduction did not terminate",
             diagnostics={"tau": [as_tau(tau).value.real, as_tau(tau).value.imag]},
         )
-    # Deterministic boundary ties: right edge folds to the left edge, and
-    # the right half of the unit circle folds to the left half.
-    if t.real >= 0.5 - _EDGE:
+    # Deterministic boundary ties: the right edge Re = 1/2 (reached when
+    # the floor rounds) folds to the left edge, and the right half of the
+    # unit circle folds to the left half.  The edge test has no tolerance:
+    # a fold from Re = 1/2 - d would land at -1/2 - d, outside the domain
+    # (and would undo the floor's shift of a point just left of -1/2).
+    if t.real >= 0.5:
         t -= 1
         m = UnimodularMap.translation(-1).compose(m)
     if abs(abs(t) - 1.0) <= _EDGE and t.real > _EDGE:
@@ -325,8 +328,24 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     odd Taylor coefficients of theta1.  scale = rho/th1 = exp(beta), with
     beta the principal logarithm.
     """
-    scale = complex(rho / th1)
-    return complex(-th3 / (rho**2 * th1)), cmath.log(scale), scale
+    scale = _quotient(rho, th1)
+    return _quotient(-th3, rho**2 * th1), cmath.log(scale), scale
+
+
+def _quotient(a: complex, b: complex) -> complex:
+    """a / b by Smith's method times the reciprocal denominator.
+
+    This is how NumPy's complex128 division rounds, which the gauge has
+    always used; CPython's complex division rounds differently and would
+    move sigma values in their last digit.
+    """
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        inv = 1.0 / (b.real + b.imag * ratio)
+        return complex((a.real + a.imag * ratio) * inv, (a.imag - a.real * ratio) * inv)
+    ratio = b.real / b.imag
+    inv = 1.0 / (b.imag + b.real * ratio)
+    return complex((a.real * ratio + a.imag) * inv, (a.imag * ratio - a.real) * inv)
 
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:

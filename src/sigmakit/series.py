@@ -1,11 +1,11 @@
 """Truncated complex power-series arithmetic.
 
-Series are represented by their coefficient vectors in binary64 complex.
+Series are represented by tuples of binary64 ``complex`` coefficients.
 A ``TruncatedSeries`` of order N stands for a residue class modulo z^(N+1):
 its coefficients 0..N are meaningful and everything above is unknown.
 ``TruncatedOddSeries`` is the specialization used throughout the library
 for odd entire functions; it stores only the odd coefficients
-[a1, a3, ..., a_(2K+1)] and guarantees the even ones are exactly zero.
+(a1, a3, ..., a_(2K+1)) and guarantees the even ones are exactly zero.
 
 Degree bookkeeping convention: every operation documents the degree
 through which its output is guaranteed valid, and output coefficients
@@ -15,9 +15,10 @@ same order N, the retained coefficients of the Cauchy product are exact.
 
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
+from itertools import chain
+from operator import mul
 
 from .errors import DomainError, NumericError
 
@@ -26,15 +27,49 @@ from .errors import DomainError, NumericError
 ODD_CONTAMINATION_TOL = 1e-14
 
 
-def _as_coeff_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1 or arr.size == 0:
+def _as_coefficients(values) -> tuple[complex, ...]:
+    try:
+        coeffs = tuple(complex(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("coefficients must be a non-empty 1-d sequence") from exc
+    if not coeffs:
         raise DomainError("coefficients must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    if not all(cmath.isfinite(c) for c in coeffs):
         raise DomainError("coefficients must be finite (no NaN/Inf)")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    return coeffs
+
+
+def _cauchy(a, b, count: int) -> list[complex]:
+    """First ``count`` coefficients of the product of two coefficient lists.
+
+    The lists are polynomials in one variable; callers holding odd or even
+    series pass their coefficients in z^2 and track the parity (the powers
+    of z factored out) themselves.  Each coefficient is the correctly
+    rounded sum of its rounded real products (``math.fsum``):
+    ``extend_series`` amplifies the rounding of ``duplication_rhs`` by the
+    cancellation in its residuals, and a running sum was measurably less
+    accurate there.
+    """
+    last_a, last_b = len(a) - 1, len(b) - 1
+    a_re = [c.real for c in a]
+    a_im = [c.imag for c in a]
+    a_neg_im = [-x for x in a_im]
+    # b reversed, so b[n - i] for i = lo..hi is one forward slice.
+    b_re = [c.real for c in reversed(b)]
+    b_im = [c.imag for c in reversed(b)]
+    out = []
+    for n in range(count):
+        lo, hi = max(0, n - last_b), min(n, last_a) + 1
+        xr, xi, nxi = a_re[lo:hi], a_im[lo:hi], a_neg_im[lo:hi]
+        yr, yi = b_re[last_b - n + lo:last_b - n + hi], b_im[last_b - n + lo:last_b - n + hi]
+        try:
+            out.append(complex(math.fsum(chain(map(mul, xr, yr), map(mul, nxi, yi))),
+                               math.fsum(chain(map(mul, xr, yi), map(mul, xi, yr)))))
+        except (OverflowError, ValueError):
+            # fsum refuses sums that overflow or meet inf - inf; the
+            # callers' finiteness checks report the NaN.
+            out.append(complex(math.nan, math.nan))
+    return out
 
 
 class TruncatedSeries:
@@ -43,22 +78,22 @@ class TruncatedSeries:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        self.coefficients = _as_coeff_array(coefficients)
+        self.coefficients = _as_coefficients(coefficients)
 
     @property
     def order(self) -> int:
-        return self.coefficients.size - 1
+        return len(self.coefficients) - 1
 
     def coefficient(self, degree: int) -> complex:
         if not 0 <= degree <= self.order:
             raise DomainError(f"degree {degree} outside 0..{self.order}")
-        return complex(self.coefficients[degree])
+        return self.coefficients[degree]
 
     def evaluate(self, z: complex) -> complex:
         acc = 0.0 + 0.0j
-        for c in self.coefficients[::-1]:
+        for c in reversed(self.coefficients):
             acc = acc * z + c
-        return complex(acc)
+        return acc
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order})"
@@ -70,25 +105,25 @@ class TruncatedOddSeries:
     __slots__ = ("odd_coefficients",)
 
     def __init__(self, odd_coefficients):
-        self.odd_coefficients = _as_coeff_array(odd_coefficients)
+        self.odd_coefficients = _as_coefficients(odd_coefficients)
 
     @property
     def max_degree(self) -> int:
-        return 2 * self.odd_coefficients.size - 1
+        return 2 * len(self.odd_coefficients) - 1
 
     @property
     def leading(self) -> complex:
-        return complex(self.odd_coefficients[0])
+        return self.odd_coefficients[0]
 
     def coefficient(self, degree: int) -> complex:
         if not 0 <= degree <= self.max_degree:
             raise DomainError(f"degree {degree} outside 0..{self.max_degree}")
         if degree % 2 == 0:
             return 0.0 + 0.0j
-        return complex(self.odd_coefficients[degree // 2])
+        return self.odd_coefficients[degree // 2]
 
     def to_series(self) -> TruncatedSeries:
-        full = np.zeros(self.max_degree + 1, dtype=complex)
+        full = [0j] * (self.max_degree + 1)
         full[1::2] = self.odd_coefficients
         return TruncatedSeries(full)
 
@@ -102,20 +137,19 @@ class TruncatedOddSeries:
         coeffs = s.coefficients
         if s.order % 2 == 0:
             coeffs = coeffs[:-1] if s.order > 0 else coeffs
-        if coeffs.size < 2:
+        if len(coeffs) < 2:
             raise DomainError("series order must be at least 1 for odd form")
-        scale = float(np.max(np.abs(s.coefficients)))
-        even = s.coefficients[0::2]
-        if scale > 0 and float(np.max(np.abs(even))) > tol * scale:
+        scale = max(abs(c) for c in s.coefficients)
+        if scale > 0 and max(abs(c) for c in s.coefficients[0::2]) > tol * scale:
             raise DomainError("series has nonzero even coefficients; not odd")
         return cls(coeffs[1::2])
 
     def evaluate(self, z: complex) -> complex:
         w = z * z
         acc = 0.0 + 0.0j
-        for a in self.odd_coefficients[::-1]:
+        for a in reversed(self.odd_coefficients):
             acc = acc * w + a
-        return complex(acc * z)
+        return acc * z
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,15 +186,15 @@ def multiply(s1: TruncatedSeries, s2: TruncatedSeries) -> TruncatedSeries:
         raise DomainError(
             f"order mismatch: {s1.order} vs {s2.order}; truncate to a common order first"
         )
-    prod = np.convolve(s1.coefficients, s2.coefficients)[: s1.order + 1]
-    return TruncatedSeries(prod)
+    return TruncatedSeries(_cauchy(s1.coefficients, s2.coefficients, s1.order + 1))
 
 
 def scale_argument(s: TruncatedOddSeries, a: complex) -> TruncatedOddSeries:
     """Substitute z -> a*z, multiplying a_n by a**n."""
     a = complex(a)
-    degrees = 2 * np.arange(s.odd_coefficients.size) + 1
-    return TruncatedOddSeries(s.odd_coefficients * a**degrees)
+    return TruncatedOddSeries(
+        [c * a ** (2 * k + 1) for k, c in enumerate(s.odd_coefficients)]
+    )
 
 
 def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> TruncatedOddSeries:
@@ -172,14 +206,15 @@ def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> Truncat
     """
     alpha = complex(alpha)
     beta = complex(beta)
-    k = s.odd_coefficients.size
+    k = len(s.odd_coefficients)
     try:
-        even = np.array([alpha**j / math.factorial(j) for j in range(k)], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.convolve(s.odd_coefficients, even)[:k] * np.exp(beta)
+        # exp(alpha*w) in w = z^2, times the odd coefficients (f/z in w).
+        even = [alpha**j / math.factorial(j) for j in range(k)]
+        scale = cmath.exp(beta)
+        out = [c * scale for c in _cauchy(s.odd_coefficients, even, k)]
     except OverflowError:
         out = None
-    if out is None or not np.isfinite(out).all():
+    if out is None or not all(cmath.isfinite(c) for c in out):
         raise NumericError(
             f"the twist by exp({alpha}*z^2 + {beta}) through degree "
             f"{s.max_degree} is outside the double range",
@@ -187,12 +222,6 @@ def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> Truncat
                          "max_degree": s.max_degree},
         )
     return TruncatedOddSeries(out)
-
-
-def _derivative(coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(coeffs)
-    out[:-1] = coeffs[1:] * np.arange(1, coeffs.size)
-    return out
 
 
 def duplication_rhs(s: TruncatedOddSeries) -> TruncatedOddSeries:
@@ -207,20 +236,18 @@ def duplication_rhs(s: TruncatedOddSeries) -> TruncatedOddSeries:
     """
     if s.max_degree < 3:
         raise DomainError("duplication_rhs needs max_degree >= 3")
-    f = s.to_series().coefficients
-    f1 = _derivative(f)
-    f2 = _derivative(f1)
-    f3 = _derivative(f2)
-    n = f.size
-
-    def mul(a, b):
-        return np.convolve(a, b)[:n]
-
-    ff = mul(f, f)
-    term1 = mul(mul(ff, f), f3)
-    term2 = mul(ff, mul(f1, f2))
-    term3 = mul(f, mul(f1, mul(f1, f1)))
-    total = term1 - 3.0 * term2 + 2.0 * term3
-    # Even slots of the convolutions are exactly zero (every product
-    # carries an exactly-zero factor), so the odd entries are the result.
-    return TruncatedOddSeries(total[1::2])
+    # Coefficient lists in w = z^2: f = z*f0, f' = f1, f'' = z*f2, f''' = f3.
+    f0 = s.odd_coefficients
+    k = len(f0)
+    f1 = [c * (2 * i + 1) for i, c in enumerate(f0)]
+    f2 = [c * (2 * i) for i, c in enumerate(f1) if i > 0]
+    f3 = [c * (2 * i + 1) for i, c in enumerate(f2)]
+    ff = _cauchy(f0, f0, k)
+    # f^3 f''' and f^2 f' f'' carry z^3, f (f')^3 carries z.
+    term1 = _cauchy(_cauchy(ff, f0, k), f3, k - 1)
+    term2 = _cauchy(ff, _cauchy(f1, f2, k - 1), k - 1)
+    term3 = _cauchy(f0, _cauchy(f1, _cauchy(f1, f1, k), k), k)
+    return TruncatedOddSeries(
+        [2.0 * term3[0]]
+        + [t1 - 3.0 * t2 + 2.0 * t3 for t1, t2, t3 in zip(term1, term2, term3[1:])]
+    )

@@ -154,7 +154,7 @@ def test_criterion_10_classifier_round_trip():
 def test_criterion_11_collapse_direction_link():
     for series in (SINE, theta1_odd_series(1j, 13)):
         # Zero-pad so the polynomial's duplication residual is exact.
-        count = series.odd_coefficients.size
+        count = len(series.odd_coefficients)
         padded = TruncatedOddSeries(
             list(series.odd_coefficients)
             + [0.0] * (2 * series.max_degree - 1 - count)

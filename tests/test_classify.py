@@ -216,6 +216,29 @@ class TestValidationOfHigherDegrees:
             classify(TruncatedOddSeries(coeffs))
 
 
+class TestClosedFormTail:
+    # tau = i and rho = 0.3 make the coefficients grow like 3.3^n; the
+    # duplication recurrence lost its slope to cancellation at degree 25
+    # on this member, while the closed form has no such step.
+    MEMBER = Classification(case="elliptic", alpha=0.1 - 0.2j, beta=0.3,
+                            rho=0.3, tau=TauPoint(1j))
+
+    def test_large_scale_member_at_degree_31(self):
+        got = classify(synthesize(self.MEMBER, 31))
+        assert got.case == "elliptic"
+        assert abs(got.alpha - self.MEMBER.alpha) <= 1e-8
+        assert abs(wrap_to_principal(got.beta - self.MEMBER.beta)) <= 1e-8
+        assert abs(got.rho - self.MEMBER.rho) <= 1e-8
+        assert abs(got.tau.value - 1j) <= 1e-8
+
+    @pytest.mark.parametrize("degree", [9, 31])
+    def test_perturbed_degree_nine_rejected(self, degree):
+        coeffs = list(synthesize(self.MEMBER, degree).odd_coefficients)
+        coeffs[4] += 1e-4 * max(abs(c) for c in coeffs)
+        with pytest.raises(IdentityNotSatisfiedError):
+            classify(TruncatedOddSeries(coeffs))
+
+
 class TestClassificationRecord:
     def test_case_validation(self):
         with pytest.raises(Exception):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sigmakit import TruncatedOddSeries, scale_argument
+from sigmakit import NumericError, TruncatedOddSeries, scale_argument
 from sigmakit.cli import main
 
 SINE_DOC = {
@@ -271,7 +271,33 @@ class TestTauCommands:
         assert np.allclose(doc["tau"], [0.5, math.sqrt(3) / 2], atol=1e-12)
 
 
+class TestNegativeComplexValues:
+    @pytest.mark.parametrize("argv, attached", [
+        (("invert-j", "--value", "-100,0"), ("invert-j", "--value=-100,0")),
+        (("eval", "theta1", "--z", "-1,2", "--tau", "-0.3,1"),
+         ("eval", "theta1", "--z=-1,2", "--tau=-0.3,1")),
+        (("reduce-tau", "--tau", "-0.3,1"), ("reduce-tau", "--tau=-0.3,1")),
+    ])
+    def test_same_as_attached_form(self, capsys, argv, attached):
+        code, doc = run_strict(capsys, *argv)
+        assert code == 0
+        assert (code, doc) == run_strict(capsys, *attached)
+
+
 class TestParserBehavior:
+    @pytest.mark.parametrize("argv", [
+        ("frobnicate",),
+        ("psi", "x"),
+        ("invert-j", "--value"),
+        ("reduce-tau",),
+        ("eval", "j", "--tau", "0,1", "--bogus"),
+    ])
+    def test_rejection_is_domain_error_document(self, capsys, argv):
+        code, doc = run_strict(capsys, *argv)
+        assert code == 1
+        assert doc["error"]["type"] == "domain"
+        assert doc["schema_version"] == 1
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -280,3 +306,21 @@ class TestParserBehavior:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestStrictJson:
+    def test_non_finite_value_is_numeric_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sigmakit.cli.j_invariant",
+                            lambda tau, term_cap=None: complex(math.inf, math.nan))
+        code, doc = run_strict(capsys, "eval", "j", "--tau", "0,1")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+
+    def test_non_finite_diagnostics_are_dropped(self, capsys, monkeypatch):
+        def fail(tau, term_cap=None):
+            raise NumericError("no value", diagnostics={"residual": math.nan})
+
+        monkeypatch.setattr("sigmakit.cli.j_invariant", fail)
+        code, doc = run_strict(capsys, "eval", "j", "--tau", "0,1")
+        assert code == 2
+        assert doc["error"] == {"type": "numeric", "message": "no value"}

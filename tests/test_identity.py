@@ -246,7 +246,7 @@ class TestThirdDerivativeLink:
         for s in cases:
             padded = TruncatedOddSeries(
                 list(s.odd_coefficients)
-                + [0.0] * (2 * s.max_degree - 1 - s.odd_coefficients.size)
+                + [0.0] * (2 * s.max_degree - 1 - len(s.odd_coefficients))
             )
             residual = duplication_residual(padded)
             h = OddFunctionHandle.from_series(s)

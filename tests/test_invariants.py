@@ -171,7 +171,7 @@ class TestInvarianceProperties:
             if abs(a) < 0.3:
                 a += 0.5
             moved = scale_argument(hat, a)
-            moved = TruncatedOddSeries(moved.odd_coefficients / a)
+            moved = TruncatedOddSeries([c / a for c in moved.odd_coefficients])
             scaled = pq_of_series(moved)
             assert abs(scaled.p - a**4 * base.p) <= 1e-10 * max(
                 abs(a) ** 4 * abs(base.p), 1e-30

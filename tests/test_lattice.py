@@ -112,6 +112,15 @@ class TestReduceTau:
         reduced, _ = reduce_tau(CORNER)
         assert abs(reduced.value - (CORNER - 1)) < 1e-12
 
+    def test_point_just_left_of_the_left_edge(self):
+        # The floor moves it right by 1 to 0.4999999999999997; the
+        # right-edge tie-break must not move it back outside the domain.
+        tau = -0.5000000000000003 + 1.2j
+        reduced, m = reduce_tau(tau)
+        assert -0.5 <= reduced.value.real < 0.5
+        assert m == UnimodularMap.translation(1)
+        assert reduced.value == m.apply(tau)
+
 
 class TestNormalizeLattice:
     def test_already_normalized(self):
@@ -214,6 +223,15 @@ class TestInvertJ:
             assert tau.real <= 0.0, (jval, tau)
             assert abs(abs(tau) - 1.0) <= 1e-12
             assert abs(j_invariant(tau) - jval) <= 1e-8 * jval
+
+    def test_negative_real_j_stays_in_the_domain(self):
+        # A real negative j puts tau on the edge Re = -1/2, and Newton ends
+        # within a rounding error of it, on either side.
+        jval = -100.0
+        tau = invert_j(jval).value
+        assert -0.5 <= tau.real < 0.5
+        assert abs(abs(tau.real) - 0.5) <= 1e-15
+        assert abs(j_invariant(tau) - jval) <= 1e-8 * abs(jval)
 
     def test_iterates_stay_away_from_the_cusp(self):
         # Newton iterates once jumped from here to Im(tau) ~ 222, where the
