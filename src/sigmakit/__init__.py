@@ -45,7 +45,6 @@ from .lattice import (
     reduce_tau,
     sigma_eval,
     sigma_gauge,
-    sigma_product_oracle,
 )
 from .modular import (
     TauPoint,
@@ -114,7 +113,6 @@ __all__ = [
     "scale_argument",
     "sigma_eval",
     "sigma_gauge",
-    "sigma_product_oracle",
     "synthesize",
     "theta1_eval",
     "theta1_odd_series",

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, NotInOmegaError, NumericError
-from .series import TruncatedOddSeries, duplication_rhs, scale_argument
+from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argument
 
 # Default points at which handle oddness is spot-checked.
 _ODDNESS_PROBES = (0.37, 0.11 + 0.23j, -0.52 + 0.08j)
@@ -74,6 +74,10 @@ class OddFunctionHandle:
     def __call__(self, z: complex) -> complex:
         return complex(self.evaluator(complex(z)))
 
+    def _evaluate_many(self, zs) -> list[complex]:
+        """The handle at each of zs; ``from_sigma`` sets sigma's batch kernel."""
+        return [self(z) for z in zs]
+
     @classmethod
     def identity(cls) -> "OddFunctionHandle":
         return cls(lambda z: z, "z")
@@ -90,9 +94,11 @@ class OddFunctionHandle:
 
     @classmethod
     def from_sigma(cls, lat) -> "OddFunctionHandle":
-        from .lattice import sigma_eval
+        from .lattice import _sigma_values, sigma_eval
 
-        return cls(lambda z: sigma_eval(z, lat), "sigma")
+        handle = cls(lambda z: sigma_eval(z, lat), "sigma")
+        handle._evaluate_many = lambda zs: _sigma_values(zs, lat)
+        return handle
 
     def twisted(self, alpha: complex, beta: complex) -> "OddFunctionHandle":
         """The handle multiplied by exp(alpha*z^2 + beta)."""
@@ -118,20 +124,21 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
     the natural yardstick for calling the residual small.  Products outside
     the double range raise NumericError.
     """
-    x, y, z, w = pt.x, pt.y, pt.z, pt.w
-    term1 = f(x) * f(y) * f(z) * f(w)
-    term2 = (
-        f((x + y + z - w) / 2)
-        * f((x + y - z + w) / 2)
-        * f((x - y + z + w) / 2)
-        * f((-x + y + z + w) / 2)
-    )
-    term3 = (
-        f((x + y + z + w) / 2)
-        * f((x + y - z - w) / 2)
-        * f((x - y + z - w) / 2)
-        * f((x - y - z + w) / 2)
-    )
+    value, scale = _residual(f, pt.x, pt.y, pt.z, pt.w)
+    return IdentityResidual(value=value, scale=scale)
+
+
+def _residual(f: OddFunctionHandle, x, y, z, w) -> tuple[complex, float]:
+    """(value, scale) of ``identity_residual``, with the twelve arguments
+    evaluated in one call of the handle's batch evaluator."""
+    f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4 = f._evaluate_many((
+        x, y, z, w,
+        (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
+        (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
+    ))
+    term1 = f1 * f2 * f3 * f4
+    term2 = g1 * g2 * g3 * g4
+    term3 = h1 * h2 * h3 * h4
     value = term1 - term2 - term3
     try:
         scale = max(abs(term1), abs(term2), abs(term3))
@@ -143,25 +150,27 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
             "four-point residual is outside the double range",
             diagnostics={"quadruple": [[v.real, v.imag] for v in (x, y, z, w)]},
         )
-    return IdentityResidual(value=value, scale=scale)
+    return value, scale
 
 
 def sample_quadruples(num_samples: int, seed: int, box_radius: float = 1.0):
-    """Deterministic quadruples with all four entries in |.| <= box_radius.
+    """Deterministic quadruples with all four entries in |.| <= box_radius."""
+    return [QuadruplePoint(*row) for row in _draw_quadruples(num_samples, seed, box_radius)]
 
-    NumPy's generator keeps the samples of a seed fixed; it is imported
-    here, so only surveys load NumPy.
+
+def _draw_quadruples(num_samples: int, seed: int, box_radius: float) -> list[list[complex]]:
+    """The entries of ``sample_quadruples`` as rows of four complex numbers.
+
+    One draw of 8 uniforms per sample gives the radii box_radius*sqrt(u) and
+    angles 2*pi*u with the order and arithmetic of one ``uniform`` call for
+    each, so a seed's samples stay fixed.  Only surveys import NumPy.
     """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(num_samples):
-        r = box_radius * np.sqrt(rng.uniform(0.0, 1.0, 4))
-        th = rng.uniform(0.0, 2.0 * np.pi, 4)
-        vals = r * np.exp(1j * th)
-        out.append(QuadruplePoint.of(*vals))
-    return out
+    # A negative count draws nothing, as range() would.
+    u = np.random.default_rng(seed).random((max(num_samples, 0), 8))
+    r = box_radius * np.sqrt(u[:, :4])
+    return (r * np.exp(1j * (2.0 * np.pi * u[:, 4:]))).tolist()
 
 
 def identity_report(f: OddFunctionHandle, *, num_samples: int = 100, seed: int = 1729,
@@ -174,13 +183,14 @@ def identity_report(f: OddFunctionHandle, *, num_samples: int = 100, seed: int =
     worst = 0.0
     worst_scale = 0.0
     worst_ratio = 0.0
-    for pt in sample_quadruples(num_samples, seed, box_radius):
-        res = identity_residual(f, pt)
-        if abs(res.value) > worst:
-            worst = abs(res.value)
-            worst_scale = res.scale
-        if res.scale > 0:
-            worst_ratio = max(worst_ratio, abs(res.value) / res.scale)
+    for x, y, z, w in _draw_quadruples(num_samples, seed, box_radius):
+        value, scale = _residual(f, x, y, z, w)
+        size = abs(value)
+        if size > worst:
+            worst = size
+            worst_scale = scale
+        if scale > 0:
+            worst_ratio = max(worst_ratio, size / scale)
     return {
         "function": f.label,
         "max_abs_residual": worst,
@@ -206,8 +216,9 @@ def duplication_residual(s: TruncatedOddSeries) -> TruncatedOddSeries:
     doubled = scale_argument(s, 2.0)
     rhs = duplication_rhs(s)
     cube = a1**3
-    return TruncatedOddSeries(
-        [cube * d - r for d, r in zip(doubled.odd_coefficients, rhs.odd_coefficients)]
+    return _computed(
+        [cube * d - r for d, r in zip(doubled.odd_coefficients, rhs.odd_coefficients)],
+        "the duplication residual",
     )
 
 

@@ -23,6 +23,7 @@ q(h) = 3*B.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 
@@ -111,17 +112,25 @@ def mu_of_pq(p: complex, q: complex, *, p_scale: float | None = None,
     """
     p = complex(p)
     q = complex(q)
-    if p_scale is None or q_scale is None:
-        s = max(abs(p) ** 0.25, abs(q) ** (1.0 / 6.0))
-        p_scale = s**4
-        q_scale = s**6
-    p_zero = abs(p) <= ZERO_TOL * p_scale
-    q_zero = abs(q) <= ZERO_TOL * q_scale
+    try:
+        if p_scale is None or q_scale is None:
+            s = max(abs(p) ** 0.25, abs(q) ** (1.0 / 6.0))
+            p_scale = s**4
+            q_scale = s**6
+        p_zero = abs(p) <= ZERO_TOL * p_scale
+        q_zero = abs(q) <= ZERO_TOL * q_scale
+        mu = 0j if q_zero else p**3 / q**2
+    except (OverflowError, ZeroDivisionError):
+        mu = complex(math.inf)
+    if not (cmath.isfinite(mu) and math.isfinite(q_scale)
+            and cmath.isfinite(p) and cmath.isfinite(q)):
+        raise NumericError("p^3/q^2 or its zero-test scales are outside the double range",
+                           diagnostics={"p": [p.real, p.imag], "q": [q.real, q.imag]})
     if p_zero and q_zero:
         return ProjectiveValue.undefined()
     if q_zero:
         return ProjectiveValue.infinity()
-    return ProjectiveValue.finite(p**3 / q**2)
+    return ProjectiveValue.finite(mu)
 
 
 def hat_normalize(s: TruncatedOddSeries) -> HatForm:
@@ -184,10 +193,7 @@ def _invariants_and_hat(s: TruncatedOddSeries) -> tuple[InvariantData, HatForm]:
     big_a = abs(hat.series.coefficient(5))
     big_b = abs(hat.series.coefficient(7))
     t = max(1.0, big_a ** 0.25, big_b ** (1.0 / 6.0))
-    mu = mu_of_pq(
-        p,
-        q,
-        p_scale=abs(a1) ** 2 * t**4,
-        q_scale=abs(a1) ** 3 * t**6,
-    )
+    # x^2 and x^3 overflow to inf rather than raising; mu_of_pq reports it.
+    x = abs(a1) * t * t
+    mu = mu_of_pq(p, q, p_scale=x * x, q_scale=x * x * x)
     return InvariantData(p=p, q=q, mu=mu), hat

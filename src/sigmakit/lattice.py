@@ -19,13 +19,12 @@ vanishing z^3 coefficient:
 
 With this gauge the Taylor expansion starts z - (g2/240) z^5 - (g3/840) z^7
 with g2, g3 the invariants of the full lattice.  ``Lattice.gauge`` computes
-(alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from the
-head of the theta series; ``sigma_eval`` and ``sigma_gauge`` read it, and
+(alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from
+``Lattice.theta_table``; ``sigma_eval`` and ``sigma_gauge`` read it, and
 ``sigma_gauge_from_head`` is the one place the formula is written.
 ``sigma_eval`` adds theta1's quasi-periodic exponent to alpha*z^2 before
 one exp, so sigma is found wherever it fits in a double even when theta1
-or the Gaussian alone does not.  The canonical product over lattice points
-is kept alongside as a low-precision cross-check oracle.
+or the Gaussian alone does not.
 
 ``invert_j`` solves j(tau) = jval by Newton's method with the analytic
 derivative dj/dtau, every iterate reduced into the fundamental domain.  It
@@ -46,10 +45,10 @@ from .modular import (
     TERM_CAP,
     TauPoint,
     _j_and_derivative,
-    _theta1_parts,
+    _theta1_table,
+    _theta1_values,
     as_tau,
     j_invariant,
-    theta1_odd_series,
 )
 
 # Boundary tolerance for fundamental-domain tie-breaking.
@@ -105,15 +104,6 @@ class UnimodularMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "UnimodularMap":
-        return UnimodularMap(self.d, -self.b, -self.c, self.a)
-
-    def normalized(self) -> "UnimodularMap":
-        """Canonical sign: c > 0, or c == 0 and d > 0 (M and -M act alike)."""
-        if self.c < 0 or (self.c == 0 and self.d < 0):
-            return UnimodularMap(-self.a, -self.b, -self.c, -self.d)
-        return self
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -175,23 +165,19 @@ class Lattice:
     orientation_flipped: bool
 
     @cached_property
-    def gauge(self) -> tuple[complex, complex, complex]:
-        """(alpha, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``,
-        computed on first use and kept for the life of the lattice."""
-        th1, th3 = theta1_odd_series(self.tau, 3).odd_coefficients
-        return sigma_gauge_from_head(th1, th3, self.rho)
+    def theta_table(self) -> tuple[complex, ...]:
+        """theta1's factors at tau (``modular._theta1_table``), kept for life."""
+        return _theta1_table(self.tau.value, TERM_CAP)
 
-    def points(self, index_bound: int):
-        """All nonzero points m*rho + n*rho*tau with |m|, |n| <= index_bound."""
-        base1 = self.rho
-        base2 = self.rho * self.tau.value
-        out = []
-        for mm in range(-index_bound, index_bound + 1):
-            for nn in range(-index_bound, index_bound + 1):
-                if mm == 0 and nn == 0:
-                    continue
-                out.append(mm * base1 + nn * base2)
-        return out
+    @cached_property
+    def gauge(self) -> tuple[complex, complex, complex]:
+        """(alpha, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``, kept
+        for the life of the lattice, with theta1'(0) = sum c_k*w_k and
+        theta1'''(0)/6 = -sum c_k*w_k^3/6, w_k = (2k+1)*pi, over ``theta_table``."""
+        table = self.theta_table
+        th1 = sum(c * ((2 * k + 1) * math.pi) for k, c in enumerate(table))
+        th3 = -sum(c * ((2 * k + 1) * math.pi) ** 3 for k, c in enumerate(table)) / 6.0
+        return sigma_gauge_from_head(th1, th3, self.rho)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -328,24 +314,8 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     odd Taylor coefficients of theta1.  scale = rho/th1 = exp(beta), with
     beta the principal logarithm.
     """
-    scale = _quotient(rho, th1)
-    return _quotient(-th3, rho**2 * th1), cmath.log(scale), scale
-
-
-def _quotient(a: complex, b: complex) -> complex:
-    """a / b by Smith's method times the reciprocal denominator.
-
-    This is how NumPy's complex128 division rounds, which the gauge has
-    always used; CPython's complex division rounds differently and would
-    move sigma values in their last digit.
-    """
-    if abs(b.real) >= abs(b.imag):
-        ratio = b.imag / b.real
-        inv = 1.0 / (b.real + b.imag * ratio)
-        return complex((a.real + a.imag * ratio) * inv, (a.imag - a.real * ratio) * inv)
-    ratio = b.real / b.imag
-    inv = 1.0 / (b.imag + b.real * ratio)
-    return complex((a.real * ratio + a.imag) * inv, (a.imag * ratio - a.real) * inv)
+    scale = rho / th1
+    return -th3 / (rho**2 * th1), cmath.log(scale), scale
 
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
@@ -357,59 +327,30 @@ def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
 def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    ``term_cap`` bounds the theta1 sum; the gauge is ``lat.gauge``.  The
+    theta1 is summed on ``lat.theta_table``, and a table longer than
+    ``term_cap`` raises ConvergenceError; the gauge is ``lat.gauge``.  The
     quasi-periodic exponent of theta1 is added to alpha*z^2 before one exp,
     since the two nearly cancel, so only a value outside the double range
     raises NumericError.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("z must be finite")
+    return _sigma_values((complex(z),), lat, term_cap)[0]
+
+
+def _sigma_values(zs, lat: Lattice, term_cap: int = TERM_CAP) -> list[complex]:
+    """``sigma_eval`` at each of zs; the first failing z picks the error."""
+    table = lat.theta_table
+    if len(table) > term_cap:
+        # Rebuilt under the lower cap, the table raises its ConvergenceError.
+        table = _theta1_table(lat.tau.value, term_cap)
     alpha, _, scale = lat.gauge
-    try:
-        total, exponent = _theta1_parts(z / lat.rho, lat.tau.value, term_cap)
-        value = total * cmath.exp(exponent + alpha * z * z) * scale
-    except OverflowError:
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
+    values = _theta1_values(zs, lat.tau.value, table, lat.rho, alpha, scale)
+    if not all(map(cmath.isfinite, values)):
+        z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
+        if not cmath.isfinite(z):
+            raise DomainError("z must be finite")
         raise NumericError(
             f"sigma at z={z} is outside the double range",
             diagnostics={"z": [z.real, z.imag], "rho": [lat.rho.real, lat.rho.imag],
                          "tau": [lat.tau.value.real, lat.tau.value.imag]},
         )
-    return value
-
-
-def sigma_product_oracle(z: complex, lat: Lattice, radius: float) -> complex:
-    """Truncated canonical product z * prod (1 - z/l) exp(z/l + (z/l)^2/2).
-
-    The product runs over nonzero lattice points with |l| <= radius.  The
-    omitted tail contributes a relative error on the order of
-    sum_{|l| > radius} |z/l|^3 = O(1/radius), so this is a low-precision
-    cross-check, not a production evaluator.  The truncation region is
-    symmetric under l -> -l, which keeps the output exactly odd in z.
-    """
-    z = complex(z)
-    if radius <= 0 or radius < 10.0 * abs(z):
-        raise DomainError("radius must be positive and at least 10*|z|")
-    base1 = lat.rho
-    base2 = lat.rho * lat.tau.value
-    # For lam = rho*(m + n*tau) with |lam| <= radius and tau reduced:
-    # |n| <= radius/(|rho|*Im tau) and |m| <= (radius/|rho|)*(1 + |Re|/Im).
-    t = lat.tau.value
-    bound = int((radius / abs(lat.rho)) * (1.0 + abs(t.real) / t.imag)) + 2
-    # Points are consumed in +/- pairs and each pair's two factors are
-    # multiplied together first; IEEE multiplication is commutative, so
-    # the result for -z is the exact negation of the result for z.
-    prod = z
-    for mm in range(0, bound + 1):
-        for nn in range(-bound, bound + 1):
-            if mm == 0 and nn <= 0:
-                continue
-            lam = mm * base1 + nn * base2
-            if abs(lam) <= radius:
-                w = z / lam
-                plus = (1.0 - w) * cmath.exp(w + 0.5 * w * w)
-                minus = (1.0 + w) * cmath.exp(-w + 0.5 * w * w)
-                prod *= plus * minus
-    return complex(prod)
+    return values

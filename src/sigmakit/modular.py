@@ -9,9 +9,10 @@ forms g2(tau) and g3(tau), the modular invariant j(tau), and the pair
 
 which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 
-All sums and products use an adaptive cutoff: terms are accumulated until
-the next term's magnitude drops below ``TERM_TOL`` times the current
-partial magnitude, with a hard cap of ``TERM_CAP`` terms.  Inside the
+theta1 is summed on a table of its factors whose length is fixed once per
+tau (see ``_theta1_table``).  The other sums and products accumulate terms
+until the next term's magnitude drops below ``TERM_TOL`` times the current
+partial magnitude.  All have a hard cap of ``TERM_CAP`` terms.  Inside the
 fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice;
 far outside it the cap is reached and a ConvergenceError is raised.
 Callers are expected to reduce tau first (see ``lattice.reduce_tau``);
@@ -88,51 +89,83 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    try:
-        total, exponent = _theta1_parts(z, t, term_cap)
-        if exponent:
-            total *= cmath.exp(exponent)
-    except OverflowError:
-        total = complex(math.inf)
-    if not cmath.isfinite(total):
+    value = _theta1_values((z,), t, _theta1_table(t, term_cap))[0]
+    if not cmath.isfinite(value):
         raise NumericError(
             f"theta1 at z={z} is outside the double range",
             diagnostics={"z": [z.real, z.imag], "tau": [t.real, t.imag]},
         )
-    return total
+    return value
 
 
-def _theta1_parts(z: complex, t: complex, term_cap: int) -> tuple[complex, complex]:
-    """(s, e) with theta1(z, t) = s * exp(e), for finite complex z.
+def _theta1_table(t: complex, term_cap: int) -> tuple[complex, ...]:
+    """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
 
-    s is the series summed on z reduced into the fundamental cell, with the
-    reduction's sign, and e is the exponent of the quasi-periodic factor,
-    exactly 0 when z already lies in the cell.
+    On the reduced cell |Im w| <= Im(t)/2, |c_k sin((2k+1)*pi*w)| is at most
+    (2k+1)*exp(-pi*Im(t)*k^2) times |c_0 sin(pi*w)|, since sin((2k+1)x)/sin(x)
+    is a sum of the 2k+1 exponentials exp(2ijx), |j| <= k.  The table ends
+    before the first k whose bound is <= TERM_TOL.  A table longer than
+    ``term_cap`` raises ConvergenceError, with magnitudes relative to c_0.
+    The factors follow from c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t).
     """
-    n = round(z.imag / t.imag)
-    if n:
-        z -= n * t
-    m = round(z.real)
-    if m:
-        z -= m
-    i_pi_tau = 1j * math.pi * t
-    sign = 2.0
-    total = term = 0.0 + 0.0j
-    for k in range(term_cap):
-        term = (
-            sign
-            * cmath.exp(i_pi_tau * (k + 0.5) ** 2)
-            * cmath.sin((2 * k + 1) * math.pi * z)
-        )
-        sign = -sign
-        total += term
-        if abs(term) <= TERM_TOL * abs(total):
-            break
-    else:
-        raise _cap_error("theta1 series", t, total, term, term_cap)
-    if (m + n) % 2:
-        total = -total
-    return total, (-1j * math.pi * n * (n * t + 2.0 * z) if n else 0j)
+    decay = math.pi * t.imag
+    size = 1
+    while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > TERM_TOL:
+        size += 1
+    if size > term_cap:
+        raise _cap_error("theta1 series", t, 1.0,
+                         (2 * size + 1) * math.exp(-decay * size * size), term_cap)
+    g = cmath.exp(2j * math.pi * t)
+    c = 2.0 * cmath.exp(0.25j * math.pi * t)
+    table, gk = [c], 1.0
+    for _ in range(1, size):
+        gk *= g
+        c = -c * gk
+        table.append(c)
+    return tuple(table)
+
+
+def _theta1_values(zs, t: complex, table, rho=1.0, alpha=0.0, scale=1.0) -> list[complex]:
+    """theta1(z/rho, t) * exp(alpha*z^2) * scale for each z, summed on ``table``.
+
+    w = z/rho is reduced into the cell |Im w| <= Im(t)/2, |Re w| <= 1/2.  With
+    s = sin(pi*w), sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x)
+    gives the other sines, all proportional to s, so theta1 keeps its
+    relative accuracy next to its zeros.  The reduction's exponent joins
+    alpha*z^2 in one exp.  For a non-finite z, and where the value leaves the
+    double range, the value comes back non-finite, for the caller to report.
+    """
+    v = t.imag
+    lead, rest = table[0], table[1:]
+    sin, exp, pi = cmath.sin, cmath.exp, math.pi
+    out = []
+    for z in zs:
+        try:
+            w = z / rho
+            exponent = alpha * z * z
+            n = round(w.imag / v)
+            if n:
+                w -= n * t
+            m = round(w.real)
+            if m:
+                w -= m
+            if n:
+                exponent -= 1j * pi * n * (n * t + 2.0 * w)
+            s = sin(pi * w)
+            c = 2.0 - 4.0 * s * s
+            prev, cur = -s, s
+            total = lead * s
+            for ck in rest:
+                prev, cur = cur, c * cur - prev
+                total += ck * cur
+            value = total * exp(exponent) * scale
+            if (m + n) & 1:
+                value = -value
+        except (OverflowError, ValueError):
+            # A non-finite z/rho, or a reduction or exp beyond the double range.
+            value = complex(math.inf)
+        out.append(value)
+    return out
 
 
 def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> TruncatedOddSeries:

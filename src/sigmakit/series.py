@@ -39,6 +39,14 @@ def _as_coefficients(values) -> tuple[complex, ...]:
     return coeffs
 
 
+def _computed(coeffs, what: str) -> "TruncatedOddSeries":
+    """An odd series of computed coefficients, where a non-finite one is an
+    overflow of finite input: NumericError, not the constructor's DomainError."""
+    if not all(map(cmath.isfinite, coeffs)):
+        raise NumericError(f"{what} is outside the double range")
+    return TruncatedOddSeries(coeffs)
+
+
 def _cauchy(a, b, count: int) -> list[complex]:
     """First ``count`` coefficients of the product of two coefficient lists.
 
@@ -67,7 +75,7 @@ def _cauchy(a, b, count: int) -> list[complex]:
                                math.fsum(chain(map(mul, xr, yi), map(mul, xi, yr)))))
         except (OverflowError, ValueError):
             # fsum refuses sums that overflow or meet inf - inf; the
-            # callers' finiteness checks report the NaN.
+            # callers report the NaN as a NumericError.
             out.append(complex(math.nan, math.nan))
     return out
 
@@ -192,9 +200,11 @@ def multiply(s1: TruncatedSeries, s2: TruncatedSeries) -> TruncatedSeries:
 def scale_argument(s: TruncatedOddSeries, a: complex) -> TruncatedOddSeries:
     """Substitute z -> a*z, multiplying a_n by a**n."""
     a = complex(a)
-    return TruncatedOddSeries(
-        [c * a ** (2 * k + 1) for k, c in enumerate(s.odd_coefficients)]
-    )
+    try:
+        coeffs = [c * a ** (2 * k + 1) for k, c in enumerate(s.odd_coefficients)]
+    except OverflowError:
+        coeffs = [complex(math.inf)]
+    return _computed(coeffs, "the argument scaling")
 
 
 def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> TruncatedOddSeries:
@@ -247,7 +257,8 @@ def duplication_rhs(s: TruncatedOddSeries) -> TruncatedOddSeries:
     term1 = _cauchy(_cauchy(ff, f0, k), f3, k - 1)
     term2 = _cauchy(ff, _cauchy(f1, f2, k - 1), k - 1)
     term3 = _cauchy(f0, _cauchy(f1, _cauchy(f1, f1, k), k), k)
-    return TruncatedOddSeries(
+    return _computed(
         [2.0 * term3[0]]
-        + [t1 - 3.0 * t2 + 2.0 * t3 for t1, t2, t3 in zip(term1, term2, term3[1:])]
+        + [t1 - 3.0 * t2 + 2.0 * t3 for t1, t2, t3 in zip(term1, term2, term3[1:])],
+        "the duplication right-hand side",
     )

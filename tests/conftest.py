@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from sigmakit import DomainError
+
 
 def eta_product_oracle(tau, terms=200):
     """Dedekind eta by blunt truncation of the defining product."""
@@ -58,3 +60,38 @@ def integer_combination(point, basis1, basis2):
     )
     rhs = np.array([point.real, point.imag], dtype=float)
     return np.linalg.solve(mat, rhs)
+
+
+def sigma_product_oracle(z, lat, radius):
+    """Truncated canonical product z * prod (1 - z/l) exp(z/l + (z/l)^2/2).
+
+    The product runs over nonzero lattice points with |l| <= radius.  The
+    omitted tail contributes a relative error on the order of
+    sum_{|l| > radius} |z/l|^3 = O(1/radius), so this is a low-precision
+    cross-check, not a production evaluator.  The truncation region is
+    symmetric under l -> -l, which keeps the output exactly odd in z.
+    """
+    z = complex(z)
+    if radius <= 0 or radius < 10.0 * abs(z):
+        raise DomainError("radius must be positive and at least 10*|z|")
+    base1 = lat.rho
+    base2 = lat.rho * lat.tau.value
+    # For lam = rho*(m + n*tau) with |lam| <= radius and tau reduced:
+    # |n| <= radius/(|rho|*Im tau) and |m| <= (radius/|rho|)*(1 + |Re|/Im).
+    t = lat.tau.value
+    bound = int((radius / abs(lat.rho)) * (1.0 + abs(t.real) / t.imag)) + 2
+    # Points are consumed in +/- pairs and each pair's two factors are
+    # multiplied together first; IEEE multiplication is commutative, so
+    # the result for -z is the exact negation of the result for z.
+    prod = z
+    for mm in range(0, bound + 1):
+        for nn in range(-bound, bound + 1):
+            if mm == 0 and nn <= 0:
+                continue
+            lam = mm * base1 + nn * base2
+            if abs(lam) <= radius:
+                w = z / lam
+                plus = (1.0 - w) * cmath.exp(w + 0.5 * w * w)
+                minus = (1.0 + w) * cmath.exp(-w + 0.5 * w * w)
+                prod *= plus * minus
+    return complex(prod)

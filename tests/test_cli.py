@@ -186,6 +186,24 @@ class TestInvariantsOverflow:
         assert doc["error"]["type"] == "numeric"
         assert doc["error"]["diagnostics"]["alpha"] == [-1e200, 0.0]
 
+    # Finite documents whose invariants (p^3 at degree 7, the zero-test
+    # scale |a1|^2 t^4 at degree 9) and duplication right-hand sides
+    # overflow.
+    HUGE = [
+        {"max_degree": 7, "odd_coefficients": [[1e100, 1e100], [1e100, 0], [0, 0], [0, 0]]},
+        {"max_degree": 9, "odd_coefficients": [[1e300, 0], [0, 0], [1e300, 0], [0, 0], [0, 0]]},
+    ]
+
+    @pytest.mark.parametrize("doc_in", HUGE)
+    @pytest.mark.parametrize("command", [["invariants"], ["classify"], ["verify-duplication"],
+                                         ["extend", "--target", "13"]])
+    def test_overflow_is_numeric_error(self, capsys, tmp_path, doc_in, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc_in))
+        code, doc = run_strict(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+
 
 class TestVerifyCommands:
     def test_identity_builtin_sin(self, capsys):

@@ -21,6 +21,7 @@ from sigmakit import (
     lattice_from_rho_tau,
     psi,
     sample_quadruples,
+    sigma_eval,
     synthesize,
     theta1_odd_series,
 )
@@ -97,6 +98,32 @@ class TestIdentityResidual:
             x, y, z, w = (complex(vals[2 * i], vals[2 * i + 1]) for i in range(4))
             res = identity_residual(h, QuadruplePoint.of(x, y, z, w))
             assert res.value == four_point_sum(cmath.sin, x, y, z, w)
+
+    def test_sigma_batch_matches_sigma_eval(self):
+        # The survey evaluates sigma's twelve arguments in one batch; the
+        # batch and sigma_eval share one kernel, so the residual is exact.
+        lat = lattice_from_rho_tau(0.9 + 0.2j, 0.3 + 1.1j)
+        h = OddFunctionHandle.from_sigma(lat)
+        for pt in sample_quadruples(5, seed=11, box_radius=2.0):
+            res = identity_residual(h, pt)
+            assert res.value == four_point_sum(lambda z: sigma_eval(z, lat), pt.x, pt.y, pt.z, pt.w)
+
+    def test_sigma_batch_errors_follow_the_first_failing_argument(self):
+        # Arguments are evaluated in order, as twelve handle calls would be:
+        # sigma(1e308) overflows before (x + y)/2 becomes infinite.
+        h = OddFunctionHandle.from_sigma(lattice_from_rho_tau(1, 1j))
+        with pytest.raises(NumericError):
+            identity_residual(h, QuadruplePoint.of(1e308, 1e308, 0, 0))
+        with pytest.raises(DomainError):
+            identity_residual(h, QuadruplePoint.of(0.1, complex(0, math.inf), 0, 0))
+
+    def test_report_agrees_with_pointwise_residuals(self):
+        lat = lattice_from_rho_tau(0.9 + 0.2j, 0.3 + 1.1j)
+        for h in (OddFunctionHandle.from_sigma(lat), OddFunctionHandle.sine()):
+            report = identity_report(h, num_samples=30, seed=3, box_radius=1.5)
+            res = [identity_residual(h, pt) for pt in sample_quadruples(30, 3, 1.5)]
+            assert report["max_abs_residual"] == max(abs(r.value) for r in res)
+            assert report["max_residual_over_scale"] == max(abs(r.value) / r.scale for r in res)
 
     def test_report_is_deterministic(self):
         h = OddFunctionHandle.sine()
@@ -262,6 +289,19 @@ class TestThirdDerivativeLink:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("seed", [1, 1729, 42])
+    @pytest.mark.parametrize("box", [0.3, 1.0, 2.5])
+    def test_matches_per_sample_draw(self, seed, box):
+        # The draw that fixed each seed's samples: two uniform calls per
+        # sample, radii first.
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(40):
+            r = box * np.sqrt(rng.uniform(0.0, 1.0, 4))
+            th = rng.uniform(0.0, 2.0 * np.pi, 4)
+            want.append(QuadruplePoint.of(*(r * np.exp(1j * th))))
+        assert sample_quadruples(40, seed, box) == want
+
     def test_quadruples_deterministic_and_bounded(self):
         a = sample_quadruples(50, seed=9, box_radius=1.0)
         b = sample_quadruples(50, seed=9, box_radius=1.0)

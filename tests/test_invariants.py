@@ -80,6 +80,12 @@ class TestMuOfPq:
     def test_undefined(self):
         assert mu_of_pq(0.0, 0.0).tag == "undefined"
 
+    @pytest.mark.parametrize("p, q", [(1e200, 1e300), (1e300, 1e300), (math.inf, 1.0)])
+    def test_overflow_is_numeric_error(self, p, q):
+        # p^3 overflows, the inferred scale s^6 overflows, or p is infinite.
+        with pytest.raises(NumericError):
+            mu_of_pq(p, q)
+
     def test_tag_consistency_enforced(self):
         with pytest.raises(DomainError):
             ProjectiveValue("finite", None)

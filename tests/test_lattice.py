@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_coefficients, integer_combination
+from conftest import circle_coefficients, integer_combination, sigma_product_oracle
 import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
@@ -21,13 +21,22 @@ from sigmakit import (
     reduce_tau,
     sigma_eval,
     sigma_gauge,
-    sigma_product_oracle,
     theta1_eval,
-    theta1_odd_series,
     weierstrass_g,
 )
 
 CORNER = 0.5 + 1j * math.sqrt(3) / 2
+
+
+def inverse(m):
+    return UnimodularMap(m.d, -m.b, -m.c, m.a)
+
+
+def normalized(m):
+    """Canonical sign: c > 0, or c == 0 and d > 0 (M and -M act alike)."""
+    if m.c < 0 or (m.c == 0 and m.d < 0):
+        return UnimodularMap(-m.a, -m.b, -m.c, -m.d)
+    return m
 
 
 def random_unimodular(rng, words=6):
@@ -60,7 +69,8 @@ class TestUnimodularMap:
         for _ in range(10):
             m = random_unimodular(rng)
             tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2))
-            assert abs(m.inverse().apply(m.apply(tau)) - tau) < 1e-12
+            assert m.compose(inverse(m)) == UnimodularMap.identity()
+            assert abs(inverse(m).apply(m.apply(tau)) - tau) < 1e-12
 
 
 class TestReduceTau:
@@ -72,7 +82,7 @@ class TestReduceTau:
     def test_inversion_only(self):
         reduced, m = reduce_tau(0.5j)
         assert abs(reduced.value - 2j) < 1e-15
-        assert m.normalized() == UnimodularMap.inversion().normalized()
+        assert normalized(m) == normalized(UnimodularMap.inversion())
 
     def test_j_equality_oracle(self):
         tau = 0.3 + 0.1j
@@ -104,7 +114,7 @@ class TestReduceTau:
             moved = m.apply(tau)
             reduced, back = reduce_tau(moved)
             assert abs(reduced.value - tau) < 1e-10
-            assert back.normalized() == m.inverse().normalized()
+            assert normalized(back) == normalized(inverse(m))
 
     def test_corner_tie_break(self):
         # Both corners represent the same orbit; the convention keeps the
@@ -154,9 +164,11 @@ class TestNormalizeLattice:
             lat = normalize_lattice(w1, w2)
             # Every normalized lattice point must be an integer combination
             # of the originals, and the originals of the normalized pair.
-            for point in lat.points(2):
-                mn = integer_combination(point, w1, w2)
-                assert np.allclose(mn, np.round(mn), atol=1e-8)
+            for mm in range(-2, 3):
+                for nn in range(-2, 3):
+                    point = mm * lat.rho + nn * lat.rho * lat.tau.value
+                    mn = integer_combination(point, w1, w2)
+                    assert np.allclose(mn, np.round(mn), atol=1e-8)
             for point in (w1, w2):
                 mn = integer_combination(point, lat.rho, lat.rho * lat.tau.value)
                 assert np.allclose(mn, np.round(mn), atol=1e-8)
@@ -306,22 +318,38 @@ class TestSigmaEval:
 
 
     def test_gauge_computed_once_per_lattice(self, monkeypatch):
-        calls = []
+        # The theta table and the gauge are each built once per lattice,
+        # and the gauge takes theta1'(0) and theta1'''(0) from the table
+        # rather than from the coefficient series.
+        calls = {"_theta1_table": 0, "sigma_gauge_from_head": 0, "theta1_odd_series": 0}
+        for name in calls:
+            home = sigmakit.lattice if name == "sigma_gauge_from_head" else sigmakit.modular
+            original = getattr(home, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return theta1_odd_series(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        for module in (sigmakit.modular, sigmakit.lattice):
-            monkeypatch.setattr(module, "theta1_odd_series", counted)
+            for module in (sigmakit.modular, sigmakit.lattice):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         for lat in (lattice_from_rho_tau(1, 1j), normalize_lattice(1.2, 0.3 + 1.1j)):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             identity_report(OddFunctionHandle.from_sigma(lat), num_samples=12,
                             seed=5, box_radius=2.0)
             for z in (0.4 + 0.1j, -1.3 + 0.7j):
                 sigma_eval(z, lat)
             sigma_gauge(lat)
-            assert len(calls) <= 1
+            assert calls == {"_theta1_table": 1, "sigma_gauge_from_head": 1,
+                             "theta1_odd_series": 0}
+
+    def test_term_cap_bounds_the_cached_table(self):
+        lat = lattice_from_rho_tau(1, 1j)
+        assert len(lat.theta_table) == 4
+        assert sigma_eval(0.3, lat, term_cap=4) == sigma_eval(0.3, lat)
+        with pytest.raises(ConvergenceError) as err:
+            sigma_eval(0.3, lat, term_cap=3)
+        assert err.value.diagnostics["term_cap"] == 3
 
     def test_outside_double_range_is_numeric_error(self):
         lat = lattice_from_rho_tau(1, 1j)

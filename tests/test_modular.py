@@ -92,6 +92,14 @@ class TestTheta1:
             theta1_eval(0.3, complex(0.0, 1e-4))
         assert err.value.diagnostics["term_cap"] == 200
 
+    def test_term_cap_bounds_the_table(self):
+        # At tau = i the table holds four factors: 3 exp(-pi k^2) <= 1e-18
+        # first at k = 4.
+        assert theta1_eval(0.3, 1j, term_cap=4) == theta1_eval(0.3, 1j)
+        with pytest.raises(ConvergenceError) as err:
+            theta1_eval(0.3, 1j, term_cap=3)
+        assert err.value.diagnostics["term_cap"] == 3
+
     def test_reduced_argument_matches_direct_sum(self):
         # The sum runs on z reduced into the fundamental cell; the direct
         # partial sum needs no reduction while |Im z| stays moderate.

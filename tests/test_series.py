@@ -90,6 +90,12 @@ class TestScaleArgument:
         out = scale_argument(TruncatedOddSeries([1, 1]), 1j)
         assert np.allclose(out.odd_coefficients, [1j, -1j])
 
+    def test_overflow_is_numeric_error(self):
+        for s, a in ((TruncatedOddSeries([1e300, 1e308]), 2.0),
+                     (TruncatedOddSeries([1, 1, 1, 1]), 1e100)):
+            with pytest.raises(NumericError):
+                scale_argument(s, a)
+
     def test_composition(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -142,6 +148,13 @@ class TestDuplicationRhs:
     def test_plain_z(self):
         out = duplication_rhs(TruncatedOddSeries([1, 0]))
         assert np.allclose(out.odd_coefficients, [2, 0])
+
+    def test_overflow_is_numeric_error(self):
+        # Finite input whose quartic products overflow is a numeric
+        # failure, not a non-finite (domain) input.
+        for coeffs in ([1e100 + 1e100j, 1e100, 0, 0], [1e300, 0, 1e300, 0, 0]):
+            with pytest.raises(NumericError):
+                duplication_rhs(TruncatedOddSeries(coeffs))
 
     def test_sine_gives_sin_2z(self):
         sine11 = TruncatedOddSeries(
