@@ -201,7 +201,7 @@ def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
     ``synthesize(c, s.max_degree)`` is the recovered member's own Taylor
     series.  It is also the duplication recurrence's extension of the
     member's degree-7 data, which is unique because psi(n) != 0 for odd
-    n >= 9, so no recurrence (and none of its cancellation) runs here.
+    n >= 9; the closed form avoids the recurrence's 9x-per-degree gain on rounding.
     """
     got = s.odd_coefficients
     want = synthesize(c, s.max_degree).odd_coefficients

@@ -312,8 +312,12 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
 
     th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two
     odd Taylor coefficients of theta1.  scale = rho/th1 = exp(beta), with
-    beta the principal logarithm.
+    beta the principal logarithm.  th1 underflows beyond Im tau of about 900,
+    where scale leaves the double range: NumericError.
     """
+    if th1 == 0 or not cmath.isfinite(rho / th1):
+        raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
+                           diagnostics={"theta1_prime": [th1.real, th1.imag]})
     scale = rho / th1
     return -th3 / (rho**2 * th1), cmath.log(scale), scale
 

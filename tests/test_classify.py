@@ -9,6 +9,7 @@ from sigmakit import (
     Classification,
     IdentityNotSatisfiedError,
     NotInOmegaError,
+    NumericError,
     TauPoint,
     TruncatedOddSeries,
     classify,
@@ -118,6 +119,13 @@ class TestSynthesizeExamples:
         assert abs(s.leading - math.exp(0.5)) <= 1e-14
         assert abs(s.leading - synthesize(c, 5).leading) <= 1e-15
 
+    def test_elliptic_where_theta1_head_underflows(self):
+        # theta1'(0, 1000i) underflows to 0, so the sigma gauge has no value.
+        c = Classification(case="elliptic", alpha=0.0, beta=0.0, rho=1, tau=TauPoint(1000j))
+        with pytest.raises(NumericError) as err:
+            synthesize(c, 9)
+        assert err.value.diagnostics["theta1_prime"] == [0.0, 0.0]
+
 
 class TestRoundTrip:
     def test_twenty_seeded_members(self):
@@ -217,9 +225,10 @@ class TestValidationOfHigherDegrees:
 
 
 class TestClosedFormTail:
-    # tau = i and rho = 0.3 make the coefficients grow like 3.3^n; the
-    # duplication recurrence lost its slope to cancellation at degree 25
-    # on this member, while the closed form has no such step.
+    # tau = i and rho = 0.3 make the coefficients grow like 3.3^n.  A
+    # recurrence that measured its slope from two trial residuals lost it
+    # to cancellation at degree 25 on this member; the closed form runs no
+    # recurrence.
     MEMBER = Classification(case="elliptic", alpha=0.1 - 0.2j, beta=0.3,
                             rho=0.3, tau=TauPoint(1j))
 

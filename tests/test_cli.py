@@ -143,6 +143,17 @@ class TestEvalCommand:
         assert code == 2
         assert doc["error"]["type"] == "numeric"
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "sigma", "--z", "0.3", "--tau", "0,1000"],
+        ["eval", "sigma", "--z", "0.3", "--tau", "0,925"],
+        ["verify-identity", "--function", "sigma", "--tau", "0,1000"],
+    ])
+    def test_sigma_gauge_beyond_double_range(self, capsys, argv):
+        code, doc = run_strict(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        assert "gauge" in doc["error"]["message"]
+
 
 class TestClassifyCommand:
     def test_scaled_sine_file(self, capsys, tmp_path):
@@ -264,6 +275,17 @@ class TestVerifyCommands:
         assert code == 0
         assert doc["max_degree"] == 11
         assert abs(doc["odd_coefficients"][4][0] - 1 / 362880) < 1e-15
+
+    def test_extend_tiny_leading_coefficient(self, capsys, tmp_path):
+        # a1^3 underflowed here; scaled, the residual overflows instead.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "max_degree": 7,
+            "odd_coefficients": [[1e-120, 0], [1, 0], [0, 0], [0, 0]],
+        }))
+        code, doc = run_strict(capsys, "extend", str(path), "--target", "9")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
 
 
 class TestTauCommands:

@@ -229,10 +229,12 @@ class TestExtendSeries:
             assert abs(ext.odd_coefficients[k] - ref) <= 1e-10 * abs(ref)
 
     def test_idempotent(self):
-        mid = extend_series(SINE, 11)
-        twice = extend_series(mid, 13)
-        once = extend_series(SINE, 13)
-        assert np.array_equal(twice.odd_coefficients, once.odd_coefficients)
+        # |a1| < 1/2 in the second, so its recurrence runs scaled.
+        for data in (SINE, TruncatedOddSeries([0.3 + 0.1j, -0.05 + 0.02j, 0.001j, 2e-4])):
+            mid = extend_series(data, 11)
+            twice = extend_series(mid, 13)
+            once = extend_series(data, 13)
+            assert np.array_equal(twice.odd_coefficients, once.odd_coefficients)
 
     def test_cubic_forced_ninth_coefficient(self):
         # The degree-9 residual of z + z^3 is -6 and the slope is -psi(9),
@@ -240,16 +242,31 @@ class TestExtendSeries:
         ext = extend_series(TruncatedOddSeries([1, 1, 0, 0]), 9)
         assert abs(ext.coefficient(9) - 1 / 28) <= 1e-14
 
-    def test_cancellation_is_numeric_error(self):
-        # sin(30z): the residual difference r1 - r0 loses the slope to
-        # cancellation at degree 11.
-        data = synthesize(Classification("trig", 0, 0, a=30), 7)
-        with pytest.raises(NumericError) as err:
-            extend_series(data, 21)
-        diag = err.value.diagnostics
-        assert diag["degree"] == 11
-        assert diag["expected_slope"] == [-(30.0**3) * psi(11), 0.0]
-        assert diag["measured_slope"] != diag["expected_slope"]
+    def test_small_leading_coefficient_runs_scaled_exactly(self):
+        # Scaling by a power of two commutes with every rounding, so data
+        # with |a1| < 1/2 extends to the same bits as the unscaled data.
+        member = synthesize(Classification("elliptic", 0.1, 0.2, rho=3.3 + 1.1j,
+                                           tau=TauPoint(0.2 + 1.3j)), 7)
+        small = TruncatedOddSeries([c * 2.0**-60 for c in member.odd_coefficients])
+        want = [c * 2.0**-60 for c in extend_series(member, 41).odd_coefficients]
+        assert list(extend_series(small, 41).odd_coefficients) == want
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-100, 1e-30, 3e-5])
+    def test_tiny_data_extends(self, c):
+        # Unscaled, the quartic residual underflows for c <= 1e-100.  The
+        # tail measured within 2.4e-19 * c of c*sin's (2.1e-19 at c = 1).
+        data = TruncatedOddSeries([c * v for v in SINE.odd_coefficients])
+        got = extend_series(data, 41).odd_coefficients
+        for k in range(4, 21):
+            assert abs(got[k] - c * (-1) ** k / math.factorial(2 * k + 1)) <= 1.2e-18 * c
+
+    def test_tiny_leading_coefficient(self):
+        ext = extend_series(TruncatedOddSeries([1e-120, 0, 0, 0]), 13)
+        assert ext.odd_coefficients[4:] == (0j, 0j, 0j)
+        assert extend_series(TruncatedOddSeries([5e-324, 0, 0, 0]), 9).coefficient(9) == 0
+        # Scaled to a1 ~ 1, a3 is about 1e120 and the residual overflows.
+        with pytest.raises(NumericError):
+            extend_series(TruncatedOddSeries([1e-120, 1, 0, 0]), 9)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

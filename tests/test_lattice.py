@@ -357,6 +357,16 @@ class TestSigmaEval:
             sigma_eval(40j, lat)
         assert err.value.diagnostics["tau"] == [0.0, 1.0]
 
+    @pytest.mark.parametrize("height", [925.0, 1000.0])
+    def test_gauge_beyond_double_range_is_numeric_error(self, height):
+        # theta1'(0) is subnormal at Im tau = 925, so rho/theta1'(0)
+        # overflows, and it underflows to 0 at 1000.
+        lat = lattice_from_rho_tau(1, height * 1j)
+        for evaluate in (lambda: sigma_eval(0.3, lat), lambda: sigma_gauge(lat)):
+            with pytest.raises(NumericError) as err:
+                evaluate()
+            assert "gauge" in str(err.value)
+
 
 class TestSigmaProductOracle:
     def test_zero_at_origin(self):

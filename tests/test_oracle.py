@@ -16,6 +16,16 @@ edge |Im w| = Im(tau)/2 of the reduced cell (sigma's edge error grows with
 4.7e-16 for g2 and g3 against max(|g2|, (2 pi)^4/12) and
 max(|g3|, (2 pi)^6/216) (both vanish at a special point), and 2.8e-15
 for j against max(|j|, 1728).
+
+``extend_series`` is checked against a 60-digit run of the same recurrence
+on the same double data (``oracle_extend``), so the test sees the error
+the method adds, not the conditioning of the data.  Its error relative to
+the largest coefficient measured 2.6e-15 on ``EXTEND_MEMBERS`` at degree
+41.  Where a measured slope once cancelled, the error per coefficient
+measured 8.2e-9 for sin(30z) to degree 21, 1.7e-14 for sigma with
+rho = 0.3, tau = i to degree 41 and 1.5e-15 for {1, 0, 1e30, 1e40} to
+degree 21.  sin(20z) to degree 41 came within 9.7x of the largest movement
+of the exact extension under a 1-ulp change in a3, a5 or a7.
 """
 
 import cmath
@@ -25,10 +35,16 @@ import numpy as np
 import pytest
 
 from sigmakit import (
+    Classification,
+    TauPoint,
+    TruncatedOddSeries,
     dedekind_eta,
+    extend_series,
     j_invariant,
     lattice_from_rho_tau,
+    psi,
     sigma_eval,
+    synthesize,
     theta1_eval,
     theta1_odd_series,
     weierstrass_g,
@@ -177,3 +193,86 @@ def test_local_coefficients_of_j():
         c2 = complex(mp.diff(j, mp.mpc(0, 1), 2) / 2)
     assert abs(_C3 - c3) <= 1e-14 * abs(c3)
     assert abs(_C2 - c2) <= 1e-14 * abs(c2)
+
+
+def oracle_extend(data, target, dps=60):
+    """The duplication recurrence at dps digits on the given double data.
+
+    In w = z^2, f = z*F0, f' = F1, f'' = z*F2 and f''' = F3, so the
+    degree-(2m+1) coefficient of f^4 (log f)''' is
+    [w^(m-1)] (F0^3 F3 - 3 F0^2 F1 F2) + 2 [w^m] (F0 F1^3), taken at a_n = 0.
+    """
+    def mul(p, q):
+        return [mp.fdot(p[:j + 1], q[j::-1]) for j in range(len(p))]
+
+    with mp.workdps(dps):
+        a = [mp.mpc(c) for c in data]
+        for m in range(len(a), (target + 1) // 2):
+            f0 = a + [mp.mpc(0)]
+            f1 = [(2 * i + 1) * c for i, c in enumerate(f0)]
+            f2 = [(2 * i + 2) * c for i, c in enumerate(f1[1:])] + [mp.mpc(0)]
+            f3 = [(2 * i + 1) * c for i, c in enumerate(f2)]
+            ff = mul(f0, f0)
+            t1 = mp.fdot(mul(ff, f0)[:m], f3[m - 1::-1])
+            t2 = mp.fdot(ff[:m], mul(f1, f2)[m - 1::-1])
+            t3 = mp.fdot(f0, mul(mul(f1, f1), f1)[::-1])
+            a.append(-(t1 - 3 * t2 + 2 * t3) / (a[0] ** 3 * psi(2 * m + 1)))
+        return [complex(c) for c in a]
+
+
+def degree7(case, alpha, beta, **member):
+    if "tau" in member:
+        member["tau"] = TauPoint(member["tau"])
+    return synthesize(Classification(case, alpha, beta, **member), 7).odd_coefficients
+
+
+EXTEND_MEMBERS = [
+    ("trig", 0.0, 0.0, {"a": 0.5}),
+    ("trig", 0.2 - 0.1j, 0.3 + 0.5j, {"a": 0.8 + 0.3j}),
+    ("trig", -0.25j, -0.4, {"a": 1.0}),
+    ("trig", 0.1, 0.9j, {"a": 1.2 - 0.4j}),
+    ("trig", -0.3 + 0.2j, 0.2 - 0.7j, {"a": 1.5}),
+    ("elliptic", 0.0, 0.0, {"rho": 0.35 + 0.1j, "tau": 0.1 + 1.2j}),
+    ("elliptic", 0.2 - 0.1j, 0.3 + 0.5j, {"rho": 0.7 - 0.4j, "tau": -0.3 + 0.96j}),
+    ("elliptic", -0.25j, -0.4, {"rho": 1.0, "tau": 1j}),
+    ("elliptic", 0.1, 0.9j, {"rho": 1.1 + 0.5j, "tau": 0.45 + 1.6j}),
+    ("elliptic", -0.3 + 0.2j, 0.2 - 0.7j, {"rho": 1.4, "tau": -0.2 + 2.5j}),
+]
+
+
+@pytest.mark.parametrize("case, alpha, beta, member", EXTEND_MEMBERS)
+def test_extend_series_members(case, alpha, beta, member):
+    data = degree7(case, alpha, beta, **member)
+    got = extend_series(TruncatedOddSeries(data), 41).odd_coefficients
+    want = oracle_extend(data, 41)
+    scale = max(abs(w) for w in want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1.3e-14 * scale
+
+
+@pytest.mark.parametrize("data, target, budget", [
+    # A measured slope lost its precision at degree 11, 37 and 9 here.
+    (degree7("trig", 0, 0, a=30), 21, 4e-8),
+    (degree7("elliptic", 0, 0, rho=0.3, tau=1j), 41, 8e-14),
+    ((1, 0, 1e30, 1e40), 21, 7.5e-15),
+], ids=["sin30z-to-21", "sigma-rho0.3-to-41", "1e30-1e40-to-21"])
+def test_extend_series_per_coefficient(data, target, budget):
+    got = extend_series(TruncatedOddSeries(data), target).odd_coefficients
+    want = oracle_extend(data, target)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= budget * abs(w)
+
+
+def test_extend_series_is_backward_stable():
+    # sin(20z) data to degree 41 is ill-conditioned: a 1-ulp change in one
+    # input coefficient moves the exact extension by up to 2e-3 of its
+    # largest coefficient.  The error stays within a small multiple of that.
+    data = degree7("trig", 0, 0, a=20)
+    want = oracle_extend(data, 41)
+    got = extend_series(TruncatedOddSeries(data), 41).odd_coefficients
+    error = max(abs(g - w) for g, w in zip(got, want))
+    movement = 0.0
+    for k in (1, 2, 3):
+        nudged = list(data)
+        nudged[k] = complex(math.nextafter(data[k].real, math.inf), data[k].imag)
+        movement = max(movement, *(abs(x - w) for x, w in zip(oracle_extend(nudged, 41), want)))
+    assert error <= 50 * movement
