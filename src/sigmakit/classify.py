@@ -29,17 +29,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .errors import DomainError, IdentityNotSatisfiedError
+from .errors import (
+    TRIG_TOLERANCE,
+    VALIDATION_TOLERANCE,
+    DomainError,
+    IdentityNotSatisfiedError,
+)
 from .invariants import _invariants_and_hat
 from .lattice import invert_j, reduce_tau, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series, weierstrass_g
 from .series import TruncatedOddSeries, gauss_twist, scale_argument
 
 MU_TRIG = 49.0 / 40.0
-TRIG_TOLERANCE = 1e-8
-VALIDATION_TOLERANCE = 1e-6
 
 # Relative agreement demanded between the degree-5 and degree-7 scale
 # recoveries, |(a^2)^2 / a^4 - 1|, away from the degenerate j-values.
@@ -55,25 +58,26 @@ _SIGN_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Tagged family member: case in {'linear', 'trig', 'elliptic'}."""
+class Classification(namedtuple("Classification",
+                                 "case alpha beta a rho tau diagnostics")):
+    """Tagged family member: case in {'linear', 'trig', 'elliptic'}.
 
-    case: str
-    alpha: complex
-    beta: complex
-    a: complex | None = None
-    rho: complex | None = None
-    tau: TauPoint | None = None
-    diagnostics: dict = field(default_factory=dict)
+    ``diagnostics`` defaults to a new empty dict.
+    """
 
-    def __post_init__(self):
-        if self.case not in ("linear", "trig", "elliptic"):
-            raise DomainError(f"unknown case {self.case!r}")
-        if self.case == "trig" and (self.a is None or self.a == 0):
+    __slots__ = ()
+
+    def __new__(cls, case: str, alpha: complex, beta: complex, a: complex | None = None,
+                rho: complex | None = None, tau: TauPoint | None = None,
+                diagnostics: dict | None = None):
+        if case not in ("linear", "trig", "elliptic"):
+            raise DomainError(f"unknown case {case!r}")
+        if case == "trig" and (a is None or a == 0):
             raise DomainError("trig classification requires a nonzero scale a")
-        if self.case == "elliptic" and (self.rho is None or self.tau is None):
+        if case == "elliptic" and (rho is None or tau is None):
             raise DomainError("elliptic classification requires rho and tau")
+        diagnostics = {} if diagnostics is None else diagnostics
+        return tuple.__new__(cls, (case, alpha, beta, a, rho, tau, diagnostics))
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -12,6 +12,9 @@ bare "re" means re,0) and as two-element arrays [re, im] in JSON.  Every
 document carries a "schema_version" field and echoes the effective
 configuration.  The reported beta parameters are principal values,
 determined only modulo 2*pi*i.
+
+Each command imports the layers it runs when it runs, so a process loads
+only those; the parser's defaults come from ``errors``.
 """
 
 from __future__ import annotations
@@ -22,32 +25,14 @@ import math
 import sys
 
 from . import __version__
-from .classify import TRIG_TOLERANCE, VALIDATION_TOLERANCE, classify
-from .errors import DomainError, NumericError
-from .identity import (
-    OddFunctionHandle,
-    duplication_report,
-    extend_series,
-    identity_report,
-    psi,
-)
-from .invariants import pq_of_series
-from .lattice import (
+from .errors import (
     J_TOLERANCE,
-    invert_j,
-    lattice_from_rho_tau,
-    normalize_lattice,
-    reduce_tau,
-    sigma_eval,
-)
-from .modular import (
     TERM_CAP,
-    dedekind_eta,
-    j_invariant,
-    theta1_eval,
-    weierstrass_g,
+    TRIG_TOLERANCE,
+    VALIDATION_TOLERANCE,
+    DomainError,
+    NumericError,
 )
-from .series import TruncatedOddSeries
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
@@ -74,7 +59,9 @@ def cpair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def load_series(path: str) -> TruncatedOddSeries:
+def load_series(path: str) -> "TruncatedOddSeries":
+    from .series import TruncatedOddSeries
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -95,6 +82,8 @@ def emit(doc: dict) -> None:
 
 
 def _lattice_from_args(args) -> "Lattice":
+    from .lattice import lattice_from_rho_tau, normalize_lattice
+
     if args.omega1 is not None or args.omega2 is not None:
         if args.omega1 is None or args.omega2 is None:
             raise DomainError("--omega1 and --omega2 must be given together")
@@ -105,6 +94,8 @@ def _lattice_from_args(args) -> "Lattice":
 
 
 def _cmd_eval(args) -> dict:
+    from .modular import dedekind_eta, j_invariant, theta1_eval, weierstrass_g
+
     name = args.function
     cap = args.term_cap
     config = {"function": name, "term_cap": cap}
@@ -128,6 +119,8 @@ def _cmd_eval(args) -> dict:
             g2, g3 = weierstrass_g(tau, term_cap=cap)
             value = g2 if name == "g2" else g3
     elif name == "sigma":
+        from .lattice import sigma_eval
+
         if args.z is None:
             raise DomainError("eval sigma requires --z")
         z = parse_complex(args.z)
@@ -151,6 +144,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_invariants(args) -> dict:
+    from .invariants import pq_of_series
+
     s = load_series(args.series)
     inv = pq_of_series(s)
     doc = {
@@ -169,6 +164,8 @@ def _require_positive(**values) -> None:
 
 
 def _cmd_classify(args) -> dict:
+    from .classify import classify
+
     _require_positive(**{"trig-tol": args.trig_tol,
                          "validation-tol": args.validation_tol})
     s = load_series(args.series)
@@ -192,6 +189,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_verify_identity(args) -> dict:
+    from .identity import OddFunctionHandle, identity_report
+
     _require_positive(samples=args.samples, box=args.box)
     if args.series is not None:
         handle = OddFunctionHandle.from_series(load_series(args.series))
@@ -214,6 +213,8 @@ def _cmd_verify_identity(args) -> dict:
 
 
 def _cmd_verify_duplication(args) -> dict:
+    from .identity import duplication_report
+
     s = load_series(args.series)
     report = duplication_report(s)
     return {
@@ -225,6 +226,8 @@ def _cmd_verify_duplication(args) -> dict:
 
 
 def _cmd_extend(args) -> dict:
+    from .identity import extend_series
+
     s = load_series(args.series)
     extended = extend_series(s, args.target)
     return {
@@ -236,6 +239,8 @@ def _cmd_extend(args) -> dict:
 
 
 def _cmd_reduce_tau(args) -> dict:
+    from .lattice import reduce_tau
+
     tau = parse_complex(args.tau)
     reduced, unimap = reduce_tau(tau)
     return {
@@ -248,6 +253,8 @@ def _cmd_reduce_tau(args) -> dict:
 
 
 def _cmd_invert_j(args) -> dict:
+    from .lattice import invert_j
+
     _require_positive(tolerance=args.tolerance)
     jval = parse_complex(args.value)
     tau = invert_j(jval, tolerance=args.tolerance)
@@ -260,6 +267,8 @@ def _cmd_invert_j(args) -> dict:
 
 
 def _cmd_psi(args) -> dict:
+    from .identity import psi
+
     # JSON prints psi(n) as an integer through str(), which refuses more
     # decimal digits than sys.get_int_max_str_digits() (Python 3.11+).
     # For large odd n, |psi(n)| has exactly the floor(n*log10(2)) + 1

@@ -1,10 +1,23 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the library's default limits.
 
 Two error families matter to callers (and to the CLI exit codes):
 precondition violations (``DomainError``, exit code 1) and numerical
 failures such as non-convergent series or root searches
 (``NumericError``, exit code 2).
+
+The defaults below are the CLI's option defaults as well; they live here,
+in a module every command loads, so that the parser needs no numerical
+layer.  Each is re-exported by the module that uses it.
 """
+
+# Hard cap on the terms of every q-series and product (``modular``).
+TERM_CAP = 200
+# Relative residual target of ``lattice.invert_j``.
+J_TOLERANCE = 1e-8
+# Relative mu-window that ``classify`` routes to the sine family, and its
+# relative tolerance for coefficients beyond degree 7.
+TRIG_TOLERANCE = 1e-8
+VALIDATION_TOLERANCE = 1e-6
 
 
 class SigmaKitError(Exception):

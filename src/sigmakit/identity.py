@@ -30,8 +30,7 @@ determined uniquely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .errors import DomainError, NotInOmegaError, NumericError
 from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argument
@@ -41,12 +40,10 @@ _ODDNESS_PROBES = (0.37, 0.11 + 0.23j, -0.52 + 0.08j)
 _ODDNESS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadruplePoint:
-    x: complex
-    y: complex
-    z: complex
-    w: complex
+class QuadruplePoint(namedtuple("QuadruplePoint", "x y z w")):
+    """Four complex arguments of the four-point identity."""
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, x, y, z, w) -> "QuadruplePoint":
@@ -59,7 +56,7 @@ class OddFunctionHandle:
     Oddness is spot-checked on a few probe points at construction.
     """
 
-    def __init__(self, evaluator: Callable[[complex], complex], label: str):
+    def __init__(self, evaluator, label: str):
         self.evaluator = evaluator
         self.label = label
         for z0 in _ODDNESS_PROBES:
@@ -111,10 +108,10 @@ class OddFunctionHandle:
         )
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
-    value: complex
-    scale: float
+class IdentityResidual(namedtuple("IdentityResidual", "value scale")):
+    """The complex residual and the float scale it is judged against."""
+
+    __slots__ = ()
 
 
 def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResidual:

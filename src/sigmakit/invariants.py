@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, NotInOmegaError, NumericError
 from .series import TruncatedOddSeries, gauss_twist
@@ -35,18 +35,17 @@ from .series import TruncatedOddSeries, gauss_twist
 ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ProjectiveValue:
+class ProjectiveValue(namedtuple("ProjectiveValue", "tag value")):
     """A point of the projective line: finite, infinity, or undefined (0/0)."""
 
-    tag: str
-    value: complex | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in ("finite", "infinity", "undefined"):
-            raise DomainError(f"unknown projective tag {self.tag!r}")
-        if (self.tag == "finite") != (self.value is not None):
+    def __new__(cls, tag: str, value: complex | None = None):
+        if tag not in ("finite", "infinity", "undefined"):
+            raise DomainError(f"unknown projective tag {tag!r}")
+        if (tag == "finite") != (value is not None):
             raise DomainError("finite values carry a number; others do not")
+        return tuple.__new__(cls, (tag, value))
 
     @classmethod
     def finite(cls, value: complex) -> "ProjectiveValue":
@@ -71,11 +70,10 @@ class ProjectiveValue:
         return doc
 
 
-@dataclass(frozen=True)
-class InvariantData:
-    p: complex
-    q: complex
-    mu: ProjectiveValue
+class InvariantData(namedtuple("InvariantData", "p q mu")):
+    """The complex invariants p and q with mu = p^3/q^2 as a ProjectiveValue."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,8 +83,7 @@ class InvariantData:
         }
 
 
-@dataclass(frozen=True)
-class HatForm:
+class HatForm(namedtuple("HatForm", "series alpha beta")):
     """Gauge-normalized series plus the stripped parameters.
 
     ``series`` has leading coefficient exactly 1 and no cubic term, and the
@@ -95,9 +92,7 @@ class HatForm:
     beta is recoverable only modulo 2*pi*i).
     """
 
-    series: TruncatedOddSeries
-    alpha: complex
-    beta: complex
+    __slots__ = ()
 
 
 def mu_of_pq(p: complex, q: complex, *, p_scale: float | None = None,

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .errors import ConvergenceError, DomainError, NumericError
+from .errors import J_TOLERANCE, TERM_CAP, ConvergenceError, DomainError, NumericError
 from .modular import (
-    TERM_CAP,
     TauPoint,
     _j_and_derivative,
     _theta1_table,
@@ -57,7 +56,6 @@ _EDGE = 1e-15
 # j-values at the two elliptic fixed points, where Newton degenerates and
 # the answers are known exactly.
 _CORNER = complex(0.5, math.sqrt(3.0) / 2.0)
-J_TOLERANCE = 1e-8
 
 # Leading Taylor coefficients of j at its critical points:
 # j = _C3*(tau - _RHO)^3 + ... at the corner _RHO = exp(2*pi*i/3), and
@@ -67,18 +65,15 @@ _C3 = -45745.0806460312j
 _C2 = -24827.5650501697
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class UnimodularMap(namedtuple("UnimodularMap", "a b c d")):
     """Integer Moebius map (a*tau + b) / (c*tau + d) with a*d - b*c = 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise DomainError("unimodular map must have determinant exactly 1")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @classmethod
     def identity(cls) -> "UnimodularMap":
@@ -114,9 +109,10 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
 
     Returns (reduced, map) with map.apply(tau) == reduced.  The reduced
     point satisfies Re in [-1/2, 1/2), |tau| >= 1, and Re <= 0 when
-    |tau| = 1.
+    |tau| = 1.  An inversion beyond the double range, for tau within about
+    1e-308 of the real axis, raises NumericError.
     """
-    t = as_tau(tau).value
+    t = start = as_tau(tau).value
     m = UnimodularMap.identity()
     for _ in range(256):
         n = math.floor(t.real + 0.5)
@@ -126,12 +122,17 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
         if abs(t) * abs(t) < 1.0 - _EDGE:
             t = -1.0 / t
             m = UnimodularMap.inversion().compose(m)
+            if not cmath.isfinite(t):
+                raise NumericError(
+                    f"reducing tau={start} inverts it beyond the double range",
+                    diagnostics={"tau": [start.real, start.imag]},
+                )
         else:
             break
     else:
         raise ConvergenceError(
             "fundamental-domain reduction did not terminate",
-            diagnostics={"tau": [as_tau(tau).value.real, as_tau(tau).value.imag]},
+            diagnostics={"tau": [start.real, start.imag]},
         )
     # Deterministic boundary ties: the right edge Re = 1/2 (reached when
     # the floor rounds) folds to the left edge, and the right half of the
@@ -147,22 +148,17 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     return TauPoint(t), m
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice",
+                         "omega1 omega2 rho tau reduction orientation_flipped")):
     """A rank-2 lattice rho * (Z + tau*Z) with its original generators.
 
     ``reduction`` is the unimodular map that carried the oriented generator
     ratio into the fundamental domain, and ``orientation_flipped`` records
     whether omega2 had to be negated to make Im(omega2/omega1) positive.
     The point set rho * (Z + tau*Z) equals Z*omega1 + Z*omega2 exactly.
+    The fields are read-only; the instance dict holds only the cached
+    ``theta_table`` and ``gauge``.
     """
-
-    omega1: complex
-    omega2: complex
-    rho: complex
-    tau: TauPoint
-    reduction: UnimodularMap
-    orientation_flipped: bool
 
     @cached_property
     def theta_table(self) -> tuple[complex, ...]:
@@ -231,7 +227,11 @@ def _newton_seeds(jval: complex) -> list[complex]:
     j - 1728 ~ C2*(tau - i)^2 at i, nearer point first.  1.2i comes last.
     """
     if abs(jval) > 2000.0:
-        return [cmath.log(1.0 / (jval - 744.0)) / (2j * math.pi), 1.2j]
+        # log(q) = -log(jval - 744), taken as log of the reciprocal unless
+        # that underflows to 0 (|jval| beyond about 1e308).
+        inverse = 1.0 / (jval - 744.0)
+        log_q = cmath.log(inverse) if inverse else -cmath.log(jval - 744.0)
+        return [log_q / (2j * math.pi), 1.2j]
     cube = (jval / _C3) ** (1.0 / 3.0)
     square = cmath.sqrt((jval - 1728.0) / _C2)
     # _RHO is also a primitive cube root of unity.
@@ -256,11 +256,15 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
     |j(tau) - jval| <= tolerance * max(1, |jval|) wins, and if none does a
     ConvergenceError carries each start's iterations and residual.  The
     two j-values where dj/dtau vanishes are special-cased: jval ~ 0
-    returns the corner (1 + i*sqrt(3))/2 and jval ~ 1728 returns i.
+    returns the corner (1 + i*sqrt(3))/2 and jval ~ 1728 returns i.  A
+    jval whose modulus is beyond the double range raises NumericError.
     """
     jval = complex(jval)
     if not (math.isfinite(jval.real) and math.isfinite(jval.imag)):
         raise DomainError("jval must be finite")
+    if math.isinf(math.hypot(jval.real, jval.imag)):
+        raise NumericError(f"|jval| for jval={jval} is outside the double range",
+                           diagnostics={"jval": [jval.real, jval.imag]})
     if abs(jval) <= 1e-10:
         return TauPoint(_CORNER)
     if abs(jval - 1728.0) <= 1e-8 * 1728.0:
@@ -280,8 +284,8 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
                     break
                 step = (jt - jval) / djt
                 size = abs(step)
-                if size >= last:
-                    # Roundoff in j now dominates the step.
+                if not size < last:
+                    # Roundoff in j now dominates the step, or j overflowed.
                     break
                 cap = 0.5 * t.imag
                 if size > cap:
@@ -313,13 +317,21 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two
     odd Taylor coefficients of theta1.  scale = rho/th1 = exp(beta), with
     beta the principal logarithm.  th1 underflows beyond Im tau of about 900,
-    where scale leaves the double range: NumericError.
+    where scale leaves the double range: NumericError.  So does alpha's
+    denominator rho^2*th1 when it underflows to 0 or overflows, which takes
+    |rho| below about 1e-154 or above about 1e154.
     """
     if th1 == 0 or not cmath.isfinite(rho / th1):
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
                            diagnostics={"theta1_prime": [th1.real, th1.imag]})
+    # rho*rho equals rho**2 where that is finite, and does not raise.
+    denominator = rho * rho * th1
+    if denominator == 0 or not cmath.isfinite(denominator):
+        raise NumericError(
+            f"the sigma gauge rho^2*theta1'(0) at rho={rho} is outside the double range",
+            diagnostics={"rho": [rho.real, rho.imag], "theta1_prime": [th1.real, th1.imag]})
     scale = rho / th1
-    return -th3 / (rho**2 * th1), cmath.log(scale), scale
+    return -th3 / denominator, cmath.log(scale), scale
 
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:

@@ -24,31 +24,29 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError, NumericError
+from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
 from .series import TruncatedOddSeries
 
 TERM_TOL = 1e-18
-TERM_CAP = 200
 
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class TauPoint(namedtuple("TauPoint", "value")):
     """A point of the open upper half-plane."""
 
-    value: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = complex(self.value)
+    def __new__(cls, value: complex):
+        v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise DomainError("tau must be finite")
         if v.imag <= 0.0:
             raise DomainError(f"tau must satisfy Im(tau) > 0, got {v}")
         # Flush negative zero in the real part for tidy reporting.
-        object.__setattr__(self, "value", complex(v.real + 0.0, v.imag))
+        return tuple.__new__(cls, (complex(v.real + 0.0, v.imag),))
 
 
 def as_tau(tau) -> TauPoint:

@@ -147,6 +147,11 @@ class TestEvalCommand:
         ["eval", "sigma", "--z", "0.3", "--tau", "0,1000"],
         ["eval", "sigma", "--z", "0.3", "--tau", "0,925"],
         ["verify-identity", "--function", "sigma", "--tau", "0,1000"],
+        # rho^2 underflows to 0 or overflows.
+        ["eval", "sigma", "--z=0.3", "--rho=1e-300"],
+        ["eval", "sigma", "--z=1e-300", "--rho=1e-170"],
+        ["verify-identity", "--function", "sigma", "--tau=0,1", "--rho=1e-300"],
+        ["eval", "sigma", "--z=0.3", "--rho=1e200"],
     ])
     def test_sigma_gauge_beyond_double_range(self, capsys, argv):
         code, doc = run_strict(capsys, *argv)
@@ -295,6 +300,29 @@ class TestTauCommands:
         assert np.allclose(doc["tau"], [0, 1], atol=1e-12)
         assert doc["map"] == {"a": 1, "b": -5, "c": 0, "d": 1}
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce-tau", "--tau=0,1e-320"],
+        ["eval", "sigma", "--z=0.3", "--omega1=1", "--omega2=1e-320,1e-320"],
+    ])
+    def test_inversion_beyond_double_range(self, capsys, argv):
+        code, doc = run_strict(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        assert doc["error"]["diagnostics"]["tau"] in ([0.0, 1e-320], [1e-320, 1e-320])
+
+    # 1/(j - 744) underflows to 0 at the first; at the second, j overflows
+    # near the answer and a Newton step once turned NaN.
+    @pytest.mark.parametrize("value", ["1e308,1e308", "8.660254037844387e307,5e307"])
+    def test_invert_j_near_the_largest_double(self, capsys, value):
+        code, doc = run_strict(capsys, "invert-j", "--value=" + value)
+        assert code == 0
+        assert doc["tau"][1] > 100
+
+    def test_invert_j_beyond_double_range(self, capsys):
+        code, doc = run_strict(capsys, "invert-j", "--value=1.7e308,1.7e308")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+
     def test_invert_j_landmark(self, capsys):
         code, doc = run(capsys, "invert-j", "--value", "1728,0")
         assert code == 0
@@ -350,7 +378,7 @@ class TestParserBehavior:
 
 class TestStrictJson:
     def test_non_finite_value_is_numeric_error(self, capsys, monkeypatch):
-        monkeypatch.setattr("sigmakit.cli.j_invariant",
+        monkeypatch.setattr("sigmakit.modular.j_invariant",
                             lambda tau, term_cap=None: complex(math.inf, math.nan))
         code, doc = run_strict(capsys, "eval", "j", "--tau", "0,1")
         assert code == 2
@@ -360,7 +388,7 @@ class TestStrictJson:
         def fail(tau, term_cap=None):
             raise NumericError("no value", diagnostics={"residual": math.nan})
 
-        monkeypatch.setattr("sigmakit.cli.j_invariant", fail)
+        monkeypatch.setattr("sigmakit.modular.j_invariant", fail)
         code, doc = run_strict(capsys, "eval", "j", "--tau", "0,1")
         assert code == 2
         assert doc["error"] == {"type": "numeric", "message": "no value"}

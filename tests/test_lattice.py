@@ -133,6 +133,12 @@ class TestReduceTau:
 
 
 class TestNormalizeLattice:
+    @pytest.mark.parametrize("tau", [1e-320j, 1e-320 + 1e-320j, 0.5 + 1e-320j])
+    def test_inversion_beyond_double_range_is_numeric_error(self, tau):
+        with pytest.raises(NumericError) as err:
+            reduce_tau(tau)
+        assert err.value.diagnostics["tau"] == [tau.real, tau.imag]
+
     def test_already_normalized(self):
         lat = normalize_lattice(1, 1j)
         assert lat.rho == 1
@@ -211,6 +217,16 @@ class TestInvertJ:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             invert_j(complex(float("inf"), 0))
+
+    def test_every_huge_finite_value_answers_or_is_numeric_error(self):
+        # 1/(jval - 744) underflows to 0 beyond |jval| ~ 1e308; |jval| itself
+        # overflows beyond the largest double.
+        for modulus in (1e300, 1e307, 1e308, 1.4e308, 1.79e308):
+            for angle in np.linspace(0, 2 * math.pi, 12, endpoint=False):
+                assert invert_j(cmath.rect(modulus, angle)).value.imag > 100
+        for jval in (1.7e308 + 1.7e308j, -1.5e308 + 1.5e308j):
+            with pytest.raises(NumericError):
+                invert_j(jval)
 
     def test_round_trip_over_fundamental_domain(self):
         # A grid of the domain, its arc, and points 1e-3 and 3e-4 from the
@@ -356,6 +372,13 @@ class TestSigmaEval:
         with pytest.raises(NumericError) as err:
             sigma_eval(40j, lat)
         assert err.value.diagnostics["tau"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("rho", [1e-300, 1e-170, 1e200, 1e200j])
+    def test_gauge_with_rho_squared_beyond_double_range_is_numeric_error(self, rho):
+        lat = lattice_from_rho_tau(rho, 1j)
+        with pytest.raises(NumericError) as err:
+            sigma_gauge(lat)
+        assert err.value.diagnostics["rho"] == [lat.rho.real, lat.rho.imag]
 
     @pytest.mark.parametrize("height", [925.0, 1000.0])
     def test_gauge_beyond_double_range_is_numeric_error(self, height):
