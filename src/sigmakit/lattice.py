@@ -22,9 +22,11 @@ with g2, g3 the invariants of the full lattice.  ``Lattice.gauge`` computes
 (alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from
 ``Lattice.theta_table``; ``sigma_eval`` and ``sigma_gauge`` read it, and
 ``sigma_gauge_from_head`` is the one place the formula is written.
-``sigma_eval`` adds theta1's quasi-periodic exponent to alpha*z^2 before
-one exp, so sigma is found wherever it fits in a double even when theta1
-or the Gaussian alone does not.
+``sigma_eval`` writes the Gaussian as kappa*w^2 with w = z/rho and the
+tau-only kappa = alpha*rho^2, which stays finite where alpha does not, and
+adds theta1's quasi-periodic exponent to it before one exp, so sigma is
+found wherever it fits in a double even when theta1 or the Gaussian alone
+does not.
 
 ``invert_j`` solves j(tau) = jval by Newton's method with the analytic
 derivative dj/dtau, every iterate reduced into the fundamental domain.  It
@@ -113,15 +115,16 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     1e-308 of the real axis, raises NumericError.
     """
     t = start = as_tau(tau).value
-    m = UnimodularMap.identity()
+    # The map so far, (a*tau + b)/(c*tau + d); each fold composes on the left.
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(256):
         n = math.floor(t.real + 0.5)
         if n != 0:
             t -= n
-            m = UnimodularMap.translation(-n).compose(m)
+            a, b = a - n * c, b - n * d
         if abs(t) * abs(t) < 1.0 - _EDGE:
             t = -1.0 / t
-            m = UnimodularMap.inversion().compose(m)
+            a, b, c, d = -c, -d, a, b
             if not cmath.isfinite(t):
                 raise NumericError(
                     f"reducing tau={start} inverts it beyond the double range",
@@ -141,11 +144,11 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     # (and would undo the floor's shift of a point just left of -1/2).
     if t.real >= 0.5:
         t -= 1
-        m = UnimodularMap.translation(-1).compose(m)
+        a, b = a - c, b - d
     if abs(abs(t) - 1.0) <= _EDGE and t.real > _EDGE:
         t = -1.0 / t
-        m = UnimodularMap.inversion().compose(m)
-    return TauPoint(t), m
+        a, b, c, d = -c, -d, a, b
+    return TauPoint(t), UnimodularMap(a, b, c, d)
 
 
 class Lattice(namedtuple("Lattice",
@@ -166,14 +169,18 @@ class Lattice(namedtuple("Lattice",
         return _theta1_table(self.tau.value, TERM_CAP)
 
     @cached_property
-    def gauge(self) -> tuple[complex, complex, complex]:
-        """(alpha, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``, kept
-        for the life of the lattice, with theta1'(0) = sum c_k*w_k and
+    def gauge(self) -> tuple[complex, complex, complex, complex]:
+        """(alpha, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head`` and
+        kappa = -theta1'''(0)/(6*theta1'(0)) = alpha*rho^2, kept for the life of
+        the lattice, with theta1'(0) = sum c_k*w_k and
         theta1'''(0)/6 = -sum c_k*w_k^3/6, w_k = (2k+1)*pi, over ``theta_table``."""
-        table = self.theta_table
-        th1 = sum(c * ((2 * k + 1) * math.pi) for k, c in enumerate(table))
-        th3 = -sum(c * ((2 * k + 1) * math.pi) ** 3 for k, c in enumerate(table)) / 6.0
-        return sigma_gauge_from_head(th1, th3, self.rho)
+        th1 = th3 = 0
+        for k, c in enumerate(self.theta_table):
+            w = (2 * k + 1) * math.pi
+            th1 += c * w
+            th3 += c * w**3
+        th3 = -th3 / 6.0
+        return (*sigma_gauge_from_head(th1, th3, self.rho), -th3 / th1)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -245,7 +252,7 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
     """Find tau in the fundamental domain with j(tau) = jval.
 
     Newton iteration on the holomorphic map j with the analytic derivative
-    dj/dtau = -2*pi*i * j * E6/E4, taken from the same q-series pass as j.
+    dj/dtau = -2*pi*i * j * E6/E4, taken from the same theta-constant pass as j.
     Every iterate is mapped back into the fundamental domain by
     ``reduce_tau``; j is invariant under that map, and there the q-series
     need few terms.  Steps are capped at half of Im(tau), so no iterate
@@ -336,7 +343,7 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
     """The (alpha, beta) pair of ``lat.gauge``."""
-    alpha, beta, _ = lat.gauge
+    alpha, beta, _, _ = lat.gauge
     return alpha, beta
 
 
@@ -345,9 +352,9 @@ def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex
 
     theta1 is summed on ``lat.theta_table``, and a table longer than
     ``term_cap`` raises ConvergenceError; the gauge is ``lat.gauge``.  The
-    quasi-periodic exponent of theta1 is added to alpha*z^2 before one exp,
-    since the two nearly cancel, so only a value outside the double range
-    raises NumericError.
+    quasi-periodic exponent of theta1 is added to alpha*z^2, formed as
+    kappa*(z/rho)^2, before one exp, since the two nearly cancel, so only a
+    value outside the double range raises NumericError.
     """
     return _sigma_values((complex(z),), lat, term_cap)[0]
 
@@ -358,8 +365,8 @@ def _sigma_values(zs, lat: Lattice, term_cap: int = TERM_CAP) -> list[complex]:
     if len(table) > term_cap:
         # Rebuilt under the lower cap, the table raises its ConvergenceError.
         table = _theta1_table(lat.tau.value, term_cap)
-    alpha, _, scale = lat.gauge
-    values = _theta1_values(zs, lat.tau.value, table, lat.rho, alpha, scale)
+    _, _, scale, kappa = lat.gauge
+    values = _theta1_values(zs, lat.tau.value, table, lat.rho, kappa, scale)
     if not all(map(cmath.isfinite, values)):
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
         if not cmath.isfinite(z):

@@ -10,7 +10,10 @@ forms g2(tau) and g3(tau), the modular invariant j(tau), and the pair
 which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 
 theta1 is summed on a table of its factors whose length is fixed once per
-tau (see ``_theta1_table``).  The other sums and products accumulate terms
+tau (see ``_table_size``).  g2, g3, the discriminant, j and (p, q) come
+from the theta constants theta2, theta3 and theta4 at z = 0, summed over
+the same number of terms in one pass (see ``_theta_constants``).
+``dedekind_eta`` and the coefficient series of theta1 accumulate terms
 until the next term's magnitude drops below ``TERM_TOL`` times the current
 partial magnitude.  All have a hard cap of ``TERM_CAP`` terms.  Inside the
 fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice;
@@ -30,8 +33,12 @@ from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
 from .series import TruncatedOddSeries
 
 TERM_TOL = 1e-18
+_LOG_TERM_TOL = -math.log(TERM_TOL)
 
 _TWO_PI = 2.0 * math.pi
+# (2*pi)^4/12 and (2*pi)^6/216, halved for E4 and E6.
+_G2_SCALE = _TWO_PI**4 / 24.0
+_G3_SCALE = _TWO_PI**6 / 432.0
 
 
 class TauPoint(namedtuple("TauPoint", "value")):
@@ -96,23 +103,35 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     return value
 
 
-def _theta1_table(t: complex, term_cap: int) -> tuple[complex, ...]:
-    """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
+def _table_size(t: complex, term_cap: int, what: str) -> int:
+    """The number of terms k = 0, 1, ... that the theta sums at t keep.
 
-    On the reduced cell |Im w| <= Im(t)/2, |c_k sin((2k+1)*pi*w)| is at most
-    (2k+1)*exp(-pi*Im(t)*k^2) times |c_0 sin(pi*w)|, since sin((2k+1)x)/sin(x)
-    is a sum of the 2k+1 exponentials exp(2ijx), |j| <= k.  The table ends
-    before the first k whose bound is <= TERM_TOL.  A table longer than
-    ``term_cap`` raises ConvergenceError, with magnitudes relative to c_0.
-    The factors follow from c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t).
+    On the reduced cell |Im w| <= Im(t)/2, the k-th term of theta1's sine
+    series is at most (2k+1)*exp(-pi*Im(t)*k^2) times the first one, since
+    sin((2k+1)*x)/sin(x) is a sum of the 2k+1 exponentials exp(2ijx),
+    |j| <= k.  The sums end before the first k whose bound is <= TERM_TOL.
+    A size beyond ``term_cap`` raises ConvergenceError for ``what``, with
+    magnitudes relative to the first term.  Every k with
+    decay*k^2 <= -log(TERM_TOL) has a bound of at least 3*TERM_TOL, so the
+    search starts just past the largest such k.
     """
     decay = math.pi * t.imag
-    size = 1
+    size = int(min(term_cap + 1, math.sqrt(_LOG_TERM_TOL / decay) + 1))
     while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > TERM_TOL:
         size += 1
     if size > term_cap:
-        raise _cap_error("theta1 series", t, 1.0,
+        raise _cap_error(what, t, 1.0,
                          (2 * size + 1) * math.exp(-decay * size * size), term_cap)
+    return size
+
+
+def _theta1_table(t: complex, term_cap: int) -> tuple[complex, ...]:
+    """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
+
+    The table has ``_table_size`` factors, which follow from
+    c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t).
+    """
+    size = _table_size(t, term_cap, "theta1 series")
     g = cmath.exp(2j * math.pi * t)
     c = 2.0 * cmath.exp(0.25j * math.pi * t)
     table, gk = [c], 1.0
@@ -123,14 +142,58 @@ def _theta1_table(t: complex, term_cap: int) -> tuple[complex, ...]:
     return tuple(table)
 
 
-def _theta1_values(zs, t: complex, table, rho=1.0, alpha=0.0, scale=1.0) -> list[complex]:
-    """theta1(z/rho, t) * exp(alpha*z^2) * scale for each z, summed on ``table``.
+def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, complex]:
+    """(theta2, theta3, theta4) at z = 0, over ``_table_size`` terms.
+
+    With the nome q = exp(pi*i*t) (DLMF 20.2(i)),
+
+        theta2 = 2 q^(1/4) sum_{k>=0} q^(k(k+1)),
+        theta3 = 1 + 2 sum_{k>=1} q^(k^2),
+        theta4 = 1 + 2 sum_{k>=1} (-1)^k q^(k^2),
+
+    each term found from the one before by the factor q^(2k) or q^(2k-1).
+    The first dropped term is below TERM_TOL of the first kept one.
+    """
+    size = _table_size(t, term_cap, "theta constant series")
+    q = cmath.exp(1j * math.pi * t)
+    g = q * q
+    s2 = s3 = s4 = 0.0
+    a2 = a3 = r2 = 1.0
+    r3 = q
+    for k in range(1, size):
+        r2 *= g
+        a2 *= r2
+        a3 *= r3
+        r3 *= g
+        s2 += a2
+        s3 += a3
+        s4 += -a3 if k & 1 else a3
+    return 2.0 * cmath.exp(0.25j * math.pi * t) * (1.0 + s2), 1.0 + 2.0 * s3, 1.0 + 2.0 * s4
+
+
+def _modular_forms(tau, term_cap: int) -> tuple[complex, complex, complex]:
+    """(g2, g3, eta^3) at tau from one ``_theta_constants`` pass.
+
+    With a, b, c = theta2^4, theta3^4, theta4^4 (DLMF 23.15, 20.7(i)),
+
+        E4 = (a^2 + b^2 + c^2)/2,   E6 = (a + b)(b + c)(c - a)/2,
+        g2 = (2*pi)^4/12 * E4,      g3 = (2*pi)^6/216 * E6,
+        eta^3 = theta2*theta3*theta4/2.
+    """
+    th2, th3, th4 = _theta_constants(as_tau(tau).value, term_cap)
+    a, b, c = (th2 * th2) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
+    return (_G2_SCALE * (a * a + b * b + c * c), _G3_SCALE * ((a + b) * (b + c) * (c - a)),
+            0.5 * th2 * th3 * th4)
+
+
+def _theta1_values(zs, t: complex, table, rho=1.0, kappa=0.0, scale=1.0) -> list[complex]:
+    """theta1(w, t) * exp(kappa*w^2) * scale, w = z/rho, for each z, summed on ``table``.
 
     w = z/rho is reduced into the cell |Im w| <= Im(t)/2, |Re w| <= 1/2.  With
     s = sin(pi*w), sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x)
     gives the other sines, all proportional to s, so theta1 keeps its
     relative accuracy next to its zeros.  The reduction's exponent joins
-    alpha*z^2 in one exp.  For a non-finite z, and where the value leaves the
+    kappa*w^2 in one exp.  For a non-finite z, and where the value leaves the
     double range, the value comes back non-finite, for the caller to report.
     """
     v = t.imag
@@ -140,7 +203,7 @@ def _theta1_values(zs, t: complex, table, rho=1.0, alpha=0.0, scale=1.0) -> list
     for z in zs:
         try:
             w = z / rho
-            exponent = alpha * z * z
+            exponent = kappa * w * w
             n = round(w.imag / v)
             if n:
                 w -= n * t
@@ -217,48 +280,33 @@ def dedekind_eta(tau, *, term_cap: int = TERM_CAP) -> complex:
 def weierstrass_g(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     """Weight-4 and weight-6 modular forms of the lattice Z + tau*Z.
 
-    g2 = (2*pi)^4 * (1/12  + 20    * sum_{n>=1} n^3 * q^n / (1 - q^n))
-    g3 = (2*pi)^6 * (1/216 - (7/3) * sum_{n>=1} n^5 * q^n / (1 - q^n))
-
-    with q = exp(2*pi*i*tau).  The summand n^k * q^n / (1 - q^n) equals
-    n^k / (q^(-n) - 1), written here in the form that never overflows.
+    g2 = (2*pi)^4/12 * E4 and g3 = (2*pi)^6/216 * E6, with the Eisenstein
+    series E4 = 1 + 240*sum sigma_3(n) q^n and E6 = 1 - 504*sum sigma_5(n) q^n,
+    q = exp(2*pi*i*tau), taken from the theta constants (``_modular_forms``).
     """
-    t = as_tau(tau).value
-    q = cmath.exp(2j * math.pi * t)
-    s3 = 1.0 / 12.0 + 0.0j
-    s5 = 1.0 / 216.0 + 0.0j
-    qn = 1.0 + 0.0j
-    t3 = 0.0 + 0.0j
-    for n in range(1, term_cap + 1):
-        qn *= q
-        base = qn / (1.0 - qn)
-        t3 = 20.0 * n**3 * base
-        t5 = -(7.0 / 3.0) * n**5 * base
-        s3 += t3
-        s5 += t5
-        if abs(t3) <= TERM_TOL * abs(s3) and abs(t5) <= TERM_TOL * abs(s5):
-            return (_TWO_PI**4 * s3, _TWO_PI**6 * s5)
-    raise _cap_error("g2/g3 series", t, s3, t3, term_cap)
+    g2, g3, _ = _modular_forms(tau, term_cap)
+    return g2, g3
 
 
 def modular_discriminant(tau, *, term_cap: int = TERM_CAP) -> complex:
-    """Discriminant g2^3 - 27*g3^2, evaluated as (2*pi)^12 * eta(tau)^24.
+    """Discriminant g2^3 - 27*g3^2, evaluated as (2*pi)^12 * eta^24 with
+    eta^3 = theta2*theta3*theta4/2.
 
     The product form is used because the direct subtraction loses all
     significance high in the upper half-plane, where g2^3 and 27*g3^2
     agree to many digits; the two expressions are equal identically.
     """
-    return _TWO_PI**12 * dedekind_eta(tau, term_cap=term_cap) ** 24
+    return _TWO_PI**12 * _modular_forms(tau, term_cap)[2] ** 8
 
 
 def _j_and_derivative(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
-    """(j(tau), dj/dtau) from one g2/g3 pass and one discriminant pass.
+    """(j(tau), dj/dtau) from one theta-constant pass for g2, g3 and Delta.
 
     dj/dtau = -2*pi*i * j * E6/E4, written as -15552*i * g2^2 * g3 / (pi * Delta)
     so that nothing is divided by g2, which vanishes at the corner.
     """
-    g2, g3 = weierstrass_g(tau, term_cap=term_cap)
-    delta = modular_discriminant(tau, term_cap=term_cap)
+    g2, g3, eta3 = _modular_forms(tau, term_cap)
+    delta = _TWO_PI**12 * eta3**8
     if delta == 0:
         # Delta underflows only for Im(tau) beyond about 118.
         t = as_tau(tau).value
@@ -280,12 +328,13 @@ def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
 def modular_pq(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     """The pair (p, q) = ((pi^2/30) eta^6 g2, -(pi^3/35) eta^9 g3).
 
-    These equal the invariants p and q of the odd Taylor series of
-    z -> theta1(z, tau), computed by ``invariants.pq_of_series``; the
-    test suite checks the equality on a tau grid at 1e-8 relative.
+    eta^6 and eta^9 are powers of eta^3 = theta2*theta3*theta4/2, so no
+    cube root is taken.  These equal the invariants p and q of the odd
+    Taylor series of z -> theta1(z, tau), computed by
+    ``invariants.pq_of_series``; the test suite checks the equality on a
+    tau grid at 1e-8 relative.
     """
-    e = dedekind_eta(tau, term_cap=term_cap)
-    g2, g3 = weierstrass_g(tau, term_cap=term_cap)
-    p = (math.pi**2 / 30.0) * e**6 * g2
-    q = -(math.pi**3 / 35.0) * e**9 * g3
+    g2, g3, eta3 = _modular_forms(tau, term_cap)
+    p = (math.pi**2 / 30.0) * eta3**2 * g2
+    q = -(math.pi**3 / 35.0) * eta3**3 * g3
     return p, q

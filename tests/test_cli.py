@@ -159,6 +159,23 @@ class TestEvalCommand:
         assert doc["error"]["type"] == "numeric"
         assert "gauge" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("z", [(0.0, 0.0), (1e-155, 0.0), (3e-156, 2e-156)])
+    def test_sigma_where_alpha_overflows(self, capsys, z):
+        # rho^2*theta1'(0) is subnormal at rho = 1e-155, so alpha overflows;
+        # the Gaussian is formed as kappa*(z/rho)^2 with kappa from tau alone.
+        # z = rho is a lattice point, so there the measure is |rho|.
+        mp = pytest.importorskip("mpmath")
+        code, doc = run_strict(capsys, "eval", "sigma", f"--z={z[0]!r},{z[1]!r}", "--rho=1e-155")
+        assert code == 0
+        with mp.workdps(50):
+            q, rho, w = mp.exp(-mp.pi), mp.mpf(1e-155), mp.mpc(*z)
+            th1 = mp.pi * mp.jtheta(1, 0, q, 1)
+            th3 = mp.pi**3 * mp.jtheta(1, 0, q, 3) / 6
+            want = complex(mp.jtheta(1, mp.pi * w / rho, q) * mp.exp(-th3 / th1 * (w / rho) ** 2)
+                           * rho / th1)
+        got = complex(*doc["value"])
+        assert abs(got - want) <= 1e-13 * (abs(want) if z[1] else 1e-155)
+
 
 class TestClassifyCommand:
     def test_scaled_sine_file(self, capsys, tmp_path):

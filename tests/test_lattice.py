@@ -12,6 +12,7 @@ from sigmakit import (
     DomainError,
     NumericError,
     OddFunctionHandle,
+    TauPoint,
     UnimodularMap,
     identity_report,
     invert_j,
@@ -130,6 +131,88 @@ class TestReduceTau:
         assert -0.5 <= reduced.value.real < 0.5
         assert m == UnimodularMap.translation(1)
         assert reduced.value == m.apply(tau)
+
+
+def reduce_tau_by_compose(tau):
+    """``reduce_tau`` as it was written with a ``UnimodularMap.compose`` per fold."""
+    t = start = complex(tau)
+    m = UnimodularMap.identity()
+    for _ in range(256):
+        n = math.floor(t.real + 0.5)
+        if n != 0:
+            t -= n
+            m = UnimodularMap.translation(-n).compose(m)
+        if abs(t) * abs(t) < 1.0 - 1e-15:
+            t = -1.0 / t
+            m = UnimodularMap.inversion().compose(m)
+            if not cmath.isfinite(t):
+                raise NumericError(
+                    f"reducing tau={start} inverts it beyond the double range",
+                    diagnostics={"tau": [start.real, start.imag]},
+                )
+        else:
+            break
+    else:
+        raise ConvergenceError(
+            "fundamental-domain reduction did not terminate",
+            diagnostics={"tau": [start.real, start.imag]},
+        )
+    if t.real >= 0.5:
+        t -= 1
+        m = UnimodularMap.translation(-1).compose(m)
+    if abs(abs(t) - 1.0) <= 1e-15 and t.real > 1e-15:
+        t = -1.0 / t
+        m = UnimodularMap.inversion().compose(m)
+    return TauPoint(t), m
+
+
+# The SL(2, Z) basis changes of the point_eval benchmark.
+BASIS_CHANGES = ((1, 0, 0, 1), (0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1),
+                 (1, -1, 1, 0), (2, 1, 1, 1), (1, 2, 1, 3), (0, 1, -1, 2))
+
+
+def reduction_taus():
+    """About 2500 seeded tau: interior points moved by each basis change in
+    both orientations, the ties at Re = +-1/2 and on the unit circle with
+    their translates, and tau down to Im 1e-300 and below."""
+    rng = np.random.default_rng(19)
+    taus = []
+    for _ in range(100):
+        x = rng.uniform(-0.48, 0.48)
+        tau = complex(x, math.sqrt(1 - x * x) + rng.choice([0.01, 0.3, 2.0]) * rng.uniform())
+        for a, b, c, d in BASIS_CHANGES:
+            taus += [(a * tau + b) / (c * tau + d), -(c * tau + d) / (a * tau + b)]
+    ties = [complex(-0.5, math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2), 1j]
+    for _ in range(60):
+        x = rng.uniform(-0.5, 0.5)
+        ties += [complex(math.copysign(0.5, x), rng.uniform(0.5, 3)),
+                 complex(x, math.sqrt(1 - x * x))]
+    taus += [tau + n for tau in ties for n in (0, 1, -1, 3)]
+    for k in rng.integers(1, 301, 400):
+        taus.append(complex(rng.uniform(-3, 3), 10.0 ** -int(k)))
+    # Inversions beyond the double range raise NumericError.
+    taus += [complex(x, 10.0 ** -k) for x in (0, 0.5, -1, 2) for k in range(305, 324)]
+    return taus
+
+
+def reduction_outcome(reduce, tau):
+    try:
+        reduced, m = reduce(tau)
+    except (NumericError, ConvergenceError) as err:
+        return type(err), str(err), err.diagnostics
+    # repr tells the signs of zeros apart and round-trips every double.
+    return TauPoint, repr(reduced.value), m, tuple(map(type, m))
+
+
+def test_reduce_tau_is_bit_identical_to_composed_maps():
+    outcomes = [(reduction_outcome(reduce_tau, tau), reduction_outcome(reduce_tau_by_compose, tau))
+                for tau in reduction_taus()]
+    assert len(outcomes) > 1900
+    assert all(new == old for new, old in outcomes)
+    # No finite tau needs 256 folds, since the continued fraction of a
+    # double ends first; so no ConvergenceError case arises to compare.
+    errors = [new[0] for new, _ in outcomes if new[0] is not TauPoint]
+    assert errors and set(errors) == {NumericError}
 
 
 class TestNormalizeLattice:

@@ -1,21 +1,24 @@
-"""theta1 kernels, sigma_eval, eta, g2, g3 and j against an independent
-mpmath oracle at 50 digits.
+"""theta1 kernels, sigma_eval, eta, g2, g3, the discriminant, j, dj/dtau
+and (p, q) against an independent mpmath oracle at 50 digits.
 
 The oracle is mpmath's ``jtheta`` and its z-derivatives, ``qp`` for eta
-and ``kleinj`` for j, which share no code with the library's q-series
-loops.  Each budget is about five times the largest relative error
-measured on its grid: 2.0e-16 per coefficient at degree 3, 8.6e-15 at
-degree 31 (near the corner), 8.5e-14 for theta1_eval at values up to
-1e287, 1.8e-14 for sigma_eval with |Re z|, |Im z| <= 3 and 5.9e-14 for
+and the discriminant, Eisenstein sums for g2 and g3 and ``kleinj`` for j,
+which share no code or formula with the library's q-series loops and
+theta constants.  Each budget is about five times the largest relative
+error measured on its grid: 2.0e-16 per coefficient at degree 3, 8.6e-15
+at degree 31 (near the corner), 8.5e-14 for theta1_eval at values up to
+1e287, 1.4e-14 for sigma_eval with |Re z|, |Im z| <= 3 and 5.9e-14 for
 sigma_eval where theta1 alone overflows.  On the grid of ``GRID`` (both
 corners, Im tau from 0.97 to 20) the largest measured errors are, for
 theta1_eval and sigma_eval, 4.2e-16 and 5.0e-16 next to 0, 4.6e-16 and
-1.6e-15 next to a nonzero lattice point, and 8.2e-16 and 5.5e-14 on the
+1.6e-15 next to a nonzero lattice point, and 8.2e-16 and 4.0e-14 on the
 edge |Im w| = Im(tau)/2 of the reduced cell (sigma's edge error grows with
-|alpha*z^2|, about 160 at Im tau = 20); 1.9e-16 for eta, 4.4e-16 and
-4.7e-16 for g2 and g3 against max(|g2|, (2 pi)^4/12) and
-max(|g3|, (2 pi)^6/216) (both vanish at a special point), and 2.8e-15
-for j against max(|j|, 1728).
+|alpha*z^2|, about 160 at Im tau = 20); 1.9e-16 for eta, 8.0e-16 and
+7.9e-16 for g2 and g3 against max(|g2|, (2 pi)^4/12) and
+max(|g3|, (2 pi)^6/216) (both vanish at a special point), 3.8e-15 for j
+against max(|j|, 1728), 3.3e-15 for the discriminant, 6.0e-16 for dj/dtau
+against 2 pi max(|j|, 1728, |dj/dtau|), and 1.1e-15 and 1.5e-15 for p and q
+against the same floors as g2 and g3.
 
 ``extend_series`` is checked against a 60-digit run of the same recurrence
 on the same double data (``oracle_extend``), so the test sees the error
@@ -42,6 +45,8 @@ from sigmakit import (
     extend_series,
     j_invariant,
     lattice_from_rho_tau,
+    modular_discriminant,
+    modular_pq,
     psi,
     sigma_eval,
     synthesize,
@@ -50,6 +55,7 @@ from sigmakit import (
     weierstrass_g,
 )
 from sigmakit.lattice import _C2, _C3
+from sigmakit.modular import _j_and_derivative
 
 mp = pytest.importorskip("mpmath")
 
@@ -59,6 +65,10 @@ TAUS = [1j, 0.3 + 1.1j, CORNER + 1e-3j]
 # Both corners exactly (to double rounding), then Im tau from 0.97 to 20.
 GRID = [complex(-0.5, math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2), 0.25 + 0.97j, 1j,
         0.3 + 1.1j, -0.45 + 1.5j, 0.2 + 2.5j, 0.4 + 5j, -0.1 + 10j, 0.3 + 20j]
+# g2 and g3 vanish at a corner and at i; their errors are measured
+# against max(|g|, its value at the cusp).
+G2_FLOOR = (2 * math.pi) ** 4 / 12
+G3_FLOOR = (2 * math.pi) ** 6 / 216
 NEAR_ZERO = [1e-12, 1e-8 + 1e-9j, 1e-4j]
 # Next to the lattice points 1, -1 and 2.  Reducing z by m + n*tau loses
 # about |m + n*tau| * 1e-16 absolutely, which the conditioning of theta1
@@ -164,23 +174,59 @@ def test_sigma_eval_near_zeros_and_on_cell_edge(tau, rho):
         assert relative_errors(got, [oracle_sigma(z, r, t) for z in points]) <= budget
 
 
-@pytest.mark.parametrize("tau", GRID)
-def test_eta_g2_g3_and_j(tau):
+def oracle_modular(tau):
+    """eta, g2, g3, Delta, j, dj/dtau, p and q at tau, by routes that share
+    no formula with the library's theta constants: the product ``qp`` for
+    eta, the Eisenstein series 1 + 240 sum sigma_3(n) q^n and
+    1 - 504 sum sigma_5(n) q^n as Lambert sums for g2 and g3, and ``kleinj``
+    with ``diff`` for j."""
     with mp.workdps(DPS):
         t = mp.mpc(tau)
         q = mp.exp(2j * mp.pi * t)
-        eta = complex(mp.exp(1j * mp.pi * t / 12) * mp.qp(q))
-        th2, th3, th4 = (mp.jtheta(k, 0, _nome(tau)) for k in (2, 3, 4))
-        e4 = (th2**8 + th3**8 + th4**8) / 2
-        e6 = (th2**4 + th3**4) * (th3**4 + th4**4) * (th4**4 - th2**4) / 2
-        g2 = complex((2 * mp.pi) ** 4 / 12 * e4)
-        g3 = complex((2 * mp.pi) ** 6 / 216 * e6)
-        j = complex(1728 * mp.kleinj(t))
-    got_g2, got_g3 = weierstrass_g(tau)
-    assert abs(dedekind_eta(tau) - eta) <= 1e-15 * abs(eta)
-    assert abs(got_g2 - g2) <= 2.5e-15 * max(abs(g2), (2 * math.pi) ** 4 / 12)
-    assert abs(got_g3 - g3) <= 2.5e-15 * max(abs(g3), (2 * math.pi) ** 6 / 216)
-    assert abs(j_invariant(tau) - j) <= 1.5e-14 * max(abs(j), 1728)
+
+        def lambert(k):
+            return mp.nsum(lambda n: n**k * q**n / (1 - q**n), [1, mp.inf])
+
+        eta = mp.exp(1j * mp.pi * t / 12) * mp.qp(q)
+        g2 = (2 * mp.pi) ** 4 / 12 * (1 + 240 * lambert(3))
+        g3 = (2 * mp.pi) ** 6 / 216 * (1 - 504 * lambert(5))
+        values = {
+            "eta": eta, "g2": g2, "g3": g3,
+            "delta": (2 * mp.pi) ** 12 * eta**24,
+            "j": 1728 * mp.kleinj(t),
+            "dj": mp.diff(lambda s: 1728 * mp.kleinj(s), t),
+            "p": mp.pi**2 / 30 * eta**6 * g2,
+            "q": -mp.pi**3 / 35 * eta**9 * g3,
+        }
+        return {key: complex(v) for key, v in values.items()}
+
+
+@pytest.mark.parametrize("tau", GRID)
+def test_eta_g2_g3_and_j(tau):
+    want = oracle_modular(tau)
+    g2, g3 = weierstrass_g(tau)
+    assert abs(dedekind_eta(tau) - want["eta"]) <= 1e-15 * abs(want["eta"])
+    assert abs(g2 - want["g2"]) <= 2.5e-15 * max(abs(want["g2"]), G2_FLOOR)
+    assert abs(g3 - want["g3"]) <= 2.5e-15 * max(abs(want["g3"]), G3_FLOOR)
+    assert abs(j_invariant(tau) - want["j"]) <= 1.5e-14 * max(abs(want["j"]), 1728)
+
+
+@pytest.mark.parametrize("tau", GRID)
+def test_discriminant_derivative_of_j_and_pq(tau):
+    want = oracle_modular(tau)
+    assert abs(modular_discriminant(tau) - want["delta"]) <= 1.6e-14 * abs(want["delta"])
+    # dj/dtau vanishes at the corners and at i, so its error is measured
+    # against 2*pi*max(|j|, 1728, |dj/dtau|); -2*pi*i*j*E6/E4 has about
+    # that size away from them.
+    dj = _j_and_derivative(tau)[1]
+    assert abs(dj - want["dj"]) <= 3e-15 * 2 * math.pi * max(abs(want["j"]), 1728, abs(want["dj"]))
+    # p and q vanish with g2 and g3, so they take the same floors.
+    p, q = modular_pq(tau)
+    eta = abs(want["eta"])
+    p_scale = math.pi**2 / 30 * eta**6 * max(abs(want["g2"]), G2_FLOOR)
+    q_scale = math.pi**3 / 35 * eta**9 * max(abs(want["g3"]), G3_FLOOR)
+    assert abs(p - want["p"]) <= 5.5e-15 * p_scale
+    assert abs(q - want["q"]) <= 7.5e-15 * q_scale
 
 
 def test_local_coefficients_of_j():
