@@ -38,7 +38,7 @@ from .errors import (
     IdentityNotSatisfiedError,
 )
 from .invariants import _invariants_and_hat
-from .lattice import invert_j, reduce_tau, sigma_gauge_from_head
+from .lattice import _gauge_alpha, invert_j, reduce_tau, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series, weierstrass_g
 from .series import TruncatedOddSeries, gauss_twist, scale_argument
 
@@ -244,7 +244,7 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
     # The gauge needs the cubic coefficient even when max_degree is 1.
     theta = theta1_odd_series(c.tau, max(max_degree, 3))
     th1, th3 = theta.odd_coefficients[:2]
-    gauge_alpha, gauge_beta, _ = sigma_gauge_from_head(th1, th3, c.rho)
+    kappa, gauge_beta, _ = sigma_gauge_from_head(th1, th3, c.rho)
     twisted = gauss_twist(scale_argument(theta, 1.0 / c.rho),
-                          gauge_alpha + c.alpha, gauge_beta + c.beta)
+                          _gauge_alpha(kappa, c.rho) + c.alpha, gauge_beta + c.beta)
     return TruncatedOddSeries(twisted.odd_coefficients[:count])

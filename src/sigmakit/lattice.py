@@ -18,15 +18,19 @@ vanishing z^3 coefficient:
     alpha = -theta1'''(0, tau) / (6 * rho^2 * theta1'(0, tau)).
 
 With this gauge the Taylor expansion starts z - (g2/240) z^5 - (g3/840) z^7
-with g2, g3 the invariants of the full lattice.  ``Lattice.gauge`` computes
-(alpha, beta, rho/theta1'(0, tau)) once per lattice, on first use, from
-``Lattice.theta_table``; ``sigma_eval`` and ``sigma_gauge`` read it, and
-``sigma_gauge_from_head`` is the one place the formula is written.
-``sigma_eval`` writes the Gaussian as kappa*w^2 with w = z/rho and the
-tau-only kappa = alpha*rho^2, which stays finite where alpha does not, and
-adds theta1's quasi-periodic exponent to it before one exp, so sigma is
-found wherever it fits in a double even when theta1 or the Gaussian alone
-does not.
+with g2, g3 the invariants of the full lattice.  With kappa = alpha*rho^2,
+which depends on tau alone,
+
+    sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
+
+``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau)) once per
+lattice, on first use, from ``Lattice.theta_table``; ``sigma_eval`` and
+``sigma_gauge`` read it, ``sigma_gauge_from_head`` is the one place the
+formula is written, and ``_gauge_alpha`` the one place alpha is formed.
+``sigma_eval`` needs no alpha, which overflows for |rho| below about
+1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
+exp, so sigma is found wherever it fits in a double even when theta1 or
+the Gaussian alone does not.
 
 ``invert_j`` solves j(tau) = jval by Newton's method with the analytic
 derivative dj/dtau, every iterate reduced into the fundamental domain.  It
@@ -169,18 +173,16 @@ class Lattice(namedtuple("Lattice",
         return _theta1_table(self.tau.value, TERM_CAP)
 
     @cached_property
-    def gauge(self) -> tuple[complex, complex, complex, complex]:
-        """(alpha, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head`` and
-        kappa = -theta1'''(0)/(6*theta1'(0)) = alpha*rho^2, kept for the life of
-        the lattice, with theta1'(0) = sum c_k*w_k and
+    def gauge(self) -> tuple[complex, complex, complex]:
+        """(kappa, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``, kept
+        for the life of the lattice, with theta1'(0) = sum c_k*w_k and
         theta1'''(0)/6 = -sum c_k*w_k^3/6, w_k = (2k+1)*pi, over ``theta_table``."""
         th1 = th3 = 0
         for k, c in enumerate(self.theta_table):
             w = (2 * k + 1) * math.pi
             th1 += c * w
             th3 += c * w**3
-        th3 = -th3 / 6.0
-        return (*sigma_gauge_from_head(th1, th3, self.rho), -th3 / th1)
+        return sigma_gauge_from_head(th1, -th3 / 6.0, self.rho)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -319,32 +321,48 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
 
 def sigma_gauge_from_head(th1: complex, th3: complex,
                           rho: complex) -> tuple[complex, complex, complex]:
-    """(alpha, beta, scale) relating sigma(., Lambda) to theta1(./rho, tau).
+    """(kappa, beta, scale) with sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * scale,
+    w = z/rho.
 
     th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two
-    odd Taylor coefficients of theta1.  scale = rho/th1 = exp(beta), with
-    beta the principal logarithm.  th1 underflows beyond Im tau of about 900,
-    where scale leaves the double range: NumericError.  So does alpha's
-    denominator rho^2*th1 when it underflows to 0 or overflows, which takes
-    |rho| below about 1e-154 or above about 1e154.
+    odd Taylor coefficients of theta1.  kappa = -th3/th1 = alpha*rho^2
+    depends on tau alone (``_gauge_alpha`` gives alpha); scale = rho/th1 =
+    exp(beta), with beta the principal logarithm.  th1 underflows beyond
+    Im tau of about 900, where scale leaves the double range: NumericError.
+    So does rho^2 when it underflows to 0 or overflows, which takes |rho|
+    below about 1.6e-162 or above about 1.3e154.
     """
     if th1 == 0 or not cmath.isfinite(rho / th1):
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
                            diagnostics={"theta1_prime": [th1.real, th1.imag]})
     # rho*rho equals rho**2 where that is finite, and does not raise.
-    denominator = rho * rho * th1
-    if denominator == 0 or not cmath.isfinite(denominator):
+    rho2 = rho * rho
+    if rho2 == 0 or not cmath.isfinite(rho2):
         raise NumericError(
-            f"the sigma gauge rho^2*theta1'(0) at rho={rho} is outside the double range",
+            f"the sigma gauge at rho={rho} needs rho^2, which is outside the double range",
             diagnostics={"rho": [rho.real, rho.imag], "theta1_prime": [th1.real, th1.imag]})
     scale = rho / th1
-    return -th3 / denominator, cmath.log(scale), scale
+    return -th3 / th1, cmath.log(scale), scale
+
+
+def _gauge_alpha(kappa: complex, rho: complex) -> complex:
+    """alpha = kappa/rho^2 for a rho that ``sigma_gauge_from_head`` accepted.
+
+    alpha overflows where rho^2 is small enough (|rho| below about 1e-154
+    at tau = i): NumericError.
+    """
+    alpha = kappa / (rho * rho)
+    if not cmath.isfinite(alpha):
+        raise NumericError(
+            f"the sigma gauge alpha = kappa/rho^2 at rho={rho} is outside the double range",
+            diagnostics={"rho": [rho.real, rho.imag], "kappa": [kappa.real, kappa.imag]})
+    return alpha
 
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
-    """The (alpha, beta) pair of ``lat.gauge``."""
-    alpha, beta, _, _ = lat.gauge
-    return alpha, beta
+    """The (alpha, beta) pair of the gauge, from ``lat.gauge``."""
+    kappa, beta, _ = lat.gauge
+    return _gauge_alpha(kappa, lat.rho), beta
 
 
 def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex:
@@ -365,7 +383,7 @@ def _sigma_values(zs, lat: Lattice, term_cap: int = TERM_CAP) -> list[complex]:
     if len(table) > term_cap:
         # Rebuilt under the lower cap, the table raises its ConvergenceError.
         table = _theta1_table(lat.tau.value, term_cap)
-    _, _, scale, kappa = lat.gauge
+    kappa, _, scale = lat.gauge
     values = _theta1_values(zs, lat.tau.value, table, lat.rho, kappa, scale)
     if not all(map(cmath.isfinite, values)):
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))

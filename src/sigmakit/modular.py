@@ -12,15 +12,17 @@ which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 theta1 is summed on a table of its factors whose length is fixed once per
 tau (see ``_table_size``).  g2, g3, the discriminant, j and (p, q) come
 from the theta constants theta2, theta3 and theta4 at z = 0, summed over
-the same number of terms in one pass (see ``_theta_constants``).
-``dedekind_eta`` and the coefficient series of theta1 accumulate terms
-until the next term's magnitude drops below ``TERM_TOL`` times the current
-partial magnitude.  All have a hard cap of ``TERM_CAP`` terms.  Inside the
-fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice;
-far outside it the cap is reached and a ConvergenceError is raised.
-Callers are expected to reduce tau first (see ``lattice.reduce_tau``);
-these routines evaluate tau exactly as given so that the modular
-transformation laws remain observable.
+the same number of terms in one pass (see ``_theta_constants``); below
+Im tau = 1/2 they are summed at -1/(tau - n) and mapped back, since their
+sums cancel there.  ``dedekind_eta`` and the coefficient series of theta1
+accumulate terms until the next term's magnitude drops below ``TERM_TOL``
+times the current partial magnitude.  All have a hard cap of ``TERM_CAP``
+terms, judged at tau as given.  Inside the fundamental domain
+|q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far outside it the
+cap is reached and a ConvergenceError is raised.  Callers are expected to
+reduce tau first (see ``lattice.reduce_tau``); these routines take tau
+exactly as given so that the modular transformation laws remain
+observable.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
 from .series import TruncatedOddSeries
 
 TERM_TOL = 1e-18
-_LOG_TERM_TOL = -math.log(TERM_TOL)
 
 _TWO_PI = 2.0 * math.pi
 # (2*pi)^4/12 and (2*pi)^6/216, halved for E4 and E6.
 _G2_SCALE = _TWO_PI**4 / 24.0
 _G3_SCALE = _TWO_PI**6 / 432.0
+# exp(i*pi*k/4), the factor theta2 takes under t -> t + k.
+_H = math.sqrt(0.5)
+_EIGHTH_ROOTS = (1.0, complex(_H, _H), 1j, complex(-_H, _H),
+                 -1.0, complex(-_H, -_H), -1j, complex(_H, -_H))
 
 
 class TauPoint(namedtuple("TauPoint", "value")):
@@ -111,12 +116,10 @@ def _table_size(t: complex, term_cap: int, what: str) -> int:
     sin((2k+1)*x)/sin(x) is a sum of the 2k+1 exponentials exp(2ijx),
     |j| <= k.  The sums end before the first k whose bound is <= TERM_TOL.
     A size beyond ``term_cap`` raises ConvergenceError for ``what``, with
-    magnitudes relative to the first term.  Every k with
-    decay*k^2 <= -log(TERM_TOL) has a bound of at least 3*TERM_TOL, so the
-    search starts just past the largest such k.
+    magnitudes relative to the first term.
     """
     decay = math.pi * t.imag
-    size = int(min(term_cap + 1, math.sqrt(_LOG_TERM_TOL / decay) + 1))
+    size = 1
     while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > TERM_TOL:
         size += 1
     if size > term_cap:
@@ -153,8 +156,30 @@ def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, compl
 
     each term found from the one before by the factor q^(2k) or q^(2k-1).
     The first dropped term is below TERM_TOL of the first kept one.
+
+    Below Im t = 1/2, where |q| > 0.2, theta3 or theta4 would be summed
+    with cancellation (theta4(0.1i) is 2.5e-3 from terms near 1).  There
+    the sums run at s = -1/(t - n), n the integer nearest Re t, whose
+    imaginary part is at least twice Im t, and are mapped back by
+    (DLMF 20.7(viii))
+
+        theta2(-1/s) = sqrt(-i*s) theta4(s),   theta3(-1/s) = sqrt(-i*s) theta3(s),
+        theta4(-1/s) = sqrt(-i*s) theta2(s),   theta2(u + n) = exp(i*pi*n/4) theta2(u),
+
+    with theta3 and theta4 of u + n those of u, swapped for odd n.  The
+    term count at t itself is checked against ``term_cap`` first, so a t far
+    from the fundamental domain still raises ConvergenceError.
     """
     size = _table_size(t, term_cap, "theta constant series")
+    if t.imag < 0.5:
+        n = round(t.real)
+        s = -1.0 / (t - n)
+        th2, th3, th4 = _theta_constants(s, term_cap)
+        r = cmath.sqrt(-1j * s)
+        th2, th3, th4 = r * th4, r * th3, r * th2
+        if n & 1:
+            th3, th4 = th4, th3
+        return th2 * _EIGHTH_ROOTS[n % 8], th3, th4
     q = cmath.exp(1j * math.pi * t)
     g = q * q
     s2 = s3 = s4 = 0.0

@@ -121,6 +121,20 @@ class TestEvalCommand:
         assert doc["error"]["type"] == "numeric"
         assert doc["error"]["diagnostics"]["term_cap"] == 200
 
+    def test_j_below_the_fundamental_domain(self, capsys):
+        # theta4(0.02i) is about 1e-16; summed directly from terms near 1
+        # it would be rounding noise, and j with it.
+        mp = pytest.importorskip("mpmath")
+        code, doc = run_strict(capsys, "eval", "j", "--tau=0,0.02")
+        assert code == 0
+        with mp.workdps(30):
+            want = complex(1728 * mp.kleinj(mp.mpc(0, 0.02)))
+        assert abs(complex(*doc["value"]) - want) <= 1e-13 * abs(want)
+        # j(0.001i) = j(1000i) is about exp(2000*pi).
+        code, doc = run_strict(capsys, "eval", "j", "--tau=0,0.001")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+
     def test_missing_argument(self, capsys):
         code, doc = run(capsys, "eval", "theta1", "--tau", "0,1")
         assert code == 1

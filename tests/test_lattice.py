@@ -463,6 +463,16 @@ class TestSigmaEval:
             sigma_gauge(lat)
         assert err.value.diagnostics["rho"] == [lat.rho.real, lat.rho.imag]
 
+    @pytest.mark.parametrize("rho", [1e-155, 1e-157])
+    def test_alpha_beyond_double_range_is_numeric_error(self, rho):
+        # rho^2 is subnormal, so alpha = kappa/rho^2 overflows; sigma itself
+        # needs only the tau-only kappa and stays finite.
+        lat = lattice_from_rho_tau(rho, 1j)
+        with pytest.raises(NumericError) as err:
+            sigma_gauge(lat)
+        assert err.value.diagnostics["rho"] == [lat.rho.real, lat.rho.imag]
+        assert cmath.isfinite(sigma_eval(0.3 * rho, lat))
+
     @pytest.mark.parametrize("height", [925.0, 1000.0])
     def test_gauge_beyond_double_range_is_numeric_error(self, height):
         # theta1'(0) is subnormal at Im tau = 925, so rho/theta1'(0)

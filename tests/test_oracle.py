@@ -18,7 +18,11 @@ edge |Im w| = Im(tau)/2 of the reduced cell (sigma's edge error grows with
 max(|g3|, (2 pi)^6/216) (both vanish at a special point), 3.8e-15 for j
 against max(|j|, 1728), 3.3e-15 for the discriminant, 6.0e-16 for dj/dtau
 against 2 pi max(|j|, 1728, |dj/dtau|), and 1.1e-15 and 1.5e-15 for p and q
-against the same floors as g2 and g3.
+against the same floors as g2 and g3.  On ``OFF_GRID`` (Im tau from 0.02
+to 0.45, near the cusps 0, 1/2, 1/3 and 3), with the floors scaled by the
+weights of the reducing map, they are 2.3e-15 for g2, 2.5e-15 for g3,
+7.9e-15 for the discriminant, 9.4e-15 for j, 4.9e-15 for dj/dtau, and
+3.9e-15 and 5.3e-15 for p and q.
 
 ``extend_series`` is checked against a 60-digit run of the same recurrence
 on the same double data (``oracle_extend``), so the test sees the error
@@ -48,6 +52,7 @@ from sigmakit import (
     modular_discriminant,
     modular_pq,
     psi,
+    reduce_tau,
     sigma_eval,
     synthesize,
     theta1_eval,
@@ -227,6 +232,35 @@ def test_discriminant_derivative_of_j_and_pq(tau):
     q_scale = math.pi**3 / 35 * eta**9 * max(abs(want["g3"]), G3_FLOOR)
     assert abs(p - want["p"]) <= 5.5e-15 * p_scale
     assert abs(q - want["q"]) <= 7.5e-15 * q_scale
+
+
+# Below Im tau = 1/2, near the cusps 0, 1/2, 1/3 and 3, where theta3 or
+# theta4 is far smaller than the terms of its sum.
+OFF_GRID = [0.1j, 0.3 + 0.1j, 0.05j, 0.02j, 0.5 + 0.05j, -0.37 + 0.02j, 1 / 3 + 0.03j,
+            2.7 + 0.3j, 0.45 + 0.45j]
+
+
+@pytest.mark.parametrize("tau", OFF_GRID)
+def test_modular_forms_off_the_fundamental_domain(tau):
+    want = oracle_modular(tau)
+    # The floors of g2, g3 and dj/dtau carry the weights 4, 6 and 2 of the
+    # map that carries tau into the fundamental domain.
+    m = reduce_tau(tau)[1]
+    f = abs(m.c * tau + m.d)
+    g2_floor, g3_floor = max(abs(want["g2"]), G2_FLOOR / f**4), max(abs(want["g3"]), G3_FLOOR / f**6)
+    g2, g3 = weierstrass_g(tau)
+    assert abs(g2 - want["g2"]) <= 1.2e-14 * g2_floor
+    assert abs(g3 - want["g3"]) <= 1.3e-14 * g3_floor
+    assert abs(modular_discriminant(tau) - want["delta"]) <= 4e-14 * abs(want["delta"])
+    j, dj = _j_and_derivative(tau)
+    assert abs(j - want["j"]) <= 5e-14 * max(abs(want["j"]), 1728)
+    assert abs(j_invariant(tau) - j) == 0
+    dj_scale = 2 * math.pi * max(abs(want["j"]), 1728) / f**2 + abs(want["dj"])
+    assert abs(dj - want["dj"]) <= 2.5e-14 * dj_scale
+    p, q = modular_pq(tau)
+    eta = abs(want["eta"])
+    assert abs(p - want["p"]) <= 2e-14 * math.pi**2 / 30 * eta**6 * g2_floor
+    assert abs(q - want["q"]) <= 2.7e-14 * math.pi**3 / 35 * eta**9 * g3_floor
 
 
 def test_local_coefficients_of_j():
