@@ -44,7 +44,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from .errors import J_TOLERANCE, TERM_CAP, ConvergenceError, DomainError, NumericError
 from .modular import (
@@ -58,6 +57,9 @@ from .modular import (
 
 # Boundary tolerance for fundamental-domain tie-breaking.
 _EDGE = 1e-15
+
+# The least double from which every double is an integer.
+_INTEGRAL = 2.0**52
 
 # j-values at the two elliptic fixed points, where Newton degenerates and
 # the answers are known exactly.
@@ -122,7 +124,9 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     # The map so far, (a*tau + b)/(c*tau + d); each fold composes on the left.
     a, b, c, d = 1, 0, 0, 1
     for _ in range(256):
-        n = math.floor(t.real + 0.5)
+        # From 2^52 up every double is an integer, and t.real + 0.5 would
+        # round an odd one up to its even neighbour.
+        n = math.floor(t.real + 0.5) if abs(t.real) < _INTEGRAL else int(t.real)
         if n != 0:
             t -= n
             a, b = a - n * c, b - n * d
@@ -155,6 +159,26 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     return TauPoint(t), UnimodularMap(a, b, c, d)
 
 
+class _kept:
+    """A value computed from the instance on first access and kept in its dict.
+
+    A non-data descriptor: the instance dict entry it writes answers every
+    later access without calling it.  Unlike ``functools.cached_property``
+    on Python 3.11, it takes no lock, so two threads may both compute the
+    value on a first access; they store the same value.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 class Lattice(namedtuple("Lattice",
                          "omega1 omega2 rho tau reduction orientation_flipped")):
     """A rank-2 lattice rho * (Z + tau*Z) with its original generators.
@@ -167,12 +191,12 @@ class Lattice(namedtuple("Lattice",
     ``theta_table`` and ``gauge``.
     """
 
-    @cached_property
+    @_kept
     def theta_table(self) -> tuple[complex, ...]:
         """theta1's factors at tau (``modular._theta1_table``), kept for life."""
         return _theta1_table(self.tau.value, TERM_CAP)
 
-    @cached_property
+    @_kept
     def gauge(self) -> tuple[complex, complex, complex]:
         """(kappa, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``, kept
         for the life of the lattice, with theta1'(0) = sum c_k*w_k and

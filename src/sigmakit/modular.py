@@ -14,9 +14,22 @@ tau (see ``_table_size``).  g2, g3, the discriminant, j and (p, q) come
 from the theta constants theta2, theta3 and theta4 at z = 0, summed over
 the same number of terms in one pass (see ``_theta_constants``); below
 Im tau = 1/2 they are summed at -1/(tau - n) and mapped back, since their
-sums cancel there.  ``dedekind_eta`` and the coefficient series of theta1
-accumulate terms until the next term's magnitude drops below ``TERM_TOL``
-times the current partial magnitude.  All have a hard cap of ``TERM_CAP``
+sums cancel there.  Both take Re tau modulo 8, under which theta1's factors
+and the theta constants are invariant, so a large Re tau keeps its phase.
+
+These tau-only results are memoized: theta1's factor table, the forms
+(g2, g3, eta^3) and the term count each sit in a ``functools.lru_cache``
+of ``_MEMO_SIZE`` entries, keyed by the tau value that ``as_tau`` returns
+(Im tau for the term count) and the term cap.  So ``sigma_eval``,
+``theta1_eval``, ``j_invariant``, ``weierstrass_g``,
+``modular_discriminant`` and ``modular_pq`` at one tau share one table and
+one theta-constant pass, and each memo holds at most the last
+``_MEMO_SIZE`` points.  A failure is not memoized: every call whose cap is
+below the term count raises its own ConvergenceError.
+
+``dedekind_eta`` and the coefficient series of theta1 accumulate terms
+until the next term's magnitude drops below ``TERM_TOL`` times the current
+partial magnitude.  All have a hard cap of ``TERM_CAP``
 terms, judged at tau as given.  Inside the fundamental domain
 |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far outside it the
 cap is reached and a ConvergenceError is raised.  Callers are expected to
@@ -30,11 +43,16 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
 from .series import TruncatedOddSeries
 
 TERM_TOL = 1e-18
+
+# Entries of each per-tau memo; one operation at one tau needs one, and
+# the bound keeps the memo from growing with the points a process visits.
+_MEMO_SIZE = 16
 
 _TWO_PI = 2.0 * math.pi
 # (2*pi)^4/12 and (2*pi)^6/216, halved for E4 and E6.
@@ -118,23 +136,48 @@ def _table_size(t: complex, term_cap: int, what: str) -> int:
     A size beyond ``term_cap`` raises ConvergenceError for ``what``, with
     magnitudes relative to the first term.
     """
-    decay = math.pi * t.imag
-    size = 1
-    while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > TERM_TOL:
-        size += 1
+    size = _term_count(t.imag, term_cap)
     if size > term_cap:
         raise _cap_error(what, t, 1.0,
-                         (2 * size + 1) * math.exp(-decay * size * size), term_cap)
+                         (2 * size + 1) * math.exp(-math.pi * t.imag * size * size), term_cap)
     return size
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _term_count(height: float, term_cap: int) -> int:
+    """``_table_size`` at Im t = height, or term_cap + 1 where the cap is reached."""
+    decay = math.pi * height
+    size = 1
+    while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > TERM_TOL:
+        size += 1
+    return size
+
+
+def _shift_real(t: complex) -> complex:
+    """t - 8m with Re in [-4, 4] for |Re t| >= 4, and t itself otherwise.
+
+    theta1's factors exp(pi*i*t*(k+1/2)^2) and theta2, theta3, theta4 are
+    unchanged by t -> t + 8, while exp(pi*i*t) loses the phase of a large
+    Re t.  ``math.fmod`` and the one step of 8 after it are exact.
+    """
+    if abs(t.real) < 4.0:
+        return t
+    x = math.fmod(t.real, 8.0)
+    if abs(x) >= 4.0:
+        x -= math.copysign(8.0, x)
+    # fmod of a negative multiple of 8 is -0.0.
+    return complex(x + 0.0, t.imag)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _theta1_table(t: complex, term_cap: int) -> tuple[complex, ...]:
     """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
 
     The table has ``_table_size`` factors, which follow from
-    c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t).
+    c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t), at t shifted by ``_shift_real``.
     """
     size = _table_size(t, term_cap, "theta1 series")
+    t = _shift_real(t)
     g = cmath.exp(2j * math.pi * t)
     c = 2.0 * cmath.exp(0.25j * math.pi * t)
     table, gk = [c], 1.0
@@ -168,9 +211,11 @@ def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, compl
 
     with theta3 and theta4 of u + n those of u, swapped for odd n.  The
     term count at t itself is checked against ``term_cap`` first, so a t far
-    from the fundamental domain still raises ConvergenceError.
+    from the fundamental domain still raises ConvergenceError; the sums then
+    run at t shifted by ``_shift_real``.
     """
     size = _table_size(t, term_cap, "theta constant series")
+    t = _shift_real(t)
     if t.imag < 0.5:
         n = round(t.real)
         s = -1.0 / (t - n)
@@ -196,8 +241,9 @@ def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, compl
     return 2.0 * cmath.exp(0.25j * math.pi * t) * (1.0 + s2), 1.0 + 2.0 * s3, 1.0 + 2.0 * s4
 
 
-def _modular_forms(tau, term_cap: int) -> tuple[complex, complex, complex]:
-    """(g2, g3, eta^3) at tau from one ``_theta_constants`` pass.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _modular_forms(t: complex, term_cap: int) -> tuple[complex, complex, complex]:
+    """(g2, g3, eta^3) at t = ``as_tau(tau).value`` from one ``_theta_constants`` pass.
 
     With a, b, c = theta2^4, theta3^4, theta4^4 (DLMF 23.15, 20.7(i)),
 
@@ -205,7 +251,7 @@ def _modular_forms(tau, term_cap: int) -> tuple[complex, complex, complex]:
         g2 = (2*pi)^4/12 * E4,      g3 = (2*pi)^6/216 * E6,
         eta^3 = theta2*theta3*theta4/2.
     """
-    th2, th3, th4 = _theta_constants(as_tau(tau).value, term_cap)
+    th2, th3, th4 = _theta_constants(t, term_cap)
     a, b, c = (th2 * th2) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
     return (_G2_SCALE * (a * a + b * b + c * c), _G3_SCALE * ((a + b) * (b + c) * (c - a)),
             0.5 * th2 * th3 * th4)
@@ -309,7 +355,7 @@ def weierstrass_g(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     series E4 = 1 + 240*sum sigma_3(n) q^n and E6 = 1 - 504*sum sigma_5(n) q^n,
     q = exp(2*pi*i*tau), taken from the theta constants (``_modular_forms``).
     """
-    g2, g3, _ = _modular_forms(tau, term_cap)
+    g2, g3, _ = _modular_forms(as_tau(tau).value, term_cap)
     return g2, g3
 
 
@@ -321,25 +367,34 @@ def modular_discriminant(tau, *, term_cap: int = TERM_CAP) -> complex:
     significance high in the upper half-plane, where g2^3 and 27*g3^2
     agree to many digits; the two expressions are equal identically.
     """
-    return _TWO_PI**12 * _modular_forms(tau, term_cap)[2] ** 8
+    return _TWO_PI**12 * _modular_forms(as_tau(tau).value, term_cap)[2] ** 8
 
 
 def _j_and_derivative(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     """(j(tau), dj/dtau) from one theta-constant pass for g2, g3 and Delta.
 
     dj/dtau = -2*pi*i * j * E6/E4, written as -15552*i * g2^2 * g3 / (pi * Delta)
-    so that nothing is divided by g2, which vanishes at the corner.
+    so that nothing is divided by g2, which vanishes at the corner.  A j
+    outside the double range raises NumericError.  dj/dtau, about 2*pi*j in
+    modulus high up, may overflow where j does not; it is returned as it is.
     """
-    g2, g3, eta3 = _modular_forms(tau, term_cap)
+    t = as_tau(tau).value
+    g2, g3, eta3 = _modular_forms(t, term_cap)
     delta = _TWO_PI**12 * eta3**8
     if delta == 0:
         # Delta underflows only for Im(tau) beyond about 118.
-        t = as_tau(tau).value
         raise NumericError(
             f"discriminant underflows at tau={t}",
             diagnostics={"tau": [t.real, t.imag]},
         )
-    return 1728.0 * g2**3 / delta, -15552j * g2 * g2 * g3 / (math.pi * delta)
+    j = 1728.0 * g2**3 / delta
+    if not cmath.isfinite(j):
+        # j overflows from Im(tau) of about 113, before Delta underflows.
+        raise NumericError(
+            f"j at tau={t} is outside the double range",
+            diagnostics={"tau": [t.real, t.imag]},
+        )
+    return j, -15552j * g2 * g2 * g3 / (math.pi * delta)
 
 
 def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
@@ -359,7 +414,7 @@ def modular_pq(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     ``invariants.pq_of_series``; the test suite checks the equality on a
     tau grid at 1e-8 relative.
     """
-    g2, g3, eta3 = _modular_forms(tau, term_cap)
+    g2, g3, eta3 = _modular_forms(as_tau(tau).value, term_cap)
     p = (math.pi**2 / 30.0) * eta3**2 * g2
     q = -(math.pi**3 / 35.0) * eta3**3 * g3
     return p, q

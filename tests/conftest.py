@@ -10,8 +10,23 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
+import sigmakit.modular
 from sigmakit import DomainError
+
+
+def clear_memos():
+    """Empty the per-tau memos of ``sigmakit.modular``."""
+    for value in vars(sigmakit.modular).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memos():
+    # No test may see the tau values that another test evaluated.
+    clear_memos()
 
 
 def eta_product_oracle(tau, terms=200):

@@ -121,6 +121,12 @@ class TestEvalCommand:
         assert doc["error"]["type"] == "numeric"
         assert doc["error"]["diagnostics"]["term_cap"] == 200
 
+    def test_j_overflow_is_numeric_error(self, capsys):
+        code, doc = run_strict(capsys, "eval", "j", "--tau=0,115")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        assert doc["error"]["diagnostics"] == {"tau": [0.0, 115.0]}
+
     def test_j_below_the_fundamental_domain(self, capsys):
         # theta4(0.02i) is about 1e-16; summed directly from terms near 1
         # it would be rounding noise, and j with it.
@@ -330,6 +336,14 @@ class TestTauCommands:
         assert code == 0
         assert np.allclose(doc["tau"], [0, 1], atol=1e-12)
         assert doc["map"] == {"a": 1, "b": -5, "c": 0, "d": 1}
+
+    def test_reduce_integral_real_part(self, capsys):
+        # floor(x + 1/2) rounded this odd x to its even neighbour and the
+        # command printed tau = [-1.0, 2.0].
+        code, doc = run_strict(capsys, "reduce-tau", "--tau=4503599627370497,2")
+        assert code == 0
+        assert doc["tau"] == [0.0, 2.0]
+        assert doc["map"] == {"a": 1, "b": -4503599627370497, "c": 0, "d": 1}
 
     @pytest.mark.parametrize("argv", [
         ["reduce-tau", "--tau=0,1e-320"],

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_coefficients, integer_combination, sigma_product_oracle
+from conftest import circle_coefficients, clear_memos, integer_combination, sigma_product_oracle
 import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
@@ -14,10 +14,13 @@ from sigmakit import (
     OddFunctionHandle,
     TauPoint,
     UnimodularMap,
+    dedekind_eta,
     identity_report,
     invert_j,
     j_invariant,
     lattice_from_rho_tau,
+    modular_discriminant,
+    modular_pq,
     normalize_lattice,
     reduce_tau,
     sigma_eval,
@@ -131,6 +134,17 @@ class TestReduceTau:
         assert -0.5 <= reduced.value.real < 0.5
         assert m == UnimodularMap.translation(1)
         assert reduced.value == m.apply(tau)
+
+    @pytest.mark.parametrize("x", [2.0**52 + 1, -(2.0**52 + 1), 2.0**53 - 1, 2.0**52 + 2,
+                                   2.0**53 + 2, -1e300])
+    def test_integral_real_part(self, x):
+        # From 2^52 up floor(x + 1/2) rounds an odd x to its even neighbour
+        # and left tau at Re = -1; every such x is an integer.
+        tau = complex(x, 2.0)
+        reduced, m = reduce_tau(tau)
+        assert reduced.value == 2j
+        assert m == UnimodularMap.translation(-int(x))
+        assert m.apply(tau) == reduced.value
 
 
 def reduce_tau_by_compose(tau):
@@ -441,6 +455,34 @@ class TestSigmaEval:
             sigma_gauge(lat)
             assert calls == {"_theta1_table": 1, "sigma_gauge_from_head": 1,
                              "theta1_odd_series": 0}
+
+    def test_one_table_and_one_theta_constant_pass_per_tau(self, monkeypatch):
+        # point_eval's calls at one tau share theta1's factor table, the
+        # theta-constant pass and the term count through the per-tau memo.
+        modular = sigmakit.modular
+        passes = []
+        original = modular._theta_constants
+
+        def counted(t, term_cap):
+            passes.append(t)
+            return original(t, term_cap)
+
+        monkeypatch.setattr(modular, "_theta_constants", counted)
+        memos = (modular._theta1_table, modular._modular_forms, modular._term_count)
+        for w1, w2 in ((1.2, 0.3 + 1.1j), (0.7 + 0.2j, -1.1 + 0.9j), (1, CORNER)):
+            clear_memos()
+            passes.clear()
+            lat = normalize_lattice(w1, w2)
+            tau = lat.tau
+            sigma_eval(0.4 + 0.1j, lat)
+            theta1_eval(0.3 - 0.2j, tau)
+            j_invariant(tau)
+            dedekind_eta(tau)
+            weierstrass_g(tau)
+            modular_discriminant(tau)
+            modular_pq(tau)
+            assert passes == [tau.value]
+            assert [memo.cache_info().misses for memo in memos] == [1, 1, 1]
 
     def test_term_cap_bounds_the_cached_table(self):
         lat = lattice_from_rho_tau(1, 1j)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import eta_product_oracle, theta1_sum_oracle
+from conftest import clear_memos, eta_product_oracle, theta1_sum_oracle
+import sigmakit.modular
 from sigmakit import (
     ConvergenceError,
     DomainError,
@@ -12,9 +13,11 @@ from sigmakit import (
     TauPoint,
     dedekind_eta,
     j_invariant,
+    lattice_from_rho_tau,
     modular_discriminant,
     modular_pq,
     pq_of_series,
+    sigma_eval,
     theta1_eval,
     theta1_odd_series,
     weierstrass_g,
@@ -265,3 +268,112 @@ class TestModularPQ:
             ps, _ = modular_pq(-1 / tau)
             target = 1j * tau**7 * p0
             assert abs(ps - target) <= 1e-8 * abs(target)
+
+
+class TestLargeRealPart:
+    # theta1's factors and the theta constants are invariant under
+    # tau -> tau + 8; these shifts are exact in binary.
+    SHIFTS = (8.0, -16.0, 8.0 * 2**20, -8.0 * 3**15, 2.0**46)
+
+    def test_j_keeps_its_phase(self):
+        # exp(pi*i*tau) at Re tau = 1e17 had lost the phase: j was 307.6-210.8i.
+        for tau in (1e17 + 1j, -1e17 + 1j, 2.0**70 + 1j):
+            assert abs(j_invariant(tau) - 1728.0) <= 1e-12 * 1728.0
+
+    @pytest.mark.parametrize("tau", [0.375 + 1.125j, -0.25 + 0.9375j, 0.125 + 0.25j])
+    def test_forms_and_theta1_are_8_periodic(self, tau):
+        g2, g3 = weierstrass_g(tau)
+        u = 0.3125 - 0.0625j
+        th = theta1_eval(u, tau)
+        for shift in self.SHIFTS:
+            assert weierstrass_g(tau + shift) == (g2, g3)
+            assert theta1_eval(u, tau + shift) == th
+
+    def test_small_real_part_is_not_shifted(self):
+        # Below |Re tau| = 4 the sums run at tau as given.
+        for tau in (3.75 + 1.1j, -3.9 + 0.7j):
+            table = sigmakit.modular._theta1_table(tau, 200)
+            assert table[0] == 2.0 * cmath.exp(0.25j * math.pi * tau)
+
+
+class TestJOverflow:
+    # j overflows from Im tau of about 113; Delta underflows only near 118.
+    @pytest.mark.parametrize("tau", [115j, 0.25 + 117j, -1 / 115j])
+    def test_overflow_is_numeric_error(self, tau):
+        with pytest.raises(NumericError) as err:
+            j_invariant(tau)
+        t = TauPoint(tau).value
+        assert err.value.diagnostics == {"tau": [t.real, t.imag]}
+
+    def test_modular_pq_is_finite_there(self):
+        # p and q carry powers of eta and stay in range; a failed j leaves
+        # nothing in the memo that they read.
+        p, q = modular_pq(115j)
+        with pytest.raises(NumericError):
+            j_invariant(115j)
+        assert modular_pq(115j) == (p, q)
+        assert cmath.isfinite(p) and cmath.isfinite(q) and p != 0
+
+
+def _tau_only_values(tau, order):
+    """The tau-only values at tau, evaluated in ``order``."""
+    lat = lattice_from_rho_tau(1.25 - 0.5j, tau)
+    steps = {
+        "j": lambda: j_invariant(tau),
+        "g": lambda: weierstrass_g(tau),
+        "disc": lambda: modular_discriminant(tau),
+        "pq": lambda: modular_pq(tau),
+        "theta1": lambda: theta1_eval(0.3 - 0.2j, lat.tau),
+        "sigma": lambda: sigma_eval(0.4 + 0.1j, lat),
+    }
+    return {name: steps[name]() for name in order}
+
+
+class TestTauMemo:
+    ORDER = ("j", "g", "disc", "pq", "theta1", "sigma")
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, CORNER - 1, 0.1 + 0.3j, 6.5 + 1.25j])
+    def test_values_do_not_depend_on_call_order(self, tau):
+        first = repr(_tau_only_values(tau, self.ORDER))
+        clear_memos()
+        backwards = _tau_only_values(tau, self.ORDER[::-1])
+        assert repr({name: backwards[name] for name in self.ORDER}) == first
+        # And again with every value taken from the memo.
+        assert repr(_tau_only_values(tau, self.ORDER)) == first
+
+    def test_memo_matches_a_fresh_pass(self):
+        t = 0.3 + 1.1j
+        forms = sigmakit.modular._modular_forms
+        table = sigmakit.modular._theta1_table
+        assert repr(forms(t, 200)) == repr(forms.__wrapped__(t, 200))
+        assert repr(table(t, 200)) == repr(table.__wrapped__(t, 200))
+
+    @pytest.mark.parametrize("call", [
+        lambda cap: j_invariant(1j, term_cap=cap),
+        lambda cap: weierstrass_g(1j, term_cap=cap),
+        lambda cap: modular_discriminant(1j, term_cap=cap),
+        lambda cap: modular_pq(1j, term_cap=cap),
+    ])
+    def test_lower_cap_after_success_still_raises(self, call):
+        # At tau = i the sums keep four terms: 9 exp(-16 pi) <= 1e-18.
+        call(200)
+        with pytest.raises(ConvergenceError) as err:
+            call(3)
+        assert str(err.value) == ("theta constant series did not converge within 3 terms "
+                                  "at tau=1j; reduce tau toward the fundamental domain first")
+        assert err.value.diagnostics == {
+            "tau": [0.0, 1.0], "term_cap": 3, "partial_magnitude": 1.0,
+            "last_term_magnitude": 9 * math.exp(-16 * math.pi)}
+
+    def test_lower_cap_after_success_still_raises_for_theta1(self):
+        lat = lattice_from_rho_tau(1, 1j)
+        sigma_eval(0.3, lat)
+        theta1_eval(0.3, 1j)
+        for call in (lambda: theta1_eval(0.3, 1j, term_cap=3),
+                     lambda: sigma_eval(0.3, lat, term_cap=3)):
+            with pytest.raises(ConvergenceError) as err:
+                call()
+            assert str(err.value).startswith("theta1 series did not converge within 3 terms")
+            assert err.value.diagnostics == {
+                "tau": [0.0, 1.0], "term_cap": 3, "partial_magnitude": 1.0,
+                "last_term_magnitude": 9 * math.exp(-16 * math.pi)}
