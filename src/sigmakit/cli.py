@@ -136,8 +136,6 @@ def _cmd_eval(args) -> dict:
     else:
         raise DomainError(f"unknown function {name!r}")
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eval",
         "config": config,
         "value": cpair(value),
     }
@@ -147,14 +145,8 @@ def _cmd_invariants(args) -> dict:
     from .invariants import pq_of_series
 
     s = load_series(args.series)
-    inv = pq_of_series(s)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invariants",
-        "config": {"series": args.series, "max_degree": s.max_degree},
-    }
-    doc.update(inv.to_json_dict())
-    return doc
+    return {"config": {"series": args.series, "max_degree": s.max_degree},
+            **pq_of_series(s).to_json_dict()}
 
 
 def _require_positive(**values) -> None:
@@ -174,18 +166,15 @@ def _cmd_classify(args) -> dict:
         trig_tolerance=args.trig_tol,
         validation_tolerance=args.validation_tol,
     )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+    return {
         "config": {
             "series": args.series,
             "max_degree": s.max_degree,
             "trig_tol": args.trig_tol,
             "validation_tol": args.validation_tol,
         },
+        **c.to_json_dict(),
     }
-    doc.update(c.to_json_dict())
-    return doc
 
 
 def _cmd_verify_identity(args) -> dict:
@@ -202,26 +191,18 @@ def _cmd_verify_identity(args) -> dict:
         handle = OddFunctionHandle.from_sigma(_lattice_from_args(args))
     else:
         raise DomainError("choose --function {z,sin,sigma} or --series FILE")
-    report = identity_report(
+    return identity_report(
         handle, num_samples=args.samples, seed=args.seed, box_radius=args.box
     )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-identity",
-        **report,
-    }
 
 
 def _cmd_verify_duplication(args) -> dict:
     from .identity import duplication_report
 
     s = load_series(args.series)
-    report = duplication_report(s)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-duplication",
         "config": {"series": args.series, "max_degree": s.max_degree},
-        **report,
+        **duplication_report(s),
     }
 
 
@@ -231,8 +212,6 @@ def _cmd_extend(args) -> dict:
     s = load_series(args.series)
     extended = extend_series(s, args.target)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "extend",
         "config": {"series": args.series, "target_degree": args.target},
         **extended.to_json_dict(),
     }
@@ -244,8 +223,6 @@ def _cmd_reduce_tau(args) -> dict:
     tau = parse_complex(args.tau)
     reduced, unimap = reduce_tau(tau)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reduce-tau",
         "config": {"tau": cpair(tau)},
         "tau": cpair(reduced.value),
         "map": unimap.to_json_dict(),
@@ -259,8 +236,6 @@ def _cmd_invert_j(args) -> dict:
     jval = parse_complex(args.value)
     tau = invert_j(jval, tolerance=args.tolerance)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "invert-j",
         "config": {"value": cpair(jval), "tolerance": args.tolerance},
         "tau": cpair(tau.value),
     }
@@ -280,8 +255,6 @@ def _cmd_psi(args) -> dict:
             "interpreter's limit for printing an integer"
         )
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "psi",
         "config": {"n": args.n},
         "psi": psi(args.n),
     }
@@ -416,7 +389,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_attach_negative_values(argv))
-        emit(args.func(args))
+        emit({"schema_version": SCHEMA_VERSION, "command": args.command, **args.func(args)})
         return EXIT_OK
     except SystemExit as exc:
         # --help and --version print to stdout and exit; rejections

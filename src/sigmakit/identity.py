@@ -230,8 +230,9 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
     """Extend odd Taylor data by the duplication-equation recurrence.
 
     Each a_n past the data is the degree-n residual at a_n = 0 over
-    a1^3 * psi(n), the negated slope.  Data with |a1| < 1/2 runs scaled by
-    a power of two, exactly, so its quartic residual cannot underflow.
+    a1^3 * psi(n), the negated slope.  The data runs scaled by the power of
+    two that brings |a1| into [1/2, 1), exactly, so the size of a1 alone
+    cannot make its quartic residual underflow or overflow.
     Extending to 11 and then to 13 equals extending to 13, bit for bit.
     The result is backward stable: its error is within about 10x the effect
     of a 1-ulp change in one input coefficient, which on trig-like data
@@ -244,18 +245,21 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
     if target_degree % 2 == 0 or target_degree <= s.max_degree:
         raise DomainError("target_degree must be odd and exceed max_degree")
     # ldexp, since 1/a1 overflows for a subnormal a1.
-    shift = max(0, -math.frexp(abs(s.leading))[1])
-    try:
-        coeffs = [complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
-                  for c in s.odd_coefficients]
-    except OverflowError:
-        raise NumericError("the data scaled by 1/a1 is outside the double range") from None
+    shift = -math.frexp(abs(s.leading))[1]
+    coeffs = _ldexp_all(s.odd_coefficients, shift, "the data scaled by 1/a1")
     for n in range(s.max_degree + 2, target_degree + 1, 2):
         # The residual raises NumericError before a1^3 could overflow.
         r = duplication_residual(TruncatedOddSeries(coeffs + [0.0])).coefficient(n)
         coeffs.append(r / (coeffs[0] ** 3 * psi(n)))
-    return TruncatedOddSeries([complex(math.ldexp(c.real, -shift), math.ldexp(c.imag, -shift))
-                               for c in coeffs])
+    return TruncatedOddSeries(_ldexp_all(coeffs, -shift, "the extension"))
+
+
+def _ldexp_all(coeffs, shift: int, what: str) -> list[complex]:
+    """coeffs times 2^shift, exactly where the results are normal doubles."""
+    try:
+        return [complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in coeffs]
+    except OverflowError:
+        raise NumericError(f"{what} is outside the double range") from None
 
 
 def duplication_report(s: TruncatedOddSeries) -> dict:

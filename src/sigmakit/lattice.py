@@ -83,30 +83,9 @@ class UnimodularMap(namedtuple("UnimodularMap", "a b c d")):
             raise DomainError("unimodular map must have determinant exactly 1")
         return tuple.__new__(cls, (a, b, c, d))
 
-    @classmethod
-    def identity(cls) -> "UnimodularMap":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls, n: int) -> "UnimodularMap":
-        return cls(1, n, 0, 1)
-
-    @classmethod
-    def inversion(cls) -> "UnimodularMap":
-        return cls(0, -1, 1, 0)
-
     def apply(self, tau: complex) -> complex:
         tau = complex(tau)
         return (self.a * tau + self.b) / (self.c * tau + self.d)
-
-    def compose(self, other: "UnimodularMap") -> "UnimodularMap":
-        """self after other: (self.compose(other)).apply == self.apply(other.apply(.))."""
-        return UnimodularMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -194,7 +173,7 @@ class Lattice(namedtuple("Lattice",
     @_kept
     def theta_table(self) -> tuple[complex, ...]:
         """theta1's factors at tau (``modular._theta1_table``), kept for life."""
-        return _theta1_table(self.tau.value, TERM_CAP)
+        return _theta1_table(self.tau.value, TERM_CAP, 1)
 
     @_kept
     def gauge(self) -> tuple[complex, complex, complex]:
@@ -406,7 +385,7 @@ def _sigma_values(zs, lat: Lattice, term_cap: int = TERM_CAP) -> list[complex]:
     table = lat.theta_table
     if len(table) > term_cap:
         # Rebuilt under the lower cap, the table raises its ConvergenceError.
-        table = _theta1_table(lat.tau.value, term_cap)
+        table = _theta1_table(lat.tau.value, term_cap, 1)
     kappa, _, scale = lat.gauge
     values = _theta1_values(zs, lat.tau.value, table, lat.rho, kappa, scale)
     if not all(map(cmath.isfinite, values)):

@@ -9,32 +9,34 @@ forms g2(tau) and g3(tau), the modular invariant j(tau), and the pair
 
 which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 
-theta1 is summed on a table of its factors whose length is fixed once per
-tau (see ``_table_size``).  g2, g3, the discriminant, j and (p, q) come
-from the theta constants theta2, theta3 and theta4 at z = 0, summed over
-the same number of terms in one pass (see ``_theta_constants``); below
-Im tau = 1/2 they are summed at -1/(tau - n) and mapped back, since their
-sums cancel there.  Both take Re tau modulo 8, under which theta1's factors
-and the theta constants are invariant, so a large Re tau keeps its phase.
+theta1 and its odd Taylor coefficients are summed on one table of its
+factors, whose length is fixed once per tau and degree (see
+``_table_size``); the coefficients through z^d keep more factors as d
+grows.  g2, g3, the discriminant, j and (p, q) come from the theta
+constants theta2, theta3 and theta4 at z = 0, summed over the degree-1
+number of terms in one pass (see ``_theta_constants``); below Im tau = 1/2
+they are summed at -1/(tau - n) and mapped back, since their sums cancel
+there.  All of these take Re tau modulo 8, under which theta1's factors and
+the theta constants are invariant, and ``dedekind_eta`` takes it modulo 24,
+its own period, so a large Re tau keeps its phase.
 
 These tau-only results are memoized: theta1's factor table, the forms
 (g2, g3, eta^3) and the term count each sit in a ``functools.lru_cache``
 of ``_MEMO_SIZE`` entries, keyed by the tau value that ``as_tau`` returns
-(Im tau for the term count) and the term cap.  So ``sigma_eval``,
-``theta1_eval``, ``j_invariant``, ``weierstrass_g``,
-``modular_discriminant`` and ``modular_pq`` at one tau share one table and
-one theta-constant pass, and each memo holds at most the last
-``_MEMO_SIZE`` points.  A failure is not memoized: every call whose cap is
-below the term count raises its own ConvergenceError.
+(Im tau for the term count), the term cap and, for the table and the term
+count, the degree.  So ``sigma_eval``, ``theta1_eval``, ``j_invariant``,
+``weierstrass_g``, ``modular_discriminant`` and ``modular_pq`` at one tau
+share one table and one theta-constant pass, and each memo holds at most
+the last ``_MEMO_SIZE`` points.  A failure is not memoized: every call
+whose cap is below the term count raises its own ConvergenceError.
 
-``dedekind_eta`` and the coefficient series of theta1 accumulate terms
-until the next term's magnitude drops below ``TERM_TOL`` times the current
-partial magnitude.  All have a hard cap of ``TERM_CAP``
-terms, judged at tau as given.  Inside the fundamental domain
-|q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far outside it the
-cap is reached and a ConvergenceError is raised.  Callers are expected to
-reduce tau first (see ``lattice.reduce_tau``); these routines take tau
-exactly as given so that the modular transformation laws remain
+Only ``dedekind_eta`` keeps a stopping rule of its own: its product runs
+until |q^n| drops below ``TERM_TOL``.  Every sum and product has a hard cap
+of ``TERM_CAP`` terms, judged at tau as given.  Inside the fundamental
+domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far outside
+it the cap is reached and a ConvergenceError is raised.  Callers are
+expected to reduce tau first (see ``lattice.reduce_tau``); these routines
+take tau exactly as given so that the modular transformation laws remain
 observable.
 """
 
@@ -46,7 +48,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
-from .series import TruncatedOddSeries
+from .series import TruncatedOddSeries, _computed
 
 TERM_TOL = 1e-18
 
@@ -117,7 +119,7 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    value = _theta1_values((z,), t, _theta1_table(t, term_cap))[0]
+    value = _theta1_values((z,), t, _theta1_table(t, term_cap, 1))[0]
     if not cmath.isfinite(value):
         raise NumericError(
             f"theta1 at z={z} is outside the double range",
@@ -126,58 +128,73 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     return value
 
 
-def _table_size(t: complex, term_cap: int, what: str) -> int:
+def _table_size(t: complex, term_cap: int, what: str, degree: int) -> int:
     """The number of terms k = 0, 1, ... that the theta sums at t keep.
 
     On the reduced cell |Im w| <= Im(t)/2, the k-th term of theta1's sine
     series is at most (2k+1)*exp(-pi*Im(t)*k^2) times the first one, since
     sin((2k+1)*x)/sin(x) is a sum of the 2k+1 exponentials exp(2ijx),
-    |j| <= k.  The sums end before the first k whose bound is <= TERM_TOL.
-    A size beyond ``term_cap`` raises ConvergenceError for ``what``, with
-    magnitudes relative to the first term.
+    |j| <= k; in its Taylor coefficient of z^degree the factor (2k+1) is
+    raised to the power degree.  The sums end before the first k whose
+    bound (2k+1)^degree * exp(-pi*Im(t)*k^2) is <= TERM_TOL.  A size beyond
+    ``term_cap`` raises ConvergenceError for ``what``, with magnitudes
+    relative to the first term.
     """
-    size = _term_count(t.imag, term_cap)
+    size = _term_count(t.imag, term_cap, degree)
     if size > term_cap:
-        raise _cap_error(what, t, 1.0,
-                         (2 * size + 1) * math.exp(-math.pi * t.imag * size * size), term_cap)
+        root = (2 * size + 1) * math.exp(-math.pi * t.imag * size * size / degree)
+        try:
+            last = root**degree
+        except OverflowError:
+            last = math.inf
+        raise _cap_error(what, t, 1.0, last, term_cap)
     return size
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _term_count(height: float, term_cap: int) -> int:
-    """``_table_size`` at Im t = height, or term_cap + 1 where the cap is reached."""
-    decay = math.pi * height
+def _term_count(height: float, term_cap: int, degree: int) -> int:
+    """``_table_size`` at Im t = height, or term_cap + 1 where the cap is reached.
+
+    The bound is compared by its degree-th root, which cannot overflow.
+    """
+    decay = math.pi * height / degree
+    tol = TERM_TOL ** (1.0 / degree)
     size = 1
-    while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > TERM_TOL:
+    while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > tol:
         size += 1
     return size
 
 
-def _shift_real(t: complex) -> complex:
-    """t - 8m with Re in [-4, 4] for |Re t| >= 4, and t itself otherwise.
+def _shift_real(t: complex, period: float) -> complex:
+    """t - m*period with Re in [-period/2, period/2] for |Re t| >= period/2,
+    and t itself otherwise.
 
     theta1's factors exp(pi*i*t*(k+1/2)^2) and theta2, theta3, theta4 are
-    unchanged by t -> t + 8, while exp(pi*i*t) loses the phase of a large
-    Re t.  ``math.fmod`` and the one step of 8 after it are exact.
+    unchanged by t -> t + 8, and eta by t -> t + 24, while exp(pi*i*t) loses
+    the phase of a large Re t.  ``math.fmod`` and the one step of period
+    after it are exact.
     """
-    if abs(t.real) < 4.0:
+    half = 0.5 * period
+    if abs(t.real) < half:
         return t
-    x = math.fmod(t.real, 8.0)
-    if abs(x) >= 4.0:
-        x -= math.copysign(8.0, x)
-    # fmod of a negative multiple of 8 is -0.0.
+    x = math.fmod(t.real, period)
+    if abs(x) >= half:
+        x -= math.copysign(period, x)
+    # fmod of a negative multiple of the period is -0.0.
     return complex(x + 0.0, t.imag)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _theta1_table(t: complex, term_cap: int) -> tuple[complex, ...]:
+def _theta1_table(t: complex, term_cap: int, degree: int) -> tuple[complex, ...]:
     """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
 
-    The table has ``_table_size`` factors, which follow from
+    The table has the ``_table_size`` factors that theta1's Taylor coefficients
+    through z^degree need (degree 1 for theta1 itself), which follow from
     c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t), at t shifted by ``_shift_real``.
+    A longer table begins with the factors of a shorter one, bit for bit.
     """
-    size = _table_size(t, term_cap, "theta1 series")
-    t = _shift_real(t)
+    size = _table_size(t, term_cap, "theta1 series", degree)
+    t = _shift_real(t, 8.0)
     g = cmath.exp(2j * math.pi * t)
     c = 2.0 * cmath.exp(0.25j * math.pi * t)
     table, gk = [c], 1.0
@@ -214,8 +231,8 @@ def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, compl
     from the fundamental domain still raises ConvergenceError; the sums then
     run at t shifted by ``_shift_real``.
     """
-    size = _table_size(t, term_cap, "theta constant series")
-    t = _shift_real(t)
+    size = _table_size(t, term_cap, "theta constant series", 1)
+    t = _shift_real(t, 8.0)
     if t.imag < 0.5:
         n = round(t.real)
         s = -1.0 / (t - n)
@@ -303,42 +320,35 @@ def _theta1_values(zs, t: complex, table, rho=1.0, kappa=0.0, scale=1.0) -> list
 def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> TruncatedOddSeries:
     """Odd Taylor coefficients of z -> theta1(z, tau) through max_degree.
 
-    a_(2k+1) = 2 * sum_{n>=0} (-1)^n exp(pi*i*tau*(n+1/2)^2)
-                               * (-1)^k ((2n+1)*pi)^(2k+1) / (2k+1)!
+    a_(2m+1) = (-1)^m * sum_{k>=0} c_k * ((2k+1)*pi)^(2m+1) / (2m+1)!
 
-    Each term carries its Gaussian factor into a running odd power of
-    (2n+1)*pi.  Inside the fundamental domain the truncation error is far
-    below 1e-14 relative per coefficient.
+    with theta1's factors c_k from ``_theta1_table``, whose length grows
+    with max_degree.  Each c_k meets its real factor x = (-1)^m
+    ((2k+1)*pi)^(2m+1)/(2m+1)! in one product; x is carried from m to m + 1,
+    so the powers round in real arithmetic only and x stays in range where
+    the power alone would not.  Inside the fundamental domain the
+    truncation error is far below 1e-14 relative per coefficient.
     """
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
-    t = as_tau(tau).value
-    sine_coeffs = [(-1.0) ** k / math.factorial(2 * k + 1)
-                   for k in range((max_degree + 1) // 2)]
-    partial = [0.0 + 0.0j] * len(sine_coeffs)
-    lead = 0.0 + 0.0j
-    for n in range(term_cap):
-        w = (2 * n + 1) * math.pi
-        # The degree-1 term; sine_coeffs[0] is 1.
-        lead = 2.0 * (-1) ** n * cmath.exp(1j * math.pi * t * (n + 0.5) ** 2) * w
-        power = lead
-        w2 = w * w
-        converged = True
-        for k, c in enumerate(sine_coeffs):
-            term = power * c
-            partial[k] += term
-            converged = converged and abs(term) <= TERM_TOL * abs(partial[k])
-            power *= w2
-        if converged:
-            return TruncatedOddSeries(partial)
-    raise _cap_error("theta1 coefficient series", t, partial[0], lead, term_cap)
+    table = _theta1_table(as_tau(tau).value, term_cap, max_degree)
+    coeffs = [0j] * ((max_degree + 1) // 2)
+    for k, c in enumerate(table):
+        w = (2 * k + 1) * math.pi
+        x, square = w, w * w
+        for m in range(len(coeffs)):
+            coeffs[m] += c * x
+            x = -x * square / ((2 * m + 2) * (2 * m + 3))
+    return _computed(coeffs, "theta1's coefficient series")
 
 
 def dedekind_eta(tau, *, term_cap: int = TERM_CAP) -> complex:
-    """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n)."""
+    """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at tau
+    shifted by ``_shift_real`` to its period 24."""
     t = as_tau(tau).value
-    q = cmath.exp(2j * math.pi * t)
-    prod = cmath.exp(1j * math.pi * t / 12.0)
+    s = _shift_real(t, 24.0)
+    q = cmath.exp(2j * math.pi * s)
+    prod = cmath.exp(1j * math.pi * s / 12.0)
     qn = 1.0 + 0.0j
     for _ in range(term_cap):
         qn *= q

@@ -22,11 +22,6 @@ from operator import mul
 
 from .errors import DomainError, NumericError
 
-# Relative magnitude above which an even coefficient disqualifies a general
-# series from conversion to odd form.
-ODD_CONTAMINATION_TOL = 1e-14
-
-
 def _as_coefficients(values) -> tuple[complex, ...]:
     try:
         coeffs = tuple(complex(v) for v in values)
@@ -129,28 +124,6 @@ class TruncatedOddSeries:
         if degree % 2 == 0:
             return 0.0 + 0.0j
         return self.odd_coefficients[degree // 2]
-
-    def to_series(self) -> TruncatedSeries:
-        full = [0j] * (self.max_degree + 1)
-        full[1::2] = self.odd_coefficients
-        return TruncatedSeries(full)
-
-    @classmethod
-    def from_series(cls, s: TruncatedSeries, tol: float = ODD_CONTAMINATION_TOL):
-        """Convert a general series, rejecting nonzero even coefficients.
-
-        Even entries are compared against the largest coefficient magnitude;
-        anything above ``tol`` relative makes the series non-odd.
-        """
-        coeffs = s.coefficients
-        if s.order % 2 == 0:
-            coeffs = coeffs[:-1] if s.order > 0 else coeffs
-        if len(coeffs) < 2:
-            raise DomainError("series order must be at least 1 for odd form")
-        scale = max(abs(c) for c in s.coefficients)
-        if scale > 0 and max(abs(c) for c in s.coefficients[0::2]) > tol * scale:
-            raise DomainError("series has nonzero even coefficients; not odd")
-        return cls(coeffs[1::2])
 
     def evaluate(self, z: complex) -> complex:
         w = z * z

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sigmakit.modular
-from sigmakit import DomainError
+from sigmakit import DomainError, TruncatedOddSeries, TruncatedSeries, UnimodularMap
 
 
 def clear_memos():
@@ -27,6 +27,54 @@ def clear_memos():
 def _fresh_memos():
     # No test may see the tau values that another test evaluated.
     clear_memos()
+
+
+# SL(2, Z) words for the lattice tests.
+IDENTITY_MAP = UnimodularMap(1, 0, 0, 1)
+INVERSION = UnimodularMap(0, -1, 1, 0)
+
+
+def translation(n):
+    return UnimodularMap(1, n, 0, 1)
+
+
+def compose(m1, m2):
+    """m1 after m2: compose(m1, m2).apply == m1.apply(m2.apply(.))."""
+    return UnimodularMap(
+        m1.a * m2.a + m1.b * m2.c,
+        m1.a * m2.b + m1.b * m2.d,
+        m1.c * m2.a + m1.d * m2.c,
+        m1.c * m2.b + m1.d * m2.d,
+    )
+
+
+# Relative magnitude above which an even coefficient disqualifies a general
+# series from conversion to odd form.
+ODD_CONTAMINATION_TOL = 1e-14
+
+
+def to_series(s):
+    """An odd series as a general series with zero even coefficients."""
+    full = [0j] * (s.max_degree + 1)
+    full[1::2] = s.odd_coefficients
+    return TruncatedSeries(full)
+
+
+def odd_from_series(s, tol=ODD_CONTAMINATION_TOL):
+    """Convert a general series, rejecting nonzero even coefficients.
+
+    Even entries are compared against the largest coefficient magnitude;
+    anything above ``tol`` relative makes the series non-odd.
+    """
+    coeffs = s.coefficients
+    if s.order % 2 == 0:
+        coeffs = coeffs[:-1] if s.order > 0 else coeffs
+    if len(coeffs) < 2:
+        raise DomainError("series order must be at least 1 for odd form")
+    scale = max(abs(c) for c in s.coefficients)
+    if scale > 0 and max(abs(c) for c in s.coefficients[0::2]) > tol * scale:
+        raise DomainError("series has nonzero even coefficients; not odd")
+    return TruncatedOddSeries(coeffs[1::2])
 
 
 def eta_product_oracle(tau, terms=200):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sigmakit import NumericError, TruncatedOddSeries, scale_argument
+from sigmakit import NumericError, TruncatedOddSeries, extend_series, scale_argument
 from sigmakit.cli import main
 
 SINE_DOC = {
@@ -248,14 +248,27 @@ class TestInvariantsOverflow:
     ]
 
     @pytest.mark.parametrize("doc_in", HUGE)
-    @pytest.mark.parametrize("command", [["invariants"], ["classify"], ["verify-duplication"],
-                                         ["extend", "--target", "13"]])
+    @pytest.mark.parametrize("command", [["invariants"], ["classify"], ["verify-duplication"]])
     def test_overflow_is_numeric_error(self, capsys, tmp_path, doc_in, command):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc_in))
         code, doc = run_strict(capsys, command[0], str(path), *command[1:])
         assert code == 2
         assert doc["error"]["type"] == "numeric"
+
+    @pytest.mark.parametrize("doc_in", HUGE)
+    def test_extend_runs_scaled_by_a_power_of_two(self, capsys, tmp_path, doc_in):
+        # The extension of these data fits in a double: it is the extension of
+        # the data scaled to |a1| in [1/2, 1), scaled back, bit for bit.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc_in))
+        code, doc = run_strict(capsys, "extend", str(path), "--target", "13")
+        assert code == 0
+        data = TruncatedOddSeries.from_json_dict(doc_in)
+        shift = -math.frexp(abs(data.leading))[1]
+        scaled = TruncatedOddSeries([c * 2.0**shift for c in data.odd_coefficients])
+        want = [c * 2.0**-shift for c in extend_series(scaled, 13).odd_coefficients]
+        assert doc["odd_coefficients"] == [[c.real, c.imag] for c in want]
 
 
 class TestVerifyCommands:
@@ -419,6 +432,19 @@ class TestParserBehavior:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "j", "--tau", "0,1"], ["invariants", "SINE"], ["classify", "SINE"],
+    ["verify-identity", "--function", "sin", "--samples", "5"], ["verify-duplication", "SINE"],
+    ["extend", "SINE", "--target", "9"], ["reduce-tau", "--tau", "0.3,0.5"],
+    ["invert-j", "--value", "1728"], ["psi", "9"],
+], ids=lambda argv: argv[0])
+def test_document_header(capsys, sine_file, argv):
+    code, doc = run_strict(capsys, *(sine_file if a == "SINE" else a for a in argv))
+    assert code == 0
+    assert list(doc)[:2] == ["schema_version", "command"]
+    assert doc["schema_version"] == 1 and doc["command"] == argv[0]
 
 
 class TestStrictJson:

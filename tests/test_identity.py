@@ -260,6 +260,21 @@ class TestExtendSeries:
         for k in range(4, 21):
             assert abs(got[k] - c * (-1) ** k / math.factorial(2 * k + 1)) <= 1.2e-18 * c
 
+    @pytest.mark.parametrize("c", [1e80, 1e150, 1e300])
+    def test_huge_data_extends(self, c):
+        # Unscaled, the quartic residual overflows from c of about 1e77.
+        data = TruncatedOddSeries([c * v for v in SINE.odd_coefficients])
+        got = extend_series(data, 41).odd_coefficients
+        for k in range(4, 21):
+            assert abs(got[k] - c * (-1) ** k / math.factorial(2 * k + 1)) <= 1.2e-18 * c
+
+    def test_extension_beyond_double_range(self):
+        # 1e300*sin(40z) has a41 = 1e300 * 40^41/41!, about 1.4e316.
+        data = TruncatedOddSeries([1e300 * ((-1) ** k * 40.0 ** (2 * k + 1) / math.factorial(2 * k + 1))
+                                   for k in range(4)])
+        with pytest.raises(NumericError, match="the extension is outside the double range"):
+            extend_series(data, 41)
+
     def test_tiny_leading_coefficient(self):
         ext = extend_series(TruncatedOddSeries([1e-120, 0, 0, 0]), 13)
         assert ext.odd_coefficients[4:] == (0j, 0j, 0j)

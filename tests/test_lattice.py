@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circle_coefficients, clear_memos, integer_combination, sigma_product_oracle
+from conftest import (
+    IDENTITY_MAP,
+    INVERSION,
+    circle_coefficients,
+    clear_memos,
+    compose,
+    integer_combination,
+    sigma_product_oracle,
+    translation,
+)
 import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
@@ -44,12 +53,12 @@ def normalized(m):
 
 
 def random_unimodular(rng, words=6):
-    m = UnimodularMap.identity()
+    m = IDENTITY_MAP
     for _ in range(words):
         if rng.uniform() < 0.5:
-            m = UnimodularMap.translation(int(rng.integers(-3, 4))).compose(m)
+            m = compose(translation(int(rng.integers(-3, 4))), m)
         else:
-            m = UnimodularMap.inversion().compose(m)
+            m = compose(INVERSION, m)
     return m
 
 
@@ -64,7 +73,7 @@ class TestUnimodularMap:
             m1 = random_unimodular(rng)
             m2 = random_unimodular(rng)
             tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2))
-            lhs = m1.compose(m2).apply(tau)
+            lhs = compose(m1, m2).apply(tau)
             rhs = m1.apply(m2.apply(tau))
             assert abs(lhs - rhs) < 1e-12 * max(1, abs(rhs))
 
@@ -73,7 +82,7 @@ class TestUnimodularMap:
         for _ in range(10):
             m = random_unimodular(rng)
             tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2))
-            assert m.compose(inverse(m)) == UnimodularMap.identity()
+            assert compose(m, inverse(m)) == IDENTITY_MAP
             assert abs(inverse(m).apply(m.apply(tau)) - tau) < 1e-12
 
 
@@ -86,7 +95,7 @@ class TestReduceTau:
     def test_inversion_only(self):
         reduced, m = reduce_tau(0.5j)
         assert abs(reduced.value - 2j) < 1e-15
-        assert normalized(m) == normalized(UnimodularMap.inversion())
+        assert normalized(m) == normalized(INVERSION)
 
     def test_j_equality_oracle(self):
         tau = 0.3 + 0.1j
@@ -132,7 +141,7 @@ class TestReduceTau:
         tau = -0.5000000000000003 + 1.2j
         reduced, m = reduce_tau(tau)
         assert -0.5 <= reduced.value.real < 0.5
-        assert m == UnimodularMap.translation(1)
+        assert m == translation(1)
         assert reduced.value == m.apply(tau)
 
     @pytest.mark.parametrize("x", [2.0**52 + 1, -(2.0**52 + 1), 2.0**53 - 1, 2.0**52 + 2,
@@ -143,22 +152,22 @@ class TestReduceTau:
         tau = complex(x, 2.0)
         reduced, m = reduce_tau(tau)
         assert reduced.value == 2j
-        assert m == UnimodularMap.translation(-int(x))
+        assert m == translation(-int(x))
         assert m.apply(tau) == reduced.value
 
 
 def reduce_tau_by_compose(tau):
-    """``reduce_tau`` as it was written with a ``UnimodularMap.compose`` per fold."""
+    """``reduce_tau`` as it was written with one map composition per fold."""
     t = start = complex(tau)
-    m = UnimodularMap.identity()
+    m = IDENTITY_MAP
     for _ in range(256):
         n = math.floor(t.real + 0.5)
         if n != 0:
             t -= n
-            m = UnimodularMap.translation(-n).compose(m)
+            m = compose(translation(-n), m)
         if abs(t) * abs(t) < 1.0 - 1e-15:
             t = -1.0 / t
-            m = UnimodularMap.inversion().compose(m)
+            m = compose(INVERSION, m)
             if not cmath.isfinite(t):
                 raise NumericError(
                     f"reducing tau={start} inverts it beyond the double range",
@@ -173,10 +182,10 @@ def reduce_tau_by_compose(tau):
         )
     if t.real >= 0.5:
         t -= 1
-        m = UnimodularMap.translation(-1).compose(m)
+        m = compose(translation(-1), m)
     if abs(abs(t) - 1.0) <= 1e-15 and t.real > 1e-15:
         t = -1.0 / t
-        m = UnimodularMap.inversion().compose(m)
+        m = compose(INVERSION, m)
     return TauPoint(t), m
 
 

@@ -289,10 +289,24 @@ class TestLargeRealPart:
             assert weierstrass_g(tau + shift) == (g2, g3)
             assert theta1_eval(u, tau + shift) == th
 
+    def test_odd_series_is_8_periodic(self):
+        # The coefficient series once summed exp(pi*i*tau*(n+1/2)^2) at tau as
+        # given: a1 at tau + 8*2^40 was 1.3e-4 off.
+        tau = 0.375 + 1.125j
+        want = theta1_odd_series(tau, 3).odd_coefficients
+        for shift in self.SHIFTS + (8.0 * 2**40,):
+            assert theta1_odd_series(tau + shift, 3).odd_coefficients == want
+
+    def test_eta_is_24_periodic(self):
+        # eta at tau + 24*2^40 was 8.0e-4 off eta(tau).
+        tau = 0.375 + 1.125j
+        for shift in (24.0, -48.0, 24.0 * 3**15, 24.0 * 2**40):
+            assert dedekind_eta(tau + shift) == dedekind_eta(tau)
+
     def test_small_real_part_is_not_shifted(self):
         # Below |Re tau| = 4 the sums run at tau as given.
         for tau in (3.75 + 1.1j, -3.9 + 0.7j):
-            table = sigmakit.modular._theta1_table(tau, 200)
+            table = sigmakit.modular._theta1_table(tau, 200, 1)
             assert table[0] == 2.0 * cmath.exp(0.25j * math.pi * tau)
 
 
@@ -346,7 +360,7 @@ class TestTauMemo:
         forms = sigmakit.modular._modular_forms
         table = sigmakit.modular._theta1_table
         assert repr(forms(t, 200)) == repr(forms.__wrapped__(t, 200))
-        assert repr(table(t, 200)) == repr(table.__wrapped__(t, 200))
+        assert repr(table(t, 200, 1)) == repr(table.__wrapped__(t, 200, 1))
 
     @pytest.mark.parametrize("call", [
         lambda cap: j_invariant(1j, term_cap=cap),

@@ -120,7 +120,7 @@ def oracle_sigma(z, rho, tau, dps=DPS):
 
 
 @pytest.mark.parametrize("tau", TAUS)
-@pytest.mark.parametrize("max_degree, budget", [(3, 1e-15), (31, 5e-14)])
+@pytest.mark.parametrize("max_degree, budget", [(3, 1e-15), (31, 5e-14), (41, 2e-14)])
 def test_theta1_odd_series(tau, max_degree, budget):
     got = theta1_odd_series(tau, max_degree).odd_coefficients
     want = oracle_odd_coefficients(tau, max_degree)

@@ -3,6 +3,7 @@ the validation each constructor does."""
 
 import pytest
 
+from conftest import IDENTITY_MAP, INVERSION, compose, translation
 from sigmakit import (
     Classification,
     DomainError,
@@ -69,10 +70,10 @@ def test_records_other_than_lattice_take_no_new_attributes():
 
 
 def test_unimodular_maps_compare_by_entries():
-    m = UnimodularMap.translation(2).compose(UnimodularMap.inversion())
+    m = compose(translation(2), INVERSION)
     assert m == UnimodularMap(2, -1, 1, 0)
     assert m != UnimodularMap(-2, 1, -1, 0)
-    assert m.compose(UnimodularMap.identity()) == m
+    assert compose(m, IDENTITY_MAP) == m
 
 
 def test_lattice_caches_outside_its_fields():

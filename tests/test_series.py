@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import third_derivative
+from conftest import odd_from_series, third_derivative, to_series
 from sigmakit import (
     DomainError,
     NumericError,
@@ -205,17 +205,17 @@ class TestSeriesTypes:
 
     def test_odd_roundtrip_through_full(self):
         s = TruncatedOddSeries([1, 2j, -0.5])
-        back = TruncatedOddSeries.from_series(s.to_series())
+        back = odd_from_series(to_series(s))
         assert np.array_equal(back.odd_coefficients, s.odd_coefficients)
 
     def test_even_contamination_rejected(self):
         bad = TruncatedSeries([0, 1, 1e-3, 0.2])
         with pytest.raises(DomainError):
-            TruncatedOddSeries.from_series(bad)
+            odd_from_series(bad)
 
     def test_tiny_even_noise_tolerated(self):
         noisy = TruncatedSeries([0, 1, 1e-16, 0.2])
-        out = TruncatedOddSeries.from_series(noisy)
+        out = odd_from_series(noisy)
         assert np.allclose(out.odd_coefficients, [1, 0.2])
 
     def test_json_roundtrip(self):
@@ -234,4 +234,4 @@ class TestSeriesTypes:
     def test_evaluate_agrees_with_horner_on_full(self):
         s = TruncatedOddSeries([1, -1j, 0.25])
         z = 0.3 + 0.4j
-        assert abs(s.evaluate(z) - s.to_series().evaluate(z)) < 1e-15
+        assert abs(s.evaluate(z) - to_series(s).evaluate(z)) < 1e-15
