@@ -47,6 +47,7 @@ show("j(corner)", j_invariant(CORNER), 0)
 show("j(2i)", j_invariant(2j), 66**3)
 print("  inverting back:")
 show("invert_j(1728)", invert_j(1728.0).value, 1j)
+show("invert_j(0)  (the reduced corner)", invert_j(0.0).value, CORNER - 1)
 show("invert_j(287496)", invert_j(287496.0).value, 2j)
 
 print("\n== Theta and sigma ==")

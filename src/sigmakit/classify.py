@@ -9,13 +9,12 @@ Every odd entire solution of the identity is, for some alpha, beta:
 
 The decision runs on the invariants of the input: mu undefined (p = q = 0)
 means linear; mu within a configurable tolerance of 49/40 means trig (the
-cusp value, where the j-inversion would diverge); anything else is
-elliptic with j = 1728*mu/(mu - 49/40), tau recovered by inverting j, and
-the argument scale recovered from the ratio of hat-form coefficients
-against the reference lattice Z + tau*Z (a^4 from the degree-5 ratio, a^6
-from the degree-7 ratio, with a consistency check; at the two degenerate
-j-values one ratio is 0/0 and the other root is used alone, the root
-choice there being a symmetry of the lattice).
+cusp value, where the discriminant of the lattice vanishes); anything else
+is elliptic.  The elliptic lattice is the one whose invariants the hat
+coefficients name, g2 = -240*A and g3 = -840*B, found from its periods by
+the complex AGM (``lattice._lattice_from_g``), which is singular only where
+the discriminant vanishes; j = 1728*mu/(mu - 49/40) is reported as a
+diagnostic.
 
 Reported parameters follow fixed conventions: the scale a (and hence
 1/rho) has Re > 0, or Im > 0 on the boundary Re = 0; beta is a principal
@@ -38,19 +37,11 @@ from .errors import (
     IdentityNotSatisfiedError,
 )
 from .invariants import _invariants_and_hat
-from .lattice import _gauge_alpha, invert_j, reduce_tau, sigma_gauge_from_head
-from .modular import TauPoint, theta1_odd_series, weierstrass_g
+from .lattice import _gauge_alpha, _lattice_from_g, sigma_gauge_from_head
+from .modular import TauPoint, theta1_odd_series
 from .series import TruncatedOddSeries, gauss_twist, scale_argument
 
 MU_TRIG = 49.0 / 40.0
-
-# Relative agreement demanded between the degree-5 and degree-7 scale
-# recoveries, |(a^2)^2 / a^4 - 1|, away from the degenerate j-values.
-_RATIO_CONSISTENCY_TOL = 1e-4
-
-# j-windows treated as the degenerate values 0 and 1728.
-_J_CORNER_TOL = 1e-6
-_J_SQUARE_TOL = 1e-6
 
 _SIGN_NOTE = (
     "a normalized to Re(a) > 0 (Im(a) > 0 when Re(a) = 0); "
@@ -95,23 +86,10 @@ class Classification(namedtuple("Classification",
         return doc
 
 
-def _principal_root(value: complex, order: int) -> complex:
-    """Principal order-th root; lands in the sector |arg| <= pi/order."""
-    if value == 0:
-        raise IdentityNotSatisfiedError("degenerate scale recovery (zero ratio)")
-    return cmath.exp(cmath.log(value) / order)
-
-
 def _sign_normalize(a: complex) -> complex:
     if a.real < 0 or (a.real == 0 and a.imag < 0):
         return -a
     return a
-
-
-def _sigma_reference_coefficients(tau: TauPoint) -> tuple[complex, complex]:
-    """Degree-5/7 Taylor coefficients of sigma(., Z + tau*Z)."""
-    g2, g3 = weierstrass_g(tau)
-    return -g2 / 240.0, -g3 / 840.0
 
 
 def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
@@ -159,38 +137,15 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
                 j = 1728.0 + 0.0j
             else:
                 j = 1728.0 * inv.mu.value / (inv.mu.value - MU_TRIG)
-            # invert_j's corner short-circuit returns (1 + i*sqrt(3))/2,
-            # the mirror of the reduced corner.
-            tau, _ = reduce_tau(invert_j(j))
-            ref_a, ref_b = _sigma_reference_coefficients(tau)
             diagnostics["j"] = [j.real, j.imag]
-            if abs(j) <= _J_CORNER_TOL:
-                # g2(tau) = 0: only the degree-7 ratio carries information;
-                # sixth roots of unity are lattice symmetries here.
-                a = _principal_root(big_b / ref_b, 6)
-            elif abs(j - 1728.0) <= _J_SQUARE_TOL * 1728.0:
-                # g3(tau) = 0: degree-5 ratio only; fourth roots of unity
-                # are lattice symmetries here.
-                a = _principal_root(big_a / ref_a, 4)
-            else:
-                a_fourth = big_a / ref_a
-                a_sixth = big_b / ref_b
-                a_sq = a_sixth / a_fourth
-                mismatch = abs(a_sq * a_sq / a_fourth - 1.0)
-                diagnostics["scale_ratio_consistency"] = mismatch
-                if mismatch > _RATIO_CONSISTENCY_TOL:
-                    raise IdentityNotSatisfiedError(
-                        "degree-5 and degree-7 data disagree about the "
-                        f"argument scale (relative mismatch {mismatch:.3e})"
-                    )
-                a = cmath.sqrt(a_sq)
-            a = _sign_normalize(a)
+            lat = _lattice_from_g(-240.0 * big_a, -840.0 * big_b)
+            a = _sign_normalize(1.0 / lat.rho)
             result = Classification(
                 case="elliptic",
                 alpha=-hat.alpha,
                 beta=hat.beta,
                 rho=1.0 / a,
-                tau=tau,
+                tau=lat.tau,
                 diagnostics=diagnostics,
             )
 

@@ -32,11 +32,9 @@ formula is written, and ``_gauge_alpha`` the one place alpha is formed.
 exp, so sigma is found wherever it fits in a double even when theta1 or
 the Gaussian alone does not.
 
-``invert_j`` solves j(tau) = jval by Newton's method with the analytic
-derivative dj/dtau, every iterate reduced into the fundamental domain.  It
-starts from the q-expansion j ~ 1/q + 744 when |jval| > 2000, and otherwise
-from the local forms of j at its two critical points: a triple zero at the
-corner exp(2*pi*i/3) and a double point j - 1728 ~ c*(tau - i)^2 at i.
+``_lattice_from_g`` finds the lattice with given invariants (g2, g3) from
+its periods by the complex AGM, singular only where the discriminant
+vanishes.  ``classify`` and ``invert_j`` (for |jval| <= 2000) use it.
 """
 
 from __future__ import annotations
@@ -61,16 +59,7 @@ _EDGE = 1e-15
 # The least double from which every double is an integer.
 _INTEGRAL = 2.0**52
 
-# j-values at the two elliptic fixed points, where Newton degenerates and
-# the answers are known exactly.
-_CORNER = complex(0.5, math.sqrt(3.0) / 2.0)
-
-# Leading Taylor coefficients of j at its critical points:
-# j = _C3*(tau - _RHO)^3 + ... at the corner _RHO = exp(2*pi*i/3), and
-# j - 1728 = _C2*(tau - i)^2 + ... at i.
-_RHO = complex(-0.5, math.sqrt(3.0) / 2.0)
-_C3 = -45745.0806460312j
-_C2 = -24827.5650501697
+_CUBE_ROOTS = (1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75)))
 
 
 class UnimodularMap(namedtuple("UnimodularMap", "a b c d")):
@@ -133,7 +122,10 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
         t -= 1
         a, b = a - c, b - d
     if abs(abs(t) - 1.0) <= _EDGE and t.real > _EDGE:
+        # The fold takes the right corner to the left one, and a point a
+        # rounding error from it can round left of Re = -1/2.
         t = -1.0 / t
+        t = complex(max(t.real, -0.5), t.imag)
         a, b, c, d = -c, -d, a, b
     return TauPoint(t), UnimodularMap(a, b, c, d)
 
@@ -230,46 +222,76 @@ def lattice_from_rho_tau(rho: complex, tau) -> Lattice:
     return normalize_lattice(rho, rho * t)
 
 
-def _newton_seeds(jval: complex) -> list[complex]:
-    """Starting points for ``invert_j``, most promising first.
+def _agm(a: complex, b: complex) -> complex:
+    """The AGM M(a, b) on its optimal branch: each geometric mean takes the
+    sign nearer the arithmetic one, until |a - b| stops shrinking."""
+    gap = abs(a - b)
+    for _ in range(64):
+        a, b = 0.5 * (a + b), cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+        if not abs(a - b) < gap:
+            return a
+        gap = abs(a - b)
+    raise ConvergenceError(f"the AGM of {a} and {b} did not converge in 64 steps")
 
-    Far out, one term of the Fourier expansion j = 1/q + 744 + ... gives
-    tau.  Otherwise j is inverted from its local behaviour at the two
-    critical points, j ~ C3*(tau - rho)^3 at the corner rho and
-    j - 1728 ~ C2*(tau - i)^2 at i, nearer point first.  1.2i comes last.
+
+def _lattice_from_g(g2: complex, g3: complex) -> Lattice:
+    """The lattice whose invariants are (g2, g3), from its periods.
+
+    With e1, e2, e3 the roots of 4x^3 - g2*x - g3 and a, b, c the square
+    roots of e1 - e3, e1 - e2, e2 - e3, signed so that |a - b| <= |a + b|
+    and |a - c| <= |a + c|, omega1 = pi/M(a, b) and omega2 = pi*i/M(a, c)
+    generate the lattice (Cremona and Thongjunthug, J. Number Theory 133
+    (2013); Cox, Enseign. Math. 30 (1984)); on Z + tau*Z, a^2, b^2, c^2 are
+    pi^2 times theta3^4, theta4^4, theta2^4 (DLMF 23.6(i)).  The roots are
+    those of the invariants (g2*u^4, g3*u^6) of Lambda/u, u the power of two
+    that brings max(|g2|^(1/4), |g3|^(1/6)) near 1.  A vanishing
+    discriminant, or a scale outside the double range, raises NumericError.
     """
-    if abs(jval) > 2000.0:
-        # log(q) = -log(jval - 744), taken as log of the reciprocal unless
-        # that underflows to 0 (|jval| beyond about 1e308).
-        inverse = 1.0 / (jval - 744.0)
-        log_q = cmath.log(inverse) if inverse else -cmath.log(jval - 744.0)
-        return [log_q / (2j * math.pi), 1.2j]
-    cube = (jval / _C3) ** (1.0 / 3.0)
-    square = cmath.sqrt((jval - 1728.0) / _C2)
-    # _RHO is also a primitive cube root of unity.
-    at_corner = [_RHO + cube * w for w in (1.0, _RHO, _RHO * _RHO)]
-    at_i = [1j + square, 1j - square]
-    local = at_corner + at_i if abs(cube) <= abs(square) else at_i + at_corner
-    return local + [1.2j]
+    g2, g3 = complex(g2), complex(g3)
+    size = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    r = 0
+    if 0 < size < math.inf:
+        u = 2.0 ** -round(math.log2(size))
+        h2, h3 = g2 * u * u * u * u, g3 * u * u * u * u * u * u
+        # Cardano: x = w + h2/(12*w) for each cube root w of (h3 +- d)/8.
+        d = cmath.sqrt(h3 * h3 - h2 * h2 * h2 / 27.0)
+        w = (max(h3 + d, h3 - d, key=abs) / 8.0) ** (1.0 / 3.0)
+        e1 = max((w * z + h2 / (12.0 * w * z) for z in _CUBE_ROOTS), key=abs)
+        e1 -= ((4.0 * e1 * e1 - h2) * e1 - h3) / (12.0 * e1 * e1 - h2)
+        # No root comes near e1, the largest.  The other two are
+        # (-e1 +- r)/2 by their sum -e1 and product h3/(4*e1), so only r
+        # cancels, as the discriminant does.
+        r = cmath.sqrt(e1 * e1 - h3 / e1)
+    if r == 0:
+        raise NumericError(
+            f"no lattice has the invariants g2={g2}, g3={g3}: the discriminant vanishes "
+            "or is outside the double range",
+            diagnostics={"g2": [g2.real, g2.imag], "g3": [g3.real, g3.imag]})
+    a, b, c = cmath.sqrt(1.5 * e1 + 0.5 * r), cmath.sqrt(1.5 * e1 - 0.5 * r), cmath.sqrt(r)
+    if abs(a - b) > abs(a + b):
+        b = -b
+    if abs(a - c) > abs(a + c):
+        c = -c
+    return normalize_lattice(math.pi * u / _agm(a, b), 1j * math.pi * u / _agm(a, c))
 
 
 def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: int = 60) -> TauPoint:
     """Find tau in the fundamental domain with j(tau) = jval.
 
-    Newton iteration on the holomorphic map j with the analytic derivative
-    dj/dtau = -2*pi*i * j * E6/E4, taken from the same theta-constant pass as j.
-    Every iterate is mapped back into the fundamental domain by
-    ``reduce_tau``; j is invariant under that map, and there the q-series
-    need few terms.  Steps are capped at half of Im(tau), so no iterate
-    leaves the upper half-plane or jumps towards the cusp.  Iteration stops
-    when the step falls to 1e-15 * |tau|, when it stops shrinking (roundoff
-    in j then dominates, as next to i), or after ``max_iterations``.  The
-    starts come from ``_newton_seeds``; the first that meets
-    |j(tau) - jval| <= tolerance * max(1, |jval|) wins, and if none does a
-    ConvergenceError carries each start's iterations and residual.  The
-    two j-values where dj/dtau vanishes are special-cased: jval ~ 0
-    returns the corner (1 + i*sqrt(3))/2 and jval ~ 1728 returns i.  A
-    jval whose modulus is beyond the double range raises NumericError.
+    An answer meets |j(tau) - jval| <= tolerance * max(1, |jval|); one that
+    does not raises ConvergenceError.  For |jval| <= 2000, tau is that of
+    the lattice with (g2, g3) = (3*jval^(1/3), sqrt(jval - 1728)), whose
+    discriminant is 27*1728 (``_lattice_from_g``).  Beyond, where that
+    loses digits towards the cusp, Newton's method runs on j with
+    dj/dtau = -2*pi*i * j * E6/E4 from the same theta-constant pass, from
+    the q-expansion j ~ 1/q + 744 and then from 1.2i, every iterate reduced
+    by ``reduce_tau``, with steps capped at Im(tau)/2 so none leaves for the
+    cusp.  It stops when the step falls to 1e-15 * |tau| or stops shrinking,
+    or after ``max_iterations``; the error then carries each start's
+    iterations and residual.  A |jval| beyond the double range raises
+    NumericError.
     """
     jval = complex(jval)
     if not (math.isfinite(jval.real) and math.isfinite(jval.imag)):
@@ -277,13 +299,24 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
     if math.isinf(math.hypot(jval.real, jval.imag)):
         raise NumericError(f"|jval| for jval={jval} is outside the double range",
                            diagnostics={"jval": [jval.real, jval.imag]})
-    if abs(jval) <= 1e-10:
-        return TauPoint(_CORNER)
-    if abs(jval - 1728.0) <= 1e-8 * 1728.0:
-        return TauPoint(1j)
 
     scale = max(1.0, abs(jval))
-    starts = _newton_seeds(jval)
+    if abs(jval) <= 2000.0:
+        tau = _lattice_from_g(3.0 * jval ** (1.0 / 3.0), cmath.sqrt(jval - 1728.0)).tau
+        resid = abs(j_invariant(tau) - jval)
+        if resid <= tolerance * scale:
+            return tau
+        raise ConvergenceError(
+            f"invert_j failed for jval={jval}: j of the answer is off by {resid:.3e}",
+            diagnostics={"jval": [jval.real, jval.imag],
+                         "tau": [tau.value.real, tau.value.imag], "residual": resid},
+        )
+
+    # log(q) = -log(jval - 744), taken as log of the reciprocal unless
+    # that underflows to 0 (|jval| beyond about 1e308).
+    inverse = 1.0 / (jval - 744.0)
+    log_q = cmath.log(inverse) if inverse else -cmath.log(jval - 744.0)
+    starts = [log_q / (2j * math.pi), 1.2j]
     trace = []
     for start in starts:
         iterations = 0
@@ -309,12 +342,10 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
             resid = abs(j_invariant(t) - jval)
         except NumericError:
             # The q-series or the discriminant failed; try the next start.
-            trace.append({"start": [start.real, start.imag],
-                          "iterations": iterations, "residual": None})
-            continue
+            resid = None
         trace.append({"start": [start.real, start.imag], "iterations": iterations,
                       "residual": resid})
-        if resid <= tolerance * scale:
+        if resid is not None and resid <= tolerance * scale:
             return TauPoint(t)
     raise ConvergenceError(
         f"invert_j failed for jval={jval} after {len(starts)} starts",

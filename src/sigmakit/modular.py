@@ -12,7 +12,7 @@ which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 theta1 and its odd Taylor coefficients are summed on one table of its
 factors, whose length is fixed once per tau and degree (see
 ``_table_size``); the coefficients through z^d keep more factors as d
-grows.  g2, g3, the discriminant, j and (p, q) come from the theta
+grows, and below Im tau = 1/2 they are summed at -1/(tau - n).  g2, g3, the discriminant, j and (p, q) come from the theta
 constants theta2, theta3 and theta4 at z = 0, summed over the degree-1
 number of terms in one pass (see ``_theta_constants``); below Im tau = 1/2
 they are summed at -1/(tau - n) and mapped back, since their sums cancel
@@ -328,18 +328,45 @@ def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> Trun
     so the powers round in real arithmetic only and x stays in range where
     the power alone would not.  Inside the fundamental domain the
     truncation error is far below 1e-14 relative per coefficient.
+
+    Below Im tau = 1/2 that sum cancels (at 0.02i, a1 is 2e-14 from terms
+    near 1), so it runs at s = -1/(tau - n), n the integer nearest Re tau,
+    as a sum of Gaussians (DLMF 20.7.30; theta1(z | u + n) is
+    exp(i*pi*n/4) * theta1(z | u)), with the term count at tau checked first:
+
+        theta1(z | u) = -sqrt(-i*s) * sum_k c_k(s) * odd part of exp(beta*(z^2 + (2k+1)*z)),
+
+    beta = i*pi*s, c_k(s) from ``_theta1_table`` at s.  Each Gaussian's
+    coefficients follow from (m+1)*b_(m+1) = beta*((2k+1)*b_m + 2*b_(m-1)),
+    a Hermite recurrence, which does not cancel at high degrees as the
+    product of theta1's series at s with exp(beta*z^2) does.
     """
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
-    table = _theta1_table(as_tau(tau).value, term_cap, max_degree)
+    t = as_tau(tau).value
     coeffs = [0j] * ((max_degree + 1) // 2)
-    for k, c in enumerate(table):
-        w = (2 * k + 1) * math.pi
-        x, square = w, w * w
-        for m in range(len(coeffs)):
-            coeffs[m] += c * x
-            x = -x * square / ((2 * m + 2) * (2 * m + 3))
-    return _computed(coeffs, "theta1's coefficient series")
+    if t.imag >= 0.5:
+        for k, c in enumerate(_theta1_table(t, term_cap, max_degree)):
+            w = (2 * k + 1) * math.pi
+            x, square = w, w * w
+            for m in range(len(coeffs)):
+                coeffs[m] += c * x
+                x = -x * square / ((2 * m + 2) * (2 * m + 3))
+        return _computed(coeffs, "theta1's coefficient series")
+    _table_size(t, term_cap, "theta1 series", max_degree)
+    t = _shift_real(t, 8.0)
+    n = round(t.real)
+    s = -1.0 / (t - n)
+    beta = 1j * math.pi * s
+    for k, c in enumerate(_theta1_table(s, term_cap, max_degree)):
+        lin = (2 * k + 1) * beta
+        prev, cur = 1.0, lin
+        for m in range(1, max_degree + 1):
+            if m & 1:
+                coeffs[m >> 1] += c * cur
+            prev, cur = cur, (lin * cur + 2.0 * beta * prev) / (m + 1)
+    factor = -cmath.sqrt(-1j * s) * _EIGHTH_ROOTS[n % 8]
+    return _computed([factor * c for c in coeffs], "theta1's coefficient series")
 
 
 def dedekind_eta(tau, *, term_cap: int = TERM_CAP) -> complex:

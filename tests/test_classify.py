@@ -170,11 +170,11 @@ class TestRoundTrip:
 
 
 class TestNearCorner:
-    @pytest.mark.parametrize("offset, degree", [(1e-3j, 11), (3e-4j, 13)])
-    def test_member_next_to_the_corner(self, offset, degree):
-        # j has a triple zero at the corner, so a tau that merely meets the
-        # j tolerance would miss the lattice by far more than 1e-6.
-        tau = cmath.exp(2j * math.pi / 3) + offset
+    @staticmethod
+    def check_member(tau, degree):
+        # j has a triple zero at the corner and j - 1728 a double zero at i,
+        # so a tau that merely meets a j tolerance would miss the lattice by
+        # far more than 1e-9.
         made = Classification(case="elliptic", alpha=0.1 - 0.2j, beta=0.3,
                               rho=0.9 + 0.2j, tau=TauPoint(tau))
         got = classify(synthesize(made, degree))
@@ -187,11 +187,19 @@ class TestNearCorner:
         assert abs(got2 - want2) <= 1e-9 * s**4
         assert abs(got3 - want3) <= 1e-9 * s**6
 
+    @pytest.mark.parametrize("offset, degree", [(1e-3j, 11), (3e-4j, 13), (1e-5, 15),
+                                                (1e-5j, 11), (1e-8j, 11), (1e-12j, 11)])
+    def test_member_next_to_the_corner(self, offset, degree):
+        self.check_member(cmath.exp(2j * math.pi / 3) + offset, degree)
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-9j])
+    def test_member_next_to_i(self, offset):
+        self.check_member(1j + offset, 11)
+
     @pytest.mark.parametrize("corner", [complex(-0.5, math.sqrt(3) / 2),
                                         complex(0.5, math.sqrt(3) / 2)])
     def test_member_at_the_corner_reports_reduced_tau(self, corner):
-        # j = 0 takes invert_j's corner short-circuit; the reported tau
-        # must still lie in the reduced domain -1/2 <= Re tau < 1/2.
+        # The reported tau must lie in the reduced domain -1/2 <= Re tau < 1/2.
         made = Classification(case="elliptic", alpha=0.1 - 0.2j, beta=0.3,
                               rho=0.9 + 0.2j, tau=TauPoint(corner))
         got = classify(synthesize(made, 9))

@@ -394,7 +394,7 @@ class TestTauCommands:
     def test_invert_j_corner(self, capsys):
         code, doc = run(capsys, "invert-j", "--value", "0,0")
         assert code == 0
-        assert np.allclose(doc["tau"], [0.5, math.sqrt(3) / 2], atol=1e-12)
+        assert np.allclose(doc["tau"], [-0.5, math.sqrt(3) / 2], atol=1e-12)
 
 
 class TestNegativeComplexValues:

@@ -299,7 +299,8 @@ class TestInvertJ:
 
     def test_corner(self):
         tau = invert_j(0.0)
-        assert abs(tau.value - CORNER) < 1e-12
+        assert abs(tau.value - (CORNER - 1)) < 1e-12
+        assert -0.5 <= tau.value.real
 
     def test_cm_point(self):
         tau = invert_j(287496.0)
@@ -348,8 +349,16 @@ class TestInvertJ:
             taus += [1j + cmath.rect(r, math.radians(a)) for a in (20, 90, 160)]
         for tau in taus:
             t = reduce_tau(tau)[0].value
-            back = invert_j(j_invariant(t)).value
-            assert min(abs(back - m) for m in (t, -1 / t, t + 1, t - 1)) <= 1e-9, (t, back)
+            jt = j_invariant(t)
+            back = invert_j(jt).value
+            # j - 1728 is quadratic in tau - i and j cubic in tau - corner, so
+            # there the rounding of j(t) itself moves the answer by its root.
+            bound = 1e-9
+            if abs(t - 1j) <= 1e-15:
+                bound += (abs(jt - 1728) / 24827.565) ** 0.5
+            elif min(abs(t - left), abs(t - right)) <= 1e-15:
+                bound += (abs(jt) / 45745.081) ** (1 / 3)
+            assert min(abs(back - m) for m in (t, -1 / t, t + 1, t - 1)) <= bound, (t, back)
 
     def test_real_j_below_1728_lands_on_the_left_arc(self):
         for jval in np.linspace(1728 / 200, 1728, 199, endpoint=False):
@@ -377,9 +386,9 @@ class TestInvertJ:
 
     def test_failure_reports_every_start(self):
         with pytest.raises(ConvergenceError) as err:
-            invert_j(632.8, max_iterations=1)
+            invert_j(2500.0, max_iterations=1)
         trace = err.value.diagnostics["trace"]
-        assert len(trace) == 6
+        assert len(trace) == 2
         assert trace[-1]["start"] == [0.0, 1.2]
         assert all(entry["iterations"] == 1 for entry in trace)
 
