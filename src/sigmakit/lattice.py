@@ -250,7 +250,8 @@ def _lattice_from_g(g2: complex, g3: complex) -> Lattice:
     discriminant, or a scale outside the double range, raises NumericError.
     """
     g2, g3 = complex(g2), complex(g3)
-    size = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    # hypot is inf, where abs raises, beyond the double range.
+    size = max(math.hypot(g2.real, g2.imag) ** 0.25, math.hypot(g3.real, g3.imag) ** (1 / 6))
     r = 0
     if 0 < size < math.inf:
         u = 2.0 ** -round(math.log2(size))

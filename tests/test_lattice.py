@@ -292,6 +292,27 @@ class TestNormalizeLattice:
             normalize_lattice(1, 0)
 
 
+class TestLatticeFromG:
+    @pytest.mark.parametrize("scale", [1e-40, 1.0, 1e40])
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, CORNER - 1 + 1e-6j, 1j + 1e-7, 2.5j])
+    def test_invariants_come_back_at_every_scale(self, scale, tau):
+        # The roots run on invariants scaled by a power of two, so the cubes
+        # of g2 near 1e160 and g3 near 1e240 do not overflow.
+        rho = scale * (0.9 + 0.2j)
+        want = [g / rho**k for g, k in zip(weierstrass_g(tau), (4, 6))]
+        lat = sigmakit.lattice._lattice_from_g(*want)
+        got = [g / lat.rho**k for g, k in zip(weierstrass_g(lat.tau), (4, 6))]
+        s = max(abs(want[0]) ** 0.25, abs(want[1]) ** (1 / 6))
+        assert abs(got[0] - want[0]) <= 1e-14 * s**4
+        assert abs(got[1] - want[1]) <= 1e-14 * s**6
+
+    @pytest.mark.parametrize("g", [(0, 0), (12, 8), (math.inf, 1), (1.7e308 + 1.7e308j, 0)])
+    def test_no_lattice_is_numeric_error(self, g):
+        # 12^3 = 27 * 8^2: the discriminant vanishes; |1.7e308(1 + i)| overflows.
+        with pytest.raises(NumericError):
+            sigmakit.lattice._lattice_from_g(*g)
+
+
 class TestInvertJ:
     def test_square_lattice(self):
         tau = invert_j(1728.0)
