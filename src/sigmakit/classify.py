@@ -35,6 +35,7 @@ from .errors import (
     VALIDATION_TOLERANCE,
     DomainError,
     IdentityNotSatisfiedError,
+    NumericError,
 )
 from .invariants import _invariants_and_hat
 from .lattice import _gauge_alpha, _lattice_from_g, sigma_gauge_from_head
@@ -164,7 +165,10 @@ def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
     """
     got = s.odd_coefficients
     want = synthesize(c, s.max_degree).odd_coefficients
-    scale = max(max(abs(v) for v in got), max(abs(v) for v in want))
+    scale = max(math.hypot(v.real, v.imag) for v in (*got, *want))
+    if not math.isfinite(scale):
+        # An infinite scale would let any tail pass.
+        raise NumericError("the coefficient scale of the tail check is outside the double range")
     for k in range(4, len(got)):
         err = abs(got[k] - want[k])
         if err > tolerance * scale:

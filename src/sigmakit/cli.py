@@ -181,6 +181,8 @@ def _cmd_verify_identity(args) -> dict:
     from .identity import OddFunctionHandle, identity_report
 
     _require_positive(samples=args.samples, box=args.box)
+    if not math.isfinite(args.box):
+        raise DomainError(f"--box must be finite, got {args.box}")
     if args.series is not None:
         handle = OddFunctionHandle.from_series(load_series(args.series))
     elif args.function == "z":
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_lattice_options(p)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="RNG seed (default %(default)s)")
+                   help="RNG seed, an integer >= 0 (default %(default)s)")
     p.add_argument("--box", type=float, default=1.0,
                    help="quadruple radius bound (default %(default)s)")
     p.set_defaults(func=_cmd_verify_identity)

@@ -30,9 +30,10 @@ determined uniquely.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
-from .errors import DomainError, NotInOmegaError, NumericError
+from .errors import DomainError, NotInOmegaError, NumericError, SigmaKitError
 from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argument
 
 # Default points at which handle oddness is spot-checked.
@@ -128,11 +129,18 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
 def _residual(f: OddFunctionHandle, x, y, z, w) -> tuple[complex, float]:
     """(value, scale) of ``identity_residual``, with the twelve arguments
     evaluated in one call of the handle's batch evaluator."""
-    f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4 = f._evaluate_many((
-        x, y, z, w,
-        (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
-        (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
-    ))
+    try:
+        f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4 = f._evaluate_many((
+            x, y, z, w,
+            (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
+            (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
+        ))
+    except SigmaKitError:
+        raise
+    except (OverflowError, ValueError) as exc:
+        # cmath raises these where an argument or a value passes the double range.
+        raise _outside_double_range(f"{f.label} failed on the quadruple: {exc}",
+                                    x, y, z, w) from None
     term1 = f1 * f2 * f3 * f4
     term2 = g1 * g2 * g3 * g4
     term3 = h1 * h2 * h3 * h4
@@ -143,31 +151,116 @@ def _residual(f: OddFunctionHandle, x, y, z, w) -> tuple[complex, float]:
     except OverflowError:
         finite = False
     if not finite:
-        raise NumericError(
-            "four-point residual is outside the double range",
-            diagnostics={"quadruple": [[v.real, v.imag] for v in (x, y, z, w)]},
-        )
+        raise _outside_double_range("four-point residual is outside the double range",
+                                    x, y, z, w)
     return value, scale
 
 
+def _outside_double_range(message: str, *quadruple: complex) -> NumericError:
+    return NumericError(message,
+                        diagnostics={"quadruple": [[v.real, v.imag] for v in quadruple]})
+
+
 def sample_quadruples(num_samples: int, seed: int, box_radius: float = 1.0):
-    """Deterministic quadruples with all four entries in |.| <= box_radius."""
+    """Deterministic quadruples with all four entries in |.| <= box_radius.
+
+    ``seed`` is an integer >= 0; anything else raises DomainError.
+    """
     return [QuadruplePoint(*row) for row in _draw_quadruples(num_samples, seed, box_radius)]
 
 
-def _draw_quadruples(num_samples: int, seed: int, box_radius: float) -> list[list[complex]]:
-    """The entries of ``sample_quadruples`` as rows of four complex numbers.
+def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
+    """The entries of ``sample_quadruples``, one row of four at a time.
 
-    One draw of 8 uniforms per sample gives the radii box_radius*sqrt(u) and
-    angles 2*pi*u with the order and arithmetic of one ``uniform`` call for
-    each, so a seed's samples stay fixed.  Only surveys import NumPy.
+    Row k takes uniforms 8k to 8k+7 of NumPy's ``random.default_rng(seed)``,
+    reproduced bit for bit: PCG64 (O'Neill, HMC-CS-2014-0905) is a 128-bit
+    LCG with XSL-RR output, seeded from NumPy's SeedSequence, and a uniform
+    is (x >> 11) * 2^-53.  Uniforms 0-3 give the radii box_radius*sqrt(u),
+    uniforms 4-7 the angles 2*pi*u.  A negative count draws nothing, as
+    range() would.
     """
-    import numpy as np
+    import cmath
 
-    # A negative count draws nothing, as range() would.
-    u = np.random.default_rng(seed).random((max(num_samples, 0), 8))
-    r = box_radius * np.sqrt(u[:, :4])
-    return (r * np.exp(1j * (2.0 * np.pi * u[:, 4:]))).tolist()
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    mask128 = (1 << 128) - 1
+    mask64 = (1 << 64) - 1
+    mask53 = (1 << 53) - 1
+    # x * spread is x twice over, so shifting it right by r leaves x
+    # rotated right by r in the low 64 bits.
+    spread = (1 << 64) + 1
+    ulp = 2.0**-53
+    two_pi = 2.0 * math.pi
+    sqrt, exp = math.sqrt, cmath.exp
+    state_hi, state_lo, stream_hi, stream_lo = _seed_sequence_state(seed)
+    # pcg_setseq_128_srandom: an odd increment from the stream, then one
+    # step, the initial state added, and a second step.
+    inc = (stream_hi << 64 | stream_lo) << 1 & mask128 | 1
+    state = ((inc + (state_hi << 64 | state_lo)) * mult + inc) & mask128
+    for _ in range(num_samples):
+        u = []
+        for _ in range(8):
+            state = (state * mult + inc) & mask128
+            # XSL-RR: the xor of the two halves rotated right by the top six
+            # bits of the state; the uniform keeps the top 53 bits.
+            u.append(((state >> 64 ^ state & mask64) * spread >> (state >> 122) + 11 & mask53)
+                     * ulp)
+        u0, u1, u2, u3, u4, u5, u6, u7 = u
+        yield [box_radius * sqrt(u0) * exp(1j * (two_pi * u4)),
+               box_radius * sqrt(u1) * exp(1j * (two_pi * u5)),
+               box_radius * sqrt(u2) * exp(1j * (two_pi * u6)),
+               box_radius * sqrt(u3) * exp(1j * (two_pi * u7))]
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """NumPy's ``SeedSequence(seed).generate_state(4, uint64)``.
+
+    The seed's little-endian 32-bit words are hashed into a pool of four
+    words, every pool word is mixed into every other, and any words beyond
+    the fourth are mixed into each pool word in turn; four 64-bit words are
+    then hashed out of the pool.  A seed that is not an integer >= 0
+    raises DomainError before it is split.
+    """
+    try:
+        entropy = operator.index(seed)
+    except TypeError:
+        entropy = -1
+    if entropy < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    mask32 = 0xFFFFFFFF
+    words = [entropy & mask32]
+    while entropy := entropy >> 32:
+        words.append(entropy & mask32)
+
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & mask32
+        value = value * hash_const & mask32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & mask32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & mask32
+        value = value * hash_const & mask32
+        halves.append(value ^ value >> 16)
+    return [halves[k] | halves[k + 1] << 32 for k in (0, 2, 4, 6)]
 
 
 def identity_report(f: OddFunctionHandle, *, num_samples: int = 100, seed: int = 1729,

@@ -143,7 +143,8 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
     alpha = -s.coefficient(3) / a1
     twisted = gauss_twist(s, alpha, 0.0)
     coeffs = [c / a1 for c in twisted.odd_coefficients]
-    scale = max(abs(c) for c in coeffs)
+    # hypot, since abs() raises where a modulus passes the largest double.
+    scale = max(math.hypot(c.real, c.imag) for c in coeffs)
     if not (abs(coeffs[0] - 1.0) <= 64 * sys.float_info.epsilon
             and abs(coeffs[1]) <= 1e-12 * max(scale, 1.0)):
         lead, cubic = coeffs[0], coeffs[1]

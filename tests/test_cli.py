@@ -256,6 +256,26 @@ class TestInvariantsOverflow:
         assert code == 2
         assert doc["error"]["type"] == "numeric"
 
+    # A degree-9 coefficient whose modulus is beyond the largest double.
+    HUGE_TAIL = {"max_degree": 9,
+                 "odd_coefficients": [[1, 0], [0, 0], [0, 0], [0, 0], [1.7e308, 1.7e308]]}
+
+    def test_invariants_of_a_tail_beyond_double_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.HUGE_TAIL))
+        code, doc = run_strict(capsys, "invariants", str(path))
+        assert code == 0
+        assert doc["p"] == doc["q"] == [0.0, 0.0]
+        assert doc["mu"] == {"tag": "undefined"}
+
+    def test_classify_of_a_tail_beyond_double_range_is_numeric_error(self, capsys, tmp_path):
+        # The tail is compared at an infinite scale, which would pass it as linear.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.HUGE_TAIL))
+        code, doc = run_strict(capsys, "classify", str(path))
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+
     @pytest.mark.parametrize("doc_in", HUGE)
     def test_extend_runs_scaled_by_a_power_of_two(self, capsys, tmp_path, doc_in):
         # The extension of these data fits in a double: it is the extension of
@@ -298,6 +318,28 @@ class TestVerifyCommands:
         assert code == 1
         assert doc["error"]["type"] == "domain"
         assert option in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [["--seed", "-5"], ["--seed=-5"]])
+    def test_identity_rejects_a_negative_seed(self, capsys, argv):
+        code, doc = run_strict(capsys, "verify-identity", "--function", "sin", *argv)
+        assert code == 1
+        assert doc["error"]["type"] == "domain"
+        assert "seed" in doc["error"]["message"]
+
+    def test_identity_rejects_an_infinite_box(self, capsys):
+        code, doc = run_strict(capsys, "verify-identity", "--function", "sin", "--box", "inf")
+        assert code == 1
+        assert doc["error"]["type"] == "domain"
+        assert "--box" in doc["error"]["message"]
+
+    def test_identity_overflow_in_the_function_is_numeric_error(self, capsys):
+        # sin overflows on entries near 1e308; the document names the quadruple.
+        code, doc = run_strict(capsys, "verify-identity", "--function", "sin", "--box", "1e308")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        quadruple = doc["error"]["diagnostics"]["quadruple"]
+        assert len(quadruple) == 4
+        assert all(abs(complex(*v)) <= 1e308 for v in quadruple)
 
     def test_identity_byte_identical_output(self, capsys):
         code1 = main(["verify-identity", "--function", "sigma", "--samples", "20"])

@@ -25,6 +25,7 @@ from sigmakit import (
     synthesize,
     theta1_odd_series,
 )
+from sigmakit.identity import _draw_quadruples
 
 SINE = TruncatedOddSeries([1, -1 / 6, 1 / 120, -1 / 5040])
 CUBIC = TruncatedOddSeries([1, 1, 0, 0, 0])  # z + z^3, embedded through degree 9
@@ -116,6 +117,28 @@ class TestIdentityResidual:
             identity_residual(h, QuadruplePoint.of(1e308, 1e308, 0, 0))
         with pytest.raises(DomainError):
             identity_residual(h, QuadruplePoint.of(0.1, complex(0, math.inf), 0, 0))
+
+    def test_evaluator_failure_is_numeric_error_naming_the_quadruple(self):
+        def bounded(z):
+            if abs(z) > 10:
+                raise ValueError("math domain error")
+            return z
+
+        with pytest.raises(NumericError) as info:
+            identity_residual(OddFunctionHandle(bounded, "bounded"),
+                              QuadruplePoint.of(20, 1, 1, 1))
+        assert info.value.diagnostics["quadruple"] == [[20.0, 0.0], [1.0, 0.0], [1.0, 0.0],
+                                                       [1.0, 0.0]]
+
+    def test_evaluator_domain_error_passes_through(self):
+        def refusing(z):
+            if abs(z) > 10:
+                raise DomainError("outside the evaluator's domain")
+            return z
+
+        with pytest.raises(DomainError, match="evaluator's domain"):
+            identity_residual(OddFunctionHandle(refusing, "refusing"),
+                              QuadruplePoint.of(20, 1, 1, 1))
 
     def test_report_agrees_with_pointwise_residuals(self):
         lat = lattice_from_rho_tau(0.9 + 0.2j, 0.3 + 1.1j)
@@ -320,7 +343,43 @@ class TestThirdDerivativeLink:
                 assert abs(lhs - rhs) <= 1e-6
 
 
+def numpy_draw(num_samples, seed, box):
+    """The draw through NumPy that ``_draw_quadruples`` reproduces."""
+    u = np.random.default_rng(seed).random((max(num_samples, 0), 8))
+    r = box * np.sqrt(u[:, :4])
+    return (r * np.exp(1j * (2.0 * np.pi * u[:, 4:]))).tolist()
+
+
+SAMPLE_COUNTS = (0, 1, 7, 8, 9, 16, 50)
+
+
 class TestSampling:
+    # repr tells the signs of zeros apart, which == does not.
+    @pytest.mark.parametrize("box", [0.3, 1.0, 8.0])
+    def test_matches_numpy_on_the_seed_grid(self, box):
+        for seed in range(400):
+            for n in SAMPLE_COUNTS:
+                assert repr(list(_draw_quadruples(n, seed, box))) == repr(numpy_draw(n, seed, box))
+
+    # Seeds of 2 to 4 words, and of 7 and 8 words, which SeedSequence mixes
+    # into its 4-word pool one word at a time.
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 5, 2**96 + 7, 2**127, 2**128 - 1,
+                                      2**200 + 12345, 2**255 - 19])
+    def test_matches_numpy_at_large_seeds(self, seed):
+        for n in SAMPLE_COUNTS:
+            for box in (0.3, 1.0, 8.0):
+                assert repr(list(_draw_quadruples(n, seed, box))) == repr(numpy_draw(n, seed, box))
+
+    def test_negative_count_draws_nothing(self):
+        assert sample_quadruples(-3, seed=5) == []
+
+    @pytest.mark.parametrize("seed", [-1, -5, -2**70, None, 7.0, "7", [1, 2]])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            sample_quadruples(0, seed)
+        with pytest.raises(DomainError, match="seed"):
+            identity_report(OddFunctionHandle.sine(), num_samples=3, seed=seed)
+
     @pytest.mark.parametrize("seed", [1, 1729, 42])
     @pytest.mark.parametrize("box", [0.3, 1.0, 2.5])
     def test_matches_per_sample_draw(self, seed, box):

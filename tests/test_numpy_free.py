@@ -1,8 +1,9 @@
-"""sigmakit and every CLI command but verify-identity run without NumPy.
+"""sigmakit and every CLI command run without NumPy.
 
+The survey samples come from a pure-Python PCG64 that reproduces NumPy's
+draw, so verify-identity and ``sample_quadruples`` load no NumPy either.
 The check runs in a fresh interpreter, since the test process itself has
-NumPy loaded; verify-identity draws its samples through NumPy and may load
-it.
+NumPy loaded.
 """
 
 import json
@@ -20,7 +21,7 @@ SINE_DOC = {
 }
 
 # Runs each command through cli.main and records its exit code and
-# whether NumPy was loaded after it.
+# whether NumPy was loaded after it; a library draw of samples goes last.
 PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -31,6 +32,8 @@ for argv in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     loaded[" ".join(argv)] = [code, "numpy" in sys.modules]
+sigmakit.sample_quadruples(16, 1729)
+loaded["sample_quadruples"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
 
@@ -59,8 +62,13 @@ def test_library_and_cli_commands_do_not_import_numpy(tmp_path):
         ["extend", str(series), "--target", "15"],
         ["reduce-tau", "--tau", "5,1"],
         ["invert-j", "--value", "-100,0"],
+        ["verify-identity", "--function", "z", "--samples", "5"],
+        ["verify-identity", "--function", "sin", "--samples", "5"],
+        ["verify-identity", "--function", "sigma", "--samples", "5"],
+        ["verify-identity", "--series", str(series), "--samples", "5"],
     ]
     loaded = run_probe(commands)
     assert loaded.pop("import sigmakit") is False
+    assert loaded.pop("sample_quadruples") is False
     assert loaded == {" ".join(argv): [0, False] for argv in commands}
 
