@@ -287,7 +287,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every subcommand is registered with its help,
+    but only those named in argv get their arguments, so a process builds
+    the arguments of its own command alone."""
     parser = _Parser(
         prog="sigmakit",
         description=(
@@ -299,69 +302,66 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help_text, run):
+        """The subparser of name, or None if argv does not name it."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=run)
+        return p if name in argv else None
+
     def add_lattice_options(p):
         p.add_argument("--tau", help="upper-half-plane point re,im")
         p.add_argument("--rho", help="lattice scale re,im (default 1)")
         p.add_argument("--omega1", help="first generator re,im")
         p.add_argument("--omega2", help="second generator re,im")
 
-    p = sub.add_parser("eval", help="evaluate theta1, eta, g2, g3, j, or sigma")
-    p.add_argument("function", choices=["theta1", "eta", "g2", "g3", "j", "sigma"])
-    p.add_argument("--z", help="argument re,im (theta1 and sigma)")
-    add_lattice_options(p)
-    p.add_argument("--term-cap", type=int, default=TERM_CAP,
-                   help="series/product term cap (default %(default)s)")
-    p.set_defaults(func=_cmd_eval)
+    if p := command("eval", "evaluate theta1, eta, g2, g3, j, or sigma", _cmd_eval):
+        p.add_argument("function", choices=["theta1", "eta", "g2", "g3", "j", "sigma"])
+        p.add_argument("--z", help="argument re,im (theta1 and sigma)")
+        add_lattice_options(p)
+        p.add_argument("--term-cap", type=int, default=TERM_CAP,
+                       help="series/product term cap (default %(default)s)")
 
-    p = sub.add_parser("invariants", help="p, q, mu of an odd series file")
-    p.add_argument("series", help="JSON file with max_degree and odd_coefficients")
-    p.set_defaults(func=_cmd_invariants)
+    if p := command("invariants", "p, q, mu of an odd series file", _cmd_invariants):
+        p.add_argument("series", help="JSON file with max_degree and odd_coefficients")
 
-    p = sub.add_parser("classify", help="classify an odd series file")
-    p.add_argument("series")
-    p.add_argument("--trig-tol", type=float, default=TRIG_TOLERANCE,
-                   help="relative mu-window routed to the sine family "
-                        "(default %(default)s)")
-    p.add_argument("--validation-tol", type=float, default=VALIDATION_TOLERANCE,
-                   help="relative tolerance for coefficients beyond degree 7 "
-                        "(default %(default)s)")
-    p.set_defaults(func=_cmd_classify)
+    if p := command("classify", "classify an odd series file", _cmd_classify):
+        p.add_argument("series")
+        p.add_argument("--trig-tol", type=float, default=TRIG_TOLERANCE,
+                       help="relative mu-window routed to the sine family "
+                            "(default %(default)s)")
+        p.add_argument("--validation-tol", type=float, default=VALIDATION_TOLERANCE,
+                       help="relative tolerance for coefficients beyond degree 7 "
+                            "(default %(default)s)")
 
-    p = sub.add_parser("verify-identity",
-                       help="four-point identity residuals on random quadruples")
-    p.add_argument("--function", choices=["z", "sin", "sigma"])
-    p.add_argument("--series", help="odd series JSON file (overrides --function)")
-    add_lattice_options(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="RNG seed, an integer >= 0 (default %(default)s)")
-    p.add_argument("--box", type=float, default=1.0,
-                   help="quadruple radius bound (default %(default)s)")
-    p.set_defaults(func=_cmd_verify_identity)
+    if p := command("verify-identity", "four-point identity residuals on random quadruples",
+                    _cmd_verify_identity):
+        p.add_argument("--function", choices=["z", "sin", "sigma"])
+        p.add_argument("--series", help="odd series JSON file (overrides --function)")
+        add_lattice_options(p)
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="RNG seed, an integer >= 0 (default %(default)s)")
+        p.add_argument("--box", type=float, default=1.0,
+                       help="quadruple radius bound (default %(default)s)")
 
-    p = sub.add_parser("verify-duplication",
-                       help="duplication-equation residual coefficients")
-    p.add_argument("series")
-    p.set_defaults(func=_cmd_verify_duplication)
+    if p := command("verify-duplication", "duplication-equation residual coefficients",
+                    _cmd_verify_duplication):
+        p.add_argument("series")
 
-    p = sub.add_parser("extend", help="extend odd Taylor data by the recurrence")
-    p.add_argument("series")
-    p.add_argument("--target", type=int, required=True, help="target odd degree")
-    p.set_defaults(func=_cmd_extend)
+    if p := command("extend", "extend odd Taylor data by the recurrence", _cmd_extend):
+        p.add_argument("series")
+        p.add_argument("--target", type=int, required=True, help="target odd degree")
 
-    p = sub.add_parser("reduce-tau", help="fundamental-domain reduction")
-    p.add_argument("--tau", required=True)
-    p.set_defaults(func=_cmd_reduce_tau)
+    if p := command("reduce-tau", "fundamental-domain reduction", _cmd_reduce_tau):
+        p.add_argument("--tau", required=True)
 
-    p = sub.add_parser("invert-j", help="tau with j(tau) equal to a given value")
-    p.add_argument("--value", required=True, help="target j as re,im")
-    p.add_argument("--tolerance", type=float, default=J_TOLERANCE,
-                   help="relative residual target (default %(default)s)")
-    p.set_defaults(func=_cmd_invert_j)
+    if p := command("invert-j", "tau with j(tau) equal to a given value", _cmd_invert_j):
+        p.add_argument("--value", required=True, help="target j as re,im")
+        p.add_argument("--tolerance", type=float, default=J_TOLERANCE,
+                       help="relative residual target (default %(default)s)")
 
-    p = sub.add_parser("psi", help="(n-1)(n-2)(n-3) + 8 - 2^n for odd n >= 5")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_psi)
+    if p := command("psi", "(n-1)(n-2)(n-3) + 8 - 2^n for odd n >= 5", _cmd_psi):
+        p.add_argument("n", type=int)
 
     return parser
 
@@ -390,7 +390,8 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_attach_negative_values(argv))
+        argv = _attach_negative_values(argv)
+        args = build_parser(argv).parse_args(argv)
         emit({"schema_version": SCHEMA_VERSION, "command": args.command, **args.func(args)})
         return EXIT_OK
     except SystemExit as exc:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from itertools import islice
 
 from .errors import DomainError, NotInOmegaError, NumericError, SigmaKitError
 from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argument
@@ -39,6 +40,11 @@ from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argume
 # Default points at which handle oddness is spot-checked.
 _ODDNESS_PROBES = (0.37, 0.11 + 0.23j, -0.52 + 0.08j)
 _ODDNESS_TOL = 1e-12
+
+# Quadruples per batch of a survey: large enough that the batch evaluator's
+# set-up is spread thin, small enough that memory does not grow with the
+# sample count.
+_CHUNK = 64
 
 
 class QuadruplePoint(namedtuple("QuadruplePoint", "x y z w")):
@@ -54,15 +60,26 @@ class QuadruplePoint(namedtuple("QuadruplePoint", "x y z w")):
 class OddFunctionHandle:
     """A pointwise evaluator for an odd function, tagged with a label.
 
-    Oddness is spot-checked on a few probe points at construction.
+    ``batch``, if given, evaluates a list of complex points at once, each
+    exactly as the evaluator would.  Oddness is spot-checked on a few probe
+    points at construction, in one batch where there is one.
     """
 
-    def __init__(self, evaluator, label: str):
+    def __init__(self, evaluator, label: str, batch=None):
         self.evaluator = evaluator
         self.label = label
+        probes = [v for z0 in _ODDNESS_PROBES for v in (z0, -z0)]
+        values = (complex(evaluator(z)) for z in probes)
+        if batch is not None:
+            self._evaluate_many = batch
+            try:
+                values = iter(batch([complex(z) for z in probes]))
+            except Exception:
+                # Probed one at a time instead, the first failing probe
+                # raises its own error, as it would without a batch.
+                pass
         for z0 in _ODDNESS_PROBES:
-            plus = complex(evaluator(z0))
-            minus = complex(evaluator(-z0))
+            plus, minus = next(values), next(values)
             if abs(plus + minus) > _ODDNESS_TOL * max(1.0, abs(plus)):
                 raise DomainError(
                     f"evaluator {label!r} is not odd at probe {z0}: "
@@ -73,7 +90,7 @@ class OddFunctionHandle:
         return complex(self.evaluator(complex(z)))
 
     def _evaluate_many(self, zs) -> list[complex]:
-        """The handle at each of zs; ``from_sigma`` sets sigma's batch kernel."""
+        """The handle at each of zs; a ``batch`` given at construction replaces it."""
         return [self(z) for z in zs]
 
     @classmethod
@@ -94,9 +111,8 @@ class OddFunctionHandle:
     def from_sigma(cls, lat) -> "OddFunctionHandle":
         from .lattice import _sigma_values, sigma_eval
 
-        handle = cls(lambda z: sigma_eval(z, lat), "sigma")
-        handle._evaluate_many = lambda zs: _sigma_values(zs, lat)
-        return handle
+        return cls(lambda z: sigma_eval(z, lat), "sigma",
+                   batch=lambda zs: _sigma_values(zs, lat))
 
     def twisted(self, alpha: complex, beta: complex) -> "OddFunctionHandle":
         """The handle multiplied by exp(alpha*z^2 + beta)."""
@@ -126,34 +142,71 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
     return IdentityResidual(value=value, scale=scale)
 
 
-def _residual(f: OddFunctionHandle, x, y, z, w) -> tuple[complex, float]:
-    """(value, scale) of ``identity_residual``, with the twelve arguments
-    evaluated in one call of the handle's batch evaluator."""
-    try:
-        f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4 = f._evaluate_many((
-            x, y, z, w,
-            (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
-            (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
-        ))
-    except SigmaKitError:
-        raise
-    except (OverflowError, ValueError) as exc:
-        # cmath raises these where an argument or a value passes the double range.
-        raise _outside_double_range(f"{f.label} failed on the quadruple: {exc}",
-                                    x, y, z, w) from None
+def _arguments(x, y, z, w) -> tuple[complex, ...]:
+    """The twelve arguments of the identity at (x, y, z, w), four per product."""
+    return (
+        x, y, z, w,
+        (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
+        (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
+    )
+
+
+def _value_and_scale(f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4):
+    """(value, scale) from the handle at the twelve ``_arguments``, or None
+    where either leaves the double range."""
     term1 = f1 * f2 * f3 * f4
     term2 = g1 * g2 * g3 * g4
     term3 = h1 * h2 * h3 * h4
     value = term1 - term2 - term3
     try:
         scale = max(abs(term1), abs(term2), abs(term3))
-        finite = math.isfinite(scale) and math.isfinite(abs(value))
+        if math.isfinite(scale) and math.isfinite(abs(value)):
+            return value, scale
     except OverflowError:
-        finite = False
-    if not finite:
+        pass
+    return None
+
+
+def _residual(f: OddFunctionHandle, x, y, z, w) -> tuple[complex, float]:
+    """(value, scale) of ``identity_residual``, with the twelve arguments
+    evaluated in one call of the handle's batch evaluator."""
+    try:
+        values = f._evaluate_many(_arguments(x, y, z, w))
+    except SigmaKitError:
+        raise
+    except (OverflowError, ValueError) as exc:
+        # cmath raises these where an argument or a value passes the double range.
+        raise _outside_double_range(f"{f.label} failed on the quadruple: {exc}",
+                                    x, y, z, w) from None
+    result = _value_and_scale(*values)
+    if result is None:
         raise _outside_double_range("four-point residual is outside the double range",
                                     x, y, z, w)
-    return value, scale
+    return result
+
+
+def _chunk_residuals(f: OddFunctionHandle, rows) -> list[tuple[complex, float]]:
+    """``_residual`` at each row of four, with all 12*len(rows) arguments
+    evaluated in one call of the handle's batch evaluator.
+
+    Where that call raises, or a residual leaves the double range, the rows
+    are replayed one at a time through ``_residual``, so the first failing
+    row raises exactly its own error.
+    """
+    args = []
+    for row in rows:
+        args += _arguments(*row)
+    try:
+        values = iter(f._evaluate_many(args))
+    except Exception:
+        # Any error of the evaluator: the replay raises it, or the error
+        # of an earlier row, as the rows would one at a time.
+        values = None
+    if values is not None:
+        results = [_value_and_scale(*twelve) for twelve in zip(*[values] * 12)]
+        if None not in results:
+            return results
+    return [_residual(f, *row) for row in rows]
 
 
 def _outside_double_range(message: str, *quadruple: complex) -> NumericError:
@@ -269,18 +322,22 @@ def identity_report(f: OddFunctionHandle, *, num_samples: int = 100, seed: int =
 
     Returns a JSON-ready report with the worst absolute residual, the
     scale at which it occurred, and the worst residual-to-scale ratio.
+    The quadruples are drawn and evaluated ``_CHUNK`` at a time, one batch
+    per chunk, so memory stays flat in num_samples; every value and error
+    is that of ``identity_residual`` on each quadruple in turn.
     """
     worst = 0.0
     worst_scale = 0.0
     worst_ratio = 0.0
-    for x, y, z, w in _draw_quadruples(num_samples, seed, box_radius):
-        value, scale = _residual(f, x, y, z, w)
-        size = abs(value)
-        if size > worst:
-            worst = size
-            worst_scale = scale
-        if scale > 0:
-            worst_ratio = max(worst_ratio, size / scale)
+    rows = _draw_quadruples(num_samples, seed, box_radius)
+    while chunk := list(islice(rows, _CHUNK)):
+        for value, scale in _chunk_residuals(f, chunk):
+            size = abs(value)
+            if size > worst:
+                worst = size
+                worst_scale = scale
+            if scale > 0:
+                worst_ratio = max(worst_ratio, size / scale)
     return {
         "function": f.label,
         "max_abs_residual": worst,

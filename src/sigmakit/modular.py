@@ -57,6 +57,7 @@ TERM_TOL = 1e-18
 _MEMO_SIZE = 16
 
 _TWO_PI = 2.0 * math.pi
+_I_PI = 1j * math.pi
 # (2*pi)^4/12 and (2*pi)^6/216, halved for E4 and E6.
 _G2_SCALE = _TWO_PI**4 / 24.0
 _G3_SCALE = _TWO_PI**6 / 432.0
@@ -294,12 +295,13 @@ def _theta1_values(zs, t: complex, table, rho=1.0, kappa=0.0, scale=1.0) -> list
             exponent = kappa * w * w
             n = round(w.imag / v)
             if n:
-                w -= n * t
+                nt = n * t
+                w -= nt
             m = round(w.real)
             if m:
                 w -= m
             if n:
-                exponent -= 1j * pi * n * (n * t + 2.0 * w)
+                exponent -= _I_PI * n * (nt + 2.0 * w)
             s = sin(pi * w)
             c = 2.0 - 4.0 * s * s
             prev, cur = -s, s

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +506,25 @@ class TestStrictJson:
         code, doc = run_strict(capsys, "eval", "j", "--tau", "0,1")
         assert code == 2
         assert doc["error"] == {"type": "numeric", "message": "no value"}
+
+
+# Help texts, usage lines and rejection documents of the parser, recorded
+# byte for byte at an 80-column terminal.  The CLI builds the arguments of
+# the chosen subcommand only; every one of these must stay as recorded.
+PARSER_GOLDEN = json.loads(
+    (Path(__file__).with_name("cli_parser_golden.json")).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PARSER_GOLDEN, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_parser_output_is_byte_identical(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_version_output(capsys):
+    from sigmakit import __version__
+
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"{__version__}\n", "")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sigmakit import (
     NumericError,
     OddFunctionHandle,
     QuadruplePoint,
+    SigmaKitError,
     TauPoint,
     TruncatedOddSeries,
     duplication_residual,
@@ -25,7 +27,7 @@ from sigmakit import (
     synthesize,
     theta1_odd_series,
 )
-from sigmakit.identity import _draw_quadruples
+from sigmakit.identity import _CHUNK, _draw_quadruples
 
 SINE = TruncatedOddSeries([1, -1 / 6, 1 / 120, -1 / 5040])
 CUBIC = TruncatedOddSeries([1, 1, 0, 0, 0])  # z + z^3, embedded through degree 9
@@ -54,6 +56,36 @@ class TestHandles:
     def test_oddness_check_rejects_even_function(self):
         with pytest.raises(DomainError):
             OddFunctionHandle(lambda z: z * z, "square")
+
+    def test_batch_probes_oddness_in_one_call(self):
+        calls = []
+
+        def batch(zs):
+            calls.append(list(zs))
+            return [cmath.sin(z) for z in zs]
+
+        h = OddFunctionHandle(lambda z: 1 / 0, "sin", batch=batch)
+        assert calls == [[0.37, -0.37, 0.11 + 0.23j, -0.11 - 0.23j, -0.52 + 0.08j, 0.52 - 0.08j]]
+        assert h._evaluate_many([0.5]) == [cmath.sin(0.5)]
+
+    def test_batch_rejects_as_the_pointwise_probes_do(self):
+        def square(z):
+            z = complex(z)
+            return z * z
+
+        with pytest.raises(DomainError) as pointwise:
+            OddFunctionHandle(square, "square")
+        with pytest.raises(DomainError) as batched:
+            OddFunctionHandle(square, "square", batch=lambda zs: [square(z) for z in zs])
+        assert str(batched.value) == str(pointwise.value)
+
+    def test_sigma_probe_error_names_the_failing_probe(self):
+        # The first two probe pairs fit in a double, sigma at -0.52 + 0.08i does not.
+        lat = lattice_from_rho_tau(0.023815574581512955 - 0.005607141885756839j,
+                                   -0.47448288381173453 + 2.1985198877019356j)
+        with pytest.raises(NumericError, match="sigma at z=") as info:
+            OddFunctionHandle.from_sigma(lat)
+        assert info.value.diagnostics["z"] == [-0.52, 0.08]
 
     def test_builtin_handles(self):
         assert OddFunctionHandle.identity()(2.0) == 2.0
@@ -155,6 +187,112 @@ class TestIdentityResidual:
         assert r1 == r2
         assert r1["num_samples"] == 20
         assert r1["seed"] == 42
+
+
+def reference_report(f, num_samples, seed, box_radius):
+    """``identity_report`` as a loop of ``identity_residual``, one quadruple at a time."""
+    worst = worst_scale = worst_ratio = 0.0
+    for pt in sample_quadruples(num_samples, seed, box_radius):
+        value, scale = identity_residual(f, pt)
+        if abs(value) > worst:
+            worst, worst_scale = abs(value), scale
+        if scale > 0:
+            worst_ratio = max(worst_ratio, abs(value) / scale)
+    return {"function": f.label, "max_abs_residual": worst, "scale": worst_scale,
+            "max_residual_over_scale": worst_ratio, "num_samples": num_samples,
+            "seed": seed, "box_radius": box_radius}
+
+
+def outcome(call):
+    """The result of call(), or the type, message and diagnostics of its error."""
+    try:
+        return call()
+    except SigmaKitError as exc:
+        return type(exc), str(exc), getattr(exc, "diagnostics", None)
+
+
+CORNER_TAU = cmath.exp(2j * math.pi / 3)
+SURVEY_COUNTS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+
+
+class TestBatchedSurvey:
+    # The survey evaluates each chunk of quadruples in one batch; every
+    # value must equal the quadruple-by-quadruple loop's, bit for bit.
+    @pytest.mark.parametrize("tau", [CORNER_TAU + 0.004j, 0.21 + 1.3j, -0.37 + 2.6j,
+                                     cmath.exp(1.8j)], ids=["corner", "generic", "high", "arc"])
+    @pytest.mark.parametrize("reach", [0.6, 1.4, 2.5])
+    def test_sigma_equals_the_pointwise_loop(self, tau, reach):
+        box = 1.7
+        lat = lattice_from_rho_tau(cmath.rect(box / reach, 0.8), tau)
+        h = OddFunctionHandle.from_sigma(lat)
+        for n in SURVEY_COUNTS:
+            assert identity_report(h, num_samples=n, seed=n + 3, box_radius=box) == \
+                reference_report(h, n, n + 3, box)
+
+    @pytest.mark.parametrize("make", [
+        OddFunctionHandle.sine,
+        lambda: OddFunctionHandle.from_series(TruncatedOddSeries([1, 0.3, -0.02, 0.001])),
+        lambda: OddFunctionHandle.from_sigma(lattice_from_rho_tau(0.9, 0.1 + 1.2j)).twisted(
+            0.3 - 0.2j, 0.1j),
+    ], ids=["sine", "series", "twisted"])
+    def test_handles_equal_the_pointwise_loop(self, make):
+        handle = make()
+        for n in SURVEY_COUNTS:
+            assert identity_report(handle, num_samples=n, seed=7, box_radius=1.3) == \
+                reference_report(handle, n, 7, 1.3)
+
+    def test_product_overflow_before_a_non_finite_sigma(self):
+        # Quadruple 0 overflows its products, quadruple 1 has a sigma beyond
+        # the double range, so the batch raises for quadruple 1; quadruple 0's
+        # error must win, as in the loop.
+        h = OddFunctionHandle.from_sigma(lattice_from_rho_tau(0.05, 1j))
+        first, second = sample_quadruples(2, seed=10, box_radius=1.0)
+        assert "four-point residual" in str(outcome(lambda: identity_residual(h, first))[1])
+        assert "sigma at z=" in str(outcome(lambda: identity_residual(h, second))[1])
+        got = outcome(lambda: identity_report(h, num_samples=_CHUNK, seed=10, box_radius=1.0))
+        assert got == outcome(lambda: reference_report(h, _CHUNK, 10, 1.0))
+        assert got[0] is NumericError
+        assert got[2]["quadruple"] == [[v.real, v.imag] for v in first]
+
+    def test_product_overflow_in_a_later_chunk(self):
+        # Every value is finite; quadruple 76 is the first whose products
+        # leave the double range.
+        h = OddFunctionHandle.identity()
+        got = outcome(lambda: identity_report(h, num_samples=3 * _CHUNK, seed=2,
+                                              box_radius=1.3e77))
+        assert got == outcome(lambda: reference_report(h, 3 * _CHUNK, 2, 1.3e77))
+        row = sample_quadruples(77, seed=2, box_radius=1.3e77)[76]
+        assert got[:2] == (NumericError, "four-point residual is outside the double range")
+        assert got[2]["quadruple"] == [[v.real, v.imag] for v in row]
+
+    @pytest.mark.parametrize("error", [ValueError, DomainError])
+    def test_evaluator_error_in_a_later_chunk(self, error):
+        # Quadruple 99 is the first with an argument beyond |z| = 1.6.
+        def clipped(z):
+            if abs(z) > 1.6:
+                raise error("outside the evaluator's domain")
+            return cmath.sin(z)
+
+        h = OddFunctionHandle(clipped, "clipped")
+        got = outcome(lambda: identity_report(h, num_samples=3 * _CHUNK, seed=8, box_radius=1.0))
+        assert got == outcome(lambda: reference_report(h, 3 * _CHUNK, 8, 1.0))
+        assert got[0] is (NumericError if error is ValueError else DomainError)
+        if error is ValueError:
+            row = sample_quadruples(100, seed=8, box_radius=1.0)[99]
+            assert got[2]["quadruple"] == [[v.real, v.imag] for v in row]
+
+    def test_memory_stays_flat_in_the_sample_count(self):
+        h = OddFunctionHandle.sine()
+        identity_report(h, num_samples=_CHUNK, seed=1)
+        peaks = []
+        for chunks in (4, 40):
+            tracemalloc.start()
+            try:
+                identity_report(h, num_samples=chunks * _CHUNK, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestThreeFamiliesSatisfyIdentity:

@@ -68,3 +68,10 @@ def test_unbounded_cache_rule_catches(source):
 ])
 def test_unbounded_cache_rule_allows_bounded(source):
     assert _unbounded_caches(ast.parse(source)) == []
+
+
+def test_the_identity_arguments_are_written_once():
+    # The survey's batches and identity_residual must share one formula
+    # for the twelve arguments, so that the two cannot drift apart.
+    count = sum(path.read_text(encoding="utf-8").count("(-x + y + z + w) / 2") for path in SOURCES)
+    assert count == 1
