@@ -29,6 +29,7 @@ determined uniquely.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections import namedtuple
@@ -61,25 +62,19 @@ class OddFunctionHandle:
     """A pointwise evaluator for an odd function, tagged with a label.
 
     ``batch``, if given, evaluates a list of complex points at once, each
-    exactly as the evaluator would.  Oddness is spot-checked on a few probe
-    points at construction, in one batch where there is one.
+    exactly as the evaluator would, and raises the error of the first point
+    that fails.  Oddness is spot-checked at construction on a few probe
+    points, all evaluated in one call of ``_evaluate_many``.
     """
 
     def __init__(self, evaluator, label: str, batch=None):
         self.evaluator = evaluator
         self.label = label
-        probes = [v for z0 in _ODDNESS_PROBES for v in (z0, -z0)]
-        values = (complex(evaluator(z)) for z in probes)
         if batch is not None:
             self._evaluate_many = batch
-            try:
-                values = iter(batch([complex(z) for z in probes]))
-            except Exception:
-                # Probed one at a time instead, the first failing probe
-                # raises its own error, as it would without a batch.
-                pass
-        for z0 in _ODDNESS_PROBES:
-            plus, minus = next(values), next(values)
+        values = iter(self._evaluate_many([complex(v) for z0 in _ODDNESS_PROBES
+                                           for v in (z0, -z0)]))
+        for z0, plus, minus in zip(_ODDNESS_PROBES, values, values):
             if abs(plus + minus) > _ODDNESS_TOL * max(1.0, abs(plus)):
                 raise DomainError(
                     f"evaluator {label!r} is not odd at probe {z0}: "
@@ -99,8 +94,6 @@ class OddFunctionHandle:
 
     @classmethod
     def sine(cls) -> "OddFunctionHandle":
-        import cmath
-
         return cls(cmath.sin, "sin")
 
     @classmethod
@@ -116,8 +109,6 @@ class OddFunctionHandle:
 
     def twisted(self, alpha: complex, beta: complex) -> "OddFunctionHandle":
         """The handle multiplied by exp(alpha*z^2 + beta)."""
-        import cmath
-
         base = self.evaluator
         return OddFunctionHandle(
             lambda z: base(z) * cmath.exp(alpha * z * z + beta),
@@ -138,8 +129,7 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
     the natural yardstick for calling the residual small.  Products outside
     the double range raise NumericError.
     """
-    value, scale = _residual(f, pt.x, pt.y, pt.z, pt.w)
-    return IdentityResidual(value=value, scale=scale)
+    return IdentityResidual(*_residuals(f, [pt])[0])
 
 
 def _arguments(x, y, z, w) -> tuple[complex, ...]:
@@ -151,62 +141,47 @@ def _arguments(x, y, z, w) -> tuple[complex, ...]:
     )
 
 
-def _value_and_scale(f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4):
-    """(value, scale) from the handle at the twelve ``_arguments``, or None
-    where either leaves the double range."""
-    term1 = f1 * f2 * f3 * f4
-    term2 = g1 * g2 * g3 * g4
-    term3 = h1 * h2 * h3 * h4
-    value = term1 - term2 - term3
-    try:
-        scale = max(abs(term1), abs(term2), abs(term3))
-        if math.isfinite(scale) and math.isfinite(abs(value)):
-            return value, scale
-    except OverflowError:
-        pass
-    return None
+def _residuals(f: OddFunctionHandle, rows) -> list[tuple[complex, float]]:
+    """(value, scale) of ``identity_residual`` at each row of four, all
+    12*len(rows) arguments evaluated in one ``f._evaluate_many`` call.
 
-
-def _residual(f: OddFunctionHandle, x, y, z, w) -> tuple[complex, float]:
-    """(value, scale) of ``identity_residual``, with the twelve arguments
-    evaluated in one call of the handle's batch evaluator."""
-    try:
-        values = f._evaluate_many(_arguments(x, y, z, w))
-    except SigmaKitError:
-        raise
-    except (OverflowError, ValueError) as exc:
-        # cmath raises these where an argument or a value passes the double range.
-        raise _outside_double_range(f"{f.label} failed on the quadruple: {exc}",
-                                    x, y, z, w) from None
-    result = _value_and_scale(*values)
-    if result is None:
-        raise _outside_double_range("four-point residual is outside the double range",
-                                    x, y, z, w)
-    return result
-
-
-def _chunk_residuals(f: OddFunctionHandle, rows) -> list[tuple[complex, float]]:
-    """``_residual`` at each row of four, with all 12*len(rows) arguments
-    evaluated in one call of the handle's batch evaluator.
-
-    Where that call raises, or a residual leaves the double range, the rows
-    are replayed one at a time through ``_residual``, so the first failing
-    row raises exactly its own error.
+    If that call raises for several rows, they run again one at a time, so
+    the first failing row raises its own error.  For one row, an
+    OverflowError or ValueError (cmath's for an argument or a value past the
+    double range) becomes NumericError naming the quadruple; other errors
+    pass through.  After the call, the first row whose products or value
+    leave the double range raises NumericError.
     """
     args = []
     for row in rows:
         args += _arguments(*row)
     try:
         values = iter(f._evaluate_many(args))
-    except Exception:
-        # Any error of the evaluator: the replay raises it, or the error
-        # of an earlier row, as the rows would one at a time.
+    except Exception as exc:
+        if len(rows) == 1:
+            if isinstance(exc, SigmaKitError) or not isinstance(exc, (OverflowError, ValueError)):
+                raise
+            raise _outside_double_range(f"{f.label} failed on the quadruple: {exc}",
+                                        *rows[0]) from None
         values = None
-    if values is not None:
-        results = [_value_and_scale(*twelve) for twelve in zip(*[values] * 12)]
-        if None not in results:
-            return results
-    return [_residual(f, *row) for row in rows]
+    if values is None:
+        # Outside the handler, so that a row's error carries no batch context.
+        return [result for row in rows for result in _residuals(f, [row])]
+    results = []
+    for row, (f1, f2, f3, f4, g1, g2, g3, g4, h1, h2, h3, h4) in zip(rows, zip(*[values] * 12)):
+        term1 = f1 * f2 * f3 * f4
+        term2 = g1 * g2 * g3 * g4
+        term3 = h1 * h2 * h3 * h4
+        value = term1 - term2 - term3
+        try:
+            scale = max(abs(term1), abs(term2), abs(term3))
+            size = abs(value)
+        except OverflowError:
+            scale = size = math.inf
+        if not (math.isfinite(scale) and math.isfinite(size)):
+            raise _outside_double_range("four-point residual is outside the double range", *row)
+        results.append((value, scale))
+    return results
 
 
 def _outside_double_range(message: str, *quadruple: complex) -> NumericError:
@@ -232,8 +207,6 @@ def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
     uniforms 4-7 the angles 2*pi*u.  A negative count draws nothing, as
     range() would.
     """
-    import cmath
-
     mult = 0x2360ED051FC65DA44385DF649FCCF645
     mask128 = (1 << 128) - 1
     mask64 = (1 << 64) - 1
@@ -331,7 +304,7 @@ def identity_report(f: OddFunctionHandle, *, num_samples: int = 100, seed: int =
     worst_ratio = 0.0
     rows = _draw_quadruples(num_samples, seed, box_radius)
     while chunk := list(islice(rows, _CHUNK)):
-        for value, scale in _chunk_residuals(f, chunk):
+        for value, scale in _residuals(f, chunk):
             size = abs(value)
             if size > worst:
                 worst = size
@@ -417,12 +390,18 @@ def duplication_report(s: TruncatedOddSeries) -> dict:
 
     ``first_nonzero_degree`` ignores roundoff dust: the residual is
     quartic in the coefficients, so only entries above
-    1e-12 * max(1, coefficient scale)^4 count.
+    1e-12 * max(1, coefficient scale)^4 count; a scale whose fourth power
+    leaves the double range raises NumericError.
     """
     res = duplication_residual(s)
     mags = [abs(c) for c in res.odd_coefficients]
     scale = max(1.0, max(abs(c) for c in s.odd_coefficients))
-    meaningful = [k for k, m in enumerate(mags) if m > 1e-12 * scale**4]
+    try:
+        dust = 1e-12 * scale**4
+    except OverflowError:
+        raise NumericError(f"the roundoff threshold 1e-12 * {scale}^4 is outside the double range",
+                           diagnostics={"scale": scale}) from None
+    meaningful = [k for k, m in enumerate(mags) if m > dust]
     return {
         "max_degree": res.max_degree,
         "residual_coefficients": [[c.real, c.imag] for c in res.odd_coefficients],

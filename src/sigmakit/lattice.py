@@ -363,31 +363,30 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     odd Taylor coefficients of theta1.  kappa = -th3/th1 = alpha*rho^2
     depends on tau alone (``_gauge_alpha`` gives alpha); scale = rho/th1 =
     exp(beta), with beta the principal logarithm.  th1 underflows beyond
-    Im tau of about 900, where scale leaves the double range: NumericError.
-    So does rho^2 when it underflows to 0 or overflows, which takes |rho|
-    below about 1.6e-162 or above about 1.3e154.
+    Im tau of about 900, where scale overflows: NumericError.  So does a
+    scale below the normal doubles (|rho| below about 6e-308 at tau = i),
+    which would carry too few digits into every sigma value.
     """
     if th1 == 0 or not cmath.isfinite(rho / th1):
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
                            diagnostics={"theta1_prime": [th1.real, th1.imag]})
-    # rho*rho equals rho**2 where that is finite, and does not raise.
-    rho2 = rho * rho
-    if rho2 == 0 or not cmath.isfinite(rho2):
-        raise NumericError(
-            f"the sigma gauge at rho={rho} needs rho^2, which is outside the double range",
-            diagnostics={"rho": [rho.real, rho.imag], "theta1_prime": [th1.real, th1.imag]})
     scale = rho / th1
+    if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
+        raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} underflows",
+                           diagnostics={"theta1_prime": [th1.real, th1.imag]})
     return -th3 / th1, cmath.log(scale), scale
 
 
 def _gauge_alpha(kappa: complex, rho: complex) -> complex:
-    """alpha = kappa/rho^2 for a rho that ``sigma_gauge_from_head`` accepted.
+    """alpha = kappa/rho^2.
 
-    alpha overflows where rho^2 is small enough (|rho| below about 1e-154
-    at tau = i): NumericError.
+    alpha leaves the double range where rho^2 does (|rho| below about
+    1.6e-162 or above about 1.3e154) or is small enough (|rho| below about
+    1e-154 at tau = i): NumericError.
     """
-    alpha = kappa / (rho * rho)
-    if not cmath.isfinite(alpha):
+    # rho*rho equals rho**2 where that is finite, and does not raise.
+    rho2 = rho * rho
+    if rho2 == 0 or not cmath.isfinite(rho2) or not cmath.isfinite(alpha := kappa / rho2):
         raise NumericError(
             f"the sigma gauge alpha = kappa/rho^2 at rho={rho} is outside the double range",
             diagnostics={"rho": [rho.real, rho.imag], "kappa": [kappa.real, kappa.imag]})

@@ -164,38 +164,52 @@ class TestEvalCommand:
         assert code == 2
         assert doc["error"]["type"] == "numeric"
 
-    @pytest.mark.parametrize("argv", [
-        ["eval", "sigma", "--z", "0.3", "--tau", "0,1000"],
-        ["eval", "sigma", "--z", "0.3", "--tau", "0,925"],
-        ["verify-identity", "--function", "sigma", "--tau", "0,1000"],
-        # rho^2 underflows to 0 or overflows.
-        ["eval", "sigma", "--z=0.3", "--rho=1e-300"],
-        ["eval", "sigma", "--z=1e-300", "--rho=1e-170"],
-        ["verify-identity", "--function", "sigma", "--tau=0,1", "--rho=1e-300"],
-        ["eval", "sigma", "--z=0.3", "--rho=1e200"],
-    ])
-    def test_sigma_gauge_beyond_double_range(self, capsys, argv):
+    @pytest.mark.parametrize("argv, expected", [
+        (["eval", "sigma", "--z", "0.3", "--tau", "0,1000"], "gauge"),
+        (["eval", "sigma", "--z", "0.3", "--tau", "0,925"], "gauge"),
+        (["verify-identity", "--function", "sigma", "--tau", "0,1000"], "gauge"),
+        # rho^2 underflows to 0 or overflows.  Only alpha needs rho^2, so sigma
+        # either has a value or leaves the double range itself.
+        (["eval", "sigma", "--z=0.3", "--rho=1e-300"], "sigma at z="),
+        (["eval", "sigma", "--z=1e-300", "--rho=1e-170"], (1e-300, 1e-170)),
+        (["verify-identity", "--function", "sigma", "--tau=0,1", "--rho=1e-300"], "sigma at z="),
+        (["eval", "sigma", "--z=0.3", "--rho=1e200"], (0.3, 1e200)),
+        # rho/theta1'(0) rounds to 0, whose logarithm cmath refuses.
+        (["verify-identity", "--function", "sigma", "--rho=0,5e-324"], "underflows"),
+    ], ids=[f"argv{k}" for k in range(8)])
+    def test_sigma_gauge_beyond_double_range(self, capsys, argv, expected):
         code, doc = run_strict(capsys, *argv)
-        assert code == 2
-        assert doc["error"]["type"] == "numeric"
-        assert "gauge" in doc["error"]["message"]
+        if isinstance(expected, str):
+            assert code == 2
+            assert doc["error"]["type"] == "numeric"
+            assert expected in doc["error"]["message"]
+        else:
+            z, rho = expected
+            assert code == 0
+            want = sigma_at_tau_i(complex(z), rho)
+            assert abs(complex(*doc["value"]) - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("z", [(0.0, 0.0), (1e-155, 0.0), (3e-156, 2e-156)])
     def test_sigma_where_alpha_overflows(self, capsys, z):
         # rho^2*theta1'(0) is subnormal at rho = 1e-155, so alpha overflows;
         # the Gaussian is formed as kappa*(z/rho)^2 with kappa from tau alone.
         # z = rho is a lattice point, so there the measure is |rho|.
-        mp = pytest.importorskip("mpmath")
         code, doc = run_strict(capsys, "eval", "sigma", f"--z={z[0]!r},{z[1]!r}", "--rho=1e-155")
         assert code == 0
-        with mp.workdps(50):
-            q, rho, w = mp.exp(-mp.pi), mp.mpf(1e-155), mp.mpc(*z)
-            th1 = mp.pi * mp.jtheta(1, 0, q, 1)
-            th3 = mp.pi**3 * mp.jtheta(1, 0, q, 3) / 6
-            want = complex(mp.jtheta(1, mp.pi * w / rho, q) * mp.exp(-th3 / th1 * (w / rho) ** 2)
-                           * rho / th1)
+        want = sigma_at_tau_i(complex(*z), 1e-155)
         got = complex(*doc["value"])
         assert abs(got - want) <= 1e-13 * (abs(want) if z[1] else 1e-155)
+
+
+def sigma_at_tau_i(z, rho):
+    """sigma(z) on the lattice rho * (Z + i*Z) for a real rho, by mpmath at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, rho, w = mp.exp(-mp.pi), mp.mpf(rho), mp.mpc(z)
+        th1 = mp.pi * mp.jtheta(1, 0, q, 1)
+        th3 = mp.pi**3 * mp.jtheta(1, 0, q, 3) / 6
+        return complex(mp.jtheta(1, mp.pi * w / rho, q) * mp.exp(-th3 / th1 * (w / rho) ** 2)
+                       * rho / th1)
 
 
 class TestClassifyCommand:
@@ -367,6 +381,15 @@ class TestVerifyCommands:
         assert code == 0
         assert doc["first_nonzero_degree"] == 9
         assert abs(doc["residual_coefficients"][4][0] + 6.0) < 1e-12
+
+    def test_duplication_threshold_beyond_double_range(self, capsys, tmp_path):
+        # The residual fits in a double; the roundoff threshold 1e-12 * scale^4 does not.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"max_degree": 3, "odd_coefficients": [[0, 1], [0, 1e200]]}))
+        code, doc = run_strict(capsys, "verify-duplication", str(path))
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        assert doc["error"]["diagnostics"] == {"scale": 1e200}
 
     def test_extend_sine(self, capsys, sine_file):
         code, doc = run(capsys, "extend", sine_file, "--target", "11")

@@ -79,6 +79,16 @@ class TestHandles:
             OddFunctionHandle(square, "square", batch=lambda zs: [square(z) for z in zs])
         assert str(batched.value) == str(pointwise.value)
 
+    def test_probe_error_wins_over_an_earlier_probe_that_is_not_odd(self):
+        # The six probes are evaluated in one call before any pair is judged.
+        def square(z):
+            if z == -0.52 + 0.08j:
+                raise ValueError("outside the evaluator's domain")
+            return z * z
+
+        with pytest.raises(ValueError, match="evaluator's domain"):
+            OddFunctionHandle(square, "square")
+
     def test_sigma_probe_error_names_the_failing_probe(self):
         # The first two probe pairs fit in a double, sigma at -0.52 + 0.08i does not.
         lat = lattice_from_rho_tau(0.023815574581512955 - 0.005607141885756839j,

@@ -544,6 +544,23 @@ class TestSigmaEval:
             sigma_gauge(lat)
         assert err.value.diagnostics["rho"] == [lat.rho.real, lat.rho.imag]
 
+    @pytest.mark.parametrize("rho", [5e-324j, 1e-320, 6e-308])
+    def test_gauge_scale_below_the_normal_doubles_is_numeric_error(self, rho):
+        # rho/theta1'(0) is subnormal or 0 here: too few digits for sigma,
+        # and no logarithm at 0.
+        lat = lattice_from_rho_tau(rho, 1j)
+        for evaluate in (lambda: sigma_eval(0.0, lat), lambda: sigma_gauge(lat)):
+            with pytest.raises(NumericError, match="underflows"):
+                evaluate()
+
+    def test_gauge_scale_just_above_the_normal_doubles(self):
+        # |rho/theta1'(0)| is about 2.5e-308 at rho = 7e-308; sigma is
+        # homogeneous, sigma(rho*w; rho*Lambda) = rho*sigma(w; Lambda).
+        w = 0.5 + 0.3j
+        got = sigma_eval(7e-308 * w, lattice_from_rho_tau(7e-308, 1j))
+        want = 7e-308 * sigma_eval(w, lattice_from_rho_tau(1, 1j))
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     @pytest.mark.parametrize("rho", [1e-155, 1e-157])
     def test_alpha_beyond_double_range_is_numeric_error(self, rho):
         # rho^2 is subnormal, so alpha = kappa/rho^2 overflows; sigma itself

@@ -75,3 +75,16 @@ def test_the_identity_arguments_are_written_once():
     # for the twelve arguments, so that the two cannot drift apart.
     count = sum(path.read_text(encoding="utf-8").count("(-x + y + z + w) / 2") for path in SOURCES)
     assert count == 1
+
+
+def test_identity_evaluates_handles_at_two_sites():
+    # The oddness probes and the residual routine are the only calls of a
+    # handle's batch evaluator, so that a second survey path cannot return.
+    path = next(path for path in SOURCES if path.name == "identity.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sites = sorted(
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_evaluate_many"
+    )
+    assert sites == ["__init__", "_residuals"]
