@@ -34,7 +34,8 @@ the Gaussian alone does not.
 
 ``_lattice_from_g`` finds the lattice with given invariants (g2, g3) from
 its periods by the complex AGM, singular only where the discriminant
-vanishes.  ``classify`` and ``invert_j`` (for |jval| <= 2000) use it.
+vanishes.  It is the one route from invariants to tau, for ``classify``
+and ``invert_j``, which also passes the exact discriminant of its pair.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from collections import namedtuple
 from .errors import J_TOLERANCE, TERM_CAP, ConvergenceError, DomainError, NumericError
 from .modular import (
     TauPoint,
-    _j_and_derivative,
     _theta1_table,
     _theta1_values,
     as_tau,
@@ -236,7 +236,7 @@ def _agm(a: complex, b: complex) -> complex:
     raise ConvergenceError(f"the AGM of {a} and {b} did not converge in 64 steps")
 
 
-def _lattice_from_g(g2: complex, g3: complex) -> Lattice:
+def _lattice_from_g(g2: complex, g3: complex, delta: complex | None = None) -> Lattice:
     """The lattice whose invariants are (g2, g3), from its periods.
 
     With e1, e2, e3 the roots of 4x^3 - g2*x - g3 and a, b, c the square
@@ -246,8 +246,12 @@ def _lattice_from_g(g2: complex, g3: complex) -> Lattice:
     (2013); Cox, Enseign. Math. 30 (1984)); on Z + tau*Z, a^2, b^2, c^2 are
     pi^2 times theta3^4, theta4^4, theta2^4 (DLMF 23.6(i)).  The roots are
     those of the invariants (g2*u^4, g3*u^6) of Lambda/u, u the power of two
-    that brings max(|g2|^(1/4), |g3|^(1/6)) near 1.  A vanishing
-    discriminant, or a scale outside the double range, raises NumericError.
+    that brings max(|g2|^(1/4), |g3|^(1/6)) near 1.  No root comes near e1,
+    the largest; the other two are (-e1 +- r)/2 with r = sqrt(Delta)/(12*e1^2 - g2),
+    by 4(e1 - e2)(e1 - e3) = 12*e1^2 - g2 and Delta = 16((e1 - e2)(e1 - e3)(e2 - e3))^2,
+    so only the discriminant Delta = g2^3 - 27*g3^2 cancels.  A caller that
+    knows it exactly passes it as ``delta``.  A vanishing discriminant, or a
+    scale outside the double range, raises NumericError.
     """
     g2, g3 = complex(g2), complex(g3)
     # hypot is inf, where abs raises, beyond the double range.
@@ -256,15 +260,15 @@ def _lattice_from_g(g2: complex, g3: complex) -> Lattice:
     if 0 < size < math.inf:
         u = 2.0 ** -round(math.log2(size))
         h2, h3 = g2 * u * u * u * u, g3 * u * u * u * u * u * u
-        # Cardano: x = w + h2/(12*w) for each cube root w of (h3 +- d)/8.
-        d = cmath.sqrt(h3 * h3 - h2 * h2 * h2 / 27.0)
-        w = (max(h3 + d, h3 - d, key=abs) / 8.0) ** (1.0 / 3.0)
+        # Formed after scaling, the cubes cannot overflow.  delta*u^12 is
+        # exact: u is a power of two, and u^12 >= 2^-1032 for a finite j.
+        d = h2 * h2 * h2 - 27.0 * h3 * h3 if delta is None else delta * u**12
+        # Cardano: x = w + h2/(12*w) for each cube root w of (h3 +- sqrt(-d/27))/8.
+        s = cmath.sqrt(-d / 27.0)
+        w = (max(h3 + s, h3 - s, key=abs) / 8.0) ** (1.0 / 3.0)
         e1 = max((w * z + h2 / (12.0 * w * z) for z in _CUBE_ROOTS), key=abs)
         e1 -= ((4.0 * e1 * e1 - h2) * e1 - h3) / (12.0 * e1 * e1 - h2)
-        # No root comes near e1, the largest.  The other two are
-        # (-e1 +- r)/2 by their sum -e1 and product h3/(4*e1), so only r
-        # cancels, as the discriminant does.
-        r = cmath.sqrt(e1 * e1 - h3 / e1)
+        r = cmath.sqrt(d) / (12.0 * e1 * e1 - h2)
     if r == 0:
         raise NumericError(
             f"no lattice has the invariants g2={g2}, g3={g3}: the discriminant vanishes "
@@ -278,21 +282,16 @@ def _lattice_from_g(g2: complex, g3: complex) -> Lattice:
     return normalize_lattice(math.pi * u / _agm(a, b), 1j * math.pi * u / _agm(a, c))
 
 
-def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: int = 60) -> TauPoint:
+def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE) -> TauPoint:
     """Find tau in the fundamental domain with j(tau) = jval.
 
-    An answer meets |j(tau) - jval| <= tolerance * max(1, |jval|); one that
-    does not raises ConvergenceError.  For |jval| <= 2000, tau is that of
-    the lattice with (g2, g3) = (3*jval^(1/3), sqrt(jval - 1728)), whose
-    discriminant is 27*1728 (``_lattice_from_g``).  Beyond, where that
-    loses digits towards the cusp, Newton's method runs on j with
-    dj/dtau = -2*pi*i * j * E6/E4 from the same theta-constant pass, from
-    the q-expansion j ~ 1/q + 744 and then from 1.2i, every iterate reduced
-    by ``reduce_tau``, with steps capped at Im(tau)/2 so none leaves for the
-    cusp.  It stops when the step falls to 1e-15 * |tau| or stops shrinking,
-    or after ``max_iterations``; the error then carries each start's
-    iterations and residual.  A |jval| beyond the double range raises
-    NumericError.
+    tau is that of the lattice with (g2, g3) = (3*jval^(1/3), sqrt(jval - 1728)),
+    found by ``_lattice_from_g`` given its discriminant, exactly 27*1728 for
+    every jval, so nothing cancels towards the cusp; a real jval outside
+    (0, 1728) takes the exact real part of its edge.  An answer meets
+    |j(tau) - jval| <= tolerance * max(1, |jval|); one that does not raises
+    ConvergenceError carrying jval, tau and the residual.  A |jval| beyond
+    the double range raises NumericError.
     """
     jval = complex(jval)
     if not (math.isfinite(jval.real) and math.isfinite(jval.imag)):
@@ -300,57 +299,17 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE, max_iterations: i
     if math.isinf(math.hypot(jval.real, jval.imag)):
         raise NumericError(f"|jval| for jval={jval} is outside the double range",
                            diagnostics={"jval": [jval.real, jval.imag]})
-
-    scale = max(1.0, abs(jval))
-    if abs(jval) <= 2000.0:
-        tau = _lattice_from_g(3.0 * jval ** (1.0 / 3.0), cmath.sqrt(jval - 1728.0)).tau
-        resid = abs(j_invariant(tau) - jval)
-        if resid <= tolerance * scale:
-            return tau
-        raise ConvergenceError(
-            f"invert_j failed for jval={jval}: j of the answer is off by {resid:.3e}",
-            diagnostics={"jval": [jval.real, jval.imag],
-                         "tau": [tau.value.real, tau.value.imag], "residual": resid},
-        )
-
-    # log(q) = -log(jval - 744), taken as log of the reciprocal unless
-    # that underflows to 0 (|jval| beyond about 1e308).
-    inverse = 1.0 / (jval - 744.0)
-    log_q = cmath.log(inverse) if inverse else -cmath.log(jval - 744.0)
-    starts = [log_q / (2j * math.pi), 1.2j]
-    trace = []
-    for start in starts:
-        iterations = 0
-        try:
-            t = reduce_tau(start)[0].value
-            last = math.inf
-            for iterations in range(1, max_iterations + 1):
-                jt, djt = _j_and_derivative(t)
-                if djt == 0:
-                    break
-                step = (jt - jval) / djt
-                size = abs(step)
-                if not size < last:
-                    # Roundoff in j now dominates the step, or j overflowed.
-                    break
-                cap = 0.5 * t.imag
-                if size > cap:
-                    step *= cap / size
-                t = reduce_tau(t - step)[0].value
-                if size <= 1e-15 * abs(t):
-                    break
-                last = size
-            resid = abs(j_invariant(t) - jval)
-        except NumericError:
-            # The q-series or the discriminant failed; try the next start.
-            resid = None
-        trace.append({"start": [start.real, start.imag], "iterations": iterations,
-                      "residual": resid})
-        if resid is not None and resid <= tolerance * scale:
-            return TauPoint(t)
+    tau = _lattice_from_g(3.0 * jval ** (1.0 / 3.0), cmath.sqrt(jval - 1728.0), 46656.0).tau
+    if jval.imag == 0 and not 0 < jval.real < 1728:
+        # Real j from 1728 up has tau on Re = 0, and from 0 down on Re = -1/2.
+        tau = TauPoint(complex(0.0 if jval.real >= 1728 else -0.5, tau.value.imag))
+    resid = abs(j_invariant(tau) - jval)
+    if resid <= tolerance * max(1.0, abs(jval)):
+        return tau
     raise ConvergenceError(
-        f"invert_j failed for jval={jval} after {len(starts)} starts",
-        diagnostics={"jval": [jval.real, jval.imag], "trace": trace},
+        f"invert_j failed for jval={jval}: j of the answer is off by {resid:.3e}",
+        diagnostics={"jval": [jval.real, jval.imag],
+                     "tau": [tau.value.real, tau.value.imag], "residual": resid},
     )
 
 

@@ -409,16 +409,15 @@ def modular_discriminant(tau, *, term_cap: int = TERM_CAP) -> complex:
     return _TWO_PI**12 * _modular_forms(as_tau(tau).value, term_cap)[2] ** 8
 
 
-def _j_and_derivative(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
-    """(j(tau), dj/dtau) from one theta-constant pass for g2, g3 and Delta.
+def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
+    """Modular invariant, normalized as j = 1728 * g2^3 / (g2^3 - 27*g3^2).
 
-    dj/dtau = -2*pi*i * j * E6/E4, written as -15552*i * g2^2 * g3 / (pi * Delta)
-    so that nothing is divided by g2, which vanishes at the corner.  A j
-    outside the double range raises NumericError.  dj/dtau, about 2*pi*j in
-    modulus high up, may overflow where j does not; it is returned as it is.
+    This normalization has the Fourier expansion 1/q + 744 + 196884*q + ...
+    g2, g3 and the discriminant come from one theta-constant pass.  A j
+    outside the double range raises NumericError.
     """
     t = as_tau(tau).value
-    g2, g3, eta3 = _modular_forms(t, term_cap)
+    g2, _, eta3 = _modular_forms(t, term_cap)
     delta = _TWO_PI**12 * eta3**8
     if delta == 0:
         # Delta underflows only for Im(tau) beyond about 118.
@@ -433,15 +432,7 @@ def _j_and_derivative(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, comple
             f"j at tau={t} is outside the double range",
             diagnostics={"tau": [t.real, t.imag]},
         )
-    return j, -15552j * g2 * g2 * g3 / (math.pi * delta)
-
-
-def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
-    """Modular invariant, normalized as j = 1728 * g2^3 / (g2^3 - 27*g3^2).
-
-    This normalization has the Fourier expansion 1/q + 744 + 196884*q + ...
-    """
-    return _j_and_derivative(tau, term_cap=term_cap)[0]
+    return j
 
 
 def modular_pq(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:

@@ -434,8 +434,8 @@ class TestTauCommands:
         assert doc["error"]["type"] == "numeric"
         assert doc["error"]["diagnostics"]["tau"] in ([0.0, 1e-320], [1e-320, 1e-320])
 
-    # 1/(j - 744) underflows to 0 at the first; at the second, j overflows
-    # near the answer and a Newton step once turned NaN.
+    # Near the largest double: at the second, j overflows near the answer,
+    # and a Newton step there once turned NaN.
     @pytest.mark.parametrize("value", ["1e308,1e308", "8.660254037844387e307,5e307"])
     def test_invert_j_near_the_largest_double(self, capsys, value):
         code, doc = run_strict(capsys, "invert-j", "--value=" + value)
@@ -453,6 +453,8 @@ class TestTauCommands:
         assert np.allclose(doc["tau"], [0, 1], atol=1e-12)
 
     def test_invert_j_where_an_iterate_once_left_for_the_cusp(self, capsys):
+        # A Newton iterate once jumped from here to Im(tau) ~ 222, where the
+        # discriminant underflows; the answer is pinned.
         code, doc = run_strict(capsys, "invert-j", "--value", "1361.6287913185577,0")
         assert code == 0
         assert abs(complex(*doc["tau"]) - (-0.12711040306569873 + 0.9918885751093596j)) < 1e-9

@@ -316,7 +316,7 @@ class TestLatticeFromG:
 class TestInvertJ:
     def test_square_lattice(self):
         tau = invert_j(1728.0)
-        assert abs(tau.value - 1j) < 1e-12
+        assert tau.value.real == 0 and abs(tau.value - 1j) < 1e-12
 
     def test_corner(self):
         tau = invert_j(0.0)
@@ -337,7 +337,7 @@ class TestInvertJ:
             back = invert_j(jval)
             assert abs(back.value - reduced.value) < 1e-6
 
-    def test_large_modulus_seeded_from_q_expansion(self):
+    def test_large_complex_modulus(self):
         jval = 1e8 + 1e7j
         tau = invert_j(jval)
         assert abs(j_invariant(tau) - jval) <= 1e-8 * abs(jval)
@@ -347,12 +347,12 @@ class TestInvertJ:
             invert_j(complex(float("inf"), 0))
 
     def test_every_huge_finite_value_answers_or_is_numeric_error(self):
-        # 1/(jval - 744) underflows to 0 beyond |jval| ~ 1e308; |jval| itself
-        # overflows beyond the largest double.
+        # The scaled invariants of j near the largest double stay in range;
+        # |jval| itself overflows beyond it.
         for modulus in (1e300, 1e307, 1e308, 1.4e308, 1.79e308):
             for angle in np.linspace(0, 2 * math.pi, 12, endpoint=False):
                 assert invert_j(cmath.rect(modulus, angle)).value.imag > 100
-        for jval in (1.7e308 + 1.7e308j, -1.5e308 + 1.5e308j):
+        for jval in (1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, -1.5e308 + 1.5e308j):
             with pytest.raises(NumericError):
                 invert_j(jval)
 
@@ -388,30 +388,40 @@ class TestInvertJ:
             assert abs(abs(tau) - 1.0) <= 1e-12
             assert abs(j_invariant(tau) - jval) <= 1e-8 * jval
 
-    def test_negative_real_j_stays_in_the_domain(self):
-        # A real negative j puts tau on the edge Re = -1/2, and Newton ends
-        # within a rounding error of it, on either side.
-        jval = -100.0
+    @pytest.mark.parametrize("jval", [-100.0, -1e6, -1e300])
+    def test_negative_real_j_stays_in_the_domain(self, jval):
+        # A real negative j puts tau on the edge Re = -1/2.  The ratio of the
+        # AGM's periods ends within a rounding error of it, on either side,
+        # and invert_j puts it on the edge.
         tau = invert_j(jval).value
-        assert -0.5 <= tau.real < 0.5
-        assert abs(abs(tau.real) - 0.5) <= 1e-15
+        assert tau.real == -0.5
         assert abs(j_invariant(tau) - jval) <= 1e-8 * abs(jval)
 
-    def test_iterates_stay_away_from_the_cusp(self):
-        # Newton iterates once jumped from here to Im(tau) ~ 222, where the
+    @pytest.mark.parametrize("jval", [2001.0, 1e6, 1e300])
+    def test_real_j_above_1728_lands_on_the_imaginary_axis(self, jval):
+        # A real j from 1728 up puts tau on the imaginary axis.  The ratio of
+        # the AGM's periods ends a rounding error off it (Re tau about 1e-32),
+        # and invert_j puts it on the axis.
+        tau = invert_j(jval).value
+        assert tau.real == 0.0 and tau.imag >= 1
+        assert abs(j_invariant(tau) - jval) <= 1e-8 * jval
+
+    def test_where_an_iterate_once_left_for_the_cusp(self):
+        # A Newton iterate once jumped from here to Im(tau) ~ 222, where the
         # discriminant underflows.
         jval = 1361.6287913185577
         tau = invert_j(jval)
         assert abs(j_invariant(tau) - jval) <= 1e-8 * jval
         assert abs(tau.value - (-0.12711040306569873 + 0.9918885751093596j)) < 1e-9
 
-    def test_failure_reports_every_start(self):
+    def test_failure_reports_jval_tau_and_residual(self):
         with pytest.raises(ConvergenceError) as err:
-            invert_j(2500.0, max_iterations=1)
-        trace = err.value.diagnostics["trace"]
-        assert len(trace) == 2
-        assert trace[-1]["start"] == [0.0, 1.2]
-        assert all(entry["iterations"] == 1 for entry in trace)
+            invert_j(2500.0, tolerance=1e-300)
+        diagnostics = err.value.diagnostics
+        assert set(diagnostics) == {"jval", "tau", "residual"}
+        assert diagnostics["jval"] == [2500.0, 0.0]
+        tau = complex(*diagnostics["tau"])
+        assert abs(j_invariant(tau) - 2500.0) == diagnostics["residual"] <= 1e-8 * 2500.0
 
 
 class TestSigmaEval:

@@ -1,4 +1,4 @@
-"""theta1 kernels, sigma_eval, eta, g2, g3, the discriminant, j, dj/dtau
+"""theta1 kernels, sigma_eval, eta, g2, g3, the discriminant, j, invert_j
 and (p, q) against an independent mpmath oracle at 50 digits.
 
 The oracle is mpmath's ``jtheta`` and its z-derivatives, ``qp`` for eta
@@ -16,12 +16,11 @@ edge |Im w| = Im(tau)/2 of the reduced cell (sigma's edge error grows with
 |alpha*z^2|, about 160 at Im tau = 20); 1.9e-16 for eta, 8.0e-16 and
 7.9e-16 for g2 and g3 against max(|g2|, (2 pi)^4/12) and
 max(|g3|, (2 pi)^6/216) (both vanish at a special point), 3.8e-15 for j
-against max(|j|, 1728), 3.3e-15 for the discriminant, 6.0e-16 for dj/dtau
-against 2 pi max(|j|, 1728, |dj/dtau|), and 1.1e-15 and 1.5e-15 for p and q
-against the same floors as g2 and g3.  On ``OFF_GRID`` (Im tau from 0.02
-to 0.45, near the cusps 0, 1/2, 1/3 and 3), with the floors scaled by the
-weights of the reducing map, they are 2.3e-15 for g2, 2.5e-15 for g3,
-7.9e-15 for the discriminant, 9.4e-15 for j, 4.9e-15 for dj/dtau, and
+against max(|j|, 1728), 3.3e-15 for the discriminant, and 1.1e-15 and
+1.5e-15 for p and q against the same floors as g2 and g3.  On ``OFF_GRID``
+(Im tau from 0.02 to 0.45, near the cusps 0, 1/2, 1/3 and 3), with the
+floors scaled by the weights of the reducing map, they are 2.3e-15 for
+g2, 2.5e-15 for g3, 7.9e-15 for the discriminant, 9.4e-15 for j, and
 3.9e-15 and 5.3e-15 for p and q.
 
 ``extend_series`` is checked against a 60-digit run of the same recurrence
@@ -47,6 +46,7 @@ from sigmakit import (
     TruncatedOddSeries,
     dedekind_eta,
     extend_series,
+    invert_j,
     j_invariant,
     lattice_from_rho_tau,
     modular_discriminant,
@@ -59,7 +59,6 @@ from sigmakit import (
     theta1_odd_series,
     weierstrass_g,
 )
-from sigmakit.modular import _j_and_derivative
 
 mp = pytest.importorskip("mpmath")
 
@@ -190,11 +189,11 @@ def test_sigma_eval_near_zeros_and_on_cell_edge(tau, rho):
 
 
 def oracle_modular(tau):
-    """eta, g2, g3, Delta, j, dj/dtau, p and q at tau, by routes that share
-    no formula with the library's theta constants: the product ``qp`` for
-    eta, the Eisenstein series 1 + 240 sum sigma_3(n) q^n and
+    """eta, g2, g3, Delta, j, p and q at tau, by routes that share no
+    formula with the library's theta constants: the product ``qp`` for eta,
+    the Eisenstein series 1 + 240 sum sigma_3(n) q^n and
     1 - 504 sum sigma_5(n) q^n as Lambert sums for g2 and g3, and ``kleinj``
-    with ``diff`` for j."""
+    for j."""
     with mp.workdps(DPS):
         t = mp.mpc(tau)
         q = mp.exp(2j * mp.pi * t)
@@ -209,7 +208,6 @@ def oracle_modular(tau):
             "eta": eta, "g2": g2, "g3": g3,
             "delta": (2 * mp.pi) ** 12 * eta**24,
             "j": 1728 * mp.kleinj(t),
-            "dj": mp.diff(lambda s: 1728 * mp.kleinj(s), t),
             "p": mp.pi**2 / 30 * eta**6 * g2,
             "q": -mp.pi**3 / 35 * eta**9 * g3,
         }
@@ -230,11 +228,6 @@ def test_eta_g2_g3_and_j(tau):
 def test_discriminant_derivative_of_j_and_pq(tau):
     want = oracle_modular(tau)
     assert abs(modular_discriminant(tau) - want["delta"]) <= 1.6e-14 * abs(want["delta"])
-    # dj/dtau vanishes at the corners and at i, so its error is measured
-    # against 2*pi*max(|j|, 1728, |dj/dtau|); -2*pi*i*j*E6/E4 has about
-    # that size away from them.
-    dj = _j_and_derivative(tau)[1]
-    assert abs(dj - want["dj"]) <= 3e-15 * 2 * math.pi * max(abs(want["j"]), 1728, abs(want["dj"]))
     # p and q vanish with g2 and g3, so they take the same floors.
     p, q = modular_pq(tau)
     eta = abs(want["eta"])
@@ -253,8 +246,8 @@ OFF_GRID = [0.1j, 0.3 + 0.1j, 0.05j, 0.02j, 0.5 + 0.05j, -0.37 + 0.02j, 1 / 3 + 
 @pytest.mark.parametrize("tau", OFF_GRID)
 def test_modular_forms_off_the_fundamental_domain(tau):
     want = oracle_modular(tau)
-    # The floors of g2, g3 and dj/dtau carry the weights 4, 6 and 2 of the
-    # map that carries tau into the fundamental domain.
+    # The floors of g2 and g3 carry the weights 4 and 6 of the map that
+    # carries tau into the fundamental domain.
     m = reduce_tau(tau)[1]
     f = abs(m.c * tau + m.d)
     g2_floor, g3_floor = max(abs(want["g2"]), G2_FLOOR / f**4), max(abs(want["g3"]), G3_FLOOR / f**6)
@@ -262,15 +255,40 @@ def test_modular_forms_off_the_fundamental_domain(tau):
     assert abs(g2 - want["g2"]) <= 1.2e-14 * g2_floor
     assert abs(g3 - want["g3"]) <= 1.3e-14 * g3_floor
     assert abs(modular_discriminant(tau) - want["delta"]) <= 4e-14 * abs(want["delta"])
-    j, dj = _j_and_derivative(tau)
-    assert abs(j - want["j"]) <= 5e-14 * max(abs(want["j"]), 1728)
-    assert abs(j_invariant(tau) - j) == 0
-    dj_scale = 2 * math.pi * max(abs(want["j"]), 1728) / f**2 + abs(want["dj"])
-    assert abs(dj - want["dj"]) <= 2.5e-14 * dj_scale
+    assert abs(j_invariant(tau) - want["j"]) <= 5e-14 * max(abs(want["j"]), 1728)
     p, q = modular_pq(tau)
     eta = abs(want["eta"])
     assert abs(p - want["p"]) <= 2e-14 * math.pi**2 / 30 * eta**6 * g2_floor
     assert abs(q - want["q"]) <= 2.7e-14 * math.pi**3 / 35 * eta**9 * g3_floor
+
+
+# |j| from 0.5 to the largest double: phases all round, negative reals,
+# CM values with rational j (j(i*sqrt(2)) = 8000, j(2i) = 66^3,
+# j((1 + sqrt(-d))/2) for d = 7, 11, 163) and the worst value of a
+# 900-value sweep with |j| log-uniform up to 1e300 and landmarks beyond.
+INVERT_J_VALUES = [
+    0.5, -0.5j, 0.0, 0.3 + 0.4j, 1728.0, 999.0 - 1400j, -100.0, -3375.0, 8000.0, 2001.0,
+    -32768.0, 287496.0, 1e6 + 3e5j, -1e6, cmath.rect(1e12, 1.0), -640320.0**3, 1e50j,
+    cmath.rect(1e100, 2.2), 1e200, cmath.rect(1e250, -0.7), -1e300, cmath.rect(1e300, 2.5),
+    6.666666666666666e306 + 6.666666666666666e306j, 1e307j, cmath.rect(1e308, -2.0),
+    1.79e308, -1.79e308,
+]
+
+
+@pytest.mark.parametrize("jval", INVERT_J_VALUES)
+def test_invert_j(jval):
+    # j is conditioned by 2*pi*Im(tau) towards the cusp, where
+    # dj/dtau = -2*pi*i*j*E6/E4, so tau a few roundings of |tau| off moves
+    # j by that much relative; near the corner, where j is cubic in
+    # tau - rho, 8 covers it.  The largest measured error over the budget's
+    # factor is 9.8e-16 (at -0.5i) and 5.2e-16 at the cusp (Im tau = 112);
+    # the budget is twice the first.
+    tau = invert_j(jval).value
+    assert -0.5 <= tau.real < 0.5 and abs(tau) >= 1 - 1e-15
+    with mp.workdps(DPS):
+        want = 1728 * mp.kleinj(mp.mpc(tau))
+        error = float(abs(want - mp.mpc(jval)))
+    assert error <= 2e-15 * max(8, 2 * math.pi * tau.imag) * max(1, abs(jval))
 
 
 def oracle_extend(data, target, dps=60):

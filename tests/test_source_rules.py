@@ -88,3 +88,24 @@ def test_identity_evaluates_handles_at_two_sites():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_evaluate_many"
     )
     assert sites == ["__init__", "_residuals"]
+
+
+def test_tau_from_invariants_has_one_route():
+    # classify and invert_j are the only calls of the AGM route, and no
+    # function takes an iteration cap, so that a second inversion route
+    # (such as a Newton loop on j) cannot return unseen.
+    sites, capped = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            if any(a.arg == "max_iterations"
+                   for a in args.posonlyargs + args.args + args.kwonlyargs):
+                capped.append(f"{path.stem}.{func.name}")
+            sites += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "_lattice_from_g"]
+    assert sorted(sites) == ["classify.classify", "lattice.invert_j"]
+    assert capped == []
