@@ -36,6 +36,7 @@ from .errors import (
     DomainError,
     IdentityNotSatisfiedError,
     NumericError,
+    json_ready,
 )
 from .invariants import _invariants_and_hat
 from .lattice import _gauge_alpha, _lattice_from_g, sigma_gauge_from_head
@@ -72,17 +73,14 @@ class Classification(namedtuple("Classification",
         return tuple.__new__(cls, (case, alpha, beta, a, rho, tau, diagnostics))
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "case": self.case,
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "beta": [self.beta.real, self.beta.imag],
-        }
+        doc = {"case": self.case, "alpha": json_ready(complex(self.alpha)),
+               "beta": json_ready(complex(self.beta))}
         if self.a is not None:
-            doc["a"] = [self.a.real, self.a.imag]
+            doc["a"] = json_ready(complex(self.a))
         if self.rho is not None:
-            doc["rho"] = [self.rho.real, self.rho.imag]
+            doc["rho"] = json_ready(complex(self.rho))
         if self.tau is not None:
-            doc["tau"] = [self.tau.value.real, self.tau.value.imag]
+            doc["tau"] = json_ready(self.tau.value)
         doc["diagnostics"] = dict(self.diagnostics)
         return doc
 
@@ -138,7 +136,7 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
                 j = 1728.0 + 0.0j
             else:
                 j = 1728.0 * inv.mu.value / (inv.mu.value - MU_TRIG)
-            diagnostics["j"] = [j.real, j.imag]
+            diagnostics["j"] = json_ready(j)
             lat = _lattice_from_g(-240.0 * big_a, -840.0 * big_b)
             a = _sign_normalize(1.0 / lat.rho)
             result = Classification(

@@ -32,6 +32,7 @@ from .errors import (
     VALIDATION_TOLERANCE,
     DomainError,
     NumericError,
+    json_ready,
 )
 
 SCHEMA_VERSION = 1
@@ -55,10 +56,6 @@ def parse_complex(text: str) -> complex:
     return complex(re, im)
 
 
-def cpair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def load_series(path: str) -> "TruncatedOddSeries":
     from .series import TruncatedOddSeries
 
@@ -72,10 +69,17 @@ def load_series(path: str) -> "TruncatedOddSeries":
     return TruncatedOddSeries.from_json_dict(doc)
 
 
+def _complex_pair(value) -> list[float]:
+    """json.dumps' fallback: a complex number as [re, im]; other objects stay refused."""
+    if not isinstance(value, complex):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json_ready(value)
+
+
 def emit(doc: dict) -> None:
     """Print a document as strict JSON; a NaN or infinity is a NumericError."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = json.dumps(doc, indent=2, allow_nan=False, default=_complex_pair)
     except ValueError as exc:
         raise NumericError(f"the result is not finite ({exc})") from exc
     sys.stdout.write(text + "\n")
@@ -105,12 +109,12 @@ def _cmd_eval(args) -> dict:
         z = parse_complex(args.z)
         tau = parse_complex(args.tau)
         value = theta1_eval(z, tau, term_cap=cap)
-        config.update({"z": cpair(z), "tau": cpair(tau)})
+        config.update({"z": z, "tau": tau})
     elif name in ("eta", "g2", "g3", "j"):
         if args.tau is None:
             raise DomainError(f"eval {name} requires --tau")
         tau = parse_complex(args.tau)
-        config["tau"] = cpair(tau)
+        config["tau"] = tau
         if name == "eta":
             value = dedekind_eta(tau, term_cap=cap)
         elif name == "j":
@@ -118,7 +122,7 @@ def _cmd_eval(args) -> dict:
         else:
             g2, g3 = weierstrass_g(tau, term_cap=cap)
             value = g2 if name == "g2" else g3
-    elif name == "sigma":
+    else:  # "sigma", the last of the parser's choices
         from .lattice import sigma_eval
 
         if args.z is None:
@@ -126,19 +130,8 @@ def _cmd_eval(args) -> dict:
         z = parse_complex(args.z)
         lat = _lattice_from_args(args)
         value = sigma_eval(z, lat, term_cap=cap)
-        config.update(
-            {
-                "z": cpair(z),
-                "rho": cpair(lat.rho),
-                "tau": cpair(lat.tau.value),
-            }
-        )
-    else:
-        raise DomainError(f"unknown function {name!r}")
-    return {
-        "config": config,
-        "value": cpair(value),
-    }
+        config.update({"z": z, "rho": lat.rho, "tau": lat.tau.value})
+    return {"config": config, "value": value}
 
 
 def _cmd_invariants(args) -> dict:
@@ -224,11 +217,7 @@ def _cmd_reduce_tau(args) -> dict:
 
     tau = parse_complex(args.tau)
     reduced, unimap = reduce_tau(tau)
-    return {
-        "config": {"tau": cpair(tau)},
-        "tau": cpair(reduced.value),
-        "map": unimap.to_json_dict(),
-    }
+    return {"config": {"tau": tau}, "tau": reduced.value, "map": unimap.to_json_dict()}
 
 
 def _cmd_invert_j(args) -> dict:
@@ -237,10 +226,7 @@ def _cmd_invert_j(args) -> dict:
     _require_positive(tolerance=args.tolerance)
     jval = parse_complex(args.value)
     tau = invert_j(jval, tolerance=args.tolerance)
-    return {
-        "config": {"value": cpair(jval), "tolerance": args.tolerance},
-        "tau": cpair(tau.value),
-    }
+    return {"config": {"value": jval, "tolerance": args.tolerance}, "tau": tau.value}
 
 
 def _cmd_psi(args) -> dict:

@@ -8,6 +8,9 @@ failures such as non-convergent series or root searches
 The defaults below are the CLI's option defaults as well; they live here,
 in a module every command loads, so that the parser needs no numerical
 layer.  Each is re-exported by the module that uses it.
+
+``json_ready`` holds the one JSON form of a complex number, [re, im], for
+error diagnostics, the records' ``to_json_dict`` and the CLI's documents.
 """
 
 # Hard cap on the terms of every q-series and product (``modular``).
@@ -18,6 +21,16 @@ J_TOLERANCE = 1e-8
 # relative tolerance for coefficients beyond degree 7.
 TRIG_TOLERANCE = 1e-8
 VALIDATION_TOLERANCE = 1e-6
+
+
+def json_ready(value):
+    """value in JSON form: a complex number as [re, im], a list or tuple
+    (a namedtuple too) as a list of JSON forms, anything else unchanged."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    return value
 
 
 class SigmaKitError(Exception):
@@ -38,11 +51,12 @@ class IdentityNotSatisfiedError(DomainError):
 
 
 class NumericError(SigmaKitError, ArithmeticError):
-    """A numerical procedure failed to reach its accuracy target."""
+    """A numerical procedure failed to reach its accuracy target;
+    ``diagnostics`` holds each value given in its JSON form (``json_ready``)."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
+        self.diagnostics = {key: json_ready(v) for key, v in (diagnostics or {}).items()}
 
 
 class ConvergenceError(NumericError):

@@ -35,7 +35,7 @@ import operator
 from collections import namedtuple
 from itertools import islice
 
-from .errors import DomainError, NotInOmegaError, NumericError, SigmaKitError
+from .errors import DomainError, NotInOmegaError, NumericError, SigmaKitError, json_ready
 from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argument
 
 # Default points at which handle oddness is spot-checked.
@@ -161,8 +161,8 @@ def _residuals(f: OddFunctionHandle, rows) -> list[tuple[complex, float]]:
         if len(rows) == 1:
             if isinstance(exc, SigmaKitError) or not isinstance(exc, (OverflowError, ValueError)):
                 raise
-            raise _outside_double_range(f"{f.label} failed on the quadruple: {exc}",
-                                        *rows[0]) from None
+            raise NumericError(f"{f.label} failed on the quadruple: {exc}",
+                               diagnostics={"quadruple": list(map(complex, rows[0]))}) from None
         values = None
     if values is None:
         # Outside the handler, so that a row's error carries no batch context.
@@ -179,14 +179,10 @@ def _residuals(f: OddFunctionHandle, rows) -> list[tuple[complex, float]]:
         except OverflowError:
             scale = size = math.inf
         if not (math.isfinite(scale) and math.isfinite(size)):
-            raise _outside_double_range("four-point residual is outside the double range", *row)
+            raise NumericError("four-point residual is outside the double range",
+                               diagnostics={"quadruple": list(map(complex, row))})
         results.append((value, scale))
     return results
-
-
-def _outside_double_range(message: str, *quadruple: complex) -> NumericError:
-    return NumericError(message,
-                        diagnostics={"quadruple": [[v.real, v.imag] for v in quadruple]})
 
 
 def sample_quadruples(num_samples: int, seed: int, box_radius: float = 1.0):
@@ -404,7 +400,7 @@ def duplication_report(s: TruncatedOddSeries) -> dict:
     meaningful = [k for k, m in enumerate(mags) if m > dust]
     return {
         "max_degree": res.max_degree,
-        "residual_coefficients": [[c.real, c.imag] for c in res.odd_coefficients],
+        "residual_coefficients": json_ready(res.odd_coefficients),
         "max_abs_residual": max(mags),
         "first_nonzero_degree": 2 * meaningful[0] + 1 if meaningful else None,
     }

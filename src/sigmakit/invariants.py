@@ -27,7 +27,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import DomainError, NotInOmegaError, NumericError
+from .errors import DomainError, NotInOmegaError, NumericError, json_ready
 from .series import TruncatedOddSeries, gauss_twist
 
 # Relative threshold below which p or q counts as exactly zero, measured
@@ -66,7 +66,7 @@ class ProjectiveValue(namedtuple("ProjectiveValue", "tag value")):
     def to_json_dict(self) -> dict:
         doc = {"tag": self.tag}
         if self.is_finite:
-            doc["value"] = [self.value.real, self.value.imag]
+            doc["value"] = json_ready(complex(self.value))
         return doc
 
 
@@ -76,11 +76,8 @@ class InvariantData(namedtuple("InvariantData", "p q mu")):
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": [self.p.real, self.p.imag],
-            "q": [self.q.real, self.q.imag],
-            "mu": self.mu.to_json_dict(),
-        }
+        return {"p": json_ready(complex(self.p)), "q": json_ready(complex(self.q)),
+                "mu": self.mu.to_json_dict()}
 
 
 class HatForm(namedtuple("HatForm", "series alpha beta")):
@@ -120,7 +117,7 @@ def mu_of_pq(p: complex, q: complex, *, p_scale: float | None = None,
     if not (cmath.isfinite(mu) and math.isfinite(q_scale)
             and cmath.isfinite(p) and cmath.isfinite(q)):
         raise NumericError("p^3/q^2 or its zero-test scales are outside the double range",
-                           diagnostics={"p": [p.real, p.imag], "q": [q.real, q.imag]})
+                           diagnostics={"p": p, "q": q})
     if p_zero and q_zero:
         return ProjectiveValue.undefined()
     if q_zero:
@@ -151,10 +148,7 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
         raise NumericError(
             f"gauge twist left leading coefficient {lead} and cubic "
             f"coefficient {cubic}, expected 1 and 0 up to roundoff",
-            diagnostics={"leading": [lead.real, lead.imag],
-                         "cubic": [cubic.real, cubic.imag],
-                         "coefficient_scale": scale},
-        )
+            diagnostics={"leading": lead, "cubic": cubic, "coefficient_scale": scale})
     coeffs[0] = 1.0
     coeffs[1] = 0.0
     return HatForm(series=TruncatedOddSeries(coeffs), alpha=complex(alpha),

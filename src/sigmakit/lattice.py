@@ -102,25 +102,17 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
             t = -1.0 / t
             a, b, c, d = -c, -d, a, b
             if not cmath.isfinite(t):
-                raise NumericError(
-                    f"reducing tau={start} inverts it beyond the double range",
-                    diagnostics={"tau": [start.real, start.imag]},
-                )
+                raise NumericError(f"reducing tau={start} inverts it beyond the double range",
+                                   diagnostics={"tau": start})
         else:
             break
     else:
-        raise ConvergenceError(
-            "fundamental-domain reduction did not terminate",
-            diagnostics={"tau": [start.real, start.imag]},
-        )
-    # Deterministic boundary ties: the right edge Re = 1/2 (reached when
-    # the floor rounds) folds to the left edge, and the right half of the
-    # unit circle folds to the left half.  The edge test has no tolerance:
-    # a fold from Re = 1/2 - d would land at -1/2 - d, outside the domain
-    # (and would undo the floor's shift of a point just left of -1/2).
-    if t.real >= 0.5:
-        t -= 1
-        a, b = a - c, b - d
+        raise ConvergenceError("fundamental-domain reduction did not terminate",
+                               diagnostics={"tau": start})
+    # The loop ends right after the floor step, which leaves Re t < 1/2:
+    # x + 1/2 < n + 1 holds exactly, since rounding is monotone and n + 1
+    # is a double.  The one boundary tie left is the unit circle, whose
+    # right half folds to the left half.
     if abs(abs(t) - 1.0) <= _EDGE and t.real > _EDGE:
         # The fold takes the right corner to the left one, and a point a
         # rounding error from it can round left of Re = -1/2.
@@ -273,7 +265,7 @@ def _lattice_from_g(g2: complex, g3: complex, delta: complex | None = None) -> L
         raise NumericError(
             f"no lattice has the invariants g2={g2}, g3={g3}: the discriminant vanishes "
             "or is outside the double range",
-            diagnostics={"g2": [g2.real, g2.imag], "g3": [g3.real, g3.imag]})
+            diagnostics={"g2": g2, "g3": g3})
     a, b, c = cmath.sqrt(1.5 * e1 + 0.5 * r), cmath.sqrt(1.5 * e1 - 0.5 * r), cmath.sqrt(r)
     if abs(a - b) > abs(a + b):
         b = -b
@@ -298,7 +290,7 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE) -> TauPoint:
         raise DomainError("jval must be finite")
     if math.isinf(math.hypot(jval.real, jval.imag)):
         raise NumericError(f"|jval| for jval={jval} is outside the double range",
-                           diagnostics={"jval": [jval.real, jval.imag]})
+                           diagnostics={"jval": jval})
     tau = _lattice_from_g(3.0 * jval ** (1.0 / 3.0), cmath.sqrt(jval - 1728.0), 46656.0).tau
     if jval.imag == 0 and not 0 < jval.real < 1728:
         # Real j from 1728 up has tau on Re = 0, and from 0 down on Re = -1/2.
@@ -308,9 +300,7 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE) -> TauPoint:
         return tau
     raise ConvergenceError(
         f"invert_j failed for jval={jval}: j of the answer is off by {resid:.3e}",
-        diagnostics={"jval": [jval.real, jval.imag],
-                     "tau": [tau.value.real, tau.value.imag], "residual": resid},
-    )
+        diagnostics={"jval": jval, "tau": tau.value, "residual": resid})
 
 
 def sigma_gauge_from_head(th1: complex, th3: complex,
@@ -328,11 +318,11 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     """
     if th1 == 0 or not cmath.isfinite(rho / th1):
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
-                           diagnostics={"theta1_prime": [th1.real, th1.imag]})
+                           diagnostics={"theta1_prime": complex(th1)})
     scale = rho / th1
     if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} underflows",
-                           diagnostics={"theta1_prime": [th1.real, th1.imag]})
+                           diagnostics={"theta1_prime": complex(th1)})
     return -th3 / th1, cmath.log(scale), scale
 
 
@@ -348,7 +338,7 @@ def _gauge_alpha(kappa: complex, rho: complex) -> complex:
     if rho2 == 0 or not cmath.isfinite(rho2) or not cmath.isfinite(alpha := kappa / rho2):
         raise NumericError(
             f"the sigma gauge alpha = kappa/rho^2 at rho={rho} is outside the double range",
-            diagnostics={"rho": [rho.real, rho.imag], "kappa": [kappa.real, kappa.imag]})
+            diagnostics={"rho": complex(rho), "kappa": complex(kappa)})
     return alpha
 
 
@@ -382,9 +372,6 @@ def _sigma_values(zs, lat: Lattice, term_cap: int = TERM_CAP) -> list[complex]:
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
         if not cmath.isfinite(z):
             raise DomainError("z must be finite")
-        raise NumericError(
-            f"sigma at z={z} is outside the double range",
-            diagnostics={"z": [z.real, z.imag], "rho": [lat.rho.real, lat.rho.imag],
-                         "tau": [lat.tau.value.real, lat.tau.value.imag]},
-        )
+        raise NumericError(f"sigma at z={z} is outside the double range",
+                           diagnostics={"z": complex(z), "rho": lat.rho, "tau": lat.tau.value})
     return values

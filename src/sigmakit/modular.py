@@ -93,13 +93,8 @@ def _cap_error(what, tau, partial, last_term, cap):
     return ConvergenceError(
         f"{what} did not converge within {cap} terms at tau={tau}; "
         "reduce tau toward the fundamental domain first",
-        diagnostics={
-            "tau": [tau.real, tau.imag],
-            "term_cap": cap,
-            "partial_magnitude": abs(partial),
-            "last_term_magnitude": abs(last_term),
-        },
-    )
+        diagnostics={"tau": tau, "term_cap": cap, "partial_magnitude": abs(partial),
+                     "last_term_magnitude": abs(last_term)})
 
 
 def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
@@ -122,10 +117,8 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
         raise DomainError("z must be finite")
     value = _theta1_values((z,), t, _theta1_table(t, term_cap, 1))[0]
     if not cmath.isfinite(value):
-        raise NumericError(
-            f"theta1 at z={z} is outside the double range",
-            diagnostics={"z": [z.real, z.imag], "tau": [t.real, t.imag]},
-        )
+        raise NumericError(f"theta1 at z={z} is outside the double range",
+                           diagnostics={"z": z, "tau": t})
     return value
 
 
@@ -421,17 +414,11 @@ def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
     delta = _TWO_PI**12 * eta3**8
     if delta == 0:
         # Delta underflows only for Im(tau) beyond about 118.
-        raise NumericError(
-            f"discriminant underflows at tau={t}",
-            diagnostics={"tau": [t.real, t.imag]},
-        )
+        raise NumericError(f"discriminant underflows at tau={t}", diagnostics={"tau": t})
     j = 1728.0 * g2**3 / delta
     if not cmath.isfinite(j):
         # j overflows from Im(tau) of about 113, before Delta underflows.
-        raise NumericError(
-            f"j at tau={t} is outside the double range",
-            diagnostics={"tau": [t.real, t.imag]},
-        )
+        raise NumericError(f"j at tau={t} is outside the double range", diagnostics={"tau": t})
     return j
 
 

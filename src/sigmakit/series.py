@@ -20,7 +20,7 @@ import math
 from itertools import chain
 from operator import mul
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, json_ready
 
 def _as_coefficients(values) -> tuple[complex, ...]:
     try:
@@ -135,7 +135,7 @@ class TruncatedOddSeries:
     def to_json_dict(self) -> dict:
         return {
             "max_degree": self.max_degree,
-            "odd_coefficients": [[c.real, c.imag] for c in self.odd_coefficients],
+            "odd_coefficients": json_ready(self.odd_coefficients),
         }
 
     @classmethod
@@ -201,9 +201,7 @@ def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> Truncat
         raise NumericError(
             f"the twist by exp({alpha}*z^2 + {beta}) through degree "
             f"{s.max_degree} is outside the double range",
-            diagnostics={"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag],
-                         "max_degree": s.max_degree},
-        )
+            diagnostics={"alpha": alpha, "beta": beta, "max_degree": s.max_degree})
     return TruncatedOddSeries(out)
 
 

@@ -548,6 +548,27 @@ def test_parser_output_is_byte_identical(capsys, monkeypatch, case):
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
+# Documents of every command, recorded byte for byte (exit code, stdout,
+# stderr) with CPython 3.11 on x86-64 Linux: results, domain errors, and
+# numeric errors whose diagnostics hold [re, im] pairs.  The series files
+# are written under their recorded names into the working directory, so
+# the paths the documents echo are the recorded ones.  A deliberate change
+# of output re-records the cases it touches, from the same argv and files.
+DOCUMENTS_GOLDEN = json.loads(
+    (Path(__file__).with_name("cli_documents_golden.json")).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", DOCUMENTS_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_documents_are_byte_identical(capsys, monkeypatch, tmp_path, case):
+    for name, text in DOCUMENTS_GOLDEN["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_version_output(capsys):
     from sigmakit import __version__
 

@@ -155,6 +155,17 @@ class TestReduceTau:
         assert m == translation(-int(x))
         assert m.apply(tau) == reduced.value
 
+    @pytest.mark.parametrize("k", [0, 1, -1, 3, -3, 2**20, -(2**20), 2**51])
+    @pytest.mark.parametrize("imag", [2.0, 1.0, 0.9])
+    def test_half_integer_neighbours_need_no_edge_fold(self, k, imag):
+        # The floor step alone leaves Re below 1/2 next to every k +- 1/2.
+        for edge in (k - 0.5, k + 0.5):
+            for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                tau = complex(x, imag)
+                reduced, m = reduce_tau(tau)
+                assert -0.5 <= reduced.value.real < 0.5
+                assert m.apply(tau) == reduced.value
+
 
 def reduce_tau_by_compose(tau):
     """``reduce_tau`` as it was written with one map composition per fold."""

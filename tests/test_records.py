@@ -1,23 +1,32 @@
 """The record classes: value equality, hashing, read-only fields, repr and
 the validation each constructor does."""
 
+import math
+
 import pytest
 
 from conftest import IDENTITY_MAP, INVERSION, compose, translation
 from sigmakit import (
     Classification,
+    ConvergenceError,
     DomainError,
     HatForm,
     IdentityResidual,
     InvariantData,
     Lattice,
+    NumericError,
+    OddFunctionHandle,
     ProjectiveValue,
     QuadruplePoint,
     TauPoint,
     TruncatedOddSeries,
     UnimodularMap,
+    identity_residual,
     normalize_lattice,
 )
+from sigmakit.cli import emit
+from sigmakit.errors import json_ready
+from sigmakit.lattice import sigma_gauge_from_head
 
 SERIES = TruncatedOddSeries([1, 0, 0, 0])
 
@@ -133,3 +142,53 @@ class TestValidation:
                 Classification(alpha=0, beta=0, **kwargs)
         made = Classification(case="elliptic", alpha=0, beta=0, rho=1.0, tau=tau)
         assert (made.a, made.rho, made.tau) == (None, 1.0, tau)
+
+
+class TestJsonForm:
+    def test_complex_numbers_become_pairs(self):
+        assert json_ready(1.5 - 2j) == [1.5, -2.0]
+        assert json_ready([1j, (2 + 0j, [3j])]) == [[0.0, 1.0], [[2.0, 0.0], [[0.0, 3.0]]]]
+        assert json_ready(QuadruplePoint.of(1, 2j, 3, 4)) == [
+            [1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [4.0, 0.0]]
+
+    @pytest.mark.parametrize("value", [0.25, 7, None, "tag", True])
+    def test_other_values_are_untouched(self, value):
+        assert json_ready(value) is value
+
+    def test_non_finite_parts_are_kept(self):
+        # The CLI's strict-JSON fallback must still see them.
+        re, im = json_ready(complex(math.inf, math.nan))
+        assert re == math.inf and math.isnan(im)
+
+    def test_numeric_error_diagnostics_are_json_ready(self):
+        assert NumericError("x", {"tau": 1j}).diagnostics == {"tau": [0.0, 1.0]}
+        assert ConvergenceError("x", {"tau": 1j, "term_cap": 3}).diagnostics == {
+            "tau": [0.0, 1.0], "term_cap": 3}
+        assert NumericError("x").diagnostics == {}
+
+    def test_records_write_real_fields_as_pairs(self):
+        made = Classification(case="elliptic", alpha=0.5, beta=0.25, rho=2.0, tau=TauPoint(1j))
+        assert made.to_json_dict() == {"case": "elliptic", "alpha": [0.5, 0.0],
+                                       "beta": [0.25, 0.0], "rho": [2.0, 0.0],
+                                       "tau": [0.0, 1.0], "diagnostics": {}}
+        assert InvariantData(1.5, 2j, ProjectiveValue("finite", 2.5)).to_json_dict() == {
+            "p": [1.5, 0.0], "q": [0.0, 2.0], "mu": {"tag": "finite", "value": [2.5, 0.0]}}
+
+    def test_errors_on_real_arguments_report_pairs(self):
+        handle = OddFunctionHandle.from_sigma(normalize_lattice(1, 1j))
+        cases = [
+            (lambda: identity_residual(OddFunctionHandle.identity(), QuadruplePoint(*[1e200] * 4)),
+             "quadruple", [[1e200, 0.0]] * 4),
+            (lambda: identity_residual(handle, QuadruplePoint(30.0, 30.0, 0, 1)), "z", [30.0, 0.0]),
+            (lambda: sigma_gauge_from_head(0.0, 1.0, 1.0), "theta1_prime", [0.0, 0.0]),
+        ]
+        for fail, key, pair in cases:
+            with pytest.raises(NumericError) as err:
+                fail()
+            assert err.value.diagnostics[key] == pair
+
+    def test_emit_refuses_other_objects(self, capsys):
+        with pytest.raises(TypeError):
+            emit({"x": object()})
+        emit({"z": 1 - 1j})
+        assert capsys.readouterr().out == '{\n  "z": [\n    1.0,\n    -1.0\n  ]\n}\n'

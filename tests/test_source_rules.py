@@ -109,3 +109,38 @@ def test_tau_from_invariants_has_one_route():
                       and getattr(node.func, "id", None) == "_lattice_from_g"]
     assert sorted(sites) == ["classify.classify", "lattice.invert_j"]
     assert capped == []
+
+
+def _complex_pairs(tree):
+    """Line numbers of [x.real, x.imag] lists and of calls of a function named cpair."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.List) and len(node.elts) == 2
+                and all(isinstance(e, ast.Attribute) for e in node.elts)
+                and [e.attr for e in node.elts] == ["real", "imag"]):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cpair":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_json_form_of_a_complex_number_is_written_once():
+    # errors.json_ready is the one place a complex number becomes [re, im],
+    # so that diagnostics, records and CLI documents cannot drift apart.
+    sites = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        sites += [f"{path.stem}:{line}" for line in _complex_pairs(tree)]
+        assert "cpair" not in text, path.name
+    assert len(sites) == 1 and sites[0].startswith("errors:"), sites
+
+
+@pytest.mark.parametrize("source", [
+    "doc = {'z': [z.real, z.imag]}",
+    "pairs = [[c.real, c.imag] for c in coeffs]",
+    "doc = {'tau': [lat.tau.value.real, lat.tau.value.imag]}",
+    "doc = {'z': cpair(z)}",
+])
+def test_complex_pair_rule_catches(source):
+    assert _complex_pairs(ast.parse(source)) != []
