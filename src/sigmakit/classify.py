@@ -10,11 +10,13 @@ Every odd entire solution of the identity is, for some alpha, beta:
 The decision runs on the invariants of the input: mu undefined (p = q = 0)
 means linear; mu within a configurable tolerance of 49/40 means trig (the
 cusp value, where the discriminant of the lattice vanishes); anything else
-is elliptic.  The elliptic lattice is the one whose invariants the hat
-coefficients name, g2 = -240*A and g3 = -840*B, found from its periods by
-the complex AGM (``lattice._lattice_from_g``), which is singular only where
-the discriminant vanishes; j = 1728*mu/(mu - 49/40) is reported as a
-diagnostic.
+is elliptic.  Every family starts from the gauge (alpha, beta) stripped by
+hat normalization to h = z + A*z^5 + B*z^7 + ..., and adds only its own
+correction: trig moves it by (a^2/6, -log a), a^2 = -21*q/(2*p) with p = -2*A
+and q = 3*B the invariants of h; elliptic takes the lattice whose invariants
+are g2 = -240*A and g3 = -840*B, found from its periods by the complex AGM
+(``lattice._lattice_from_g``), which is singular only where the discriminant
+vanishes, and reports j = 1728*mu/(mu - 49/40) as a diagnostic.
 
 Reported parameters follow fixed conventions: the scale a (and hence
 1/rho) has Re > 0, or Im > 0 on the boundary Re = 0; beta is a principal
@@ -102,51 +104,25 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
     realizable but higher coefficients are forced.
     """
     inv, hat = _invariants_and_hat(s)
-    diagnostics = dict(inv.to_json_dict())
-    diagnostics["sign_convention"] = _SIGN_NOTE
-
+    diagnostics = dict(inv.to_json_dict(), sign_convention=_SIGN_NOTE)
+    big_a, big_b = hat.series.coefficient(5), hat.series.coefficient(7)
+    alpha, beta = -hat.alpha, hat.beta
+    a = rho = tau = None
     if inv.mu.tag == "undefined":
-        result = Classification(
-            case="linear",
-            alpha=-hat.alpha,
-            beta=hat.beta,
-            diagnostics=diagnostics,
-        )
+        case = "linear"
+    elif inv.mu.tag == "finite" and abs(inv.mu.value - MU_TRIG) <= trig_tolerance * MU_TRIG:
+        case = "trig"
+        a_sq = -21.0 * (3.0 * big_b) / (2.0 * (-2.0 * big_a))
+        a = _sign_normalize(cmath.sqrt(a_sq))
+        alpha, beta = a_sq / 6.0 - hat.alpha, hat.beta - cmath.log(a)
     else:
-        big_a = hat.series.coefficient(5)
-        big_b = hat.series.coefficient(7)
-        p_hat = -2.0 * big_a
-        q_hat = 3.0 * big_b
-        is_trig = (
-            inv.mu.tag == "finite"
-            and abs(inv.mu.value - MU_TRIG) <= trig_tolerance * MU_TRIG
-        )
-        if is_trig:
-            a_sq = -21.0 * q_hat / (2.0 * p_hat)
-            a = _sign_normalize(cmath.sqrt(a_sq))
-            result = Classification(
-                case="trig",
-                alpha=a_sq / 6.0 - hat.alpha,
-                beta=hat.beta - cmath.log(a),
-                a=a,
-                diagnostics=diagnostics,
-            )
-        else:
-            if inv.mu.tag == "infinity":
-                j = 1728.0 + 0.0j
-            else:
-                j = 1728.0 * inv.mu.value / (inv.mu.value - MU_TRIG)
-            diagnostics["j"] = json_ready(j)
-            lat = _lattice_from_g(-240.0 * big_a, -840.0 * big_b)
-            a = _sign_normalize(1.0 / lat.rho)
-            result = Classification(
-                case="elliptic",
-                alpha=-hat.alpha,
-                beta=hat.beta,
-                rho=1.0 / a,
-                tau=lat.tau,
-                diagnostics=diagnostics,
-            )
+        case = "elliptic"
+        j = (1728.0 + 0.0j if inv.mu.tag == "infinity"
+             else 1728.0 * inv.mu.value / (inv.mu.value - MU_TRIG))
+        diagnostics["j"] = json_ready(j)
+        lat = _lattice_from_g(-240.0 * big_a, -840.0 * big_b)
+        rho, tau = 1.0 / _sign_normalize(1.0 / lat.rho), lat.tau
+    result = Classification(case, alpha, beta, a, rho, tau, diagnostics)
 
     if s.max_degree > 7:
         _validate_tail(s, result, validation_tolerance)
@@ -180,28 +156,27 @@ def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
 def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
     """Odd series of the classified family member through max_degree.
 
-    linear:    twist of z;
-    trig:      sine Taylor series with argument scale a, then twist;
-    elliptic:  theta series at tau, argument scale 1/rho, the gauge twist
-               fixing sigma'(0) = 1 and a vanishing cubic term (from
-               ``lattice.sigma_gauge_from_head``), then the classification's
-               own twist.
+    Each family picks a base series and the (alpha, beta) of the one twist:
+
+    linear:    z, twisted by the classification's (alpha, beta);
+    trig:      the sine series with argument scale a, likewise;
+    elliptic:  the theta series at tau with argument scale 1/rho, twisted by
+               (alpha, beta) plus the sigma gauge that fixes sigma'(0) = 1
+               and a vanishing cubic term (``lattice.sigma_gauge_from_head``).
     """
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
     count = (max_degree + 1) // 2
+    alpha, beta = c.alpha, c.beta
     if c.case == "linear":
         base = TruncatedOddSeries([1.0] + [0.0] * (count - 1))
-        return gauss_twist(base, c.alpha, c.beta)
-    if c.case == "trig":
-        sine = TruncatedOddSeries(
-            [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(count)]
-        )
-        return gauss_twist(scale_argument(sine, c.a), c.alpha, c.beta)
-    # The gauge needs the cubic coefficient even when max_degree is 1.
-    theta = theta1_odd_series(c.tau, max(max_degree, 3))
-    th1, th3 = theta.odd_coefficients[:2]
-    kappa, gauge_beta, _ = sigma_gauge_from_head(th1, th3, c.rho)
-    twisted = gauss_twist(scale_argument(theta, 1.0 / c.rho),
-                          _gauge_alpha(kappa, c.rho) + c.alpha, gauge_beta + c.beta)
-    return TruncatedOddSeries(twisted.odd_coefficients[:count])
+    elif c.case == "trig":
+        sine = TruncatedOddSeries([(-1.0) ** k / math.factorial(2 * k + 1) for k in range(count)])
+        base = scale_argument(sine, c.a)
+    else:
+        # The gauge needs the cubic coefficient even when max_degree is 1.
+        theta = theta1_odd_series(c.tau, max(max_degree, 3))
+        kappa, gauge_beta, _ = sigma_gauge_from_head(*theta.odd_coefficients[:2], c.rho)
+        base = TruncatedOddSeries(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count])
+        alpha, beta = _gauge_alpha(kappa, c.rho) + alpha, gauge_beta + beta
+    return gauss_twist(base, alpha, beta)

@@ -103,26 +103,7 @@ def _cmd_eval(args) -> dict:
     name = args.function
     cap = args.term_cap
     config = {"function": name, "term_cap": cap}
-    if name == "theta1":
-        if args.z is None or args.tau is None:
-            raise DomainError("eval theta1 requires --z and --tau")
-        z = parse_complex(args.z)
-        tau = parse_complex(args.tau)
-        value = theta1_eval(z, tau, term_cap=cap)
-        config.update({"z": z, "tau": tau})
-    elif name in ("eta", "g2", "g3", "j"):
-        if args.tau is None:
-            raise DomainError(f"eval {name} requires --tau")
-        tau = parse_complex(args.tau)
-        config["tau"] = tau
-        if name == "eta":
-            value = dedekind_eta(tau, term_cap=cap)
-        elif name == "j":
-            value = j_invariant(tau, term_cap=cap)
-        else:
-            g2, g3 = weierstrass_g(tau, term_cap=cap)
-            value = g2 if name == "g2" else g3
-    else:  # "sigma", the last of the parser's choices
+    if name == "sigma":
         from .lattice import sigma_eval
 
         if args.z is None:
@@ -131,6 +112,21 @@ def _cmd_eval(args) -> dict:
         lat = _lattice_from_args(args)
         value = sigma_eval(z, lat, term_cap=cap)
         config.update({"z": z, "rho": lat.rho, "tau": lat.tau.value})
+    elif name == "theta1":
+        if args.z is None or args.tau is None:
+            raise DomainError("eval theta1 requires --z and --tau")
+        z, tau = parse_complex(args.z), parse_complex(args.tau)
+        value = theta1_eval(z, tau, term_cap=cap)
+        config.update({"z": z, "tau": tau})
+    else:  # eta, g2, g3 and j depend on tau alone
+        if args.tau is None:
+            raise DomainError(f"eval {name} requires --tau")
+        tau = parse_complex(args.tau)
+        config["tau"] = tau
+        if name in ("g2", "g3"):
+            value = weierstrass_g(tau, term_cap=cap)[name == "g3"]
+        else:
+            value = (dedekind_eta if name == "eta" else j_invariant)(tau, term_cap=cap)
     return {"config": config, "value": value}
 
 
@@ -352,19 +348,11 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _error_doc(kind: str, exc: Exception) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "error": {"type": kind, "message": str(exc)},
-    }
+def _emit_error(kind: str, exc: Exception) -> None:
+    doc = {"schema_version": SCHEMA_VERSION, "error": {"type": kind, "message": str(exc)}}
     diagnostics = getattr(exc, "diagnostics", None)
     if diagnostics:
         doc["error"]["diagnostics"] = diagnostics
-    return doc
-
-
-def _emit_error(kind: str, exc: Exception) -> None:
-    doc = _error_doc(kind, exc)
     try:
         emit(doc)
     except NumericError:

@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError, NotInOmegaError, NumericError, json_ready
-from .series import TruncatedOddSeries, gauss_twist
+from .series import TruncatedOddSeries, _computed, gauss_twist
 
 # Relative threshold below which p or q counts as exactly zero, measured
 # against the scale powers described in mu_of_pq.
@@ -131,6 +131,7 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
     Requires a1 != 0 and data through degree 7.  The returned series has
     a1 = 1 exactly and a3 snapped to zero (the twist annihilates it up to
     roundoff, which is checked before snapping; NumericError otherwise).
+    A hat coefficient outside the double range is a NumericError too.
     """
     if s.max_degree < 7:
         raise DomainError("hat normalization needs coefficients through degree 7")
@@ -151,7 +152,7 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
             diagnostics={"leading": lead, "cubic": cubic, "coefficient_scale": scale})
     coeffs[0] = 1.0
     coeffs[1] = 0.0
-    return HatForm(series=TruncatedOddSeries(coeffs), alpha=complex(alpha),
+    return HatForm(series=_computed(coeffs, "the hat series"), alpha=complex(alpha),
                    beta=cmath.log(a1))
 
 

@@ -119,6 +119,14 @@ class TestSynthesizeExamples:
         assert abs(s.leading - math.exp(0.5)) <= 1e-14
         assert abs(s.leading - synthesize(c, 5).leading) <= 1e-15
 
+    def test_elliptic_degree_one_twists_only_what_it_returns(self):
+        # The twist's cubic coefficient alpha*exp(beta) overflows, but the
+        # degree-1 member exp(beta) does not need it.
+        c = Classification(case="elliptic", alpha=1e305, beta=10, rho=1, tau=TauPoint(1j))
+        assert abs(synthesize(c, 1).leading - math.exp(10)) <= 1e-14 * math.exp(10)
+        with pytest.raises(NumericError):
+            synthesize(c, 3)
+
     def test_elliptic_where_theta1_head_underflows(self):
         # theta1'(0, 1000i) underflows to 0, so the sigma gauge has no value.
         c = Classification(case="elliptic", alpha=0.0, beta=0.0, rho=1, tau=TauPoint(1000j))
@@ -144,6 +152,20 @@ class TestRoundTrip:
             if case == "elliptic":
                 assert abs(got.tau.value - made.tau.value) <= 1e-6
                 assert abs(got.rho - made.rho) <= 1e-5 * abs(made.rho)
+
+    def test_elliptic_scale_is_sign_normalized(self):
+        # The AGM returns rho near -0.4226 + 0.9063i here, with Re(1/rho) < 0;
+        # classify reports the opposite generator, Re(1/rho) > 0.
+        made = Classification(case="elliptic", alpha=0.1, beta=0.2,
+                              rho=0.4226182617406996 - 0.9063077870366499j,
+                              tau=TauPoint(-0.28 + 0.96j))
+        got = classify(synthesize(made, 11))
+        assert got.case == "elliptic"
+        assert (1 / got.rho).real > 0
+        assert abs(got.alpha - made.alpha) <= 1e-8
+        assert abs(wrap_to_principal(got.beta - made.beta)) <= 1e-8
+        assert abs(got.tau.value - made.tau.value) <= 1e-6
+        assert abs(got.rho - made.rho) <= 1e-5 * abs(made.rho)
 
     def test_scale_gauge_soundness(self):
         # Scaling the argument leaves the reduced tau fixed and divides

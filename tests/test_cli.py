@@ -291,6 +291,19 @@ class TestInvariantsOverflow:
         assert code == 2
         assert doc["error"]["type"] == "numeric"
 
+    @pytest.mark.parametrize("command", ["invariants", "classify"])
+    def test_hat_series_beyond_double_range_is_numeric_error(self, capsys, tmp_path, command):
+        # Dividing by the subnormal a1 sends the degree-5 hat coefficient to inf.
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({
+            "max_degree": 7,
+            "odd_coefficients": [[1e-320, 0], [0, 0], [1, 0], [0, 0]],
+        }))
+        code, doc = run_strict(capsys, command, str(path))
+        assert code == 2
+        assert doc["error"] == {"type": "numeric",
+                                "message": "the hat series is outside the double range"}
+
     @pytest.mark.parametrize("doc_in", HUGE)
     def test_extend_runs_scaled_by_a_power_of_two(self, capsys, tmp_path, doc_in):
         # The extension of these data fits in a double: it is the extension of
@@ -476,6 +489,33 @@ class TestNegativeComplexValues:
         code, doc = run_strict(capsys, *argv)
         assert code == 0
         assert (code, doc) == run_strict(capsys, *attached)
+
+
+class TestDomainRejections:
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "sigma", "--z=0.3", "--omega1=1"],
+         "--omega1 and --omega2 must be given together"),
+        (["eval", "sigma", "--tau=0,1"], "eval sigma requires --z"),
+        (["verify-identity"], "choose --function {z,sin,sigma} or --series FILE"),
+        (["eval", "j", "--tau=1,2,3"], "cannot parse complex number from '1,2,3'"),
+        (["eval", "j", "--tau=abc"], "cannot parse complex number from 'abc'"),
+    ])
+    def test_argument_rejection(self, capsys, argv, message):
+        code, doc = run_strict(capsys, *argv)
+        assert code == 1
+        assert doc["error"] == {"type": "domain", "message": message}
+
+    @pytest.mark.parametrize("doc_in, message", [
+        ({"odd_coefficients": [[1, 0]]}, "malformed odd-series document: 'max_degree'"),
+        ({"max_degree": 1, "odd_coefficients": [[1]]},
+         "malformed odd-series document: not enough values to unpack (expected 2, got 1)"),
+    ])
+    def test_series_document_rejection(self, capsys, tmp_path, doc_in, message):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(doc_in))
+        code, doc = run_strict(capsys, "invariants", str(path))
+        assert code == 1
+        assert doc["error"] == {"type": "domain", "message": message}
 
 
 class TestParserBehavior:

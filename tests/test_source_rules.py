@@ -111,6 +111,19 @@ def test_tau_from_invariants_has_one_route():
     assert capped == []
 
 
+def test_each_family_member_is_built_in_one_place():
+    # classify builds its one Classification and synthesize makes its one
+    # twist after the family branches, so that each family adds only its own
+    # correction and cannot grow a second construction of the result.
+    path = next(path for path in SOURCES if path.name == "classify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = {func.name: [getattr(node.func, "id", None) for node in ast.walk(func)
+                         if isinstance(node, ast.Call)]
+             for func in tree.body if isinstance(func, ast.FunctionDef)}
+    assert calls["classify"].count("Classification") == 1
+    assert calls["synthesize"].count("gauss_twist") == 1
+
+
 def _complex_pairs(tree):
     """Line numbers of [x.real, x.imag] lists and of calls of a function named cpair."""
     lines = []
