@@ -43,7 +43,7 @@ from .errors import (
 from .invariants import _invariants_and_hat
 from .lattice import _gauge_alpha, _lattice_from_g, sigma_gauge_from_head
 from .modular import TauPoint, theta1_odd_series
-from .series import TruncatedOddSeries, gauss_twist, scale_argument
+from .series import TruncatedOddSeries, _computed, gauss_twist, scale_argument
 
 MU_TRIG = 49.0 / 40.0
 
@@ -177,6 +177,7 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
         # The gauge needs the cubic coefficient even when max_degree is 1.
         theta = theta1_odd_series(c.tau, max(max_degree, 3))
         kappa, gauge_beta, _ = sigma_gauge_from_head(*theta.odd_coefficients[:2], c.rho)
-        base = TruncatedOddSeries(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count])
+        base = _computed(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count],
+                         "the scaled theta series")
         alpha, beta = _gauge_alpha(kappa, c.rho) + alpha, gauge_beta + beta
     return gauss_twist(base, alpha, beta)

@@ -368,9 +368,9 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
     coeffs = _ldexp_all(s.odd_coefficients, shift, "the data scaled by 1/a1")
     for n in range(s.max_degree + 2, target_degree + 1, 2):
         # The residual raises NumericError before a1^3 could overflow.
-        r = duplication_residual(TruncatedOddSeries(coeffs + [0.0])).coefficient(n)
+        r = duplication_residual(_computed(coeffs + [0j], "the extension")).coefficient(n)
         coeffs.append(r / (coeffs[0] ** 3 * psi(n)))
-    return TruncatedOddSeries(_ldexp_all(coeffs, -shift, "the extension"))
+    return _computed(_ldexp_all(coeffs, -shift, "the extension"), "the extension")
 
 
 def _ldexp_all(coeffs, shift: int, what: str) -> list[complex]:

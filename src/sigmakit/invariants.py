@@ -150,8 +150,8 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
             f"gauge twist left leading coefficient {lead} and cubic "
             f"coefficient {cubic}, expected 1 and 0 up to roundoff",
             diagnostics={"leading": lead, "cubic": cubic, "coefficient_scale": scale})
-    coeffs[0] = 1.0
-    coeffs[1] = 0.0
+    coeffs[0] = 1.0 + 0j
+    coeffs[1] = 0j
     return HatForm(series=_computed(coeffs, "the hat series"), alpha=complex(alpha),
                    beta=cmath.log(a1))
 

@@ -109,13 +109,21 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
         theta1(z + m + n*tau) = (-1)^(m+n) exp(-pi*i*n*(n*tau + 2*z)) theta1(z),
 
     so its terms never grow far beyond the result.  A value outside the
-    double range raises NumericError.
+    double range raises NumericError, and so does a leading factor
+    2*exp(i*pi*tau/4) below the normal doubles (Im tau above about 903),
+    which would carry too few digits into the value.
     """
     t = as_tau(tau).value
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    value = _theta1_values((z,), t, _theta1_table(t, term_cap, 1))[0]
+    table = _theta1_table(t, term_cap, 1)
+    # The larger part of c0 is at least |c0|/sqrt(2) = sqrt(2)*exp(-pi*Im(t)/4),
+    # a normal double up to Im t = 900.
+    if t.imag > 900.0 and max(abs(table[0].real), abs(table[0].imag)) < 2.0**-1022:
+        raise NumericError(f"theta1's leading factor 2*exp(i*pi*tau/4) at tau={t} underflows",
+                           diagnostics={"z": z, "tau": t})
+    value = _theta1_values((z,), t, table)[0]
     if not cmath.isfinite(value):
         raise NumericError(f"theta1 at z={z} is outside the double range",
                            diagnostics={"z": z, "tau": t})

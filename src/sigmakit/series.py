@@ -17,29 +17,32 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
+from collections.abc import Mapping
 from operator import mul
 
 from .errors import DomainError, NumericError, json_ready
 
 def _as_coefficients(values) -> tuple[complex, ...]:
     try:
-        coeffs = tuple(complex(v) for v in values)
+        # A str, bytes or mapping iterates as characters, ints or keys.
+        coeffs = () if isinstance(values, (str, bytes, Mapping)) else tuple(map(complex, values))
     except (TypeError, ValueError) as exc:
         raise DomainError("coefficients must be a non-empty 1-d sequence") from exc
     if not coeffs:
         raise DomainError("coefficients must be a non-empty 1-d sequence")
-    if not all(cmath.isfinite(c) for c in coeffs):
+    if not all(map(cmath.isfinite, coeffs)):
         raise DomainError("coefficients must be finite (no NaN/Inf)")
     return coeffs
 
 
 def _computed(coeffs, what: str) -> "TruncatedOddSeries":
-    """An odd series of computed coefficients, where a non-finite one is an
-    overflow of finite input: NumericError, not the constructor's DomainError."""
+    """An odd series of computed complex coefficients, validated once here: a
+    non-finite one is an overflow of finite input, NumericError, not DomainError."""
     if not all(map(cmath.isfinite, coeffs)):
         raise NumericError(f"{what} is outside the double range")
-    return TruncatedOddSeries(coeffs)
+    s = object.__new__(TruncatedOddSeries)
+    s.odd_coefficients = tuple(coeffs)
+    return s
 
 
 def _cauchy(a, b, count: int) -> list[complex]:
@@ -48,26 +51,24 @@ def _cauchy(a, b, count: int) -> list[complex]:
     The lists are polynomials in one variable; callers holding odd or even
     series pass their coefficients in z^2 and track the parity (the powers
     of z factored out) themselves.  Each coefficient is the correctly
-    rounded sum of its rounded real products (``math.fsum``):
-    ``extend_series`` amplifies the rounding of ``duplication_rhs`` by the
-    cancellation in its residuals, and a running sum was measurably less
-    accurate there.
+    rounded sum of its rounded real products (``math.fsum``), whatever their
+    order, where no partial sum overflows.  ``extend_series`` amplifies the
+    rounding of ``duplication_rhs`` by the cancellation in its residuals,
+    and a running sum was measurably less accurate there.
     """
-    last_a, last_b = len(a) - 1, len(b) - 1
-    a_re = [c.real for c in a]
-    a_im = [c.imag for c in a]
-    a_neg_im = [-x for x in a_im]
-    # b reversed, so b[n - i] for i = lo..hi is one forward slice.
-    b_re = [c.real for c in reversed(b)]
-    b_im = [c.imag for c in reversed(b)]
+    last_b = len(b) - 1
+    # a as (re, im) pairs, b reversed as (re, -im) and (im, re) pairs: b[n - i]
+    # sits at pair last_b - n + i, and map stops at the shorter list, so each
+    # slice needs only its start.
+    a_flat = [x for c in a for x in (c.real, c.imag)]
+    b_conj = [x for c in reversed(b) for x in (c.real, -c.imag)]
+    b_swap = [x for c in reversed(b) for x in (c.imag, c.real)]
     out = []
     for n in range(count):
-        lo, hi = max(0, n - last_b), min(n, last_a) + 1
-        xr, xi, nxi = a_re[lo:hi], a_im[lo:hi], a_neg_im[lo:hi]
-        yr, yi = b_re[last_b - n + lo:last_b - n + hi], b_im[last_b - n + lo:last_b - n + hi]
+        j = 2 * (last_b - n)
+        x, yr, yi = (a_flat, b_conj[j:], b_swap[j:]) if j >= 0 else (a_flat[-j:], b_conj, b_swap)
         try:
-            out.append(complex(math.fsum(chain(map(mul, xr, yr), map(mul, nxi, yi))),
-                               math.fsum(chain(map(mul, xr, yi), map(mul, xi, yr)))))
+            out.append(complex(math.fsum(map(mul, x, yr)), math.fsum(map(mul, x, yi))))
         except (OverflowError, ValueError):
             # fsum refuses sums that overflow or meet inf - inf; the
             # callers report the NaN as a NumericError.
@@ -194,15 +195,12 @@ def gauss_twist(s: TruncatedOddSeries, alpha: complex, beta: complex) -> Truncat
         # exp(alpha*w) in w = z^2, times the odd coefficients (f/z in w).
         even = [alpha**j / math.factorial(j) for j in range(k)]
         scale = cmath.exp(beta)
-        out = [c * scale for c in _cauchy(s.odd_coefficients, even, k)]
-    except OverflowError:
-        out = None
-    if out is None or not all(cmath.isfinite(c) for c in out):
+        return _computed([c * scale for c in _cauchy(s.odd_coefficients, even, k)], "the twist")
+    except (OverflowError, NumericError):
         raise NumericError(
             f"the twist by exp({alpha}*z^2 + {beta}) through degree "
             f"{s.max_degree} is outside the double range",
-            diagnostics={"alpha": alpha, "beta": beta, "max_degree": s.max_degree})
-    return TruncatedOddSeries(out)
+            diagnostics={"alpha": alpha, "beta": beta, "max_degree": s.max_degree}) from None
 
 
 def duplication_rhs(s: TruncatedOddSeries) -> TruncatedOddSeries:

@@ -8,6 +8,8 @@ routes.
 
 import cmath
 import math
+from itertools import chain
+from operator import mul
 
 import numpy as np
 import pytest
@@ -75,6 +77,31 @@ def odd_from_series(s, tol=ODD_CONTAMINATION_TOL):
     if scale > 0 and max(abs(c) for c in s.coefficients[0::2]) > tol * scale:
         raise DomainError("series has nonzero even coefficients; not odd")
     return TruncatedOddSeries(coeffs[1::2])
+
+
+def cauchy_reference(a, b, count):
+    """``series._cauchy`` as it was before its flat-list form, kept as the
+    reference for it: each part of each coefficient is one fsum over the
+    real-part products and then the imaginary-part products, from separate
+    real and imaginary lists.
+    """
+    last_a, last_b = len(a) - 1, len(b) - 1
+    a_re = [c.real for c in a]
+    a_im = [c.imag for c in a]
+    a_neg_im = [-x for x in a_im]
+    b_re = [c.real for c in reversed(b)]
+    b_im = [c.imag for c in reversed(b)]
+    out = []
+    for n in range(count):
+        lo, hi = max(0, n - last_b), min(n, last_a) + 1
+        xr, xi, nxi = a_re[lo:hi], a_im[lo:hi], a_neg_im[lo:hi]
+        yr, yi = b_re[last_b - n + lo:last_b - n + hi], b_im[last_b - n + lo:last_b - n + hi]
+        try:
+            out.append(complex(math.fsum(chain(map(mul, xr, yr), map(mul, nxi, yi))),
+                               math.fsum(chain(map(mul, xr, yi), map(mul, xi, yr)))))
+        except (OverflowError, ValueError):
+            out.append(complex(math.nan, math.nan))
+    return out
 
 
 def eta_product_oracle(tau, terms=200):

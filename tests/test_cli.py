@@ -152,6 +152,13 @@ class TestEvalCommand:
         if code == 2:
             assert doc["error"]["type"] == "numeric"
 
+    def test_theta1_where_its_leading_factor_underflows(self, capsys):
+        # This printed [0.0, 0.0] for theta1 of about 2.0e-188.
+        code, doc = run_strict(capsys, "eval", "theta1", "--z=0.3,100", "--tau=0,950")
+        assert code == 2
+        assert doc["error"]["type"] == "numeric"
+        assert "underflows" in doc["error"]["message"]
+
 
     def test_sigma_beyond_theta_range(self, capsys):
         # theta1(0.5 + 20i, i) alone overflows; sigma there is about 3.6e272.

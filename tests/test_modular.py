@@ -132,6 +132,20 @@ class TestTheta1:
             with pytest.raises(DomainError):
                 theta1_eval(z, 1j)
 
+    @pytest.mark.parametrize("tau", [950j, 903.5j, 0.3 + 1e4j])
+    def test_subnormal_leading_factor_is_numeric_error(self, tau):
+        # theta1's factor 2*exp(i*pi*tau/4) leaves the normal doubles above
+        # Im tau of about 903; at 950i the value 2.0e-188 came back as 0.
+        with pytest.raises(NumericError) as err:
+            theta1_eval(0.3 + 100j, tau)
+        assert err.value.diagnostics == {"z": [0.3, 100.0], "tau": [tau.real, tau.imag]}
+
+    def test_normal_leading_factor_answers(self):
+        value = theta1_eval(0.3 + 100j, 900j)
+        # The second term is exp(-1600*pi) of the first here.
+        oracle = theta1_sum_oracle(0.3 + 100j, 900j, terms=0)
+        assert abs(value - oracle) <= 1e-13 * abs(oracle)
+
 
 class TestTheta1OddSeries:
     def test_leading_coefficient_at_i(self):

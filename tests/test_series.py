@@ -1,20 +1,30 @@
 import cmath
 import math
+import struct
+import sys
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from conftest import odd_from_series, third_derivative, to_series
+from conftest import cauchy_reference, odd_from_series, third_derivative, to_series
 from sigmakit import (
+    Classification,
     DomainError,
     NumericError,
+    TauPoint,
     TruncatedOddSeries,
     TruncatedSeries,
     duplication_rhs,
+    extend_series,
     gauss_twist,
+    hat_normalize,
     multiply,
     scale_argument,
+    synthesize,
+    theta1_odd_series,
 )
+from sigmakit.series import _cauchy, _computed
 
 SINE = TruncatedOddSeries([1, -1 / 6, 1 / 120, -1 / 5040])
 
@@ -140,8 +150,22 @@ class TestGaussTwist:
     def test_overflow_is_numeric_error(self, alpha, beta):
         with pytest.raises(NumericError) as err:
             gauss_twist(SINE, alpha, beta)
-        assert err.value.diagnostics["alpha"] == [alpha, 0.0]
-        assert err.value.diagnostics["max_degree"] == 7
+        _assert_twist_error(err.value, alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e10, 0.0), (0.0, 50.0)])
+    def test_overflow_in_the_product_is_the_same_error(self, alpha, beta):
+        # Finite factors whose product or scaled product overflows raise the
+        # twist's own error, not the generic one of a computed series.
+        with pytest.raises(NumericError) as err:
+            gauss_twist(TruncatedOddSeries([1e300] * 4), alpha, beta)
+        _assert_twist_error(err.value, alpha, beta)
+
+
+def _assert_twist_error(error, alpha, beta):
+    """The twist's overflow message and diagnostics for real alpha, beta at degree 7."""
+    assert str(error) == (f"the twist by exp({complex(alpha)}*z^2 + {complex(beta)}) "
+                          "through degree 7 is outside the double range")
+    assert error.diagnostics == {"alpha": [alpha, 0.0], "beta": [beta, 0.0], "max_degree": 7}
 
 
 class TestDuplicationRhs:
@@ -198,10 +222,10 @@ class TestDuplicationRhs:
 
 class TestSeriesTypes:
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries([1.0, float("nan")])
-        with pytest.raises(DomainError):
-            TruncatedOddSeries([complex(float("inf"), 0)])
+        for cls in (TruncatedOddSeries, TruncatedSeries):
+            for coeffs in ([1.0, float("nan")], [complex(float("inf"), 0)]):
+                with pytest.raises(DomainError, match="finite"):
+                    cls(coeffs)
 
     def test_odd_roundtrip_through_full(self):
         s = TruncatedOddSeries([1, 2j, -0.5])
@@ -235,3 +259,92 @@ class TestSeriesTypes:
         s = TruncatedOddSeries([1, -1j, 0.25])
         z = 0.3 + 0.4j
         assert abs(s.evaluate(z) - to_series(s).evaluate(z)) < 1e-15
+
+    @pytest.mark.parametrize("values", ["1234", b"12", {3: 1, 5: 2}, MappingProxyType({1: 2}),
+                                        [], ()],
+                             ids=["str", "bytes", "dict", "mapping", "empty-list", "empty-tuple"])
+    def test_rejects_empty_strings_and_mappings(self, values):
+        # A str, bytes or mapping iterates as characters, ints or keys, which
+        # complex() accepts.
+        for cls in (TruncatedOddSeries, TruncatedSeries):
+            with pytest.raises(DomainError, match="non-empty 1-d sequence"):
+                cls(values)
+
+    def test_computed_series_raise_numeric_error(self):
+        for bad in ([1j, complex(math.inf, 0.0)], [complex(math.nan, math.nan)]):
+            with pytest.raises(NumericError, match="the test series is outside the double range"):
+                _computed(bad, "the test series")
+        s = _computed([1j, 2.0 + 0j], "the test series")
+        assert isinstance(s, TruncatedOddSeries) and s.odd_coefficients == (1j, 2.0 + 0j)
+
+    def test_computed_series_hold_complex_coefficients(self):
+        # _computed does not convert, so every caller must hand it complex
+        # values; a float would print as a number instead of a [re, im] pair.
+        trig = Classification(case="trig", alpha=0.1, beta=0.2j, a=1.3)
+        elliptic = Classification(case="elliptic", alpha=0.1, beta=0.2j, rho=0.9,
+                                  tau=TauPoint(0.1 + 1.2j))
+        data = synthesize(trig, 9)
+        for s in (data, synthesize(elliptic, 9), hat_normalize(data).series,
+                  extend_series(data, 13), duplication_rhs(data), gauss_twist(data, 0.5, 0.0),
+                  scale_argument(data, 2.0), theta1_odd_series(0.2j, 9)):
+            assert {type(c) for c in s.odd_coefficients} == {complex}
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _draw_entry(rng):
+    """A signed zero, a subnormal, a double near 1e308, a power of two of any
+    binade, or a standard normal."""
+    kind = rng.integers(6)
+    sign = rng.choice((-1.0, 1.0))
+    if kind == 0:
+        return sign * 0.0
+    if kind == 1:
+        return sign * int(rng.integers(1, 1 << 20)) * 5e-324
+    if kind == 2:
+        return sign * rng.uniform(0.5, 1.79) * 1e308
+    if kind == 3:
+        return sign * 2.0 ** int(rng.integers(-1074, 1024))
+    return rng.standard_normal()
+
+
+def _part_products(a, b, n):
+    """The rounded real products of the real and imaginary parts of coefficient n."""
+    pairs = [(x, b[n - i]) for i, x in enumerate(a) if 0 <= n - i < len(b)]
+    return ([x.real * y.real for x, y in pairs] + [-x.imag * y.imag for x, y in pairs],
+            [x.real * y.imag for x, y in pairs] + [x.imag * y.real for x, y in pairs])
+
+
+class TestCauchyKernel:
+    def test_matches_the_reference_bit_for_bit(self):
+        # fsum is correctly rounded, so a coefficient cannot depend on the
+        # order of its products, unless a partial sum passes the double range:
+        # then fsum raises in some orders, and the coefficient is a NaN there.
+        rng = np.random.default_rng(2024)
+        seen = {"exact": 0, "inf_product": 0, "partial_overflow": 0}
+        for _ in range(300):
+            a = [complex(_draw_entry(rng), _draw_entry(rng)) for _ in range(rng.integers(1, 9))]
+            b = [complex(_draw_entry(rng), _draw_entry(rng)) for _ in range(rng.integers(1, 9))]
+            for count in range(1, len(a) + len(b) + 1):
+                got, want = _cauchy(a, b, count), cauchy_reference(a, b, count)
+                assert len(got) == len(want) == count
+                for n, (g, w) in enumerate(zip(got, want)):
+                    parts = _part_products(a, b, n)
+                    if not all(map(math.isfinite, parts[0] + parts[1])):
+                        kind = "inf_product"
+                    # At most 16 products a part, so the scaled sum cannot overflow.
+                    elif all(math.fsum(abs(p) / 16 for p in ps) <= sys.float_info.max / 16
+                             for ps in parts):
+                        kind = "exact"
+                    else:
+                        kind = "partial_overflow"
+                    seen[kind] += 1
+                    if cmath.isfinite(g) and cmath.isfinite(w):
+                        assert _bits(g) == _bits(w), (a, b, n)
+                    else:
+                        assert kind != "exact", (a, b, n)
+                    if kind == "inf_product":
+                        assert not cmath.isfinite(g) and not cmath.isfinite(w), (a, b, n)
+        assert min(seen.values()) > 0, seen

@@ -157,3 +157,57 @@ def test_the_json_form_of_a_complex_number_is_written_once():
 ])
 def test_complex_pair_rule_catches(source):
     assert _complex_pairs(ast.parse(source)) != []
+
+
+def _named_nodes(tree, name="<module>"):
+    """(innermost enclosing function's name, node) for every node below tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+        yield inner, child
+        yield from _named_nodes(child, inner)
+
+
+SERIES_CLASSES = ("TruncatedSeries", "TruncatedOddSeries")
+
+
+def _kernel_sites(tree):
+    """Functions that name fsum, and functions that build a series unvalidated:
+    by ``__new__`` of a series class or by storing to a coefficient tuple."""
+    fsum, unvalidated = set(), set()
+    for name, node in _named_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fsum"
+                or isinstance(node, ast.Name) and node.id == "fsum"
+                or isinstance(node, ast.alias) and node.name == "fsum"):
+            fsum.add(name)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"
+              and any(getattr(arg, "id", None) in SERIES_CLASSES for arg in node.args)
+              or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in ("coefficients", "odd_coefficients")):
+            unvalidated.add(name)
+    return fsum, unvalidated
+
+
+def test_one_series_product_and_one_unvalidated_construction():
+    # math.fsum runs only in the one product kernel, and only _computed
+    # builds a series without the constructor's validation (the two
+    # constructors store what _as_coefficients returns), so that neither a
+    # second product nor a second trusted path can appear unseen.
+    fsum, unvalidated = set(), set()
+    for path in SOURCES:
+        found = _kernel_sites(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        fsum |= {f"{path.stem}.{name}" for name in found[0]}
+        unvalidated |= {f"{path.stem}.{name}" for name in found[1]}
+    assert fsum == {"series._cauchy"}
+    assert unvalidated == {"series.__init__", "series._computed"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(xs):\n    return math.fsum(xs)", ({"f"}, set())),
+    ("from math import fsum", ({"<module>"}, set())),
+    ("def g(c):\n    s = object.__new__(TruncatedOddSeries)", (set(), {"g"})),
+    ("def h(s, c):\n    s.odd_coefficients = c", (set(), {"h"})),
+    ("def k(s):\n    return s.odd_coefficients", (set(), set())),
+    ("def __new__(cls, x):\n    return super().__new__(cls, x)", (set(), set())),
+])
+def test_kernel_site_rule_catches(source, found):
+    assert _kernel_sites(ast.parse(source)) == found
