@@ -7,16 +7,20 @@ Every odd entire solution of the identity is, for some alpha, beta:
     trig:      sin(a*z) * exp(alpha*z^2 + beta),  a != 0
     elliptic:  sigma(z, Lambda) * exp(alpha*z^2 + beta)  for a lattice Lambda
 
-The decision runs on the invariants of the input: mu undefined (p = q = 0)
-means linear; mu within a configurable tolerance of 49/40 means trig (the
-cusp value, where the discriminant of the lattice vanishes); anything else
-is elliptic.  Every family starts from the gauge (alpha, beta) stripped by
-hat normalization to h = z + A*z^5 + B*z^7 + ..., and adds only its own
-correction: trig moves it by (a^2/6, -log a), a^2 = -21*q/(2*p) with p = -2*A
-and q = 3*B the invariants of h; elliptic takes the lattice whose invariants
-are g2 = -240*A and g3 = -840*B, found from its periods by the complex AGM
-(``lattice._lattice_from_g``), which is singular only where the discriminant
-vanishes, and reports j = 1728*mu/(mu - 49/40) as a diagnostic.
+The decision reads the input through degree 7 only, since every higher
+coefficient of a solution is forced by the duplication recurrence; a tail
+is checked once, against ``synthesize`` of the recovered member.  It runs
+on the invariants of the input: mu undefined (p = q = 0) means linear; mu
+within a configurable tolerance of 49/40 means trig (the cusp value, where
+the discriminant of the lattice vanishes); anything else is elliptic.
+Every family starts from the gauge (alpha, beta) stripped by hat
+normalization of the degree-7 head to h = z + A*z^5 + B*z^7, and adds only
+its own correction: trig moves it by (a^2/6, -log a), a^2 = -21*q/(2*p)
+with p = -2*A and q = 3*B the invariants of h; elliptic takes the lattice
+whose invariants are g2 = -240*A and g3 = -840*B, found from its periods by
+the complex AGM (``lattice._lattice_from_g``), which is singular only where
+the discriminant vanishes, and reports j = 1728*mu/(mu - 49/40) as a
+diagnostic.
 
 Reported parameters follow fixed conventions: the scale a (and hence
 1/rho) has Re > 0, or Im > 0 on the boundary Re = 0; beta is a principal
@@ -97,11 +101,12 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
              validation_tolerance: float = VALIDATION_TOLERANCE) -> Classification:
     """Identify the family of an odd series and recover its parameters.
 
-    Input must carry a1 != 0 and coefficients through degree 7.  If data
-    beyond degree 7 is present it is validated against the recovered
-    member's closed-form series from ``synthesize``; a mismatch raises
-    IdentityNotSatisfiedError, since degree-7 data alone is always
-    realizable but higher coefficients are forced.
+    Input must carry a1 != 0 and coefficients through degree 7, which
+    alone decide the result.  If data beyond degree 7 is present it is
+    validated, once, against the recovered member's closed-form series
+    from ``synthesize``; a mismatch raises IdentityNotSatisfiedError, since
+    degree-7 data alone is always realizable but higher coefficients are
+    forced.
     """
     inv, hat = _invariants_and_hat(s)
     diagnostics = dict(inv.to_json_dict(), sign_convention=_SIGN_NOTE)

@@ -130,7 +130,8 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
 
     Requires a1 != 0 and data through degree 7.  The returned series has
     a1 = 1 exactly and a3 snapped to zero (the twist annihilates it up to
-    roundoff, which is checked before snapping; NumericError otherwise).
+    roundoff, judged against the larger of 1, |alpha| and the largest hat
+    coefficient before snapping; NumericError otherwise).
     A hat coefficient outside the double range is a NumericError too.
     """
     if s.max_degree < 7:
@@ -143,8 +144,10 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
     coeffs = [c / a1 for c in twisted.odd_coefficients]
     # hypot, since abs() raises where a modulus passes the largest double.
     scale = max(math.hypot(c.real, c.imag) for c in coeffs)
+    # The cubic coefficient cancels a3/a1 against alpha, so its roundoff
+    # grows with |alpha| (finite, since the twist formed alpha^3).
     if not (abs(coeffs[0] - 1.0) <= 64 * sys.float_info.epsilon
-            and abs(coeffs[1]) <= 1e-12 * max(scale, 1.0)):
+            and abs(coeffs[1]) <= 1e-12 * max(scale, 1.0, abs(alpha))):
         lead, cubic = coeffs[0], coeffs[1]
         raise NumericError(
             f"gauge twist left leading coefficient {lead} and cubic "
@@ -159,32 +162,45 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
 def pq_of_series(s: TruncatedOddSeries) -> InvariantData:
     """Invariants (p, q, mu) of an odd series with a1 != 0.
 
-    p and q are evaluated exactly from a1, a3, a5, a7.  The projective tag
-    of mu uses thresholds scaled by the hat form: with A and B the degree-5
-    and degree-7 hat coefficients and t = max(1, |A|^(1/4), |B|^(1/6)),
-    p counts as zero below ZERO_TOL * |a1|^2 * t^4 and q below
-    ZERO_TOL * |a1|^3 * t^6, matching their exact homogeneities.
+    p and q are evaluated exactly from a1, a3, a5, a7, and nothing beyond
+    degree 7 is read.  The projective tag of mu uses thresholds scaled by
+    the hat form and by the terms that p and q cancel: with A and B the
+    degree-5 and degree-7 hat coefficients and t = max(1, |A|^(1/4),
+    |B|^(1/6)), p counts as zero below ZERO_TOL times the larger of
+    |a1|^2 * t^4 and |a3|^2 + 2*|a1*a5|, and q below ZERO_TOL times the
+    larger of |a1|^3 * t^6 and 3*|a1^2*a7| + 3*|a1*a3*a5| + |a3|^3.  The
+    hat-form scales match the exact homogeneities of p and q; the others
+    grow with |alpha|^2 and |alpha|^3 where the hat form does not, so that
+    the roundoff of a large gauge alpha is not taken for an invariant.
     """
     return _invariants_and_hat(s)[0]
 
 
 def _invariants_and_hat(s: TruncatedOddSeries) -> tuple[InvariantData, HatForm]:
-    """``pq_of_series`` together with the hat form it is scaled by."""
+    """``pq_of_series`` together with the hat form of the degree-7 head.
+
+    Only a1..a7 decide the invariants, so only they are twisted: each hat
+    coefficient through degree 7 depends on a1..a7 alone and has the bits
+    that the twist of the whole series would give it.  A caller that needs
+    the tail checks it against the member it recovers (``classify``).
+    """
     if s.max_degree < 7:
         raise DomainError("invariants need coefficients through degree 7")
-    a1 = s.leading
+    a1, a3, a5, a7 = s.odd_coefficients[:4]
     if a1 == 0:
         raise NotInOmegaError("leading odd coefficient vanishes")
-    a3 = s.coefficient(3)
-    a5 = s.coefficient(5)
-    a7 = s.coefficient(7)
     p = a3 * a3 - 2.0 * a1 * a5
     q = 3.0 * a1 * a1 * a7 - 3.0 * a1 * a3 * a5 + a3 * a3 * a3
-    hat = hat_normalize(s)
-    big_a = abs(hat.series.coefficient(5))
-    big_b = abs(hat.series.coefficient(7))
+    hat = hat_normalize(_computed(s.odd_coefficients[:4], "the degree-7 head"))
+    try:
+        m1, m3, m5, m7, big_a, big_b = map(abs, (a1, a3, a5, a7, *hat.series.odd_coefficients[2:]))
+    except OverflowError:
+        raise NumericError("a coefficient's modulus is outside the double range") from None
+    # Products overflow to inf rather than raising, and mu_of_pq reports it
+    # (an inf times 0 is NaN, which max passes on when it comes first).
     t = max(1.0, big_a ** 0.25, big_b ** (1.0 / 6.0))
-    # x^2 and x^3 overflow to inf rather than raising; mu_of_pq reports it.
-    x = abs(a1) * t * t
-    mu = mu_of_pq(p, q, p_scale=x * x, q_scale=x * x * x)
+    x = m1 * t * t
+    p_scale = max(m3 * m3 + 2.0 * m1 * m5, x * x)
+    q_scale = max(3.0 * m1 * m1 * m7 + 3.0 * m1 * m3 * m5 + m3 * m3 * m3, x * x * x)
+    mu = mu_of_pq(p, q, p_scale=p_scale, q_scale=q_scale)
     return InvariantData(p=p, q=q, mu=mu), hat

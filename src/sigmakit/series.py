@@ -52,7 +52,8 @@ def _cauchy(a, b, count: int) -> list[complex]:
     series pass their coefficients in z^2 and track the parity (the powers
     of z factored out) themselves.  Each coefficient is the correctly
     rounded sum of its rounded real products (``math.fsum``), whatever their
-    order, where no partial sum overflows.  ``extend_series`` amplifies the
+    order, also where a partial sum overflows, unless the rescaling below
+    turns a product subnormal.  ``extend_series`` amplifies the
     rounding of ``duplication_rhs`` by the cancellation in its residuals,
     and a running sum was measurably less accurate there.
     """
@@ -70,9 +71,25 @@ def _cauchy(a, b, count: int) -> list[complex]:
         try:
             out.append(complex(math.fsum(map(mul, x, yr)), math.fsum(map(mul, x, yi))))
         except (OverflowError, ValueError):
-            # fsum refuses sums that overflow or meet inf - inf; the
-            # callers report the NaN as a NumericError.
-            out.append(complex(math.nan, math.nan))
+            # fsum refuses a partial sum that overflows, and inf - inf.  So
+            # each part is summed again, after an overflow with its products
+            # scaled by 2**-shift (exact unless one turns subnormal; every
+            # partial sum then stays below half the largest double) and the
+            # sum scaled back.  A part still out of range is NaN, which the
+            # callers report as a NumericError.
+            shift = len(x).bit_length() + 1
+            parts = [math.nan, math.nan]
+            for i, y in enumerate((yr, yi)):
+                for e in (0, shift):
+                    try:
+                        parts[i] = math.ldexp(
+                            math.fsum([math.ldexp(p, -e) for p in map(mul, x, y)]), e)
+                        break
+                    except OverflowError:
+                        continue
+                    except ValueError:
+                        break
+            out.append(complex(*parts))
     return out
 
 

@@ -15,7 +15,19 @@ import numpy as np
 import pytest
 
 import sigmakit.modular
-from sigmakit import DomainError, TruncatedOddSeries, TruncatedSeries, UnimodularMap
+from sigmakit import (
+    Classification,
+    DomainError,
+    InvariantData,
+    NotInOmegaError,
+    TauPoint,
+    TruncatedOddSeries,
+    TruncatedSeries,
+    UnimodularMap,
+    hat_normalize,
+    mu_of_pq,
+    synthesize,
+)
 
 
 def clear_memos():
@@ -101,6 +113,59 @@ def cauchy_reference(a, b, count):
                                math.fsum(chain(map(mul, xr, yi), map(mul, xi, yr)))))
         except (OverflowError, ValueError):
             out.append(complex(math.nan, math.nan))
+    return out
+
+
+def invariants_and_hat_reference(s):
+    """``invariants._invariants_and_hat`` as it was before it twisted only the
+    degree-7 head and widened its zero tests by the terms that p and q
+    cancel, kept as the reference for it: the whole series goes through
+    (today's) ``hat_normalize``, and the zero tests scale with the hat form
+    alone.
+    """
+    if s.max_degree < 7:
+        raise DomainError("invariants need coefficients through degree 7")
+    a1 = s.leading
+    if a1 == 0:
+        raise NotInOmegaError("leading odd coefficient vanishes")
+    a3 = s.coefficient(3)
+    a5 = s.coefficient(5)
+    a7 = s.coefficient(7)
+    p = a3 * a3 - 2.0 * a1 * a5
+    q = 3.0 * a1 * a1 * a7 - 3.0 * a1 * a3 * a5 + a3 * a3 * a3
+    hat = hat_normalize(s)
+    big_a = abs(hat.series.coefficient(5))
+    big_b = abs(hat.series.coefficient(7))
+    t = max(1.0, big_a ** 0.25, big_b ** (1.0 / 6.0))
+    x = abs(a1) * t * t
+    mu = mu_of_pq(p, q, p_scale=x * x, q_scale=x * x * x)
+    return InvariantData(p=p, q=q, mu=mu), hat
+
+
+# A gauge alpha of modulus up to 1e3, real, imaginary and complex.
+LARGE_ALPHAS = [30, -45j, 100 + 100j, 1000, -1000, -1000j, -300 + 700j]
+# Gauges whose cubic roundoff in the hat form passes 1e-12 of its head.
+HUGE_ALPHAS = [-1e5 + 1e5j, -1e6 + 1e6j, 1e8j]
+
+
+def seeded_members_and_data(seed, count):
+    """Members of the three families at odd degrees 9..31, each family with
+    a random (alpha, beta), and random data of the same degrees."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        degree = 9 + 2 * (k % 12)
+        alpha = complex(*rng.uniform(-0.8, 0.8, 2))
+        beta = complex(*rng.uniform(-0.8, 0.8, 2))
+        rho = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-1.2, 1.2))
+        tau = TauPoint(complex(rng.uniform(-0.45, 0.45), rng.uniform(1.05, 2.5)))
+        a = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(-1.2, 1.2))
+        for made in (Classification("linear", alpha, beta),
+                     Classification("trig", alpha, beta, a=a),
+                     Classification("elliptic", alpha, beta, rho=rho, tau=tau)):
+            out.append(synthesize(made, degree))
+        coeffs = [complex(*rng.uniform(-1, 1, 2)) for _ in range((degree + 1) // 2)]
+        out.append(TruncatedOddSeries(coeffs))
     return out
 
 

@@ -1,10 +1,18 @@
 import cmath
+import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import circle_coefficients
+from conftest import (
+    HUGE_ALPHAS,
+    LARGE_ALPHAS,
+    circle_coefficients,
+    invariants_and_hat_reference,
+    seeded_members_and_data,
+)
 from sigmakit import (
     Classification,
     IdentityNotSatisfiedError,
@@ -16,6 +24,7 @@ from sigmakit import (
     duplication_residual,
     gauss_twist,
     lattice_from_rho_tau,
+    pq_of_series,
     scale_argument,
     sigma_eval,
     synthesize,
@@ -276,6 +285,57 @@ class TestClosedFormTail:
         coeffs[4] += 1e-4 * max(abs(c) for c in coeffs)
         with pytest.raises(IdentityNotSatisfiedError):
             classify(TruncatedOddSeries(coeffs))
+
+
+def _outcome_bits(s):
+    """Every field of classify(s), floats by their bits, or its error."""
+    def bits(v):
+        if isinstance(v, TauPoint):
+            v = v.value
+        if isinstance(v, (complex, float)):
+            return struct.pack("<dd", complex(v).real, complex(v).imag)
+        if isinstance(v, dict):
+            return {k: bits(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [bits(x) for x in v]
+        return v
+    try:
+        return [bits(field) for field in classify(s)]
+    except Exception as exc:  # the error is part of the outcome
+        return [type(exc), str(exc), bits(getattr(exc, "diagnostics", None))]
+
+
+class TestHeadOnlyInvariants:
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_every_field_matches_the_full_series_reference(self, seed, monkeypatch):
+        data = seeded_members_and_data(seed, 24)
+        got = [_outcome_bits(s) for s in data]
+        module = importlib.import_module("sigmakit.classify")
+        monkeypatch.setattr(module, "_invariants_and_hat", invariants_and_hat_reference)
+        want = [_outcome_bits(s) for s in data]
+        assert got == want
+        # Members classify; the random data fail the tail check.
+        assert [g[0] for g in got[3::4]] == [IdentityNotSatisfiedError] * 24
+        assert {g[0] for k, g in enumerate(got) if k % 4 != 3} == {"linear", "trig", "elliptic"}
+
+    def test_a_tail_whose_twist_overflows_fails_the_tail_check(self):
+        # The full-series twist by exp(10 z^2) overflowed first (NumericError);
+        # now the degree-7 head classifies and the tail check rejects degree 9.
+        s = TruncatedOddSeries([1, -10, 50, -166] + [1e306] * 12)
+        with pytest.raises(IdentityNotSatisfiedError, match="at degree 9 is"):
+            classify(s)
+
+    @pytest.mark.parametrize("alpha", LARGE_ALPHAS + HUGE_ALPHAS)
+    @pytest.mark.parametrize("degree", [7, 9, 15, 31])
+    def test_linear_member_with_large_alpha(self, alpha, degree):
+        # Measured: alpha within 2.0e-16 of its modulus, beta within 5.6e-17.
+        beta = 0.3 - 1j
+        s = gauss_twist(TruncatedOddSeries([1] + [0] * ((degree - 1) // 2)), alpha, beta)
+        got = classify(s)
+        assert got.case == "linear"
+        assert abs(got.alpha - alpha) <= 4e-16 * abs(alpha)
+        assert abs(got.beta - beta) <= 2e-16
+        assert got.diagnostics["mu"] == pq_of_series(s).mu.to_json_dict() == {"tag": "undefined"}
 
 
 class TestClassificationRecord:

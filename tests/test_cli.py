@@ -311,6 +311,29 @@ class TestInvariantsOverflow:
         assert doc["error"] == {"type": "numeric",
                                 "message": "the hat series is outside the double range"}
 
+    # A head that classifies and a tail whose twist by exp(10 z^2) overflows.
+    OVERFLOWING_TAIL = {"max_degree": 31,
+                        "odd_coefficients": [[1, 0], [-10, 0], [50, 0], [-166, 0]]
+                        + [[1e306, 0]] * 12}
+
+    def test_invariants_read_only_the_head(self, capsys, tmp_path):
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(self.OVERFLOWING_TAIL))
+        code, doc = run_strict(capsys, "invariants", str(path))
+        assert code == 0
+        head = dict(self.OVERFLOWING_TAIL, max_degree=7,
+                    odd_coefficients=self.OVERFLOWING_TAIL["odd_coefficients"][:4])
+        path.write_text(json.dumps(head))
+        _, head_doc = run_strict(capsys, "invariants", str(path))
+        assert [doc[k] for k in ("p", "q", "mu")] == [head_doc[k] for k in ("p", "q", "mu")]
+
+    def test_classify_rejects_the_tail_at_degree_nine(self, capsys, tmp_path):
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(self.OVERFLOWING_TAIL))
+        code, doc = run_strict(capsys, "classify", str(path))
+        assert code == 1
+        assert doc["error"]["message"].startswith("coefficient at degree 9 is (1e+306+0j)")
+
     @pytest.mark.parametrize("doc_in", HUGE)
     def test_extend_runs_scaled_by_a_power_of_two(self, capsys, tmp_path, doc_in):
         # The extension of these data fits in a double: it is the extension of

@@ -1,9 +1,16 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import sigmakit.invariants
+from conftest import (
+    HUGE_ALPHAS,
+    LARGE_ALPHAS,
+    invariants_and_hat_reference,
+    seeded_members_and_data,
+)
 from sigmakit import (
     DomainError,
     NotInOmegaError,
@@ -19,6 +26,7 @@ from sigmakit import (
     theta1_odd_series,
     weierstrass_g,
 )
+from sigmakit.invariants import _invariants_and_hat
 
 SINE = TruncatedOddSeries([1, -1 / 6, 1 / 120, -1 / 5040])
 Z_EXP_SQUARE = TruncatedOddSeries([1, 1, 1 / 2, 1 / 6])  # z * exp(z^2)
@@ -138,6 +146,17 @@ class TestHatNormalize:
         with pytest.raises(NotInOmegaError):
             hat_normalize(TruncatedOddSeries([0, 1, 0, 0]))
 
+    @pytest.mark.parametrize("alpha", HUGE_ALPHAS)
+    @pytest.mark.parametrize("degree", [7, 15, 31])
+    def test_cubic_roundoff_is_judged_against_alpha(self, alpha, degree):
+        # The twist cancels a3/a1 against alpha, leaving a cubic of about
+        # 1e-16 |alpha| (1.1e-11 at 1e5(-1+i), whose head's hat coefficients
+        # are about 1): it is snapped, not reported.
+        s = gauss_twist(TruncatedOddSeries([1] + [0] * ((degree - 1) // 2)), alpha, 0.3 - 1j)
+        hat = hat_normalize(s)
+        assert abs(hat.alpha + alpha) <= 2e-16 * abs(alpha)
+        assert pq_of_series(s).mu.tag == "undefined"
+
     def test_twist_leaving_cubic_term_is_numeric_error(self, monkeypatch):
         # Exact arithmetic always annihilates the cubic term; a twist that
         # does not is reported rather than snapped away.
@@ -199,3 +218,69 @@ class TestInvarianceProperties:
             hat = hat_normalize(s)
             assert abs(hat.series.coefficient(5)) <= 1e-12
             assert abs(hat.series.coefficient(7)) <= 1e-12
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestDegreeSevenHead:
+    # The invariants twist only a1..a7.  Each Cauchy coefficient depends on
+    # its own inputs alone and fsum is correctly rounded, so everything
+    # through degree 7 keeps the bits of the full-series twist.
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_matches_the_full_series_reference_bit_for_bit(self, seed):
+        for s in seeded_members_and_data(seed, 24):
+            inv, hat = _invariants_and_hat(s)
+            want_inv, want_hat = invariants_and_hat_reference(s)
+            assert _bits(inv.p) == _bits(want_inv.p)
+            assert _bits(inv.q) == _bits(want_inv.q)
+            assert inv.mu.tag == want_inv.mu.tag
+            if inv.mu.is_finite:
+                assert _bits(inv.mu.value) == _bits(want_inv.mu.value)
+            assert _bits(hat.alpha) == _bits(want_hat.alpha)
+            assert _bits(hat.beta) == _bits(want_hat.beta)
+            assert hat.series.max_degree == 7
+            assert ([_bits(c) for c in hat.series.odd_coefficients]
+                    == [_bits(c) for c in want_hat.series.odd_coefficients[:4]])
+            assert pq_of_series(s) == inv
+
+    def test_a_tail_whose_twist_overflows_is_not_read(self):
+        # The twist by exp(10 z^2) of the 1e306 tail overflows; the
+        # invariants never form it.
+        s = TruncatedOddSeries([1, -10, 50, -166] + [1e306] * 12)
+        with pytest.raises(NumericError):
+            invariants_and_hat_reference(s)
+        inv = pq_of_series(s)
+        assert inv == pq_of_series(TruncatedOddSeries(s.odd_coefficients[:4]))
+        assert inv.mu.is_finite
+
+    def test_a_head_modulus_beyond_the_double_range_is_numeric_error(self):
+        # |a5| passes the largest double while its parts do not; abs() of it
+        # raised a bare OverflowError.
+        with pytest.raises(NumericError):
+            pq_of_series(TruncatedOddSeries([1, 0, 1.5e308 + 1.5e308j, 0]))
+
+
+class TestZeroTestsScaleWithTheCancelledTerms:
+    # For z * exp(alpha z^2 + beta), p and q are sums of terms of size
+    # |alpha|^2 |a1|^2 and |alpha|^3 |a1|^3 that cancel exactly, so their
+    # roundoff grows with alpha while the hat form stays z.
+
+    @pytest.mark.parametrize("alpha", LARGE_ALPHAS)
+    @pytest.mark.parametrize("degree", [7, 9, 15, 31])
+    def test_linear_member_is_undefined(self, alpha, degree):
+        s = gauss_twist(TruncatedOddSeries([1] + [0] * ((degree - 1) // 2)), alpha, 0.3 - 1j)
+        inv = pq_of_series(s)
+        assert inv.mu.tag == "undefined"
+        # The reference's zero tests, scaled by the hat form alone, miss it.
+        assert invariants_and_hat_reference(s)[0].mu.tag != "undefined"
+
+    def test_invariants_far_above_the_roundoff_keep_their_tag(self):
+        # sin(z) * exp(30 z^2): |p| = 1/90 and |q| = 1/945, against
+        # cancelled terms of about 2 * 30^2 and 3 * 30^3.
+        s = gauss_twist(TruncatedOddSeries([1, -1 / 6, 1 / 120, -1 / 5040]), 30, 0)
+        inv = pq_of_series(s)
+        assert inv.mu.is_finite
+        assert abs(inv.mu.value - 49 / 40) <= 1e-8 * 49 / 40

@@ -2,6 +2,7 @@ import cmath
 import math
 import struct
 import sys
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -348,3 +349,72 @@ class TestCauchyKernel:
                     if kind == "inf_product":
                         assert not cmath.isfinite(g) and not cmath.isfinite(w), (a, b, n)
         assert min(seen.values()) > 0, seen
+
+    def test_an_overflowing_partial_sum_is_summed_again(self):
+        # Against the exact sum of the rounded products: fsum raises where a
+        # partial sum passes the double range, and the kernel then sums the
+        # products again scaled by 2**-shift.  A part comes back correctly
+        # rounded where the exact sum fits in a double, and NaN where it does
+        # not.  Left unanswered: a product or a sum that the scaling makes
+        # subnormal loses bits, so there the part is only within an ulp plus
+        # (products + 1) * 2**(shift - 1075), with 2**shift <= 2**6 at these
+        # lengths.
+        rng = np.random.default_rng(308)
+        seen = {"fits": 0, "beyond": 0, "subnormal": 0, "mended": 0}
+        for _ in range(400):
+            a = [complex(_draw_large(rng), _draw_large(rng)) for _ in range(rng.integers(1, 9))]
+            b = [complex(_draw_factor(rng), _draw_factor(rng)) for _ in range(rng.integers(1, 9))]
+            count = len(a) + len(b) - 1
+            got, old = _cauchy(a, b, count), cauchy_reference(a, b, count)
+            for n in range(len(got)):
+                for g, w, ps in zip((got[n].real, got[n].imag), (old[n].real, old[n].imag),
+                                    _part_products(a, b, n)):
+                    if not all(map(math.isfinite, ps)):
+                        continue
+                    exact = sum(map(Fraction, ps))
+                    if sum(map(abs, map(Fraction, ps))) <= sys.float_info.max:
+                        # No partial sum can overflow, and fsum is correctly rounded.
+                        assert g == float(exact), (a, b, n)
+                        continue
+                    try:
+                        want = float(exact)
+                    except OverflowError:
+                        seen["beyond"] += 1
+                        assert math.isnan(g), (a, b, n)
+                        continue
+                    tiny = 2.0 ** -1016
+                    if abs(want) < tiny or any(0 < abs(p) < tiny for p in ps):
+                        seen["subnormal"] += 1
+                        lost = (len(ps) + 1) * Fraction(2) ** (6 - 1075)
+                        assert abs(Fraction(g) - exact) <= Fraction(math.ulp(want)) + lost
+                        continue
+                    seen["fits"] += 1
+                    assert g == want, (a, b, n)
+                    seen["mended"] += math.isnan(w)
+        assert min(seen["fits"], seen["beyond"], seen["mended"], seen["subnormal"]) > 0, seen
+
+    def test_a_product_made_subnormal_by_the_scaling_loses_bits(self):
+        # The case left unanswered.  The products of coefficient 4 are big,
+        # big, -big, -big and 2**-1070, so the second partial sum overflows;
+        # at the scale 2**-5 the last product is half the smallest subnormal
+        # and rounds to 0, and the exact sum 2**-1070 comes back as 0.
+        big = 1.5e308
+        a = [big, big, -big, -big, 2.0 ** -1070]
+        assert sum(map(Fraction, a)) == Fraction(2) ** -1070
+        assert _cauchy([complex(x) for x in a], [1 + 0j] * 5, 5)[4] == 0
+
+
+def _draw_large(rng):
+    """A double near +-1e308 half the time, else a standard normal or any
+    kind that ``_draw_entry`` draws."""
+    kind = rng.integers(4)
+    if kind < 2:
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.79) * 1e308
+    return rng.standard_normal() if kind == 2 else _draw_entry(rng)
+
+
+def _draw_factor(rng):
+    """A factor of modulus about 1 that keeps a 1e308 product finite, or any
+    kind that ``_draw_entry`` draws."""
+    kind = rng.integers(4)
+    return _draw_entry(rng) if kind == 3 else rng.uniform(-1.0, 1.0)

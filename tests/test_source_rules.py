@@ -211,3 +211,53 @@ def test_one_series_product_and_one_unvalidated_construction():
 ])
 def test_kernel_site_rule_catches(source, found):
     assert _kernel_sites(ast.parse(source)) == found
+
+
+def _is_head_slice(node):
+    """Whether node is ``<expr>.odd_coefficients[:4]``, the degree-7 head."""
+    return (isinstance(node, ast.Subscript)
+            and getattr(node.value, "attr", None) == "odd_coefficients"
+            and isinstance(node.slice, ast.Slice)
+            and node.slice.lower is None and node.slice.step is None
+            and isinstance(node.slice.upper, ast.Constant) and node.slice.upper.value == 4)
+
+
+def _hat_calls_of_the_invariants(tree):
+    """(count, lines not handed the head) of hat_normalize calls in _invariants_and_hat."""
+    count, whole = 0, []
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name == "_invariants_and_hat"):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hat_normalize":
+                count += 1
+                if not any(_is_head_slice(sub) for arg in node.args for sub in ast.walk(arg)):
+                    whole.append(node.lineno)
+    return count, whole
+
+
+def test_the_invariants_twist_only_the_degree_seven_head():
+    # p, q and mu read a1..a7 alone, so twisting the whole series would
+    # spend an O(K^2) product on coefficients that classify checks once,
+    # against synthesize.
+    path = next(path for path in SOURCES if path.name == "invariants.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _hat_calls_of_the_invariants(tree) == (1, [])
+
+
+@pytest.mark.parametrize("body", [
+    "hat = hat_normalize(s)",
+    "hat = hat_normalize(_computed(s.odd_coefficients, 'h'))",
+    "hat = hat_normalize(_computed(s.odd_coefficients[:5], 'h'))",
+    "hat = hat_normalize(_computed(s.odd_coefficients[1:4], 'h'))",
+    "head = s.odd_coefficients[:4]\n    hat = hat_normalize(s)",
+])
+def test_head_rule_catches(body):
+    source = f"def _invariants_and_hat(s):\n    {body}"
+    assert _hat_calls_of_the_invariants(ast.parse(source))[1] != []
+
+
+def test_head_rule_allows_the_head():
+    source = ("def _invariants_and_hat(s):\n"
+              "    hat = hat_normalize(_computed(s.odd_coefficients[:4], 'the degree-7 head'))")
+    assert _hat_calls_of_the_invariants(ast.parse(source)) == (1, [])
