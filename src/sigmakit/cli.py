@@ -69,17 +69,10 @@ def load_series(path: str) -> "TruncatedOddSeries":
     return TruncatedOddSeries.from_json_dict(doc)
 
 
-def _complex_pair(value) -> list[float]:
-    """json.dumps' fallback: a complex number as [re, im]; other objects stay refused."""
-    if not isinstance(value, complex):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return json_ready(value)
-
-
 def emit(doc: dict) -> None:
     """Print a document as strict JSON; a NaN or infinity is a NumericError."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False, default=_complex_pair)
+        text = json.dumps(json_ready(doc), indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"the result is not finite ({exc})") from exc
     sys.stdout.write(text + "\n")
@@ -101,8 +94,7 @@ def _cmd_eval(args) -> dict:
     from .modular import dedekind_eta, j_invariant, theta1_eval, weierstrass_g
 
     name = args.function
-    cap = args.term_cap
-    config = {"function": name, "term_cap": cap}
+    config = {"function": name, "term_cap": TERM_CAP}
     if name == "sigma":
         from .lattice import sigma_eval
 
@@ -110,13 +102,13 @@ def _cmd_eval(args) -> dict:
             raise DomainError("eval sigma requires --z")
         z = parse_complex(args.z)
         lat = _lattice_from_args(args)
-        value = sigma_eval(z, lat, term_cap=cap)
+        value = sigma_eval(z, lat)
         config.update({"z": z, "rho": lat.rho, "tau": lat.tau.value})
     elif name == "theta1":
         if args.z is None or args.tau is None:
             raise DomainError("eval theta1 requires --z and --tau")
         z, tau = parse_complex(args.z), parse_complex(args.tau)
-        value = theta1_eval(z, tau, term_cap=cap)
+        value = theta1_eval(z, tau)
         config.update({"z": z, "tau": tau})
     else:  # eta, g2, g3 and j depend on tau alone
         if args.tau is None:
@@ -124,9 +116,9 @@ def _cmd_eval(args) -> dict:
         tau = parse_complex(args.tau)
         config["tau"] = tau
         if name in ("g2", "g3"):
-            value = weierstrass_g(tau, term_cap=cap)[name == "g3"]
+            value = weierstrass_g(tau)[name == "g3"]
         else:
-            value = (dedekind_eta if name == "eta" else j_invariant)(tau, term_cap=cap)
+            value = (dedekind_eta if name == "eta" else j_invariant)(tau)
     return {"config": config, "value": value}
 
 
@@ -300,8 +292,6 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("function", choices=["theta1", "eta", "g2", "g3", "j", "sigma"])
         p.add_argument("--z", help="argument re,im (theta1 and sigma)")
         add_lattice_options(p)
-        p.add_argument("--term-cap", type=int, default=TERM_CAP,
-                       help="series/product term cap (default %(default)s)")
 
     if p := command("invariants", "p, q, mu of an odd series file", _cmd_invariants):
         p.add_argument("series", help="JSON file with max_degree and odd_coefficients")

@@ -5,15 +5,16 @@ precondition violations (``DomainError``, exit code 1) and numerical
 failures such as non-convergent series or root searches
 (``NumericError``, exit code 2).
 
-The defaults below are the CLI's option defaults as well; they live here,
-in a module every command loads, so that the parser needs no numerical
-layer.  Each is re-exported by the module that uses it.
+The limits below live here, in a module every command loads, so that the
+parser needs no numerical layer.  ``TERM_CAP`` is a constant, the one cap
+on every q-series and product, judged at tau as given; the other three
+are the defaults of their library arguments and CLI options.
 
 ``json_ready`` holds the one JSON form of a complex number, [re, im], for
 error diagnostics, the records' ``to_json_dict`` and the CLI's documents.
 """
 
-# Hard cap on the terms of every q-series and product (``modular``).
+# The fixed cap on the terms of every q-series and product (``modular``).
 TERM_CAP = 200
 # Relative residual target of ``lattice.invert_j``.
 J_TOLERANCE = 1e-8
@@ -25,11 +26,14 @@ VALIDATION_TOLERANCE = 1e-6
 
 def json_ready(value):
     """value in JSON form: a complex number as [re, im], a list or tuple
-    (a namedtuple too) as a list of JSON forms, anything else unchanged."""
+    (a namedtuple too) as a list of JSON forms, a dict with its values in
+    JSON form, anything else unchanged."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
+    if isinstance(value, dict):
+        return {key: json_ready(v) for key, v in value.items()}
     return value
 
 
@@ -56,7 +60,7 @@ class NumericError(SigmaKitError, ArithmeticError):
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.diagnostics = {key: json_ready(v) for key, v in (diagnostics or {}).items()}
+        self.diagnostics = json_ready(diagnostics or {})
 
 
 class ConvergenceError(NumericError):

@@ -44,7 +44,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import J_TOLERANCE, TERM_CAP, ConvergenceError, DomainError, NumericError
+from .errors import J_TOLERANCE, ConvergenceError, DomainError, NumericError
 from .modular import (
     TauPoint,
     _theta1_table,
@@ -157,7 +157,7 @@ class Lattice(namedtuple("Lattice",
     @_kept
     def theta_table(self) -> tuple[complex, ...]:
         """theta1's factors at tau (``modular._theta1_table``), kept for life."""
-        return _theta1_table(self.tau.value, TERM_CAP, 1)
+        return _theta1_table(self.tau.value, 1)
 
     @_kept
     def gauge(self) -> tuple[complex, complex, complex]:
@@ -348,26 +348,23 @@ def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
     return _gauge_alpha(kappa, lat.rho), beta
 
 
-def sigma_eval(z: complex, lat: Lattice, *, term_cap: int = TERM_CAP) -> complex:
+def sigma_eval(z: complex, lat: Lattice) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    theta1 is summed on ``lat.theta_table``, and a table longer than
-    ``term_cap`` raises ConvergenceError; the gauge is ``lat.gauge``.  The
-    quasi-periodic exponent of theta1 is added to alpha*z^2, formed as
-    kappa*(z/rho)^2, before one exp, since the two nearly cancel, so only a
-    value outside the double range raises NumericError.
+    theta1 is summed on ``lat.theta_table``, whose length the fixed cap of
+    ``TERM_CAP`` = 200 terms bounds at tau as given (a reduced tau needs five
+    factors at most), and the gauge is ``lat.gauge``.  The quasi-periodic
+    exponent of theta1 is added to alpha*z^2, formed as kappa*(z/rho)^2,
+    before one exp, since the two nearly cancel, so only a value outside the
+    double range raises NumericError.
     """
-    return _sigma_values((complex(z),), lat, term_cap)[0]
+    return _sigma_values((complex(z),), lat)[0]
 
 
-def _sigma_values(zs, lat: Lattice, term_cap: int = TERM_CAP) -> list[complex]:
+def _sigma_values(zs, lat: Lattice) -> list[complex]:
     """``sigma_eval`` at each of zs; the first failing z picks the error."""
-    table = lat.theta_table
-    if len(table) > term_cap:
-        # Rebuilt under the lower cap, the table raises its ConvergenceError.
-        table = _theta1_table(lat.tau.value, term_cap, 1)
     kappa, _, scale = lat.gauge
-    values = _theta1_values(zs, lat.tau.value, table, lat.rho, kappa, scale)
+    values = _theta1_values(zs, lat.tau.value, lat.theta_table, lat.rho, kappa, scale)
     if not all(map(cmath.isfinite, values)):
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
         if not cmath.isfinite(z):

@@ -23,21 +23,21 @@ its own period, so a large Re tau keeps its phase.
 These tau-only results are memoized: theta1's factor table, the forms
 (g2, g3, eta^3) and the term count each sit in a ``functools.lru_cache``
 of ``_MEMO_SIZE`` entries, keyed by the tau value that ``as_tau`` returns
-(Im tau for the term count), the term cap and, for the table and the term
-count, the degree.  So ``sigma_eval``, ``theta1_eval``, ``j_invariant``,
+(Im tau for the term count) and, for the table and the term count, the
+degree.  So ``sigma_eval``, ``theta1_eval``, ``j_invariant``,
 ``weierstrass_g``, ``modular_discriminant`` and ``modular_pq`` at one tau
 share one table and one theta-constant pass, and each memo holds at most
-the last ``_MEMO_SIZE`` points.  A failure is not memoized: every call
-whose cap is below the term count raises its own ConvergenceError.
+the last ``_MEMO_SIZE`` points.  A failure is not memoized: every call at
+a tau whose term count passes the cap raises its own ConvergenceError.
 
 Only ``dedekind_eta`` keeps a stopping rule of its own: its product runs
-until |q^n| drops below ``TERM_TOL``.  Every sum and product has a hard cap
-of ``TERM_CAP`` terms, judged at tau as given.  Inside the fundamental
-domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far outside
-it the cap is reached and a ConvergenceError is raised.  Callers are
-expected to reduce tau first (see ``lattice.reduce_tau``); these routines
-take tau exactly as given so that the modular transformation laws remain
-observable.
+until |q^n| drops below ``TERM_TOL``.  Every sum and product has one fixed
+cap of ``TERM_CAP`` = 200 terms, which no caller chooses, judged at tau as
+given.  Inside the fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful
+of terms suffice; far outside it the cap is reached and a ConvergenceError
+is raised.  Callers are expected to reduce tau first (see
+``lattice.reduce_tau``); these routines take tau exactly as given so that
+the modular transformation laws remain observable.
 """
 
 from __future__ import annotations
@@ -89,15 +89,15 @@ def as_tau(tau) -> TauPoint:
     return TauPoint(complex(tau))
 
 
-def _cap_error(what, tau, partial, last_term, cap):
+def _cap_error(what, tau, partial, last_term):
     return ConvergenceError(
-        f"{what} did not converge within {cap} terms at tau={tau}; "
+        f"{what} did not converge within {TERM_CAP} terms at tau={tau}; "
         "reduce tau toward the fundamental domain first",
-        diagnostics={"tau": tau, "term_cap": cap, "partial_magnitude": abs(partial),
+        diagnostics={"tau": tau, "term_cap": TERM_CAP, "partial_magnitude": abs(partial),
                      "last_term_magnitude": abs(last_term)})
 
 
-def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
+def theta1_eval(z: complex, tau) -> complex:
     """First Jacobi theta function.
 
     theta1(z, tau) = 2 * sum_{n>=0} (-1)^n exp(pi*i*tau*(n+1/2)^2)
@@ -117,7 +117,7 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    table = _theta1_table(t, term_cap, 1)
+    table = _theta1_table(t, 1)
     # The larger part of c0 is at least |c0|/sqrt(2) = sqrt(2)*exp(-pi*Im(t)/4),
     # a normal double up to Im t = 900.
     if t.imag > 900.0 and max(abs(table[0].real), abs(table[0].imag)) < 2.0**-1022:
@@ -130,7 +130,7 @@ def theta1_eval(z: complex, tau, *, term_cap: int = TERM_CAP) -> complex:
     return value
 
 
-def _table_size(t: complex, term_cap: int, what: str, degree: int) -> int:
+def _table_size(t: complex, what: str, degree: int) -> int:
     """The number of terms k = 0, 1, ... that the theta sums at t keep.
 
     On the reduced cell |Im w| <= Im(t)/2, the k-th term of theta1's sine
@@ -139,30 +139,30 @@ def _table_size(t: complex, term_cap: int, what: str, degree: int) -> int:
     |j| <= k; in its Taylor coefficient of z^degree the factor (2k+1) is
     raised to the power degree.  The sums end before the first k whose
     bound (2k+1)^degree * exp(-pi*Im(t)*k^2) is <= TERM_TOL.  A size beyond
-    ``term_cap`` raises ConvergenceError for ``what``, with magnitudes
+    ``TERM_CAP`` raises ConvergenceError for ``what``, with magnitudes
     relative to the first term.
     """
-    size = _term_count(t.imag, term_cap, degree)
-    if size > term_cap:
+    size = _term_count(t.imag, degree)
+    if size > TERM_CAP:
         root = (2 * size + 1) * math.exp(-math.pi * t.imag * size * size / degree)
         try:
             last = root**degree
         except OverflowError:
             last = math.inf
-        raise _cap_error(what, t, 1.0, last, term_cap)
+        raise _cap_error(what, t, 1.0, last)
     return size
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _term_count(height: float, term_cap: int, degree: int) -> int:
-    """``_table_size`` at Im t = height, or term_cap + 1 where the cap is reached.
+def _term_count(height: float, degree: int) -> int:
+    """``_table_size`` at Im t = height, or TERM_CAP + 1 where the cap is reached.
 
     The bound is compared by its degree-th root, which cannot overflow.
     """
     decay = math.pi * height / degree
     tol = TERM_TOL ** (1.0 / degree)
     size = 1
-    while size <= term_cap and (2 * size + 1) * math.exp(-decay * size * size) > tol:
+    while size <= TERM_CAP and (2 * size + 1) * math.exp(-decay * size * size) > tol:
         size += 1
     return size
 
@@ -187,7 +187,7 @@ def _shift_real(t: complex, period: float) -> complex:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _theta1_table(t: complex, term_cap: int, degree: int) -> tuple[complex, ...]:
+def _theta1_table(t: complex, degree: int) -> tuple[complex, ...]:
     """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
 
     The table has the ``_table_size`` factors that theta1's Taylor coefficients
@@ -195,7 +195,7 @@ def _theta1_table(t: complex, term_cap: int, degree: int) -> tuple[complex, ...]
     c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t), at t shifted by ``_shift_real``.
     A longer table begins with the factors of a shorter one, bit for bit.
     """
-    size = _table_size(t, term_cap, "theta1 series", degree)
+    size = _table_size(t, "theta1 series", degree)
     t = _shift_real(t, 8.0)
     g = cmath.exp(2j * math.pi * t)
     c = 2.0 * cmath.exp(0.25j * math.pi * t)
@@ -207,7 +207,7 @@ def _theta1_table(t: complex, term_cap: int, degree: int) -> tuple[complex, ...]
     return tuple(table)
 
 
-def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, complex]:
+def _theta_constants(t: complex) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at z = 0, over ``_table_size`` terms.
 
     With the nome q = exp(pi*i*t) (DLMF 20.2(i)),
@@ -229,16 +229,16 @@ def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, compl
         theta4(-1/s) = sqrt(-i*s) theta2(s),   theta2(u + n) = exp(i*pi*n/4) theta2(u),
 
     with theta3 and theta4 of u + n those of u, swapped for odd n.  The
-    term count at t itself is checked against ``term_cap`` first, so a t far
+    term count at t itself is checked against ``TERM_CAP`` first, so a t far
     from the fundamental domain still raises ConvergenceError; the sums then
     run at t shifted by ``_shift_real``.
     """
-    size = _table_size(t, term_cap, "theta constant series", 1)
+    size = _table_size(t, "theta constant series", 1)
     t = _shift_real(t, 8.0)
     if t.imag < 0.5:
         n = round(t.real)
         s = -1.0 / (t - n)
-        th2, th3, th4 = _theta_constants(s, term_cap)
+        th2, th3, th4 = _theta_constants(s)
         r = cmath.sqrt(-1j * s)
         th2, th3, th4 = r * th4, r * th3, r * th2
         if n & 1:
@@ -261,7 +261,7 @@ def _theta_constants(t: complex, term_cap: int) -> tuple[complex, complex, compl
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _modular_forms(t: complex, term_cap: int) -> tuple[complex, complex, complex]:
+def _modular_forms(t: complex) -> tuple[complex, complex, complex]:
     """(g2, g3, eta^3) at t = ``as_tau(tau).value`` from one ``_theta_constants`` pass.
 
     With a, b, c = theta2^4, theta3^4, theta4^4 (DLMF 23.15, 20.7(i)),
@@ -270,7 +270,7 @@ def _modular_forms(t: complex, term_cap: int) -> tuple[complex, complex, complex
         g2 = (2*pi)^4/12 * E4,      g3 = (2*pi)^6/216 * E6,
         eta^3 = theta2*theta3*theta4/2.
     """
-    th2, th3, th4 = _theta_constants(t, term_cap)
+    th2, th3, th4 = _theta_constants(t)
     a, b, c = (th2 * th2) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
     return (_G2_SCALE * (a * a + b * b + c * c), _G3_SCALE * ((a + b) * (b + c) * (c - a)),
             0.5 * th2 * th3 * th4)
@@ -320,7 +320,7 @@ def _theta1_values(zs, t: complex, table, rho=1.0, kappa=0.0, scale=1.0) -> list
     return out
 
 
-def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> TruncatedOddSeries:
+def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
     """Odd Taylor coefficients of z -> theta1(z, tau) through max_degree.
 
     a_(2m+1) = (-1)^m * sum_{k>=0} c_k * ((2k+1)*pi)^(2m+1) / (2m+1)!
@@ -349,19 +349,19 @@ def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> Trun
     t = as_tau(tau).value
     coeffs = [0j] * ((max_degree + 1) // 2)
     if t.imag >= 0.5:
-        for k, c in enumerate(_theta1_table(t, term_cap, max_degree)):
+        for k, c in enumerate(_theta1_table(t, max_degree)):
             w = (2 * k + 1) * math.pi
             x, square = w, w * w
             for m in range(len(coeffs)):
                 coeffs[m] += c * x
                 x = -x * square / ((2 * m + 2) * (2 * m + 3))
         return _computed(coeffs, "theta1's coefficient series")
-    _table_size(t, term_cap, "theta1 series", max_degree)
+    _table_size(t, "theta1 series", max_degree)
     t = _shift_real(t, 8.0)
     n = round(t.real)
     s = -1.0 / (t - n)
     beta = 1j * math.pi * s
-    for k, c in enumerate(_theta1_table(s, term_cap, max_degree)):
+    for k, c in enumerate(_theta1_table(s, max_degree)):
         lin = (2 * k + 1) * beta
         prev, cur = 1.0, lin
         for m in range(1, max_degree + 1):
@@ -372,7 +372,7 @@ def theta1_odd_series(tau, max_degree: int, *, term_cap: int = TERM_CAP) -> Trun
     return _computed([factor * c for c in coeffs], "theta1's coefficient series")
 
 
-def dedekind_eta(tau, *, term_cap: int = TERM_CAP) -> complex:
+def dedekind_eta(tau) -> complex:
     """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at tau
     shifted by ``_shift_real`` to its period 24."""
     t = as_tau(tau).value
@@ -380,26 +380,26 @@ def dedekind_eta(tau, *, term_cap: int = TERM_CAP) -> complex:
     q = cmath.exp(2j * math.pi * s)
     prod = cmath.exp(1j * math.pi * s / 12.0)
     qn = 1.0 + 0.0j
-    for _ in range(term_cap):
+    for _ in range(TERM_CAP):
         qn *= q
         prod *= 1.0 - qn
         if abs(qn) <= TERM_TOL:
             return prod
-    raise _cap_error("eta product", t, prod, qn, term_cap)
+    raise _cap_error("eta product", t, prod, qn)
 
 
-def weierstrass_g(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
+def weierstrass_g(tau) -> tuple[complex, complex]:
     """Weight-4 and weight-6 modular forms of the lattice Z + tau*Z.
 
     g2 = (2*pi)^4/12 * E4 and g3 = (2*pi)^6/216 * E6, with the Eisenstein
     series E4 = 1 + 240*sum sigma_3(n) q^n and E6 = 1 - 504*sum sigma_5(n) q^n,
     q = exp(2*pi*i*tau), taken from the theta constants (``_modular_forms``).
     """
-    g2, g3, _ = _modular_forms(as_tau(tau).value, term_cap)
+    g2, g3, _ = _modular_forms(as_tau(tau).value)
     return g2, g3
 
 
-def modular_discriminant(tau, *, term_cap: int = TERM_CAP) -> complex:
+def modular_discriminant(tau) -> complex:
     """Discriminant g2^3 - 27*g3^2, evaluated as (2*pi)^12 * eta^24 with
     eta^3 = theta2*theta3*theta4/2.
 
@@ -407,10 +407,10 @@ def modular_discriminant(tau, *, term_cap: int = TERM_CAP) -> complex:
     significance high in the upper half-plane, where g2^3 and 27*g3^2
     agree to many digits; the two expressions are equal identically.
     """
-    return _TWO_PI**12 * _modular_forms(as_tau(tau).value, term_cap)[2] ** 8
+    return _TWO_PI**12 * _modular_forms(as_tau(tau).value)[2] ** 8
 
 
-def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
+def j_invariant(tau) -> complex:
     """Modular invariant, normalized as j = 1728 * g2^3 / (g2^3 - 27*g3^2).
 
     This normalization has the Fourier expansion 1/q + 744 + 196884*q + ...
@@ -418,7 +418,7 @@ def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
     outside the double range raises NumericError.
     """
     t = as_tau(tau).value
-    g2, _, eta3 = _modular_forms(t, term_cap)
+    g2, _, eta3 = _modular_forms(t)
     delta = _TWO_PI**12 * eta3**8
     if delta == 0:
         # Delta underflows only for Im(tau) beyond about 118.
@@ -430,7 +430,7 @@ def j_invariant(tau, *, term_cap: int = TERM_CAP) -> complex:
     return j
 
 
-def modular_pq(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
+def modular_pq(tau) -> tuple[complex, complex]:
     """The pair (p, q) = ((pi^2/30) eta^6 g2, -(pi^3/35) eta^9 g3).
 
     eta^6 and eta^9 are powers of eta^3 = theta2*theta3*theta4/2, so no
@@ -439,7 +439,7 @@ def modular_pq(tau, *, term_cap: int = TERM_CAP) -> tuple[complex, complex]:
     ``invariants.pq_of_series``; the test suite checks the equality on a
     tau grid at 1e-8 relative.
     """
-    g2, g3, eta3 = _modular_forms(as_tau(tau).value, term_cap)
+    g2, g3, eta3 = _modular_forms(as_tau(tau).value)
     p = (math.pi**2 / 30.0) * eta3**2 * g2
     q = -(math.pi**3 / 35.0) * eta3**3 * g3
     return p, q

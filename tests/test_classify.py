@@ -15,6 +15,7 @@ from conftest import (
 )
 from sigmakit import (
     Classification,
+    DomainError,
     IdentityNotSatisfiedError,
     NotInOmegaError,
     NumericError,
@@ -96,6 +97,12 @@ class TestClassifyExamples:
 
 
 class TestSynthesizeExamples:
+    @pytest.mark.parametrize("max_degree", [0, 4])
+    def test_even_or_zero_degree_is_domain_error(self, max_degree):
+        with pytest.raises(DomainError) as err:
+            synthesize(Classification(case="linear", alpha=0.0, beta=0.0), max_degree)
+        assert str(err.value) == "max_degree must be an odd integer >= 1"
+
     def test_linear_trivial(self):
         s = synthesize(Classification(case="linear", alpha=0.0, beta=0.0), 7)
         assert np.array_equal(s.odd_coefficients, [1, 0, 0, 0])

@@ -588,13 +588,13 @@ def test_document_header(capsys, sine_file, argv):
 class TestStrictJson:
     def test_non_finite_value_is_numeric_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sigmakit.modular.j_invariant",
-                            lambda tau, term_cap=None: complex(math.inf, math.nan))
+                            lambda tau: complex(math.inf, math.nan))
         code, doc = run_strict(capsys, "eval", "j", "--tau", "0,1")
         assert code == 2
         assert doc["error"]["type"] == "numeric"
 
     def test_non_finite_diagnostics_are_dropped(self, capsys, monkeypatch):
-        def fail(tau, term_cap=None):
+        def fail(tau):
             raise NumericError("no value", diagnostics={"residual": math.nan})
 
         monkeypatch.setattr("sigmakit.modular.j_invariant", fail)

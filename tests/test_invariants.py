@@ -115,6 +115,11 @@ class TestHatNormalize:
         inv = pq_of_series(hat.series)
         assert abs(inv.p - 1 / 90) <= 1e-15
 
+    def test_below_degree_seven_is_domain_error(self):
+        with pytest.raises(DomainError) as err:
+            hat_normalize(TruncatedOddSeries([1, -1 / 6, 1 / 120]))
+        assert str(err.value) == "hat normalization needs coefficients through degree 7"
+
     def test_fixed_point(self):
         already = TruncatedOddSeries([1, 0, 0.25, -0.125])
         hat = hat_normalize(already)

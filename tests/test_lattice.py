@@ -256,6 +256,18 @@ class TestNormalizeLattice:
             reduce_tau(tau)
         assert err.value.diagnostics["tau"] == [tau.real, tau.imag]
 
+    @pytest.mark.parametrize("w1, w2", [(math.inf, 1j), (1, complex(0, math.nan)),
+                                        (complex(1, -math.inf), 1j)])
+    def test_non_finite_generator_is_domain_error(self, w1, w2):
+        with pytest.raises(DomainError) as err:
+            normalize_lattice(w1, w2)
+        assert str(err.value) == "lattice generators must be finite"
+
+    def test_zero_rho_is_domain_error(self):
+        with pytest.raises(DomainError) as err:
+            lattice_from_rho_tau(0, 1j)
+        assert str(err.value) == "rho must be nonzero"
+
     def test_already_normalized(self):
         lat = normalize_lattice(1, 1j)
         assert lat.rho == 1
@@ -525,9 +537,9 @@ class TestSigmaEval:
         passes = []
         original = modular._theta_constants
 
-        def counted(t, term_cap):
+        def counted(t):
             passes.append(t)
-            return original(t, term_cap)
+            return original(t)
 
         monkeypatch.setattr(modular, "_theta_constants", counted)
         memos = (modular._theta1_table, modular._modular_forms, modular._term_count)
@@ -546,13 +558,11 @@ class TestSigmaEval:
             assert passes == [tau.value]
             assert [memo.cache_info().misses for memo in memos] == [1, 1, 1]
 
-    def test_term_cap_bounds_the_cached_table(self):
-        lat = lattice_from_rho_tau(1, 1j)
-        assert len(lat.theta_table) == 4
-        assert sigma_eval(0.3, lat, term_cap=4) == sigma_eval(0.3, lat)
-        with pytest.raises(ConvergenceError) as err:
-            sigma_eval(0.3, lat, term_cap=3)
-        assert err.value.diagnostics["term_cap"] == 3
+    def test_a_reduced_table_has_at_most_five_factors(self):
+        # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
+        # is just above 1e-18, so the table keeps k = 0..4 there.
+        assert len(lattice_from_rho_tau(1, CORNER).theta_table) == 5
+        assert len(lattice_from_rho_tau(1, 1j).theta_table) == 4
 
     def test_outside_double_range_is_numeric_error(self):
         lat = lattice_from_rho_tau(1, 1j)

@@ -22,6 +22,7 @@ from sigmakit import (
     theta1_odd_series,
     weierstrass_g,
 )
+from sigmakit.errors import TERM_CAP
 
 TAU_GRID = [1j, 2j, 0.3 + 1.1j, -0.25 + 0.9j]
 CORNER = 0.5 + 1j * math.sqrt(3) / 2
@@ -96,12 +97,14 @@ class TestTheta1:
         assert err.value.diagnostics["term_cap"] == 200
 
     def test_term_cap_bounds_the_table(self):
-        # At tau = i the table holds four factors: 3 exp(-pi k^2) <= 1e-18
-        # first at k = 4.
-        assert theta1_eval(0.3, 1j, term_cap=4) == theta1_eval(0.3, 1j)
+        # The table ends before the first k with (2k+1) exp(-pi Im(tau) k^2)
+        # <= 1e-18: k = 200 at Im tau = 3.8e-4, the cap's last admitted
+        # table, and k = 201 at 3.7e-4, one factor past the cap.
+        assert len(sigmakit.modular._theta1_table(3.8e-4j, 1)) == TERM_CAP == 200
+        assert cmath.isfinite(theta1_eval(0.3, 3.8e-4j))
         with pytest.raises(ConvergenceError) as err:
-            theta1_eval(0.3, 1j, term_cap=3)
-        assert err.value.diagnostics["term_cap"] == 3
+            theta1_eval(0.3, 3.7e-4j)
+        assert err.value.diagnostics["term_cap"] == 200
 
     def test_reduced_argument_matches_direct_sum(self):
         # The sum runs on z reduced into the fundamental cell; the direct
@@ -320,7 +323,7 @@ class TestLargeRealPart:
     def test_small_real_part_is_not_shifted(self):
         # Below |Re tau| = 4 the sums run at tau as given.
         for tau in (3.75 + 1.1j, -3.9 + 0.7j):
-            table = sigmakit.modular._theta1_table(tau, 200, 1)
+            table = sigmakit.modular._theta1_table(tau, 1)
             assert table[0] == 2.0 * cmath.exp(0.25j * math.pi * tau)
 
 
@@ -373,35 +376,39 @@ class TestTauMemo:
         t = 0.3 + 1.1j
         forms = sigmakit.modular._modular_forms
         table = sigmakit.modular._theta1_table
-        assert repr(forms(t, 200)) == repr(forms.__wrapped__(t, 200))
-        assert repr(table(t, 200, 1)) == repr(table.__wrapped__(t, 200, 1))
+        assert repr(forms(t)) == repr(forms.__wrapped__(t))
+        assert repr(table(t, 1)) == repr(table.__wrapped__(t, 1))
 
-    @pytest.mark.parametrize("call", [
-        lambda cap: j_invariant(1j, term_cap=cap),
-        lambda cap: weierstrass_g(1j, term_cap=cap),
-        lambda cap: modular_discriminant(1j, term_cap=cap),
-        lambda cap: modular_pq(1j, term_cap=cap),
-    ])
-    def test_lower_cap_after_success_still_raises(self, call):
-        # At tau = i the sums keep four terms: 9 exp(-16 pi) <= 1e-18.
-        call(200)
-        with pytest.raises(ConvergenceError) as err:
-            call(3)
-        assert str(err.value) == ("theta constant series did not converge within 3 terms "
-                                  "at tau=1j; reduce tau toward the fundamental domain first")
-        assert err.value.diagnostics == {
-            "tau": [0.0, 1.0], "term_cap": 3, "partial_magnitude": 1.0,
-            "last_term_magnitude": 9 * math.exp(-16 * math.pi)}
 
-    def test_lower_cap_after_success_still_raises_for_theta1(self):
-        lat = lattice_from_rho_tau(1, 1j)
-        sigma_eval(0.3, lat)
-        theta1_eval(0.3, 1j)
-        for call in (lambda: theta1_eval(0.3, 1j, term_cap=3),
-                     lambda: sigma_eval(0.3, lat, term_cap=3)):
+class TestTermCap:
+    # At tau = 1e-4 i every sum needs more than the 200 terms of the cap:
+    # theta1's (2k+1) exp(-pi k^2 / 1e4) first drops below 1e-18 at k = 392.
+    @pytest.mark.parametrize("call, what", [
+        (lambda tau: theta1_eval(0.3, tau), "theta1 series"),
+        (lambda tau: theta1_odd_series(tau, 7), "theta1 series"),
+        (j_invariant, "theta constant series"),
+        (weierstrass_g, "theta constant series"),
+        (modular_discriminant, "theta constant series"),
+        (modular_pq, "theta constant series"),
+        (dedekind_eta, "eta product"),
+    ], ids=["theta1_eval", "theta1_odd_series", "j_invariant", "weierstrass_g",
+            "modular_discriminant", "modular_pq", "dedekind_eta"])
+    def test_the_cap_is_reached_through_tau(self, call, what):
+        call(1j)
+        # A failure is not memoized, so the second call raises as the first.
+        for _ in range(2):
             with pytest.raises(ConvergenceError) as err:
-                call()
-            assert str(err.value).startswith("theta1 series did not converge within 3 terms")
-            assert err.value.diagnostics == {
-                "tau": [0.0, 1.0], "term_cap": 3, "partial_magnitude": 1.0,
-                "last_term_magnitude": 9 * math.exp(-16 * math.pi)}
+                call(1e-4j)
+            assert str(err.value) == (f"{what} did not converge within 200 terms at "
+                                      "tau=0.0001j; reduce tau toward the fundamental domain first")
+            assert err.value.diagnostics["tau"] == [0.0, 1e-4]
+            assert err.value.diagnostics["term_cap"] == 200
+
+    def test_an_overflowing_last_term_is_reported_as_inf(self):
+        # At degree 161 the bound's root 403 exp(-pi 201^2 / 161e4) is about
+        # 183, and its 161st power passes the largest double.
+        with pytest.raises(ConvergenceError) as err:
+            theta1_odd_series(1e-4j, 161)
+        assert err.value.diagnostics == {"tau": [0.0, 1e-4], "term_cap": 200,
+                                         "partial_magnitude": 1.0,
+                                         "last_term_magnitude": math.inf}

@@ -228,6 +228,20 @@ class TestSeriesTypes:
                 with pytest.raises(DomainError, match="finite"):
                     cls(coeffs)
 
+    def test_rejects_non_numbers(self):
+        with pytest.raises(DomainError) as err:
+            TruncatedOddSeries([object()])
+        assert str(err.value) == "coefficients must be a non-empty 1-d sequence"
+        assert isinstance(err.value.__cause__, TypeError)
+
+    def test_coefficient_by_degree(self):
+        s = TruncatedOddSeries([1, 2j])
+        assert [s.coefficient(d) for d in range(4)] == [0, 1, 0, 2j]
+        for degree in (-1, 4):
+            with pytest.raises(DomainError) as err:
+                s.coefficient(degree)
+            assert str(err.value) == f"degree {degree} outside 0..3"
+
     def test_odd_roundtrip_through_full(self):
         s = TruncatedOddSeries([1, 2j, -0.5])
         back = odd_from_series(to_series(s))

@@ -90,25 +90,61 @@ def test_identity_evaluates_handles_at_two_sites():
     assert sites == ["__init__", "_residuals"]
 
 
+def _functions_taking(tree, parameter):
+    """Names of the functions and lambdas below tree with a parameter so named."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if any(a is not None and a.arg == parameter for a in params):
+                names.append(getattr(node, "name", "<lambda>"))
+    return names
+
+
+def _functions_taking_in_sources(parameter):
+    return [f"{path.stem}.{name}" for path in SOURCES
+            for name in _functions_taking(ast.parse(path.read_text(encoding="utf-8")), parameter)]
+
+
 def test_tau_from_invariants_has_one_route():
     # classify and invert_j are the only calls of the AGM route, and no
     # function takes an iteration cap, so that a second inversion route
     # (such as a Newton loop on j) cannot return unseen.
-    sites, capped = [], []
+    sites = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            args = func.args
-            if any(a.arg == "max_iterations"
-                   for a in args.posonlyargs + args.args + args.kwonlyargs):
-                capped.append(f"{path.stem}.{func.name}")
-            sites += [f"{path.stem}.{func.name}" for node in ast.walk(func)
-                      if isinstance(node, ast.Call)
-                      and getattr(node.func, "id", None) == "_lattice_from_g"]
+            if isinstance(func, ast.FunctionDef):
+                sites += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "_lattice_from_g"]
     assert sorted(sites) == ["classify.classify", "lattice.invert_j"]
-    assert capped == []
+    assert _functions_taking_in_sources("max_iterations") == []
+
+
+def test_no_function_takes_a_term_cap():
+    # errors.TERM_CAP is the one cap on every q-series and product, judged
+    # at tau as given, so that a cap chosen by the caller, and the memo
+    # keys and second sigma path it needs, cannot return unseen.
+    assert _functions_taking_in_sources("term_cap") == []
+
+
+@pytest.mark.parametrize("source", [
+    "def theta1_eval(z, tau, *, term_cap=200): pass",
+    "def _term_count(height, term_cap, degree): pass",
+    "def f(term_cap, /): pass",
+    "async def f(**term_cap): pass",
+    "class Lattice:\n    def sigma(self, z, term_cap=200): pass",
+    "g = lambda tau, term_cap=200: tau",
+])
+def test_term_cap_rule_catches(source):
+    assert _functions_taking(ast.parse(source), "term_cap") != []
+
+
+def test_term_cap_rule_allows_the_constant():
+    source = "def _table_size(t, what, degree):\n    return min(degree, TERM_CAP)"
+    assert _functions_taking(ast.parse(source), "term_cap") == []
 
 
 def test_each_family_member_is_built_in_one_place():
