@@ -44,14 +44,8 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import J_TOLERANCE, ConvergenceError, DomainError, NumericError
-from .modular import (
-    TauPoint,
-    _theta1_table,
-    _theta1_values,
-    as_tau,
-    j_invariant,
-)
+from .errors import J_TOLERANCE, TERM_CAP, ConvergenceError, DomainError, NumericError
+from .modular import TauPoint, _tau_point, _theta1_table, _theta1_values, as_tau, j_invariant
 
 # Boundary tolerance for fundamental-domain tie-breaking.
 _EDGE = 1e-15
@@ -60,6 +54,9 @@ _EDGE = 1e-15
 _INTEGRAL = 2.0**52
 
 _CUBE_ROOTS = (1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75)))
+
+# (w, w^3) with w = (2k+1)*pi, for each of the TERM_CAP factors a theta table can hold.
+_GAUGE_FACTORS = tuple((w, w**3) for w in ((2 * k + 1) * math.pi for k in range(TERM_CAP)))
 
 
 class UnimodularMap(namedtuple("UnimodularMap", "a b c d")):
@@ -88,7 +85,13 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     |tau| = 1.  An inversion beyond the double range, for tau within about
     1e-308 of the real axis, raises NumericError.
     """
-    t = start = as_tau(tau).value
+    return _reduce(as_tau(tau).value)
+
+
+def _reduce(t: complex) -> tuple[TauPoint, UnimodularMap]:
+    """``reduce_tau`` of a finite t with Im t > 0, built unchecked, since every fold
+    keeps t finite, Im t > 0 and the determinant 1; + 0.0 flushes -0.0 as TauPoint does."""
+    t = start = t + 0.0
     # The map so far, (a*tau + b)/(c*tau + d); each fold composes on the left.
     a, b, c, d = 1, 0, 0, 1
     for _ in range(256):
@@ -98,14 +101,14 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
         if n != 0:
             t -= n
             a, b = a - n * c, b - n * d
-        if abs(t) * abs(t) < 1.0 - _EDGE:
-            t = -1.0 / t
-            a, b, c, d = -c, -d, a, b
-            if not cmath.isfinite(t):
-                raise NumericError(f"reducing tau={start} inverts it beyond the double range",
-                                   diagnostics={"tau": start})
-        else:
+        r = abs(t)
+        if r * r >= 1.0 - _EDGE:
             break
+        t = -1.0 / t
+        a, b, c, d = -c, -d, a, b
+        if not cmath.isfinite(t):
+            raise NumericError(f"reducing tau={start} inverts it beyond the double range",
+                               diagnostics={"tau": start})
     else:
         raise ConvergenceError("fundamental-domain reduction did not terminate",
                                diagnostics={"tau": start})
@@ -113,13 +116,13 @@ def reduce_tau(tau) -> tuple[TauPoint, UnimodularMap]:
     # x + 1/2 < n + 1 holds exactly, since rounding is monotone and n + 1
     # is a double.  The one boundary tie left is the unit circle, whose
     # right half folds to the left half.
-    if abs(abs(t) - 1.0) <= _EDGE and t.real > _EDGE:
+    if abs(r - 1.0) <= _EDGE and t.real > _EDGE:
         # The fold takes the right corner to the left one, and a point a
         # rounding error from it can round left of Re = -1/2.
         t = -1.0 / t
         t = complex(max(t.real, -0.5), t.imag)
         a, b, c, d = -c, -d, a, b
-    return TauPoint(t), UnimodularMap(a, b, c, d)
+    return _tau_point(t), tuple.__new__(UnimodularMap, (a, b, c, d))
 
 
 class _kept:
@@ -165,10 +168,9 @@ class Lattice(namedtuple("Lattice",
         for the life of the lattice, with theta1'(0) = sum c_k*w_k and
         theta1'''(0)/6 = -sum c_k*w_k^3/6, w_k = (2k+1)*pi, over ``theta_table``."""
         th1 = th3 = 0
-        for k, c in enumerate(self.theta_table):
-            w = (2 * k + 1) * math.pi
+        for c, (w, w3) in zip(self.theta_table, _GAUGE_FACTORS):
             th1 += c * w
-            th3 += c * w**3
+            th3 += c * w3
         return sigma_gauge_from_head(th1, -th3 / 6.0, self.rho)
 
 
@@ -182,27 +184,21 @@ def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
     """
     w1 = complex(omega1)
     w2 = complex(omega2)
-    for w in (w1, w2):
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise DomainError("lattice generators must be finite")
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2)):
+        raise DomainError("lattice generators must be finite")
     if w1 == 0 or w2 == 0:
         raise DomainError("lattice generators must be nonzero")
     ratio = w2 / w1
     if abs(ratio.imag) <= 1e-14 * abs(ratio):
         raise DomainError("generators are collinear over the reals")
+    if not cmath.isfinite(ratio):
+        raise DomainError("tau must be finite")
+    # Past both checks Im(ratio) is nonzero, and positive once flipped.
     flipped = ratio.imag < 0
     if flipped:
         ratio = -ratio
-    tau, m = reduce_tau(ratio)
-    rho = w1 * (m.c * ratio + m.d)
-    return Lattice(
-        omega1=w1,
-        omega2=w2,
-        rho=rho,
-        tau=tau,
-        reduction=m,
-        orientation_flipped=flipped,
-    )
+    tau, m = _reduce(ratio)
+    return Lattice(w1, w2, w1 * (m.c * ratio + m.d), tau, m, flipped)
 
 
 def lattice_from_rho_tau(rho: complex, tau) -> Lattice:
@@ -316,10 +312,9 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     scale below the normal doubles (|rho| below about 6e-308 at tau = i),
     which would carry too few digits into every sigma value.
     """
-    if th1 == 0 or not cmath.isfinite(rho / th1):
+    if th1 == 0 or not cmath.isfinite(scale := rho / th1):
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
                            diagnostics={"theta1_prime": complex(th1)})
-    scale = rho / th1
     if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} underflows",
                            diagnostics={"theta1_prime": complex(th1)})

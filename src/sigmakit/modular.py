@@ -74,19 +74,21 @@ class TauPoint(namedtuple("TauPoint", "value")):
 
     def __new__(cls, value: complex):
         v = complex(value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        if not cmath.isfinite(v):
             raise DomainError("tau must be finite")
         if v.imag <= 0.0:
             raise DomainError(f"tau must satisfy Im(tau) > 0, got {v}")
-        # Flush negative zero in the real part for tidy reporting.
-        return tuple.__new__(cls, (complex(v.real + 0.0, v.imag),))
+        return _tau_point(v)
+
+
+def _tau_point(v: complex) -> TauPoint:
+    """TauPoint(v) unchecked, for finite v with Im v > 0; + 0.0 turns Re v = -0.0 to 0.0."""
+    return tuple.__new__(TauPoint, (v + 0.0,))
 
 
 def as_tau(tau) -> TauPoint:
     """Accept a TauPoint or a bare complex number."""
-    if isinstance(tau, TauPoint):
-        return tau
-    return TauPoint(complex(tau))
+    return tau if isinstance(tau, TauPoint) else TauPoint(tau)
 
 
 def _cap_error(what, tau, partial, last_term):
@@ -374,7 +376,8 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
 
 def dedekind_eta(tau) -> complex:
     """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at tau
-    shifted by ``_shift_real`` to its period 24."""
+    shifted by ``_shift_real`` to its period 24.  eta has no zeros, and a value
+    below the normal doubles (Im tau above about 2706) raises NumericError."""
     t = as_tau(tau).value
     s = _shift_real(t, 24.0)
     q = cmath.exp(2j * math.pi * s)
@@ -384,6 +387,8 @@ def dedekind_eta(tau) -> complex:
         qn *= q
         prod *= 1.0 - qn
         if abs(qn) <= TERM_TOL:
+            if max(abs(prod.real), abs(prod.imag)) < 2.0**-1022:
+                raise NumericError(f"eta underflows at tau={t}", diagnostics={"tau": t})
             return prod
     raise _cap_error("eta product", t, prod, qn)
 
@@ -405,9 +410,15 @@ def modular_discriminant(tau) -> complex:
 
     The product form is used because the direct subtraction loses all
     significance high in the upper half-plane, where g2^3 and 27*g3^2
-    agree to many digits; the two expressions are equal identically.
+    agree to many digits; the two expressions are equal identically.  Delta has
+    no zeros; a value below the normal doubles (Im tau above 116) is a NumericError.
     """
-    return _TWO_PI**12 * _modular_forms(as_tau(tau).value)[2] ** 8
+    t = as_tau(tau).value
+    # With 16 = 2^(32/8) inside, no power of eta^3 underflows before Delta does.
+    delta = _TWO_PI**12 / 2**32 * (16.0 * _modular_forms(t)[2]) ** 8
+    if max(abs(delta.real), abs(delta.imag)) < 2.0**-1022:
+        raise NumericError(f"discriminant underflows at tau={t}", diagnostics={"tau": t})
+    return delta
 
 
 def j_invariant(tau) -> complex:

@@ -14,6 +14,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
     Classification,
@@ -114,6 +115,18 @@ def cauchy_reference(a, b, count):
         except (OverflowError, ValueError):
             out.append(complex(math.nan, math.nan))
     return out
+
+
+def gauge_reference(lat):
+    """``Lattice.gauge`` as it was before its factors came from a module
+    table, kept as the reference for it: w = (2k+1)*pi and w**3 are formed
+    for each factor of ``lat.theta_table``, however many it has."""
+    th1 = th3 = 0
+    for k, c in enumerate(lat.theta_table):
+        w = (2 * k + 1) * math.pi
+        th1 += c * w
+        th3 += c * w**3
+    return sigmakit.lattice.sigma_gauge_from_head(th1, -th3 / 6.0, lat.rho)
 
 
 def invariants_and_hat_reference(s):

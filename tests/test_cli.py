@@ -159,6 +159,14 @@ class TestEvalCommand:
         assert doc["error"]["type"] == "numeric"
         assert "underflows" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("height", ["3000", "2800"])
+    def test_eta_below_the_normal_doubles(self, capsys, height):
+        # These printed [0.0, 0.0] for eta of about 8.1e-342, and 4.42095e-319
+        # for 4.4209687e-319.
+        code, doc = run_strict(capsys, "eval", "eta", f"--tau=0,{height}")
+        assert code == 2
+        assert doc["error"] == {"type": "numeric", "message": f"eta underflows at tau={height}j",
+                                "diagnostics": {"tau": [0.0, float(height)]}}
 
     def test_sigma_beyond_theta_range(self, capsys):
         # theta1(0.5 + 20i, i) alone overflows; sigma there is about 3.6e272.

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     circle_coefficients,
     clear_memos,
     compose,
+    gauge_reference,
     integer_combination,
     sigma_product_oracle,
     translation,
@@ -19,6 +21,7 @@ import sigmakit.modular
 from sigmakit import (
     ConvergenceError,
     DomainError,
+    Lattice,
     NumericError,
     OddFunctionHandle,
     TauPoint,
@@ -313,6 +316,126 @@ class TestNormalizeLattice:
             normalize_lattice(1 + 1j, -2 - 2j)
         with pytest.raises(DomainError):
             normalize_lattice(1, 0)
+
+
+def trusted_path_taus():
+    """About 2300 seeded tau across the upper half-plane: |Re| up to 1e6 and
+    Im from 1e-6 to 1e3, the unit circle with its ties and both corners, with
+    translates, and real parts of -0.0 in and below the domain."""
+    rng = np.random.default_rng(22)
+    taus = [complex(rng.uniform(-1e6, 1e6) * rng.choice([1, 1e-3, 1e-6, 0.0]),
+                    10.0 ** rng.uniform(-6, 3)) for _ in range(1500)]
+    ties = [complex(-0.5, math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2), 1j]
+    for _ in range(100):
+        x = rng.uniform(-0.5, 0.5)
+        ties += [complex(x, math.sqrt(1 - x * x)),
+                 complex(math.copysign(0.5, x), rng.uniform(0.5, 3))]
+    taus += [tau + n for tau in ties for n in (0, 1, -1, 7)]
+    taus += [complex(-0.0, y) for y in (1e-6, 0.3, 0.5, 1.0, 1.7, 1e3)]
+    return taus
+
+
+def hex_bits(z):
+    """The bits of a complex value, the signs of zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def exact_apply(m, tau):
+    """m.apply(tau) in exact rational arithmetic, rounded once."""
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    nr, ni, dr, di = m.a * x + m.b, m.a * y, m.c * x + m.d, m.c * y
+    den = dr * dr + di * di
+    return complex((nr * dr + ni * di) / den, (ni * dr - nr * di) / den)
+
+
+def assert_checked_constructors_agree(reduced, m, tau):
+    """reduced and m are what TauPoint and UnimodularMap build from their
+    fields, and m takes tau to reduced."""
+    assert type(reduced) is TauPoint and type(m) is UnimodularMap
+    assert hex_bits(TauPoint(reduced.value).value) == hex_bits(reduced.value)
+    assert UnimodularMap(*m) == m and all(type(entry) is int for entry in m)
+    # The folds round; over this draw they move tau by 7e-11 relative at most.
+    assert abs(exact_apply(m, tau) - reduced.value) <= 1e-9 * abs(reduced.value)
+
+
+class TestTrustedConstruction:
+    # reduce_tau and normalize_lattice build their TauPoint and UnimodularMap
+    # unchecked from values the reduction has proven valid; the checked
+    # constructors must agree bit for bit.
+    def test_reduce_tau_builds_what_the_constructors_build(self):
+        taus = trusted_path_taus()
+        assert len(taus) > 2000
+        for tau in taus:
+            reduced, m = reduce_tau(tau)
+            assert_checked_constructors_agree(reduced, m, tau)
+            assert -0.5 <= reduced.value.real < 0.5 and abs(reduced.value) >= 1 - 1e-15
+
+    def test_normalize_lattice_builds_what_reduce_tau_builds(self):
+        for tau in trusted_path_taus():
+            for w1 in (1.0, 0.6 - 0.8j):
+                # The conjugate ratio is flipped, which turns a real part of
+                # +0.0 into -0.0.
+                for w2 in (w1 * tau, w1 * tau.conjugate()):
+                    ratio = w2 / w1
+                    if abs(ratio.imag) <= 1e-14 * abs(ratio):
+                        continue
+                    lat = normalize_lattice(w1, w2)
+                    flipped = ratio.imag < 0
+                    ratio = -ratio if flipped else ratio
+                    reduced, m = reduce_tau(ratio)
+                    assert hex_bits(lat.tau.value) == hex_bits(reduced.value)
+                    assert lat.reduction == m and lat.orientation_flipped is flipped
+                    assert_checked_constructors_agree(lat.tau, lat.reduction, ratio)
+                    assert hex_bits(lat.rho) == hex_bits(w1 * (m.c * ratio + m.d))
+                    assert lat == Lattice(omega1=w1, omega2=w2, rho=lat.rho, tau=reduced,
+                                          reduction=m, orientation_flipped=flipped)
+
+    @pytest.mark.parametrize("w1, w2, message", [
+        (math.inf, 1j, "lattice generators must be finite"),
+        (1, complex(0, math.nan), "lattice generators must be finite"),
+        (0, 1j, "lattice generators must be nonzero"),
+        (1j, -0.0, "lattice generators must be nonzero"),
+        (1 + 1j, -2 - 2j, "generators are collinear over the reals"),
+        (1, 1 + 1e-15j, "generators are collinear over the reals"),
+        # w2/w1 overflows to inf + inf*i, which counts as collinear.
+        (1e-300, 1e300 + 1e300j, "generators are collinear over the reals"),
+        # w2/w1 is -i, but complex division overflows on the way to nan*i.
+        (complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308), "tau must be finite"),
+    ])
+    def test_rejected_generators_keep_their_messages(self, w1, w2, message):
+        with pytest.raises(DomainError) as err:
+            normalize_lattice(w1, w2)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("tau, message", [
+        (complex(math.nan, 1), "tau must be finite"),
+        (complex(0, math.inf), "tau must be finite"),
+        (complex(0.3, -0.0), "tau must satisfy Im(tau) > 0, got (0.3-0j)"),
+        (complex(0, -2), "tau must satisfy Im(tau) > 0, got -2j"),
+    ])
+    def test_rejected_tau_keeps_its_message(self, tau, message):
+        for call in (TauPoint, reduce_tau, lambda t: lattice_from_rho_tau(1, t)):
+            with pytest.raises(DomainError) as err:
+                call(tau)
+            assert str(err.value) == message
+
+
+class TestHandBuiltLatticeGauge:
+    # Lattice.gauge takes w = (2k+1)*pi and w^3 from a table of TERM_CAP
+    # entries; a hand-built lattice off the fundamental domain has more
+    # factors than any reduced one (five at most), and loses none of them.
+    @pytest.mark.parametrize("tau, factors", [(0.3j, 7), (0.02j, 27)])
+    @pytest.mark.parametrize("rho", [1.0, 0.8 - 0.6j])
+    def test_gauge_and_sigma_keep_their_bits(self, tau, factors, rho):
+        lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
+        assert len(lat.theta_table) == factors
+        want = gauge_reference(lat)
+        assert [hex_bits(v) for v in lat.gauge] == [hex_bits(v) for v in want]
+        kappa, _, scale = want
+        for z in (0.1 + 0.05j, -0.37 + 0.011j, 0.25 * rho):
+            got = sigma_eval(z, lat)
+            old = sigmakit.modular._theta1_values((z,), tau, lat.theta_table, rho, kappa, scale)[0]
+            assert hex_bits(got) == hex_bits(old)
 
 
 class TestLatticeFromG:

@@ -42,6 +42,7 @@ import pytest
 
 from sigmakit import (
     Classification,
+    NumericError,
     TauPoint,
     TruncatedOddSeries,
     dedekind_eta,
@@ -235,6 +236,49 @@ def test_discriminant_derivative_of_j_and_pq(tau):
     q_scale = math.pi**3 / 35 * eta**9 * max(abs(want["g3"]), G3_FLOOR)
     assert abs(p - want["p"]) <= 5.5e-15 * p_scale
     assert abs(q - want["q"]) <= 7.5e-15 * q_scale
+
+
+def oracle_eta_and_delta(tau):
+    """eta by the product ``qp`` and Delta = (2 pi)^12 eta^24 at tau, as mpmath
+    numbers, which do not underflow."""
+    with mp.workdps(DPS):
+        t = mp.mpc(tau)
+        eta = mp.exp(1j * mp.pi * t / 12) * mp.qp(mp.exp(2j * mp.pi * t))
+        return eta, (2 * mp.pi) ** 12 * eta**24
+
+
+# eta and Delta have no zeros.  Their values leave the normal doubles from
+# Im tau of about 2706 and 116.26, and raise NumericError there; at 3000i
+# eta came back as 0, and at 118i Delta 2 % off.  Just inside, the largest
+# relative errors measured are 7.6e-14 and 6.7e-14, from exp at an argument
+# near -708 and -91 (the eighth power of eta^3 once made Delta 1e-7 off at
+# 116i, where eta^24 alone was subnormal).
+@pytest.mark.parametrize("tau", [2700j, 0.3 + 2705j, -0.5 + 2705.5j, 1e4 + 2705j])
+def test_eta_just_inside_the_normal_doubles(tau):
+    want = complex(oracle_eta_and_delta(tau)[0])
+    assert abs(dedekind_eta(tau) - want) <= 4e-13 * abs(want)
+
+
+@pytest.mark.parametrize("tau", [112j, 0.1 + 113.5j, 115j, -0.4 + 116j, 0.1 + 116.2j, 116.25j])
+def test_discriminant_just_inside_the_normal_doubles(tau):
+    want = complex(oracle_eta_and_delta(tau)[1])
+    assert abs(modular_discriminant(tau) - want) <= 4e-13 * abs(want)
+
+
+@pytest.mark.parametrize("call, what, tau", [
+    (dedekind_eta, "eta", 2706j), (dedekind_eta, "eta", 0.3 + 2707j),
+    (dedekind_eta, "eta", 2800j), (dedekind_eta, "eta", 3000j),
+    (modular_discriminant, "discriminant", 0.1 + 116.25j),
+    (modular_discriminant, "discriminant", 116.3j),
+    (modular_discriminant, "discriminant", 118j), (modular_discriminant, "discriminant", 125j)])
+def test_below_the_normal_doubles_is_numeric_error(call, what, tau):
+    value = oracle_eta_and_delta(tau)[call is modular_discriminant]
+    # The true value is nonzero, and its larger part is below the normal doubles.
+    assert 0 < max(abs(value.real), abs(value.imag)) < 2.0**-1022
+    with pytest.raises(NumericError) as err:
+        call(tau)
+    assert str(err.value) == f"{what} underflows at tau={tau}"
+    assert err.value.diagnostics == {"tau": [tau.real, tau.imag]}
 
 
 # Below Im tau = 1/2, near the cusps 0, 1/2, 1/3 and 3, where theta3 or

@@ -297,3 +297,77 @@ def test_head_rule_allows_the_head():
     source = ("def _invariants_and_hat(s):\n"
               "    hat = hat_normalize(_computed(s.odd_coefficients[:4], 'the degree-7 head'))")
     assert _hat_calls_of_the_invariants(ast.parse(source)) == (1, [])
+
+
+RECORDS = ("TauPoint", "UnimodularMap")
+
+
+def _calls(tree, scope=(), owner=None):
+    """(name of the function with its classes, innermost class, call) for
+    every call below tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner, inner_owner = scope, owner
+        if isinstance(child, ast.ClassDef):
+            inner, inner_owner = scope + (child.name,), child.name
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            yield ".".join(scope) or "<module>", owner, child
+        yield from _calls(child, inner, inner_owner)
+
+
+def _unchecked_record_sites(tree):
+    """Functions below tree that build a TauPoint or a UnimodularMap without
+    its constructor's checks: by ``__new__`` on the class (on ``cls`` inside
+    it), by ``_make``, or by a ``_replace``."""
+    sites = set()
+    for name, owner, call in _calls(tree):
+        attr = getattr(call.func, "attr", None)
+        first = getattr(call.args[0], "id", None) if call.args else None
+        if (attr == "__new__" and first in RECORDS + (("cls",) if owner in RECORDS else ())
+                or attr == "_make" and getattr(call.func.value, "id", None) in RECORDS
+                or attr == "_replace"):
+            sites.add(name)
+    return sites
+
+
+def _callers(tree, function):
+    """Functions below tree that call the function so named."""
+    return {name for name, _, call in _calls(tree) if getattr(call.func, "id", None) == function}
+
+
+def test_each_record_has_one_trusted_construction():
+    # TauPoint and UnimodularMap are checked in their constructors, and
+    # TauPoint's hands its checked value to modular._tau_point.  Besides,
+    # only the end of the reduction, lattice._reduce, builds one unchecked,
+    # where the folds have proven the values valid, and only reduce_tau and
+    # normalize_lattice, after checking their input, enter the reduction; so
+    # no second unchecked path can appear unseen.
+    sites, callers, entries = set(), set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites |= {f"{path.stem}.{name}" for name in _unchecked_record_sites(tree)}
+        callers |= {f"{path.stem}.{name}" for name in _callers(tree, "_tau_point")}
+        entries |= {f"{path.stem}.{name}" for name in _callers(tree, "_reduce")}
+    assert sites == {"modular._tau_point", "lattice.UnimodularMap.__new__", "lattice._reduce"}
+    assert callers == {"modular.TauPoint.__new__", "lattice._reduce"}
+    assert entries == {"lattice.reduce_tau", "lattice.normalize_lattice"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(v):\n    return tuple.__new__(TauPoint, (v,))", {"f"}),
+    ("def g(v):\n    return object.__new__(TauPoint)", {"g"}),
+    ("def h(m):\n    return UnimodularMap._make(m)", {"h"}),
+    ("def k(t):\n    return t._replace(value=2j)", {"k"}),
+    ("x = tuple.__new__(UnimodularMap, (1, 0, 0, 1))", {"<module>"}),
+    ("class TauPoint(tuple):\n    def __new__(cls, v):\n        return tuple.__new__(cls, (v,))",
+     {"TauPoint.__new__"}),
+    ("class UnimodularMap(tuple):\n    def __new__(cls, *m):\n"
+     "        return super().__new__(cls, m)", {"UnimodularMap.__new__"}),
+    ("def f(v):\n    return TauPoint(v)", set()),
+    ("def f(v):\n    return tuple.__new__(Lattice, v)", set()),
+    ("class Lattice(tuple):\n    def __new__(cls, *fields):\n"
+     "        return tuple.__new__(cls, fields)", set()),
+])
+def test_unchecked_record_rule(source, found):
+    assert _unchecked_record_sites(ast.parse(source)) == found
