@@ -8,8 +8,8 @@ Every odd entire solution of the identity is, for some alpha, beta:
     elliptic:  sigma(z, Lambda) * exp(alpha*z^2 + beta)  for a lattice Lambda
 
 The decision reads the input through degree 7 only, since every higher
-coefficient of a solution is forced by the duplication recurrence; a tail
-is checked once, against ``synthesize`` of the recovered member.  It runs
+coefficient of a solution is forced by the duplication recurrence; a tail is checked
+once, against ``synthesize`` of the recovered member, a sum of twisted sines.  It runs
 on the invariants of the input: mu undefined (p = q = 0) means linear; mu
 within a configurable tolerance of 49/40 means trig (the cusp value, where
 the discriminant of the lattice vanishes); anything else is elliptic.
@@ -45,9 +45,9 @@ from .errors import (
     json_ready,
 )
 from .invariants import _invariants_and_hat
-from .lattice import _gauge_alpha, _lattice_from_g, sigma_gauge_from_head
-from .modular import TauPoint, theta1_odd_series
-from .series import TruncatedOddSeries, _computed, gauss_twist, scale_argument
+from .lattice import _GAUGE_FACTORS, _gauge_alpha, _lattice_from_g, lattice_from_rho_tau
+from .modular import TauPoint, _theta1_table
+from .series import TruncatedOddSeries, _computed
 
 MU_TRIG = 49.0 / 40.0
 
@@ -137,10 +137,10 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
 def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
     """Check coefficients beyond degree 7 against the member's closed form.
 
-    ``synthesize(c, s.max_degree)`` is the recovered member's own Taylor
-    series.  It is also the duplication recurrence's extension of the
-    member's degree-7 data, which is unique because psi(n) != 0 for odd
-    n >= 9; the closed form avoids the recurrence's 9x-per-degree gain on rounding.
+    ``synthesize(c, s.max_degree)`` is the recovered member's own Taylor series,
+    one twisted-sine recurrence per theta factor (O(T*K) for T factors and K odd
+    coefficients), and the duplication recurrence's unique extension of its degree-7
+    data (psi(n) != 0 for odd n >= 9) without that recurrence's 9x-per-degree gain on rounding.
     """
     got = s.odd_coefficients
     want = synthesize(c, s.max_degree).odd_coefficients
@@ -161,28 +161,37 @@ def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
 def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
     """Odd series of the classified family member through max_degree.
 
-    Each family picks a base series and the (alpha, beta) of the one twist:
-
-    linear:    z, twisted by the classification's (alpha, beta);
-    trig:      the sine series with argument scale a, likewise;
-    elliptic:  the theta series at tau with argument scale 1/rho, twisted by
-               (alpha, beta) plus the sigma gauge that fixes sigma'(0) = 1
-               and a vanishing cubic term (``lattice.sigma_gauge_from_head``).
-    """
+    Each member is exp(alpha*z^2 + beta) * sum w*sin(b*z)/b over pairs (w, b^2),
+    summed by ``_twisted_sines``: z is (1, 0) and sin(a*z) is (a, a^2); sigma(z) =
+    scale*theta1(z/rho)*exp(kappa*z^2/rho^2), with (kappa, _, scale) the ``gauge`` of
+    ``lattice_from_rho_tau(rho, tau)`` and theta1(w) = sum c_k*sin(w_k*w), w_k = (2k+1)*pi,
+    is (scale*c_k*b_k, b_k^2) with b_k = w_k/rho, and adds kappa/rho^2 to alpha."""
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
-    count = (max_degree + 1) // 2
-    alpha, beta = c.alpha, c.beta
-    if c.case == "linear":
-        base = TruncatedOddSeries([1.0] + [0.0] * (count - 1))
-    elif c.case == "trig":
-        sine = TruncatedOddSeries([(-1.0) ** k / math.factorial(2 * k + 1) for k in range(count)])
-        base = scale_argument(sine, c.a)
-    else:
-        # The gauge needs the cubic coefficient even when max_degree is 1.
-        theta = theta1_odd_series(c.tau, max(max_degree, 3))
-        kappa, gauge_beta, _ = sigma_gauge_from_head(*theta.odd_coefficients[:2], c.rho)
-        base = _computed(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count],
-                         "the scaled theta series")
-        alpha, beta = _gauge_alpha(kappa, c.rho) + alpha, gauge_beta + beta
-    return gauss_twist(base, alpha, beta)
+    alpha, terms = c.alpha, [(c.a, c.a * c.a)] if c.case == "trig" else [(1.0, 0.0)]
+    if c.case == "elliptic":
+        lat = lattice_from_rho_tau(c.rho, c.tau)
+        kappa, _, scale = lat.gauge
+        alpha = _gauge_alpha(kappa, lat.rho) + alpha
+        terms = [(scale * ck * (b := w / lat.rho), b * b) for ck, (w, _)
+                 in zip(_theta1_table(lat.tau.value, max_degree), _GAUGE_FACTORS)]
+    return _twisted_sines(terms, alpha, c.beta, (max_degree + 1) // 2)
+
+
+def _twisted_sines(terms, alpha: complex, beta: complex, count: int) -> TruncatedOddSeries:
+    """The first count odd coefficients of exp(beta) * sum w*S/b over pairs (w, b^2), where
+    S = sin(b*z)*exp(alpha*z^2) and C = cos(b*z)*exp(alpha*z^2) obey the linear recurrence
+    S' = C + 2*alpha*z*S, C' = 2*alpha*z*C - b^2*S: two steps per coefficient and pair."""
+    out = [sum(w for w, _ in terms)] + [0j] * (count - 1)
+    two_alpha = 2.0 * alpha
+    for s, b2 in terms:
+        cos = s
+        for m in range(1, count):
+            cos = (two_alpha * cos - b2 * s) / (2 * m)
+            s = (cos + two_alpha * s) / (2 * m + 1)
+            out[m] += s
+    try:
+        scale = cmath.exp(beta)
+    except OverflowError:
+        scale = math.inf
+    return _computed([x * scale for x in out], "the family member's series")

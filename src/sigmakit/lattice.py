@@ -24,8 +24,8 @@ which depends on tau alone,
     sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
 
 ``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau)) once per
-lattice, on first use, from ``Lattice.theta_table``; ``sigma_eval`` and
-``sigma_gauge`` read it, ``sigma_gauge_from_head`` is the one place the
+lattice, on first use, from ``Lattice.theta_table``; ``sigma_eval``, ``sigma_gauge``
+and ``classify.synthesize`` read it, ``sigma_gauge_from_head`` is the one place the
 formula is written, and ``_gauge_alpha`` the one place alpha is formed.
 ``sigma_eval`` needs no alpha, which overflows for |rho| below about
 1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
@@ -189,7 +189,10 @@ def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
     if w1 == 0 or w2 == 0:
         raise DomainError("lattice generators must be nonzero")
     ratio = w2 / w1
-    if abs(ratio.imag) <= 1e-14 * abs(ratio):
+    if not cmath.isfinite(ratio):  # CPython's division can overflow although the quotient fits
+        u = 2.0 ** -max(math.frexp(max(abs(w1.real), abs(w1.imag)))[1], -1023)
+        ratio = q if cmath.isfinite(q := (w2 * u) / (w1 * u)) else ratio
+    if abs(ratio.imag) <= 1e-14 * abs(ratio.real):  # |ratio| may pass the largest double
         raise DomainError("generators are collinear over the reals")
     if not cmath.isfinite(ratio):
         raise DomainError("tau must be finite")
@@ -304,15 +307,15 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     """(kappa, beta, scale) with sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * scale,
     w = z/rho.
 
-    th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two
-    odd Taylor coefficients of theta1.  kappa = -th3/th1 = alpha*rho^2
-    depends on tau alone (``_gauge_alpha`` gives alpha); scale = rho/th1 =
-    exp(beta), with beta the principal logarithm.  th1 underflows beyond
-    Im tau of about 900, where scale overflows: NumericError.  So does a
-    scale below the normal doubles (|rho| below about 6e-308 at tau = i),
-    which would carry too few digits into every sigma value.
+    th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two odd Taylor
+    coefficients of theta1.  kappa = -th3/th1 = alpha*rho^2 depends on tau alone
+    (``_gauge_alpha`` gives alpha); scale = rho/th1 = exp(beta), beta the principal
+    logarithm.  th1 underflows beyond Im tau of about 900, where scale overflows:
+    NumericError.  So does a rho that CPython's division overflows on (1/rho = 0, from
+    |rho| of about 1.3e308 off the axes), where every w = z/rho would be 0, and a scale
+    below the normal doubles (|rho| below about 6e-308 at tau = i): too few digits.
     """
-    if th1 == 0 or not cmath.isfinite(scale := rho / th1):
+    if th1 == 0 or not cmath.isfinite(scale := rho / th1) or (rho and 1 / rho == 0):
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
                            diagnostics={"theta1_prime": complex(th1)})
     if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:

@@ -25,10 +25,14 @@ from sigmakit import (
     TruncatedOddSeries,
     TruncatedSeries,
     UnimodularMap,
+    gauss_twist,
     hat_normalize,
     mu_of_pq,
+    scale_argument,
     synthesize,
+    theta1_odd_series,
 )
+from sigmakit.series import _computed
 
 
 def clear_memos():
@@ -127,6 +131,33 @@ def gauge_reference(lat):
         th1 += c * w
         th3 += c * w**3
     return sigmakit.lattice.sigma_gauge_from_head(th1, -th3 / 6.0, lat.rho)
+
+
+def synthesize_reference(c, max_degree):
+    """``classify.synthesize`` as it was before its one twisted-sine
+    recurrence, kept as the reference for it: a base series per family
+    (z, the sine series scaled by a, or theta1's series at tau as given,
+    scaled by 1/rho) and one O(K^2) ``gauss_twist``, the elliptic one by
+    (alpha, beta) plus the sigma gauge formed from theta1's first two
+    coefficients at that tau."""
+    if max_degree < 1 or max_degree % 2 == 0:
+        raise DomainError("max_degree must be an odd integer >= 1")
+    count = (max_degree + 1) // 2
+    alpha, beta = c.alpha, c.beta
+    if c.case == "linear":
+        base = TruncatedOddSeries([1.0] + [0.0] * (count - 1))
+    elif c.case == "trig":
+        sine = TruncatedOddSeries([(-1.0) ** k / math.factorial(2 * k + 1) for k in range(count)])
+        base = scale_argument(sine, c.a)
+    else:
+        # The gauge needs the cubic coefficient even when max_degree is 1.
+        theta = theta1_odd_series(c.tau, max(max_degree, 3))
+        kappa, gauge_beta, _ = sigmakit.lattice.sigma_gauge_from_head(
+            *theta.odd_coefficients[:2], c.rho)
+        base = _computed(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count],
+                         "the scaled theta series")
+        alpha, beta = sigmakit.lattice._gauge_alpha(kappa, c.rho) + alpha, gauge_beta + beta
+    return gauss_twist(base, alpha, beta)
 
 
 def invariants_and_hat_reference(s):

@@ -1,7 +1,10 @@
 import cmath
 import importlib
+import itertools
 import math
+import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from conftest import (
     circle_coefficients,
     invariants_and_hat_reference,
     seeded_members_and_data,
+    synthesize_reference,
 )
 from sigmakit import (
     Classification,
@@ -370,3 +374,104 @@ class TestClassificationRecord:
         assert doc["rho"] == [1.0, 0.0]
         assert doc["tau"] == [0.0, 1.3]
         assert doc["diagnostics"]["j"] == [100.0, 0.0]
+
+
+def _tail_outcome(s):
+    """``_outcome_bits`` of classify(s), an error cut to its class and the
+    degree the tail check names: the forced value in its message comes from
+    synthesize's last bits."""
+    got = _outcome_bits(s)
+    if isinstance(got[0], type):
+        degree = re.match(r"coefficient at degree (\d+) ", got[1])
+        return [got[0], degree and int(degree.group(1))]
+    return got
+
+
+def _outcome_class(synth, c, degree):
+    try:
+        synth(c, degree)
+    except Exception as exc:  # the class is the outcome
+        return type(exc).__name__
+    return "value"
+
+
+# Moduli of rho (and a), gauges up to 1e200, degrees up to 201, tau up to
+# Im 902 and below Im 1/2, each modulus at two phases.
+EXTREME_MODULI = [1e-160, 1e-100, 1e-20, 1e-2, 1, 1e2, 1e20, 1e100, 1e160]
+EXTREME_ALPHAS = [0, 1e-200, 1 - 1j, 1e3j, 1e100, -1e200 + 1e200j]
+EXTREME_DEGREES = [1, 3, 7, 41, 201]
+EXTREME_TAUS = [1j, 0.3 + 1.1j, cmath.exp(2j * math.pi / 3) + 1e-3j, 899j, 0.4 + 902j,
+                0.1 + 0.3j, 3.7 + 0.02j]
+
+
+def extreme_grid():
+    phases = [1, cmath.exp(0.7j)]
+    for alpha, degree in itertools.product(EXTREME_ALPHAS, EXTREME_DEGREES):
+        yield Classification("linear", alpha, 0.3 - 1j), degree
+        for m, p in itertools.product(EXTREME_MODULI + [30], phases):
+            yield Classification("trig", alpha, 0.3 - 1j, a=m * p), degree
+        for m, p, tau in itertools.product(EXTREME_MODULI, phases, EXTREME_TAUS):
+            yield Classification("elliptic", alpha, 0.3 - 1j, rho=m * p, tau=TauPoint(tau)), degree
+
+
+class TestTwistedSineSynthesis:
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_classify_keeps_its_outcomes_under_the_reference_synthesis(self, seed, monkeypatch):
+        data = seeded_members_and_data(seed, 24)
+        # The first 72 inputs again, each with one tail coefficient moved by
+        # 3e-6 (rejected there) or 3e-7 (accepted) of the largest, against the
+        # tolerance 1e-6.
+        for k, s in enumerate(data[:72]):
+            coeffs = list(s.odd_coefficients)
+            at = 4 + k % (len(coeffs) - 4)
+            coeffs[at] += (3e-6 if k % 2 else 3e-7) * max(map(abs, coeffs))
+            data.append(TruncatedOddSeries(coeffs))
+        got = [_tail_outcome(s) for s in data]
+        module = importlib.import_module("sigmakit.classify")
+        monkeypatch.setattr(module, "synthesize", synthesize_reference)
+        assert got == [_tail_outcome(s) for s in data]
+        assert {g[0] for g in got} == {"linear", "trig", "elliptic", IdentityNotSatisfiedError}
+        assert len({g[1] for g in got if g[0] is IdentityNotSatisfiedError}) > 5
+
+    def test_extreme_grid_keeps_every_outcome_class(self):
+        changed = []
+        for c, degree in extreme_grid():
+            new = _outcome_class(synthesize, c, degree)
+            old = _outcome_class(synthesize_reference, c, degree)
+            if new != old:
+                changed.append((c, degree, old, new))
+        # Three kinds of input moved, each from a failure of the reference.
+        # It formed the sine series' 1/(2k+1)! as a float, a bare
+        # OverflowError past degree 169; it scaled theta1's series by
+        # (1/rho)^n, which overflows at |rho| = 0.01 and degree 201 where the
+        # member fits (``test_oracle.test_synthesize_at_degree_201``); and its
+        # twist's products alpha^3 * a1 overflow at |rho| = 1e-20 and
+        # alpha = 1e100, where the member is exp(alpha*z^2 + beta) to 1e-120.
+        kinds = {(c.case, round(math.log10(abs(c.rho))) if c.rho else None,
+                  c.alpha if c.rho else None, degree, old, new)
+                 for c, degree, old, new in changed}
+        assert kinds == {("trig", None, None, 201, "OverflowError", "value"),
+                         ("trig", None, None, 201, "OverflowError", "NumericError")} | {
+            ("elliptic", -2, alpha, 201, "NumericError", "value") for alpha in (0, 1e-200, 1 - 1j, 1e3j)
+        } | {("elliptic", -20, 1e100, 7, "NumericError", "value")}
+        for c, degree, _, _ in changed:
+            if c.case == "elliptic" and degree == 7:
+                got = synthesize(c, degree).odd_coefficients
+                for m, g in enumerate(got):
+                    want = cmath.exp(c.beta) * c.alpha**m / math.factorial(m)
+                    assert abs(g - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("rho, message", [
+        (0, "rho must be nonzero"), (complex(math.inf, 0), "lattice generators must be finite"),
+        (complex(math.nan, 1), "lattice generators must be finite")])
+    def test_elliptic_rho_is_checked_by_its_lattice(self, rho, message):
+        # The theta series at tau once met rho only in the gauge, a NumericError.
+        c = Classification("elliptic", 0, 0, rho=rho, tau=TauPoint(1j))
+        with pytest.raises(DomainError, match=message):
+            synthesize(c, 9)
+
+    def test_sine_past_degree_169(self):
+        got = synthesize(Classification("trig", 0, 0, a=1), 201).odd_coefficients
+        for k, g in enumerate(got):
+            want = float(Fraction((-1) ** k, math.factorial(2 * k + 1)))
+            assert abs(g - want) <= 1e-15 * abs(want) + 2**-1074

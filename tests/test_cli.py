@@ -485,6 +485,22 @@ class TestTauCommands:
         assert doc["error"]["type"] == "numeric"
         assert doc["error"]["diagnostics"]["tau"] in ([0.0, 1e-320], [1e-320, 1e-320])
 
+    def test_generator_ratio_past_the_largest_modulus(self, capsys):
+        # abs(omega2/omega1) once raised a bare OverflowError here.  tau reduces
+        # to 1.7e308i, where theta1'(0) underflows and the gauge has no value.
+        code, doc = run_strict(capsys, "eval", "sigma", "--z=0.3", "--omega1=1,0",
+                               "--omega2=1.7e308,1.7e308")
+        assert code == 2
+        assert doc["error"]["message"].startswith("the sigma gauge")
+
+    def test_rho_whose_division_overflows(self, capsys):
+        # The lattice once failed with "tau must be finite"; once found, its
+        # z/rho came out 0 for every z and sigma printed 0.
+        code, doc = run_strict(capsys, "eval", "sigma", "--z=0.3", "--rho=1.2e308,1.2e308",
+                               "--tau=0,1")
+        assert code == 2
+        assert doc["error"]["message"].startswith("the sigma gauge")
+
     # Near the largest double: at the second, j overflows near the answer,
     # and a Newton step there once turned NaN.
     @pytest.mark.parametrize("value", ["1e308,1e308", "8.660254037844387e307,5e307"])

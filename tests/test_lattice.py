@@ -311,6 +311,26 @@ class TestNormalizeLattice:
                 mn = integer_combination(point, lat.rho, lat.rho * lat.tau.value)
                 assert np.allclose(mn, np.round(mn), atol=1e-8)
 
+    def test_ratio_whose_division_overflows_inside(self):
+        # w2/w1 is -i, but CPython's complex division overflows on the way to
+        # nan*i; with both generators scaled by 2^-1024 it divides exactly.
+        w1, w2 = complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308)
+        lat = normalize_lattice(w1, w2)
+        assert (lat.rho, lat.tau.value, lat.orientation_flipped) == (w1, 1j, True)
+        assert lat.reduction == UnimodularMap(1, 0, 0, 1)
+        # z/rho overflows the same way, to 0 for every z, so sigma has no gauge.
+        assert 1 / lat.rho == 0
+        with pytest.raises(NumericError, match="sigma gauge"):
+            sigma_eval(0.3, lat)
+
+    def test_ratio_past_the_largest_modulus(self):
+        # |w2/w1| is beyond the largest double, so abs(ratio) raised a bare
+        # OverflowError; the collinearity check reads the halved ratio.
+        lat = normalize_lattice(1, complex(1.7e308, 1.7e308))
+        assert (lat.rho, lat.tau.value) == (1, 1.7e308j)
+        with pytest.raises(DomainError, match="collinear"):
+            normalize_lattice(1, complex(1.7e308, 1e290))
+
     def test_collinear_rejected(self):
         with pytest.raises(DomainError):
             normalize_lattice(1 + 1j, -2 - 2j)
@@ -399,8 +419,9 @@ class TestTrustedConstruction:
         (1, 1 + 1e-15j, "generators are collinear over the reals"),
         # w2/w1 overflows to inf + inf*i, which counts as collinear.
         (1e-300, 1e300 + 1e300j, "generators are collinear over the reals"),
-        # w2/w1 is -i, but complex division overflows on the way to nan*i.
-        (complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308), "tau must be finite"),
+        (5e-324, 1, "generators are collinear over the reals"),
+        # w2/w1 = 1e320i overflows to an infinite imaginary part.
+        (1e-300, 1e20j, "tau must be finite"),
     ])
     def test_rejected_generators_keep_their_messages(self, w1, w2, message):
         with pytest.raises(DomainError) as err:

@@ -147,17 +147,61 @@ def test_term_cap_rule_allows_the_constant():
     assert _functions_taking(ast.parse(source), "term_cap") == []
 
 
+# The generic series steps that the one twisted-sine recurrence replaces.
+SERIES_STEPS = ("gauss_twist", "scale_argument", "theta1_odd_series", "sigma_gauge_from_head")
+
+
+def _called_names(node):
+    return [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
+def _synthesis_sites(tree):
+    """(calls of _twisted_sines in synthesize's simple top-level statements, its
+    calls anywhere else in synthesize, the SERIES_STEPS that synthesize calls)."""
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "synthesize")
+    total = _called_names(func).count("_twisted_sines")
+    after = sum(_called_names(stmt).count("_twisted_sines") for stmt in func.body
+                if isinstance(stmt, (ast.Return, ast.Assign, ast.Expr)))
+    return after, total - after, sorted(set(_called_names(func)) & set(SERIES_STEPS))
+
+
 def test_each_family_member_is_built_in_one_place():
-    # classify builds its one Classification and synthesize makes its one
-    # twist after the family branches, so that each family adds only its own
-    # correction and cannot grow a second construction of the result.
+    # classify builds its one Classification and synthesize runs its one
+    # twisted-sine recurrence after the family branches, so that each family
+    # adds only its own terms and cannot grow a second construction of the
+    # result, nor return to an O(K^2) twist of a scaled base series.
     path = next(path for path in SOURCES if path.name == "classify.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    calls = {func.name: [getattr(node.func, "id", None) for node in ast.walk(func)
-                         if isinstance(node, ast.Call)]
-             for func in tree.body if isinstance(func, ast.FunctionDef)}
+    calls = {func.name: _called_names(func) for func in tree.body
+             if isinstance(func, ast.FunctionDef)}
     assert calls["classify"].count("Classification") == 1
-    assert calls["synthesize"].count("gauss_twist") == 1
+    assert _synthesis_sites(tree) == (1, 0, [])
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def synthesize(c, d):\n    return gauss_twist(base, c.alpha, c.beta)",
+     (0, 0, ["gauss_twist"])),
+    ("def synthesize(c, d):\n    if c.case == 'trig':\n        return _twisted_sines(t, 0, 0, 1)\n"
+     "    return _twisted_sines(u, 0, 0, 1)", (1, 1, [])),
+    ("def synthesize(c, d):\n    s = series.scale_argument(x, c.a)\n"
+     "    return _twisted_sines(t, 0, 0, 1)", (1, 0, ["scale_argument"])),
+    ("def synthesize(c, d):\n    if c.rho:\n        th = theta1_odd_series(c.tau, d)\n"
+     "        g = sigma_gauge_from_head(*th.odd_coefficients[:2], c.rho)\n"
+     "    return _twisted_sines(t, 0, 0, 1)", (1, 0, ["sigma_gauge_from_head", "theta1_odd_series"])),
+    ("def synthesize(c, d):\n    out = _twisted_sines(t, 0, 0, 1)\n"
+     "    return _twisted_sines(out, 0, 0, 1)", (2, 0, [])),
+])
+def test_synthesis_rule_catches(source, found):
+    assert _synthesis_sites(ast.parse(source)) == found
+
+
+def test_synthesis_rule_allows_one_kernel_after_the_branches():
+    source = ("def synthesize(c, d):\n    terms = [(1.0, 0.0)]\n    if c.case == 'elliptic':\n"
+              "        kappa, _, scale = lattice_from_rho_tau(c.rho, c.tau).gauge\n"
+              "    return _twisted_sines(terms, c.alpha, c.beta, 1)")
+    assert _synthesis_sites(ast.parse(source)) == (1, 0, [])
 
 
 def _complex_pairs(tree):
