@@ -45,7 +45,7 @@ from .errors import (
     json_ready,
 )
 from .invariants import _invariants_and_hat
-from .lattice import _GAUGE_FACTORS, _gauge_alpha, _lattice_from_g, lattice_from_rho_tau
+from .lattice import _gauge_alpha, _lattice_from_g, lattice_from_rho_tau
 from .modular import TauPoint, _theta1_table
 from .series import TruncatedOddSeries, _computed
 
@@ -173,8 +173,8 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
         lat = lattice_from_rho_tau(c.rho, c.tau)
         kappa, _, scale = lat.gauge
         alpha = _gauge_alpha(kappa, lat.rho) + alpha
-        terms = [(scale * ck * (b := w / lat.rho), b * b) for ck, (w, _)
-                 in zip(_theta1_table(lat.tau.value, max_degree), _GAUGE_FACTORS)]
+        terms = [(scale * ck * (b := (2 * k + 1) * math.pi / lat.rho), b * b)
+                 for k, ck in enumerate(_theta1_table(lat.tau.value, max_degree))]
     return _twisted_sines(terms, alpha, c.beta, (max_degree + 1) // 2)
 
 
@@ -194,4 +194,6 @@ def _twisted_sines(terms, alpha: complex, beta: complex, count: int) -> Truncate
         scale = cmath.exp(beta)
     except OverflowError:
         scale = math.inf
+    if beta.real < -708.0 and max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
+        raise NumericError(f"exp(beta={beta}) underflows", diagnostics={"beta": complex(beta)})
     return _computed([x * scale for x in out], "the family member's series")

@@ -140,8 +140,11 @@ def hat_normalize(s: TruncatedOddSeries) -> HatForm:
     if a1 == 0:
         raise NotInOmegaError("leading odd coefficient vanishes")
     alpha = -s.coefficient(3) / a1
-    twisted = gauss_twist(s, alpha, 0.0)
-    coeffs = [c / a1 for c in twisted.odd_coefficients]
+    twisted = gauss_twist(s, alpha, 0.0).odd_coefficients
+    coeffs = [c / a1 for c in twisted]
+    if not all(map(cmath.isfinite, coeffs)):  # CPython's division can fail where a quotient fits
+        u = 2.0 ** -max(math.frexp(max(abs(a1.real), abs(a1.imag)))[1], -1023)
+        coeffs = [q if cmath.isfinite(q) else c * u / (a1 * u) for q, c in zip(coeffs, twisted)]
     # hypot, since abs() raises where a modulus passes the largest double.
     scale = max(math.hypot(c.real, c.imag) for c in coeffs)
     # The cubic coefficient cancels a3/a1 against alpha, so its roundoff

@@ -23,10 +23,10 @@ which depends on tau alone,
 
     sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
 
-``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau)) once per
-lattice, on first use, from ``Lattice.theta_table``; ``sigma_eval``, ``sigma_gauge``
-and ``classify.synthesize`` read it, ``sigma_gauge_from_head`` is the one place the
-formula is written, and ``_gauge_alpha`` the one place alpha is formed.
+``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau)) once per lattice, on
+first use, from e0 and e1 of theta1's Horner form (``modular._theta1_sum``), and is the
+one place the gauge is formed; ``sigma_eval``, ``sigma_gauge`` and ``classify.synthesize``
+read it, and ``_gauge_alpha`` is the one place alpha is formed.
 ``sigma_eval`` needs no alpha, which overflows for |rho| below about
 1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
 exp, so sigma is found wherever it fits in a double even when theta1 or
@@ -44,8 +44,8 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import J_TOLERANCE, TERM_CAP, ConvergenceError, DomainError, NumericError
-from .modular import TauPoint, _tau_point, _theta1_table, _theta1_values, as_tau, j_invariant
+from .errors import J_TOLERANCE, ConvergenceError, DomainError, NumericError
+from .modular import TauPoint, _tau_point, _theta1_sum, _theta1_values, as_tau, j_invariant
 
 # Boundary tolerance for fundamental-domain tie-breaking.
 _EDGE = 1e-15
@@ -54,9 +54,7 @@ _EDGE = 1e-15
 _INTEGRAL = 2.0**52
 
 _CUBE_ROOTS = (1.0, complex(-0.5, math.sqrt(0.75)), complex(-0.5, -math.sqrt(0.75)))
-
-# (w, w^3) with w = (2k+1)*pi, for each of the TERM_CAP factors a theta table can hold.
-_GAUGE_FACTORS = tuple((w, w**3) for w in ((2 * k + 1) * math.pi for k in range(TERM_CAP)))
+_PI_SQUARED = math.pi**2
 
 
 class UnimodularMap(namedtuple("UnimodularMap", "a b c d")):
@@ -153,25 +151,18 @@ class Lattice(namedtuple("Lattice",
     ratio into the fundamental domain, and ``orientation_flipped`` records
     whether omega2 had to be negated to make Im(omega2/omega1) positive.
     The point set rho * (Z + tau*Z) equals Z*omega1 + Z*omega2 exactly.
-    The fields are read-only; the instance dict holds only the cached
-    ``theta_table`` and ``gauge``.
+    The fields are read-only; the instance dict holds only the cached ``gauge``.
     """
-
-    @_kept
-    def theta_table(self) -> tuple[complex, ...]:
-        """theta1's factors at tau (``modular._theta1_table``), kept for life."""
-        return _theta1_table(self.tau.value, 1)
 
     @_kept
     def gauge(self) -> tuple[complex, complex, complex]:
         """(kappa, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``, kept
-        for the life of the lattice, with theta1'(0) = sum c_k*w_k and
-        theta1'''(0)/6 = -sum c_k*w_k^3/6, w_k = (2k+1)*pi, over ``theta_table``."""
-        th1 = th3 = 0
-        for c, (w, w3) in zip(self.theta_table, _GAUGE_FACTORS):
-            th1 += c * w
-            th3 += c * w3
-        return sigma_gauge_from_head(th1, -th3 / 6.0, self.rho)
+        for the life of the lattice, with theta1'(0) = pi*e0 and theta1'''(0)/6 =
+        pi^3*(e1 - e0/6) from ``modular._theta1_sum``, so kappa = pi^2/6 - pi^2*e1/e0,
+        whose rounding the constant pi^2/6 bounds (e0 = 0 only where th1 underflows)."""
+        _, e0, e1 = _theta1_sum(self.tau.value)
+        kappa = _PI_SQUARED / 6.0 - _PI_SQUARED * e1 / e0 if e0 else 0.0
+        return sigma_gauge_from_head(math.pi * e0, kappa, self.rho)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -302,14 +293,13 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE) -> TauPoint:
         diagnostics={"jval": jval, "tau": tau.value, "residual": resid})
 
 
-def sigma_gauge_from_head(th1: complex, th3: complex,
+def sigma_gauge_from_head(th1: complex, kappa: complex,
                           rho: complex) -> tuple[complex, complex, complex]:
     """(kappa, beta, scale) with sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * scale,
     w = z/rho.
 
-    th1 = theta1'(0, tau) and th3 = theta1'''(0, tau)/6 are the first two odd Taylor
-    coefficients of theta1.  kappa = -th3/th1 = alpha*rho^2 depends on tau alone
-    (``_gauge_alpha`` gives alpha); scale = rho/th1 = exp(beta), beta the principal
+    th1 = theta1'(0, tau), and kappa = -theta1'''(0, tau)/(6*th1) = alpha*rho^2 depends on
+    tau alone (``_gauge_alpha`` gives alpha); scale = rho/th1 = exp(beta), beta the principal
     logarithm.  th1 underflows beyond Im tau of about 900, where scale overflows:
     NumericError.  So does a rho that CPython's division overflows on (1/rho = 0, from
     |rho| of about 1.3e308 off the axes), where every w = z/rho would be 0, and a scale
@@ -321,7 +311,7 @@ def sigma_gauge_from_head(th1: complex, th3: complex,
     if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
         raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} underflows",
                            diagnostics={"theta1_prime": complex(th1)})
-    return -th3 / th1, cmath.log(scale), scale
+    return kappa, cmath.log(scale), scale
 
 
 def _gauge_alpha(kappa: complex, rho: complex) -> complex:
@@ -349,9 +339,9 @@ def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
 def sigma_eval(z: complex, lat: Lattice) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    theta1 is summed on ``lat.theta_table``, whose length the fixed cap of
-    ``TERM_CAP`` = 200 terms bounds at tau as given (a reduced tau needs five
-    factors at most), and the gauge is ``lat.gauge``.  The quasi-periodic
+    theta1 is summed on ``modular._theta1_sum`` at tau, by Horner's rule on the
+    five factors at most of a reduced tau (``TERM_CAP`` = 200 bounds a hand-built
+    one), and the gauge is ``lat.gauge``.  The quasi-periodic
     exponent of theta1 is added to alpha*z^2, formed as kappa*(z/rho)^2,
     before one exp, since the two nearly cancel, so only a value outside the
     double range raises NumericError.
@@ -362,7 +352,8 @@ def sigma_eval(z: complex, lat: Lattice) -> complex:
 def _sigma_values(zs, lat: Lattice) -> list[complex]:
     """``sigma_eval`` at each of zs; the first failing z picks the error."""
     kappa, _, scale = lat.gauge
-    values = _theta1_values(zs, lat.tau.value, lat.theta_table, lat.rho, kappa, scale)
+    t = lat.tau.value
+    values = _theta1_values(zs, t, _theta1_sum(t)[0], lat.rho, kappa, scale)
     if not all(map(cmath.isfinite, values)):
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
         if not cmath.isfinite(z):

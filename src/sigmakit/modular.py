@@ -9,24 +9,27 @@ forms g2(tau) and g3(tau), the modular invariant j(tau), and the pair
 
 which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 
-theta1 and its odd Taylor coefficients are summed on one table of its
-factors, whose length is fixed once per tau and degree (see
-``_table_size``); the coefficients through z^d keep more factors as d
-grows, and below Im tau = 1/2 they are summed at -1/(tau - n).  g2, g3, the discriminant, j and (p, q) come from the theta
-constants theta2, theta3 and theta4 at z = 0, summed over the degree-1
-number of terms in one pass (see ``_theta_constants``); below Im tau = 1/2
-they are summed at -1/(tau - n) and mapped back, since their sums cancel
-there.  All of these take Re tau modulo 8, under which theta1's factors and
-the theta constants are invariant, and ``dedekind_eta`` takes it modulo 24,
-its own period, so a large Re tau keeps its phase.
+theta1 and its odd Taylor coefficients are summed on tables of its factors,
+whose length is fixed once per tau and degree (see ``_table_size``); the
+coefficients through z^d keep more factors as d grows, and below Im tau = 1/2
+they are summed at -1/(tau - n).  theta1 itself is s * sum_j e_j*u^j with
+s = sin(pi*z), u = s^2, by Horner's rule on at most six factors (every
+Im tau >= 1/2), and e0 and e1 give sigma's gauge (see ``_theta1_sum``).
+g2, g3, the discriminant, j and (p, q) come from the theta constants theta2,
+theta3 and theta4 at z = 0, summed over the degree-1 number of terms in one
+pass (see ``_theta_constants``); below Im tau = 1/2 they are summed at
+-1/(tau - n) and mapped back, since their sums cancel there.  All of these
+take Re tau modulo 8, under which theta1's factors and the theta constants
+are invariant, and ``dedekind_eta`` takes it modulo 24, its own period, so a
+large Re tau keeps its phase.
 
-These tau-only results are memoized: theta1's factor table, the forms
-(g2, g3, eta^3) and the term count each sit in a ``functools.lru_cache``
-of ``_MEMO_SIZE`` entries, keyed by the tau value that ``as_tau`` returns
-(Im tau for the term count) and, for the table and the term count, the
-degree.  So ``sigma_eval``, ``theta1_eval``, ``j_invariant``,
+These tau-only results are memoized: theta1's degree-1 sum, its factor table
+per degree, the forms (g2, g3, eta^3) and the term count each sit in a
+``functools.lru_cache`` of ``_MEMO_SIZE`` entries, keyed by the tau value that
+``as_tau`` returns (Im tau for the term count) and the degree where there is
+one.  So ``sigma_eval``, its gauge, ``theta1_eval``, ``j_invariant``,
 ``weierstrass_g``, ``modular_discriminant`` and ``modular_pq`` at one tau
-share one table and one theta-constant pass, and each memo holds at most
+share one theta1 sum and one theta-constant pass, and each memo holds at most
 the last ``_MEMO_SIZE`` points.  A failure is not memoized: every call at
 a tau whose term count passes the cap raises its own ConvergenceError.
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
@@ -65,6 +69,14 @@ _G3_SCALE = _TWO_PI**6 / 432.0
 _H = math.sqrt(0.5)
 _EIGHTH_ROOTS = (1.0, complex(_H, _H), 1j, complex(-_H, _H),
                  -1.0, complex(-_H, -_H), -1j, complex(_H, -_H))
+
+_HORNER_FACTORS = 6  # the most factors summed by Horner's rule, all that Im tau >= 1/2 needs
+# The triples (k, j, [u^j]S_k) in order of k < TERM_CAP, S_k(u) = sin((2k+1)x)/sin(x) with
+# u = sin(x)^2 (S_1 = 3 - 4u, S_2 = 5 - 20u + 16u^2): all j <= k for k < _HORNER_FACTORS,
+# j < 2 after.  [u^j]S_k = (-4)^j (2k+1)/(2j+1) C(k+j, 2j); the first _SINE_ENDS[n] have k < n.
+_SINE_TERMS = tuple((k, j, (-4.0) ** j * ((2 * k + 1) * math.comb(k + j, 2 * j) // (2 * j + 1)))
+                    for k in range(TERM_CAP) for j in range(k + 1 if k < _HORNER_FACTORS else 2))
+_SINE_ENDS = tuple(bisect_left(_SINE_TERMS, (n,)) for n in range(TERM_CAP + 1))
 
 
 class TauPoint(namedtuple("TauPoint", "value")):
@@ -119,13 +131,12 @@ def theta1_eval(z: complex, tau) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    table = _theta1_table(t, 1)
-    # The larger part of c0 is at least |c0|/sqrt(2) = sqrt(2)*exp(-pi*Im(t)/4),
-    # a normal double up to Im t = 900.
-    if t.imag > 900.0 and max(abs(table[0].real), abs(table[0].imag)) < 2.0**-1022:
+    terms, e0, _ = _theta1_sum(t)
+    # e0 = c0 there, whose larger part, >= sqrt(2)*exp(-pi*Im(t)/4), is normal up to Im t = 900.
+    if t.imag > 900.0 and max(abs(e0.real), abs(e0.imag)) < 2.0**-1022:
         raise NumericError(f"theta1's leading factor 2*exp(i*pi*tau/4) at tau={t} underflows",
                            diagnostics={"z": z, "tau": t})
-    value = _theta1_values((z,), t, table)[0]
+    value = _theta1_values((z,), t, terms)[0]
     if not cmath.isfinite(value):
         raise NumericError(f"theta1 at z={z} is outside the double range",
                            diagnostics={"z": z, "tau": t})
@@ -209,6 +220,21 @@ def _theta1_table(t: complex, degree: int) -> tuple[complex, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _theta1_sum(t: complex) -> tuple[tuple[complex, ...], complex, complex]:
+    """(terms, e0, e1): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, with
+    e_j = sum_k c_k*[u^j]S_k over theta1's degree-1 factors c_k, built here, not memoized
+    twice.  terms are the e_j, highest first, on at most ``_HORNER_FACTORS`` factors, and
+    else the c_k, where the e_j cancel (``_theta1_values`` tells them apart by length).
+    theta1'(0) = pi*e0 and theta1'''(0)/6 = pi^3*(e1 - e0/6) at any length."""
+    table = _theta1_table.__wrapped__(t, 1)
+    n = len(table)
+    e = [0j] * _HORNER_FACTORS
+    for k, j, p in reversed(_SINE_TERMS[:_SINE_ENDS[n]]):
+        e[j] += table[k] * p
+    return (tuple(e[n - 1::-1]) if n <= _HORNER_FACTORS else table), e[0], e[1]
+
+
 def _theta_constants(t: complex) -> tuple[complex, complex, complex]:
     """(theta2, theta3, theta4) at z = 0, over ``_table_size`` terms.
 
@@ -278,18 +304,20 @@ def _modular_forms(t: complex) -> tuple[complex, complex, complex]:
             0.5 * th2 * th3 * th4)
 
 
-def _theta1_values(zs, t: complex, table, rho=1.0, kappa=0.0, scale=1.0) -> list[complex]:
-    """theta1(w, t) * exp(kappa*w^2) * scale, w = z/rho, for each z, summed on ``table``.
+def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list[complex]:
+    """theta1(w, t) * exp(kappa*w^2) * scale, w = z/rho, for each z, summed on ``terms``.
 
-    w = z/rho is reduced into the cell |Im w| <= Im(t)/2, |Re w| <= 1/2.  With
-    s = sin(pi*w), sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x)
-    gives the other sines, all proportional to s, so theta1 keeps its
-    relative accuracy next to its zeros.  The reduction's exponent joins
-    kappa*w^2 in one exp.  For a non-finite z, and where the value leaves the
-    double range, the value comes back non-finite, for the caller to report.
+    w = z/rho is reduced into the cell |Im w| <= Im(t)/2, |Re w| <= 1/2, and theta1
+    is s = sin(pi*w) times a sum in u = s^2, so it keeps its relative accuracy next
+    to its zeros: Horner's rule on at most ``_HORNER_FACTORS`` terms, the e_j of
+    ``_theta1_sum``, and on more, theta1's factors c_k, the sines sin((2k+3)x) =
+    (2 - 4u) sin((2k+1)x) - sin((2k-1)x).  The reduction's exponent joins kappa*w^2
+    in one exp.  For a non-finite z, and where the value leaves the double range,
+    the value comes back non-finite, for the caller to report.
     """
     v = t.imag
-    lead, rest = table[0], table[1:]
+    horner = len(terms) <= _HORNER_FACTORS
+    lead, rest = terms[0], terms[1:]
     sin, exp, pi = cmath.sin, cmath.exp, math.pi
     out = []
     for z in zs:
@@ -306,12 +334,18 @@ def _theta1_values(zs, t: complex, table, rho=1.0, kappa=0.0, scale=1.0) -> list
             if n:
                 exponent -= _I_PI * n * (nt + 2.0 * w)
             s = sin(pi * w)
-            c = 2.0 - 4.0 * s * s
-            prev, cur = -s, s
-            total = lead * s
-            for ck in rest:
-                prev, cur = cur, c * cur - prev
-                total += ck * cur
+            if horner:
+                u, total = s * s, lead
+                for e in rest:
+                    total = total * u + e
+                total *= s
+            else:
+                c = 2.0 - 4.0 * s * s
+                prev, cur = -s, s
+                total = lead * s
+                for ck in rest:
+                    prev, cur = cur, c * cur - prev
+                    total += ck * cur
             value = total * exp(exponent) * scale
             if (m + n) & 1:
                 value = -value

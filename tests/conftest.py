@@ -122,15 +122,61 @@ def cauchy_reference(a, b, count):
 
 
 def gauge_reference(lat):
-    """``Lattice.gauge`` as it was before its factors came from a module
-    table, kept as the reference for it: w = (2k+1)*pi and w**3 are formed
-    for each factor of ``lat.theta_table``, however many it has."""
+    """``Lattice.gauge`` as it was before it read theta1'(0) and theta1'''(0)
+    from the Horner coefficients e0 and e1, kept as the reference for it:
+    w = (2k+1)*pi and w**3 are formed for each of theta1's factors at tau,
+    however many there are."""
     th1 = th3 = 0
-    for k, c in enumerate(lat.theta_table):
+    for k, c in enumerate(sigmakit.modular._theta1_table(lat.tau.value, 1)):
         w = (2 * k + 1) * math.pi
         th1 += c * w
         th3 += c * w**3
-    return sigmakit.lattice.sigma_gauge_from_head(th1, -th3 / 6.0, lat.rho)
+    return sigmakit.lattice.sigma_gauge_from_head(th1, th3 / 6.0 / th1, lat.rho)
+
+
+def theta1_values_reference(zs, t, table, rho=1.0, kappa=0.0, scale=1.0):
+    """``modular._theta1_values`` as it was before it summed up to six factors
+    by Horner's rule in u = sin(pi*w)^2, kept as the reference for it: theta1's
+    factors c_k in ``table`` meet the sines sin((2k+1)*pi*w), each found from
+    the two before by sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x),
+    s = sin(pi*w), for every table length.
+    """
+    v = t.imag
+    lead, rest = table[0], table[1:]
+    out = []
+    for z in zs:
+        try:
+            w = z / rho
+            exponent = kappa * w * w
+            n = round(w.imag / v)
+            if n:
+                nt = n * t
+                w -= nt
+            m = round(w.real)
+            if m:
+                w -= m
+            if n:
+                exponent -= 1j * math.pi * n * (nt + 2.0 * w)
+            s = cmath.sin(math.pi * w)
+            c = 2.0 - 4.0 * s * s
+            prev, cur = -s, s
+            total = lead * s
+            for ck in rest:
+                prev, cur = cur, c * cur - prev
+                total += ck * cur
+            value = total * cmath.exp(exponent) * scale
+            if (m + n) & 1:
+                value = -value
+        except (OverflowError, ValueError):
+            value = complex(math.inf)
+        out.append(value)
+    return out
+
+
+# Below Im tau = 1/2, near the cusps 0, 1/2, 1/3 and 3, where theta3 or
+# theta4 is far smaller than the terms of its sum.
+OFF_GRID = [0.1j, 0.3 + 0.1j, 0.05j, 0.02j, 0.5 + 0.05j, -0.37 + 0.02j, 1 / 3 + 0.03j,
+            2.7 + 0.3j, 0.45 + 0.45j]
 
 
 def synthesize_reference(c, max_degree):
@@ -152,8 +198,9 @@ def synthesize_reference(c, max_degree):
     else:
         # The gauge needs the cubic coefficient even when max_degree is 1.
         theta = theta1_odd_series(c.tau, max(max_degree, 3))
+        a1, a3 = theta.odd_coefficients[:2]
         kappa, gauge_beta, _ = sigmakit.lattice.sigma_gauge_from_head(
-            *theta.odd_coefficients[:2], c.rho)
+            a1, -a3 / a1 if a1 else 0.0, c.rho)
         base = _computed(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count],
                          "the scaled theta series")
         alpha, beta = sigmakit.lattice._gauge_alpha(kappa, c.rho) + alpha, gauge_beta + beta

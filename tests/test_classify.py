@@ -154,6 +154,22 @@ class TestSynthesizeExamples:
             synthesize(c, 9)
         assert err.value.diagnostics["theta1_prime"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("case, member", [("linear", {}), ("trig", {"a": 1.5}),
+                                              ("elliptic", {"rho": 1, "tau": TauPoint(1j)})])
+    @pytest.mark.parametrize("beta", [-745, -709 + 1j, -800])
+    def test_subnormal_exp_beta_is_numeric_error(self, case, member, beta):
+        # exp(-745) is 4.9e-324, one significant bit, and at -800 it is 0:
+        # the member's coefficients would have no correct digits.
+        with pytest.raises(NumericError) as err:
+            synthesize(Classification(case, 1 - 1j, beta, **member), 7)
+        assert str(err.value) == f"exp(beta={beta}) underflows"
+        assert err.value.diagnostics == {"beta": [complex(beta).real, complex(beta).imag]}
+
+    def test_exp_beta_just_inside_the_normal_doubles(self):
+        # exp(-708) is 3.3e-308, a normal double.
+        got = synthesize(Classification("linear", 0, -708), 7).odd_coefficients
+        assert got[0] == cmath.exp(-708) and got[1:] == (0j, 0j, 0j)
+
 
 class TestRoundTrip:
     def test_twenty_seeded_members(self):

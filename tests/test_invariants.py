@@ -1,3 +1,4 @@
+import cmath
 import math
 import struct
 
@@ -170,6 +171,26 @@ class TestHatNormalize:
         with pytest.raises(NumericError) as err:
             hat_normalize(SINE)
         assert err.value.diagnostics["cubic"] == [1e-3, 0.0]
+
+    @pytest.mark.parametrize("a1", [1e308 + 1e308j, -1e308 - 1.2e308j, 1e308 - 1e308j])
+    def test_leading_coefficient_near_the_largest_doubles(self, a1):
+        # CPython's (1e308+1e308j)/(1e308+1e308j) is nan+0j; the quotient is
+        # divided again at a power-of-two scale, which leaves hat = z exactly.
+        s = TruncatedOddSeries([a1, 0, 0, 0])
+        hat = hat_normalize(s)
+        assert hat.series.odd_coefficients == (1, 0, 0, 0)
+        assert hat.alpha == 0 and hat.beta == cmath.log(a1)
+        # Its invariants are p = q = 0, but their zero-test scales (|a1|^3)
+        # leave the doubles, as for every |a1| from about 1e103.
+        for data in (s, TruncatedOddSeries([1e200, 0, 0, 0])):
+            with pytest.raises(NumericError, match="zero-test scales are outside"):
+                pq_of_series(data)
+
+    def test_a_finite_quotient_keeps_its_bits(self):
+        s = TruncatedOddSeries([3 - 1e-300j, 1.5, 2 + 1j, 1e300 + 1j])
+        want = [c / s.leading for c in gauss_twist(s, -1.5 / s.leading, 0.0).odd_coefficients]
+        got = hat_normalize(s).series.odd_coefficients
+        assert got[2:] == tuple(want[2:])
 
 
 class TestInvarianceProperties:

@@ -14,6 +14,7 @@ from conftest import (
     gauge_reference,
     integer_combination,
     sigma_product_oracle,
+    theta1_values_reference,
     translation,
 )
 import sigmakit.lattice
@@ -442,21 +443,28 @@ class TestTrustedConstruction:
 
 
 class TestHandBuiltLatticeGauge:
-    # Lattice.gauge takes w = (2k+1)*pi and w^3 from a table of TERM_CAP
-    # entries; a hand-built lattice off the fundamental domain has more
-    # factors than any reduced one (five at most), and loses none of them.
+    # A hand-built lattice off the fundamental domain has more factors than
+    # any reduced one (five at most).  Its sigma is summed on them by the sine
+    # recurrence as before, bit for bit given the gauge; its gauge, read from
+    # the Horner coefficients e0 and e1, moves only in the last bits of the
+    # terms that theta1'(0) and theta1'(0)*kappa sum, which cancel at 0.02i.
     @pytest.mark.parametrize("tau, factors", [(0.3j, 7), (0.02j, 27)])
     @pytest.mark.parametrize("rho", [1.0, 0.8 - 0.6j])
     def test_gauge_and_sigma_keep_their_bits(self, tau, factors, rho):
         lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
-        assert len(lat.theta_table) == factors
-        want = gauge_reference(lat)
-        assert [hex_bits(v) for v in lat.gauge] == [hex_bits(v) for v in want]
-        kappa, _, scale = want
+        table = sigmakit.modular._theta1_table(tau, 1)
+        assert len(table) == factors
+        kappa, beta, scale = lat.gauge
+        old_kappa, _, old_scale = gauge_reference(lat)
+        w = [(2 * k + 1) * math.pi for k in range(factors)]
+        th1, old_th1 = rho / scale, rho / old_scale
+        assert abs(th1 - old_th1) <= 1e-15 * sum(abs(c) * x for c, x in zip(table, w))
+        assert (abs(kappa * th1 - old_kappa * old_th1)
+                <= 1e-15 * sum(abs(c) * x**3 for c, x in zip(table, w)) / 6)
+        assert beta == cmath.log(scale)
         for z in (0.1 + 0.05j, -0.37 + 0.011j, 0.25 * rho):
-            got = sigma_eval(z, lat)
-            old = sigmakit.modular._theta1_values((z,), tau, lat.theta_table, rho, kappa, scale)[0]
-            assert hex_bits(got) == hex_bits(old)
+            old = theta1_values_reference((z,), tau, table, rho, kappa, scale)[0]
+            assert hex_bits(sigma_eval(z, lat)) == hex_bits(old)
 
 
 class TestLatticeFromG:
@@ -649,10 +657,10 @@ class TestSigmaEval:
 
 
     def test_gauge_computed_once_per_lattice(self, monkeypatch):
-        # The theta table and the gauge are each built once per lattice,
-        # and the gauge takes theta1'(0) and theta1'''(0) from the table
-        # rather than from the coefficient series.
-        calls = {"_theta1_table": 0, "sigma_gauge_from_head": 0, "theta1_odd_series": 0}
+        # The gauge is built once per lattice, from e0 and e1 of the one
+        # degree-1 memo that theta1's sums read: one miss per tau, no use of
+        # the factor table's own memo and no coefficient series.
+        calls = {"sigma_gauge_from_head": 0, "theta1_odd_series": 0}
         for name in calls:
             home = sigmakit.lattice if name == "sigma_gauge_from_head" else sigmakit.modular
             original = getattr(home, name)
@@ -664,19 +672,22 @@ class TestSigmaEval:
             for module in (sigmakit.modular, sigmakit.lattice):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
+        memo, table = sigmakit.modular._theta1_sum, sigmakit.modular._theta1_table
         for lat in (lattice_from_rho_tau(1, 1j), normalize_lattice(1.2, 0.3 + 1.1j)):
+            clear_memos()
             calls.update(dict.fromkeys(calls, 0))
             identity_report(OddFunctionHandle.from_sigma(lat), num_samples=12,
                             seed=5, box_radius=2.0)
             for z in (0.4 + 0.1j, -1.3 + 0.7j):
                 sigma_eval(z, lat)
             sigma_gauge(lat)
-            assert calls == {"_theta1_table": 1, "sigma_gauge_from_head": 1,
-                             "theta1_odd_series": 0}
+            assert calls == {"sigma_gauge_from_head": 1, "theta1_odd_series": 0}
+            assert memo.cache_info().misses == 1
+            assert table.cache_info()[:2] == (0, 0)
 
     def test_one_table_and_one_theta_constant_pass_per_tau(self, monkeypatch):
-        # point_eval's calls at one tau share theta1's factor table, the
-        # theta-constant pass and the term count through the per-tau memo.
+        # point_eval's calls at one tau share theta1's degree-1 memo (terms,
+        # e0 and e1), the theta-constant pass and the term count.
         modular = sigmakit.modular
         passes = []
         original = modular._theta_constants
@@ -686,7 +697,7 @@ class TestSigmaEval:
             return original(t)
 
         monkeypatch.setattr(modular, "_theta_constants", counted)
-        memos = (modular._theta1_table, modular._modular_forms, modular._term_count)
+        memos = (modular._theta1_sum, modular._modular_forms, modular._term_count)
         for w1, w2 in ((1.2, 0.3 + 1.1j), (0.7 + 0.2j, -1.1 + 0.9j), (1, CORNER)):
             clear_memos()
             passes.clear()
@@ -701,12 +712,15 @@ class TestSigmaEval:
             modular_pq(tau)
             assert passes == [tau.value]
             assert [memo.cache_info().misses for memo in memos] == [1, 1, 1]
+            assert modular._theta1_table.cache_info()[:2] == (0, 0)
 
     def test_a_reduced_table_has_at_most_five_factors(self):
         # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
-        # is just above 1e-18, so the table keeps k = 0..4 there.
-        assert len(lattice_from_rho_tau(1, CORNER).theta_table) == 5
-        assert len(lattice_from_rho_tau(1, 1j).theta_table) == 4
+        # is just above 1e-18, so the table keeps k = 0..4 there, and Horner's
+        # rule sums five coefficients.
+        terms = sigmakit.modular._theta1_sum
+        assert len(terms(lattice_from_rho_tau(1, CORNER).tau.value)[0]) == 5
+        assert len(terms(lattice_from_rho_tau(1, 1j).tau.value)[0]) == 4
 
     def test_outside_double_range_is_numeric_error(self):
         lat = lattice_from_rho_tau(1, 1j)

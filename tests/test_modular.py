@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import clear_memos, eta_product_oracle, theta1_sum_oracle
+from conftest import (
+    OFF_GRID,
+    clear_memos,
+    eta_product_oracle,
+    theta1_sum_oracle,
+    theta1_values_reference,
+)
 import sigmakit.modular
 from sigmakit import (
     ConvergenceError,
@@ -148,6 +154,78 @@ class TestTheta1:
         # The second term is exp(-1600*pi) of the first here.
         oracle = theta1_sum_oracle(0.3 + 100j, 900j, terms=0)
         assert abs(value - oracle) <= 1e-13 * abs(oracle)
+
+
+def _sine_polynomial_reference(k):
+    """The integer coefficients of S_k(u) = sin((2k+1)x)/sin(x), u = sin(x)^2,
+    from S_0 = 1, S_-1 = -1 and S_(k+1) = (2 - 4u) S_k - S_(k-1)."""
+    prev, cur = [-1], [1]
+    for _ in range(k):
+        prev, cur = cur, [2 * a - 4 * b - p for a, b, p in
+                          zip(cur + [0], [0] + cur, prev + [0, 0])]
+    return cur
+
+
+class TestHornerForm:
+    # theta1 = s * sum_j e_j u^j, s = sin(pi*w), u = s^2, on at most six
+    # factors; longer tables keep the sine recurrence on the factors c_k.
+
+    def test_sine_terms_follow_the_recurrence(self):
+        terms, ends = sigmakit.modular._SINE_TERMS, sigmakit.modular._SINE_ENDS
+        for k in range(TERM_CAP):
+            row = terms[ends[k]:ends[k + 1]]
+            want = _sine_polynomial_reference(k)[:k + 1 if k < 6 else 2]
+            assert [(kk, j) for kk, j, _ in row] == [(k, j) for j in range(len(want))]
+            assert [p for _, _, p in row] == want
+        for x in (0.3, 1.1 - 0.4j, -0.2 + 0.7j):
+            u = cmath.sin(x) ** 2
+            for k in range(6):
+                value = sum(p * u**j for _, j, p in terms[ends[k]:ends[k + 1]])
+                want = cmath.sin((2 * k + 1) * x) / cmath.sin(x)
+                assert abs(value - want) <= 1e-13 * max(1, abs(want))
+
+    @pytest.mark.parametrize("tau, factors", [
+        (20j, 1), (1j, 4), (CORNER, 5), (0.5j, 6), (0.39j, 6), (0.389j, 7), (0.3j, 7)])
+    def test_six_factors_are_summed_by_horner(self, tau, factors):
+        # Six factors reach down to Im tau = 0.389: 13 exp(-36 pi Im tau) <= 1e-18.
+        table = sigmakit.modular._theta1_table(tau, 1)
+        terms, e0, e1 = sigmakit.modular._theta1_sum(tau)
+        assert len(table) == len(terms) == factors
+        if factors > 6:
+            assert terms == table
+        else:
+            u = cmath.sin(0.4 - 0.1j) ** 2
+            horner = sum(e * u ** j for j, e in enumerate(reversed(terms)))
+            sines = sum(c * sum(p * u**j for j, p in enumerate(_sine_polynomial_reference(k)))
+                        for k, c in enumerate(table))
+            assert abs(horner - sines) <= 1e-15 * abs(sines)
+        w = [(2 * k + 1) * math.pi for k in range(factors)]
+        th1 = sum(c * x for c, x in zip(table, w))
+        th3 = -sum(c * x**3 for c, x in zip(table, w)) / 6
+        assert abs(math.pi * e0 - th1) <= 1e-15 * abs(th1)
+        assert abs(math.pi**3 * (e1 - e0 / 6) - th3) <= 1e-15 * abs(th3)
+        if factors <= 6:
+            assert terms[-1] == e0 and (factors == 1 or terms[-2] == e1)
+
+    @pytest.mark.parametrize("tau", [t for t in OFF_GRID if t.imag < 0.389] + [3.8e-4j])
+    def test_long_tables_keep_their_bits(self, tau):
+        # theta1_eval on more than six factors is the sine recurrence as it
+        # was, bit for bit; 3.8e-4i keeps all 200 factors the cap admits.
+        table = sigmakit.modular._theta1_table(tau, 1)
+        rng = np.random.default_rng(17)
+        v = tau.imag
+        zs = [0.3, 0.1 + 0.003j] + [complex(rng.uniform(-2, 2), rng.uniform(-3 * v, 3 * v))
+                                    for _ in range(16)]
+        assert len(table) > 6
+        want = theta1_values_reference(zs, TauPoint(tau).value, table)
+        assert [repr(theta1_eval(z, tau)) for z in zs] == [repr(w) for w in want]
+
+    def test_the_whole_table_is_summed_below_the_sixteenth_factor(self):
+        # A kernel that dropped every factor past the 16th gave 1.18 and
+        # 5.5e-8 here, and every other test passed.
+        assert abs(theta1_eval(0.3, 3.8e-4j)) < 1e-15
+        value = theta1_eval(0.1 + 0.003j, 0.02j)
+        assert abs(value - theta1_sum_oracle(0.1 + 0.003j, 0.02j, terms=60)) <= 1e-14
 
 
 class TestTheta1OddSeries:
@@ -376,8 +454,10 @@ class TestTauMemo:
         t = 0.3 + 1.1j
         forms = sigmakit.modular._modular_forms
         table = sigmakit.modular._theta1_table
+        terms = sigmakit.modular._theta1_sum
         assert repr(forms(t)) == repr(forms.__wrapped__(t))
         assert repr(table(t, 1)) == repr(table.__wrapped__(t, 1))
+        assert repr(terms(t)) == repr(terms.__wrapped__(t))
 
 
 class TestTermCap:

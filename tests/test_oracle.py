@@ -7,11 +7,11 @@ which share no code or formula with the library's q-series loops and
 theta constants.  Each budget is about five times the largest relative
 error measured on its grid: 2.0e-16 per coefficient at degree 3, 8.6e-15
 at degree 31 (near the corner), 8.5e-14 for theta1_eval at values up to
-1e287, 1.4e-14 for sigma_eval with |Re z|, |Im z| <= 3 and 5.9e-14 for
+1e287, 1.1e-14 for sigma_eval with |Re z|, |Im z| <= 3 and 1.2e-13 for
 sigma_eval where theta1 alone overflows.  On the grid of ``GRID`` (both
 corners, Im tau from 0.97 to 20) the largest measured errors are, for
-theta1_eval and sigma_eval, 4.2e-16 and 5.0e-16 next to 0, 4.6e-16 and
-1.6e-15 next to a nonzero lattice point, and 8.2e-16 and 4.0e-14 on the
+theta1_eval and sigma_eval, 4.2e-16 and 2.8e-16 next to 0, 4.6e-16 and
+9.5e-16 next to a nonzero lattice point, and 8.2e-16 and 2.7e-14 on the
 edge |Im w| = Im(tau)/2 of the reduced cell (sigma's edge error grows with
 |alpha*z^2|, about 160 at Im tau = 20); 1.9e-16 for eta, 8.0e-16 and
 7.9e-16 for g2 and g3 against max(|g2|, (2 pi)^4/12) and
@@ -21,7 +21,9 @@ against max(|j|, 1728), 3.3e-15 for the discriminant, and 1.1e-15 and
 (Im tau from 0.02 to 0.45, near the cusps 0, 1/2, 1/3 and 3), with the
 floors scaled by the weights of the reducing map, they are 2.3e-15 for
 g2, 2.5e-15 for g3, 7.9e-15 for the discriminant, 9.4e-15 for j, and
-3.9e-15 and 5.3e-15 for p and q.
+3.9e-15 and 5.3e-15 for p and q.  theta1_eval measured 6.1e-16 on six and
+seven factors (Im tau from 0.35 to 0.55), and 1.3e-14 on ``OFF_GRID``
+against the largest term of its sum.
 
 ``extend_series`` is checked against a 60-digit run of the same recurrence
 on the same double data (``oracle_extend``), so the test sees the error
@@ -45,7 +47,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import synthesize_reference
+from conftest import OFF_GRID, synthesize_reference
 
 from sigmakit import (
     Classification,
@@ -196,6 +198,38 @@ def test_sigma_eval_near_zeros_and_on_cell_edge(tau, rho):
         assert relative_errors(got, [oracle_sigma(z, r, t) for z in points]) <= budget
 
 
+def cell_points(tau, seed, count=12):
+    """Seeded points of the reduced cell |Re w| <= 1/2, |Im w| <= Im(tau)/2."""
+    rng = np.random.default_rng(seed)
+    v = tau.imag
+    return [complex(rng.uniform(-0.5, 0.5), rng.uniform(-v / 2, v / 2)) for _ in range(count)]
+
+
+# Six factors reach down to Im tau = 0.389 and take Horner's rule; from there
+# on the kernel sums the factors by the sine recurrence.
+@pytest.mark.parametrize("tau", [0.55j, 0.5j, 0.25 + 0.5j, -0.4 + 0.52j, 0.45j, 0.39j,
+                                 0.389j, 0.38j, 0.3 + 0.35j])
+def test_theta1_eval_at_six_and_seven_factors(tau):
+    for points, budget in ((NEAR_ZERO, 2e-15), (cell_edge(tau) + cell_points(tau, 3), 4e-15)):
+        got = [theta1_eval(z, tau) for z in points]
+        assert relative_errors(got, [oracle_theta1(z, tau) for z in points]) <= budget
+
+
+def largest_term(z, tau):
+    """The largest |c_k sin((2k+1) pi z)| of theta1's sum, c_k = 2 (-1)^k q^((k+1/2)^2)."""
+    return max(abs(2 * cmath.exp(1j * math.pi * tau * (k + 0.5) ** 2)
+                   * cmath.sin((2 * k + 1) * math.pi * z)) for k in range(400))
+
+
+@pytest.mark.parametrize("tau", OFF_GRID)
+def test_theta1_eval_below_one_half_against_its_largest_term(tau):
+    # theta1's sum cancels here (at 0.007 + 0.01i the relative error passes 1
+    # on points of the reduced cell; summing at -1/tau is left for later), so
+    # the error is judged against the largest term: 1.3e-14 measured.
+    for z in cell_points(tau, 4) + [0.3, 0.1 + 0.003j]:
+        assert abs(theta1_eval(z, tau) - oracle_theta1(z, tau)) <= 7e-14 * largest_term(z, tau)
+
+
 def oracle_modular(tau):
     """eta, g2, g3, Delta, j, p and q at tau, by routes that share no
     formula with the library's theta constants: the product ``qp`` for eta,
@@ -286,12 +320,6 @@ def test_below_the_normal_doubles_is_numeric_error(call, what, tau):
         call(tau)
     assert str(err.value) == f"{what} underflows at tau={tau}"
     assert err.value.diagnostics == {"tau": [tau.real, tau.imag]}
-
-
-# Below Im tau = 1/2, near the cusps 0, 1/2, 1/3 and 3, where theta3 or
-# theta4 is far smaller than the terms of its sum.
-OFF_GRID = [0.1j, 0.3 + 0.1j, 0.05j, 0.02j, 0.5 + 0.05j, -0.37 + 0.02j, 1 / 3 + 0.03j,
-            2.7 + 0.3j, 0.45 + 0.45j]
 
 
 @pytest.mark.parametrize("tau", OFF_GRID)

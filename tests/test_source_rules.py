@@ -415,3 +415,67 @@ def test_each_record_has_one_trusted_construction():
 ])
 def test_unchecked_record_rule(source, found):
     assert _unchecked_record_sites(ast.parse(source)) == found
+
+
+def _theta1_kernel_sites(tree):
+    """Functions below tree that name cmath's sin or reduce an argument into the
+    cell by round(<... .imag ...>)."""
+    sites = set()
+    for name, node in _named_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "sin"
+                and getattr(node.value, "id", None) == "cmath"
+                or isinstance(node, ast.ImportFrom) and node.module == "cmath"
+                and any(alias.name == "sin" for alias in node.names)
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "round"
+                and any(isinstance(sub, ast.Attribute) and sub.attr == "imag"
+                        for arg in node.args for sub in ast.walk(arg))):
+            sites.add(name)
+    return sites
+
+
+def _theta1_calls(tree):
+    """(caller, callee) for every call below tree of a function named for theta1."""
+    return {(name, callee) for name, _, call in _calls(tree)
+            if "theta1" in (callee := getattr(call.func, "id", None) or "")}
+
+
+def test_theta1_is_summed_in_one_kernel():
+    # cmath.sin and the cell reduction appear in modular._theta1_values alone,
+    # and lattice.py reaches theta1 only through it and the degree-1 memo, so
+    # that a second kernel (such as Horner's rule for sigma alone, with theta1
+    # left on the recurrence) cannot return unseen.
+    sites, lattice_calls = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name in ("modular.py", "lattice.py"):
+            sites |= {f"{path.stem}.{name}" for name in _theta1_kernel_sites(tree)}
+        if path.name == "lattice.py":
+            lattice_calls = _theta1_calls(tree)
+    assert sites == {"modular._theta1_values"}
+    assert lattice_calls == {("Lattice.gauge", "_theta1_sum"), ("_sigma_values", "_theta1_sum"),
+                             ("_sigma_values", "_theta1_values")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(w):\n    return cmath.sin(w)", {"f"}),
+    ("from cmath import sin", {"<module>"}),
+    ("def g(w, v):\n    n = round(w.imag / v)", {"g"}),
+    ("def h(zs, t):\n    sin = cmath.sin\n    return [sin(z) for z in zs]", {"h"}),
+])
+def test_theta1_kernel_rule_catches(source, found):
+    assert _theta1_kernel_sites(ast.parse(source)) == found
+
+
+def test_theta1_kernel_rule_catches_a_second_kernel_call():
+    source = ("def _sigma_values(zs, lat):\n"
+              "    return [theta1_eval(z / lat.rho, lat.tau) for z in zs]")
+    assert _theta1_calls(ast.parse(source)) == {("_sigma_values", "theta1_eval")}
+
+
+@pytest.mark.parametrize("source", [
+    "def f(t):\n    n = round(t.real)",
+    "def f(w):\n    return math.sin(w)",
+    "def f(zs):\n    return cmath.exp(zs)",
+])
+def test_theta1_kernel_rule_allows(source):
+    assert _theta1_kernel_sites(ast.parse(source)) == set()
