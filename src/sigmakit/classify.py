@@ -163,7 +163,7 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
 
     Each member is exp(alpha*z^2 + beta) * sum w*sin(b*z)/b over pairs (w, b^2),
     summed by ``_twisted_sines``: z is (1, 0) and sin(a*z) is (a, a^2); sigma(z) =
-    scale*theta1(z/rho)*exp(kappa*z^2/rho^2), with (kappa, _, scale) the ``gauge`` of
+    scale*theta1(z/rho)*exp(kappa*z^2/rho^2), with (kappa, _, scale, _) the ``gauge`` of
     ``lattice_from_rho_tau(rho, tau)`` and theta1(w) = sum c_k*sin(w_k*w), w_k = (2k+1)*pi,
     is (scale*c_k*b_k, b_k^2) with b_k = w_k/rho, and adds kappa/rho^2 to alpha."""
     if max_degree < 1 or max_degree % 2 == 0:
@@ -171,7 +171,7 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
     alpha, terms = c.alpha, [(c.a, c.a * c.a)] if c.case == "trig" else [(1.0, 0.0)]
     if c.case == "elliptic":
         lat = lattice_from_rho_tau(c.rho, c.tau)
-        kappa, _, scale = lat.gauge
+        kappa, _, scale, _ = lat.gauge
         alpha = _gauge_alpha(kappa, lat.rho) + alpha
         terms = [(scale * ck * (b := (2 * k + 1) * math.pi / lat.rho), b * b)
                  for k, ck in enumerate(_theta1_table(lat.tau.value, max_degree))]

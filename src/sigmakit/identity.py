@@ -133,11 +133,14 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
 
 
 def _arguments(x, y, z, w) -> tuple[complex, ...]:
-    """The twelve arguments of the identity at (x, y, z, w), four per product."""
+    """The twelve arguments of the identity at (x, y, z, w), four per product, each
+    summed left to right as written, sharing the partial sums x +- y +- z."""
+    a, b = x + y, x - y
+    apz, amz, bpz = a + z, a - z, b + z
     return (
         x, y, z, w,
-        (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
-        (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
+        (apz - w) / 2, (amz + w) / 2, (bpz + w) / 2, (-x + y + z + w) / 2,
+        (apz + w) / 2, (amz - w) / 2, (bpz - w) / 2, (b - z + w) / 2,
     )
 
 
@@ -199,8 +202,10 @@ def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
     Row k takes uniforms 8k to 8k+7 of NumPy's ``random.default_rng(seed)``,
     reproduced bit for bit: PCG64 (O'Neill, HMC-CS-2014-0905) is a 128-bit
     LCG with XSL-RR output, seeded from NumPy's SeedSequence, and a uniform
-    is (x >> 11) * 2^-53.  Uniforms 0-3 give the radii box_radius*sqrt(u),
-    uniforms 4-7 the angles 2*pi*u.  A negative count draws nothing, as
+    is (x >> 11) * 2^-53.  Uniforms 0-3 give the radii r = box_radius*sqrt(u),
+    uniforms 4-7 the angles 2*pi*u, and each entry is ``cmath.rect(r, angle)``,
+    which equals NumPy's r*exp(1j*angle) bit for bit unless a part rounds to
+    zero (r = 0 can flip a zero's sign).  A negative count draws nothing, as
     range() would.
     """
     mult = 0x2360ED051FC65DA44385DF649FCCF645
@@ -212,7 +217,7 @@ def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
     spread = (1 << 64) + 1
     ulp = 2.0**-53
     two_pi = 2.0 * math.pi
-    sqrt, exp = math.sqrt, cmath.exp
+    sqrt, rect = math.sqrt, cmath.rect
     state_hi, state_lo, stream_hi, stream_lo = _seed_sequence_state(seed)
     # pcg_setseq_128_srandom: an odd increment from the stream, then one
     # step, the initial state added, and a second step.
@@ -227,10 +232,8 @@ def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
             u.append(((state >> 64 ^ state & mask64) * spread >> (state >> 122) + 11 & mask53)
                      * ulp)
         u0, u1, u2, u3, u4, u5, u6, u7 = u
-        yield [box_radius * sqrt(u0) * exp(1j * (two_pi * u4)),
-               box_radius * sqrt(u1) * exp(1j * (two_pi * u5)),
-               box_radius * sqrt(u2) * exp(1j * (two_pi * u6)),
-               box_radius * sqrt(u3) * exp(1j * (two_pi * u7))]
+        yield [rect(box_radius * sqrt(u0), two_pi * u4), rect(box_radius * sqrt(u1), two_pi * u5),
+               rect(box_radius * sqrt(u2), two_pi * u6), rect(box_radius * sqrt(u3), two_pi * u7)]
 
 
 def _seed_sequence_state(seed: int) -> list[int]:

@@ -23,10 +23,11 @@ which depends on tau alone,
 
     sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
 
-``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau)) once per lattice, on
-first use, from e0 and e1 of theta1's Horner form (``modular._theta1_sum``), and is the
-one place the gauge is formed; ``sigma_eval``, ``sigma_gauge`` and ``classify.synthesize``
-read it, and ``_gauge_alpha`` is the one place alpha is formed.
+``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau), terms) once per lattice,
+on first use, from theta1's Horner form (``modular._theta1_sum``): e0 and e1 give the
+gauge, and the Horner terms are kept for ``sigma_eval``.  It is the one place the gauge
+is formed; ``sigma_eval``, ``sigma_gauge`` and ``classify.synthesize`` read it, and
+``_gauge_alpha`` is the one place alpha is formed.
 ``sigma_eval`` needs no alpha, which overflows for |rho| below about
 1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
 exp, so sigma is found wherever it fits in a double even when theta1 or
@@ -155,14 +156,15 @@ class Lattice(namedtuple("Lattice",
     """
 
     @_kept
-    def gauge(self) -> tuple[complex, complex, complex]:
-        """(kappa, beta, rho/theta1'(0, tau)) from ``sigma_gauge_from_head``, kept
-        for the life of the lattice, with theta1'(0) = pi*e0 and theta1'''(0)/6 =
-        pi^3*(e1 - e0/6) from ``modular._theta1_sum``, so kappa = pi^2/6 - pi^2*e1/e0,
-        whose rounding the constant pi^2/6 bounds (e0 = 0 only where th1 underflows)."""
-        _, e0, e1 = _theta1_sum(self.tau.value)
+    def gauge(self) -> tuple[complex, complex, complex, tuple[complex, ...]]:
+        """(kappa, beta, rho/theta1'(0, tau), terms), kept for the life of the lattice:
+        the first three from ``sigma_gauge_from_head``, with theta1'(0) = pi*e0 and
+        theta1'''(0)/6 = pi^3*(e1 - e0/6) from ``modular._theta1_sum``, so kappa =
+        pi^2/6 - pi^2*e1/e0, whose rounding the constant pi^2/6 bounds (e0 = 0 only where
+        th1 underflows); terms are that sum's Horner terms, which ``sigma_eval`` reads."""
+        terms, e0, e1 = _theta1_sum(self.tau.value)
         kappa = _PI_SQUARED / 6.0 - _PI_SQUARED * e1 / e0 if e0 else 0.0
-        return sigma_gauge_from_head(math.pi * e0, kappa, self.rho)
+        return sigma_gauge_from_head(math.pi * e0, kappa, self.rho) + (terms,)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -332,16 +334,16 @@ def _gauge_alpha(kappa: complex, rho: complex) -> complex:
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
     """The (alpha, beta) pair of the gauge, from ``lat.gauge``."""
-    kappa, beta, _ = lat.gauge
+    kappa, beta, _, _ = lat.gauge
     return _gauge_alpha(kappa, lat.rho), beta
 
 
 def sigma_eval(z: complex, lat: Lattice) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    theta1 is summed on ``modular._theta1_sum`` at tau, by Horner's rule on the
-    five factors at most of a reduced tau (``TERM_CAP`` = 200 bounds a hand-built
-    one), and the gauge is ``lat.gauge``.  The quasi-periodic
+    theta1 is summed on the terms that ``lat.gauge`` keeps with the gauge, by
+    Horner's rule on the five factors at most of a reduced tau (``TERM_CAP`` = 200
+    bounds a hand-built one).  The quasi-periodic
     exponent of theta1 is added to alpha*z^2, formed as kappa*(z/rho)^2,
     before one exp, since the two nearly cancel, so only a value outside the
     double range raises NumericError.
@@ -351,13 +353,15 @@ def sigma_eval(z: complex, lat: Lattice) -> complex:
 
 def _sigma_values(zs, lat: Lattice) -> list[complex]:
     """``sigma_eval`` at each of zs; the first failing z picks the error."""
-    kappa, _, scale = lat.gauge
-    t = lat.tau.value
-    values = _theta1_values(zs, t, _theta1_sum(t)[0], lat.rho, kappa, scale)
-    if not all(map(cmath.isfinite, values)):
-        z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
-        if not cmath.isfinite(z):
-            raise DomainError("z must be finite")
-        raise NumericError(f"sigma at z={z} is outside the double range",
-                           diagnostics={"z": complex(z), "rho": lat.rho, "tau": lat.tau.value})
+    kappa, _, scale, terms = lat.gauge
+    values = _theta1_values(zs, lat.tau.value, terms, lat.rho, kappa, scale)
+    # A finite sum has finite terms; an overflowing one sends the scan to find none.
+    if not cmath.isfinite(sum(values)):
+        for z, v in zip(zs, values):
+            if cmath.isfinite(v):
+                continue
+            if not cmath.isfinite(z):
+                raise DomainError("z must be finite")
+            raise NumericError(f"sigma at z={z} is outside the double range",
+                               diagnostics={"z": complex(z), "rho": lat.rho, "tau": lat.tau.value})
     return values

@@ -23,15 +23,15 @@ take Re tau modulo 8, under which theta1's factors and the theta constants
 are invariant, and ``dedekind_eta`` takes it modulo 24, its own period, so a
 large Re tau keeps its phase.
 
-These tau-only results are memoized: theta1's degree-1 sum, its factor table
-per degree, the forms (g2, g3, eta^3) and the term count each sit in a
-``functools.lru_cache`` of ``_MEMO_SIZE`` entries, keyed by the tau value that
-``as_tau`` returns (Im tau for the term count) and the degree where there is
-one.  So ``sigma_eval``, its gauge, ``theta1_eval``, ``j_invariant``,
-``weierstrass_g``, ``modular_discriminant`` and ``modular_pq`` at one tau
-share one theta1 sum and one theta-constant pass, and each memo holds at most
-the last ``_MEMO_SIZE`` points.  A failure is not memoized: every call at
-a tau whose term count passes the cap raises its own ConvergenceError.
+These tau-only results are memoized: theta1's degree-1 sum, the forms
+(g2, g3, eta^3) and the term count each sit in a ``functools.lru_cache`` of
+``_MEMO_SIZE`` entries, keyed by the tau value that ``as_tau`` returns (Im tau
+and the degree for the term count).  So ``theta1_eval``, the sigma gauge (a
+lattice keeps the sum), ``j_invariant``, ``weierstrass_g``, ``modular_discriminant``
+and ``modular_pq`` at one tau share one theta1 sum and one theta-constant pass.
+theta1's factor tables are not memoized; their callers seldom repeat a tau.  A
+failure is not memoized: every call at a tau whose term count passes the cap
+raises its own ConvergenceError.
 
 Only ``dedekind_eta`` keeps a stopping rule of its own: its product runs
 until |q^n| drops below ``TERM_TOL``.  Every sum and product has one fixed
@@ -199,7 +199,6 @@ def _shift_real(t: complex, period: float) -> complex:
     return complex(x + 0.0, t.imag)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _theta1_table(t: complex, degree: int) -> tuple[complex, ...]:
     """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
 
@@ -223,11 +222,11 @@ def _theta1_table(t: complex, degree: int) -> tuple[complex, ...]:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _theta1_sum(t: complex) -> tuple[tuple[complex, ...], complex, complex]:
     """(terms, e0, e1): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, with
-    e_j = sum_k c_k*[u^j]S_k over theta1's degree-1 factors c_k, built here, not memoized
-    twice.  terms are the e_j, highest first, on at most ``_HORNER_FACTORS`` factors, and
-    else the c_k, where the e_j cancel (``_theta1_values`` tells them apart by length).
+    e_j = sum_k c_k*[u^j]S_k over theta1's degree-1 factors c_k.  terms are the e_j, highest
+    first, on at most ``_HORNER_FACTORS`` factors, and else the c_k, where the e_j cancel
+    (``_theta1_values`` tells them apart by length).
     theta1'(0) = pi*e0 and theta1'''(0)/6 = pi^3*(e1 - e0/6) at any length."""
-    table = _theta1_table.__wrapped__(t, 1)
+    table = _theta1_table(t, 1)
     n = len(table)
     e = [0j] * _HORNER_FACTORS
     for k, j, p in reversed(_SINE_TERMS[:_SINE_ENDS[n]]):
@@ -324,11 +323,12 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
         try:
             w = z / rho
             exponent = kappa * w * w
-            n = round(w.imag / v)
+            # round gives 0 on [-1/2, 1/2], ties included; NaN and inf still reach it.
+            n = 0 if -0.5 <= w.imag / v <= 0.5 else round(w.imag / v)
             if n:
                 nt = n * t
                 w -= nt
-            m = round(w.real)
+            m = 0 if -0.5 <= w.real <= 0.5 else round(w.real)
             if m:
                 w -= m
             if n:

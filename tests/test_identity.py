@@ -27,7 +27,7 @@ from sigmakit import (
     synthesize,
     theta1_odd_series,
 )
-from sigmakit.identity import _CHUNK, _draw_quadruples
+from sigmakit.identity import _CHUNK, _arguments, _draw_quadruples
 
 SINE = TruncatedOddSeries([1, -1 / 6, 1 / 120, -1 / 5040])
 CUBIC = TruncatedOddSeries([1, 1, 0, 0, 0])  # z + z^3, embedded through degree 9
@@ -228,6 +228,20 @@ SURVEY_COUNTS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
 class TestBatchedSurvey:
     # The survey evaluates each chunk of quadruples in one batch; every
     # value must equal the quadruple-by-quadruple loop's, bit for bit.
+    def test_arguments_are_those_written_bit_for_bit(self):
+        # _arguments shares the partial sums x +- y +- z, each added left to
+        # right as written, so every argument keeps its repr: the signs of
+        # zeros, inf and NaN included.
+        parts = [0.0, -0.0, 0.1, -0.3, 1.0, -2.5, 1e-320, 3e307, -1.7e308,
+                 math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(8)
+        rows = [[complex(*rng.choice(parts, 2)) for _ in range(4)] for _ in range(3000)]
+        rows += list(_draw_quadruples(300, 8, 2.0))
+        for row in rows:
+            written = []
+            four_point_sum(lambda v: written.append(v) or 1.0, *row)
+            assert repr(_arguments(*row)) == repr(tuple(written))
+
     @pytest.mark.parametrize("tau", [CORNER_TAU + 0.004j, 0.21 + 1.3j, -0.37 + 2.6j,
                                      cmath.exp(1.8j)], ids=["corner", "generic", "high", "arc"])
     @pytest.mark.parametrize("reach", [0.6, 1.4, 2.5])

@@ -41,6 +41,7 @@ from sigmakit import (
     theta1_eval,
     weierstrass_g,
 )
+from sigmakit.identity import _arguments, _draw_quadruples
 
 CORNER = 0.5 + 1j * math.sqrt(3) / 2
 
@@ -361,6 +362,20 @@ def hex_bits(z):
     return z.real.hex(), z.imag.hex()
 
 
+def survey_lattices(seed):
+    """(lattice, box radius) shaped like a sigma survey's: tau generic, high, near
+    the corner and on the unit-circle arc, box radius 1 to 5 and |rho| = box over
+    a factor in [0.5, 2.5]."""
+    rng = np.random.default_rng(seed)
+    taus = (lambda: complex(rng.uniform(-0.45, 0.45), rng.uniform(1.0, 1.6)),
+            lambda: complex(rng.uniform(-0.5, 0.49), rng.uniform(2.0, 3.0)),
+            lambda: CORNER - 1 + cmath.rect(rng.uniform(0, 0.01), rng.uniform(0.6, 1.5)),
+            lambda: cmath.exp(1j * rng.uniform(math.pi / 2, 2 * math.pi / 3)))
+    return [(lattice_from_rho_tau(cmath.rect(box / rng.uniform(0.5, 2.5),
+                                             rng.uniform(-math.pi, math.pi)), tau()), box)
+            for tau in taus for box in (1, 2, 3, 4, 5)]
+
+
 def exact_apply(m, tau):
     """m.apply(tau) in exact rational arithmetic, rounded once."""
     x, y = Fraction(tau.real), Fraction(tau.imag)
@@ -454,7 +469,8 @@ class TestHandBuiltLatticeGauge:
         lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
         table = sigmakit.modular._theta1_table(tau, 1)
         assert len(table) == factors
-        kappa, beta, scale = lat.gauge
+        kappa, beta, scale, terms = lat.gauge
+        assert terms is sigmakit.modular._theta1_sum(tau)[0]
         old_kappa, _, old_scale = gauge_reference(lat)
         w = [(2 * k + 1) * math.pi for k in range(factors)]
         th1, old_th1 = rho / scale, rho / old_scale
@@ -658,9 +674,9 @@ class TestSigmaEval:
 
     def test_gauge_computed_once_per_lattice(self, monkeypatch):
         # The gauge is built once per lattice, from e0 and e1 of the one
-        # degree-1 memo that theta1's sums read: one miss per tau, no use of
-        # the factor table's own memo and no coefficient series.
-        calls = {"sigma_gauge_from_head": 0, "theta1_odd_series": 0}
+        # degree-1 memo that theta1's sums read: one miss per tau, one factor
+        # table and no coefficient series.
+        calls = {"sigma_gauge_from_head": 0, "theta1_odd_series": 0, "_theta1_table": 0}
         for name in calls:
             home = sigmakit.lattice if name == "sigma_gauge_from_head" else sigmakit.modular
             original = getattr(home, name)
@@ -672,7 +688,7 @@ class TestSigmaEval:
             for module in (sigmakit.modular, sigmakit.lattice):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        memo, table = sigmakit.modular._theta1_sum, sigmakit.modular._theta1_table
+        memo = sigmakit.modular._theta1_sum
         for lat in (lattice_from_rho_tau(1, 1j), normalize_lattice(1.2, 0.3 + 1.1j)):
             clear_memos()
             calls.update(dict.fromkeys(calls, 0))
@@ -681,26 +697,29 @@ class TestSigmaEval:
             for z in (0.4 + 0.1j, -1.3 + 0.7j):
                 sigma_eval(z, lat)
             sigma_gauge(lat)
-            assert calls == {"sigma_gauge_from_head": 1, "theta1_odd_series": 0}
+            assert calls == {"sigma_gauge_from_head": 1, "theta1_odd_series": 0,
+                             "_theta1_table": 1}
             assert memo.cache_info().misses == 1
-            assert table.cache_info()[:2] == (0, 0)
 
     def test_one_table_and_one_theta_constant_pass_per_tau(self, monkeypatch):
         # point_eval's calls at one tau share theta1's degree-1 memo (terms,
-        # e0 and e1), the theta-constant pass and the term count.
+        # e0 and e1), built on one factor table, the theta-constant pass and
+        # the term count.
         modular = sigmakit.modular
-        passes = []
-        original = modular._theta_constants
+        passes, tables = [], []
+        for name, seen in (("_theta_constants", passes), ("_theta1_table", tables)):
+            original = getattr(modular, name)
 
-        def counted(t):
-            passes.append(t)
-            return original(t)
+            def counted(*args, _seen=seen, _original=original):
+                _seen.append(args[0])
+                return _original(*args)
 
-        monkeypatch.setattr(modular, "_theta_constants", counted)
+            monkeypatch.setattr(modular, name, counted)
         memos = (modular._theta1_sum, modular._modular_forms, modular._term_count)
         for w1, w2 in ((1.2, 0.3 + 1.1j), (0.7 + 0.2j, -1.1 + 0.9j), (1, CORNER)):
             clear_memos()
             passes.clear()
+            tables.clear()
             lat = normalize_lattice(w1, w2)
             tau = lat.tau
             sigma_eval(0.4 + 0.1j, lat)
@@ -710,9 +729,8 @@ class TestSigmaEval:
             weierstrass_g(tau)
             modular_discriminant(tau)
             modular_pq(tau)
-            assert passes == [tau.value]
+            assert passes == tables == [tau.value]
             assert [memo.cache_info().misses for memo in memos] == [1, 1, 1]
-            assert modular._theta1_table.cache_info()[:2] == (0, 0)
 
     def test_a_reduced_table_has_at_most_five_factors(self):
         # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
@@ -727,6 +745,41 @@ class TestSigmaEval:
         with pytest.raises(NumericError) as err:
             sigma_eval(40j, lat)
         assert err.value.diagnostics["tau"] == [0.0, 1.0]
+
+    def test_a_batch_whose_sum_overflows_returns_its_values(self):
+        # Each value is about 5.4e307, finite; their sum is not, and the scan
+        # that the non-finite sum starts finds no failing point.
+        lat = lattice_from_rho_tau(1, 1j)
+        zs = [21.25 + 0.5j, 21.25 + 0.5001j, 21.25 + 0.5j, 21.2501 + 0.5j]
+        values = sigmakit.lattice._sigma_values(zs, lat)
+        assert not cmath.isfinite(sum(values))
+        assert all(map(cmath.isfinite, values))
+        assert [hex_bits(v) for v in values] == [hex_bits(sigma_eval(z, lat)) for z in zs]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_survey_shaped_lattices_keep_their_bits(self, seed):
+        # A survey's twelve arguments per quadruple, on lattices of its four
+        # tau classes and box radii 1 to 5, against the reference kernel that
+        # rounds at every point, summed on the terms the gauge keeps.
+        for lat, box in survey_lattices(seed):
+            kappa, _, scale, terms = lat.gauge
+            zs = [z for row in _draw_quadruples(16, seed, box) for z in _arguments(*row)]
+            want = theta1_values_reference(zs, lat.tau.value, terms, lat.rho, kappa, scale,
+                                           horner=True)
+            assert ([hex_bits(v) for v in sigmakit.lattice._sigma_values(zs, lat)]
+                    == [hex_bits(v) for v in want])
+
+    def test_a_survey_builds_theta1s_sum_once_per_lattice(self):
+        # More lattices than the tau memo holds, surveyed in cycling rounds:
+        # each keeps theta1's Horner terms with its gauge, so the memo is
+        # missed once per lattice in all.
+        lattices = [lattice_from_rho_tau(1 + 0.1j * k, complex(0.02 * k - 0.4, 1.1 + 0.03 * k))
+                    for k in range(2 * sigmakit.modular._MEMO_SIZE + 1)]
+        for _ in range(3):
+            for lat in lattices:
+                identity_report(OddFunctionHandle.from_sigma(lat), num_samples=4, seed=2,
+                                box_radius=1.5)
+        assert sigmakit.modular._theta1_sum.cache_info().misses == len(lattices)
 
     @pytest.mark.parametrize("rho", [1e-300, 1e-170, 1e200, 1e200j])
     def test_gauge_with_rho_squared_beyond_double_range_is_numeric_error(self, rho):

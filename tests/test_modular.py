@@ -11,6 +11,7 @@ from conftest import (
     theta1_sum_oracle,
     theta1_values_reference,
 )
+import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
     ConvergenceError,
@@ -226,6 +227,56 @@ class TestHornerForm:
         assert abs(theta1_eval(0.3, 3.8e-4j)) < 1e-15
         value = theta1_eval(0.1 + 0.003j, 0.02j)
         assert abs(value - theta1_sum_oracle(0.1 + 0.003j, 0.02j, terms=60)) <= 1e-14
+
+
+def _around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+class TestCellReduction:
+    # The kernel calls round() only for points outside the cell, since round
+    # gives 0 on [-1/2, 1/2], ties included.  The reference calls it at every
+    # point, and every value keeps its bits, the signs of zeros included.
+    @pytest.mark.parametrize("tau", [0.1 + 1j, -0.25 + 2j, CORNER, 0.3j])
+    def test_ties_and_their_neighbours_keep_their_bits(self, tau):
+        # Im w / Im tau on and next to +-1/2 and +-3/2, and Re w, after the
+        # shift by n*tau, on and next to +-1/2, +-3/2 and +-5/2: exactly so
+        # where n = 0 or where tau is dyadic.
+        t = TauPoint(tau).value
+        res = [x for e in (0.5, 1.5, 2.5) for x in _around(e) + _around(-e)] + [0.0, 0.2]
+        ims = [y for e in (0.5, 1.5) for y in _around(e) + _around(-e)] + [0.0, 0.1]
+        zs = [complex(x + round(y) * t.real, y * t.imag) for x in res for y in ims]
+        assert {z.imag / t.imag for z in zs} >= {0.5, -0.5}
+        assert {z.real for z in zs} >= {0.5, -0.5, 1.5, -1.5, 2.5, -2.5}
+        # The degree-1 sum (Horner terms, or at 0.3i the factors), and a longer
+        # table, which the kernel sums by the sine recurrence.
+        terms = sigmakit.modular._theta1_sum(t)[0]
+        table = sigmakit.modular._theta1_table(t, 201)
+        assert len(table) > 6
+        for args in ((terms,), (table,), (terms, 0.8 - 0.6j, 0.3 + 0.1j, 1.7j)):
+            got = sigmakit.modular._theta1_values(zs, t, *args)
+            want = theta1_values_reference(zs, t, *args, horner=len(args[0]) <= 6)
+            assert list(map(float.hex, _parts(got))) == list(map(float.hex, _parts(want)))
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.1), complex(0.1, math.nan),
+                                   complex(math.inf, 0.1), complex(0.1, -math.inf),
+                                   complex(-math.inf, math.inf)])
+    def test_a_non_finite_z_still_reaches_round(self, z):
+        t = 0.1 + 1j
+        terms = sigmakit.modular._theta1_sum(t)[0]
+        got = sigmakit.modular._theta1_values([0.3, z], t, terms)
+        want = theta1_values_reference([0.3, z], t, terms, horner=True)
+        assert list(map(float.hex, _parts(got))) == list(map(float.hex, _parts(want)))
+        assert not cmath.isfinite(got[1])
+        lat = lattice_from_rho_tau(1, t)
+        for call in (lambda: theta1_eval(z, t), lambda: sigma_eval(z, lat),
+                     lambda: sigmakit.lattice._sigma_values([0.3, z, 40j], lat)):
+            with pytest.raises(DomainError, match="z must be finite"):
+                call()
+
+
+def _parts(values):
+    return [x for v in values for x in (v.real, v.imag)]
 
 
 class TestTheta1OddSeries:
@@ -453,10 +504,8 @@ class TestTauMemo:
     def test_memo_matches_a_fresh_pass(self):
         t = 0.3 + 1.1j
         forms = sigmakit.modular._modular_forms
-        table = sigmakit.modular._theta1_table
         terms = sigmakit.modular._theta1_sum
         assert repr(forms(t)) == repr(forms.__wrapped__(t))
-        assert repr(table(t, 1)) == repr(table.__wrapped__(t, 1))
         assert repr(terms(t)) == repr(terms.__wrapped__(t))
 
 

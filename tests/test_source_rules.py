@@ -441,9 +441,9 @@ def _theta1_calls(tree):
 
 def test_theta1_is_summed_in_one_kernel():
     # cmath.sin and the cell reduction appear in modular._theta1_values alone,
-    # and lattice.py reaches theta1 only through it and the degree-1 memo, so
-    # that a second kernel (such as Horner's rule for sigma alone, with theta1
-    # left on the recurrence) cannot return unseen.
+    # and lattice.py reaches theta1 only through it and, in the gauge alone,
+    # the degree-1 memo, so that a second kernel (such as Horner's rule for
+    # sigma alone, with theta1 left on the recurrence) cannot return unseen.
     sites, lattice_calls = set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -452,8 +452,7 @@ def test_theta1_is_summed_in_one_kernel():
         if path.name == "lattice.py":
             lattice_calls = _theta1_calls(tree)
     assert sites == {"modular._theta1_values"}
-    assert lattice_calls == {("Lattice.gauge", "_theta1_sum"), ("_sigma_values", "_theta1_sum"),
-                             ("_sigma_values", "_theta1_values")}
+    assert lattice_calls == {("Lattice.gauge", "_theta1_sum"), ("_sigma_values", "_theta1_values")}
 
 
 @pytest.mark.parametrize("source, found", [
