@@ -133,14 +133,11 @@ def identity_residual(f: OddFunctionHandle, pt: QuadruplePoint) -> IdentityResid
 
 
 def _arguments(x, y, z, w) -> tuple[complex, ...]:
-    """The twelve arguments of the identity at (x, y, z, w), four per product, each
-    summed left to right as written, sharing the partial sums x +- y +- z."""
-    a, b = x + y, x - y
-    apz, amz, bpz = a + z, a - z, b + z
+    """The twelve arguments of the identity at (x, y, z, w), four per product."""
     return (
         x, y, z, w,
-        (apz - w) / 2, (amz + w) / 2, (bpz + w) / 2, (-x + y + z + w) / 2,
-        (apz + w) / 2, (amz - w) / 2, (bpz - w) / 2, (b - z + w) / 2,
+        (x + y + z - w) / 2, (x + y - z + w) / 2, (x - y + z + w) / 2, (-x + y + z + w) / 2,
+        (x + y + z + w) / 2, (x + y - z - w) / 2, (x - y + z - w) / 2, (x - y - z + w) / 2,
     )
 
 
@@ -204,9 +201,11 @@ def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
     LCG with XSL-RR output, seeded from NumPy's SeedSequence, and a uniform
     is (x >> 11) * 2^-53.  Uniforms 0-3 give the radii r = box_radius*sqrt(u),
     uniforms 4-7 the angles 2*pi*u, and each entry is ``cmath.rect(r, angle)``,
-    which equals NumPy's r*exp(1j*angle) bit for bit unless a part rounds to
-    zero (r = 0 can flip a zero's sign).  A negative count draws nothing, as
-    range() would.
+    which equals NumPy's r*exp(1j*angle) bit for bit but in two cases: a part
+    that is zero (r = 0, from box_radius = 0 or a uniform of 0, or a product
+    that underflows) may take the other sign, and an infinite or NaN r gives
+    rect's parts, such as (inf, 0) at angle 0, where the product has a NaN.
+    A negative count draws nothing, as range() would.
     """
     mult = 0x2360ED051FC65DA44385DF649FCCF645
     mask128 = (1 << 128) - 1

@@ -355,13 +355,10 @@ def _sigma_values(zs, lat: Lattice) -> list[complex]:
     """``sigma_eval`` at each of zs; the first failing z picks the error."""
     kappa, _, scale, terms = lat.gauge
     values = _theta1_values(zs, lat.tau.value, terms, lat.rho, kappa, scale)
-    # A finite sum has finite terms; an overflowing one sends the scan to find none.
-    if not cmath.isfinite(sum(values)):
-        for z, v in zip(zs, values):
-            if cmath.isfinite(v):
-                continue
-            if not cmath.isfinite(z):
-                raise DomainError("z must be finite")
-            raise NumericError(f"sigma at z={z} is outside the double range",
-                               diagnostics={"z": complex(z), "rho": lat.rho, "tau": lat.tau.value})
+    if not all(map(cmath.isfinite, values)):
+        z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
+        if not cmath.isfinite(z):
+            raise DomainError("z must be finite")
+        raise NumericError(f"sigma at z={z} is outside the double range",
+                           diagnostics={"z": complex(z), "rho": lat.rho, "tau": lat.tau.value})
     return values

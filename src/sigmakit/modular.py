@@ -323,12 +323,11 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
         try:
             w = z / rho
             exponent = kappa * w * w
-            # round gives 0 on [-1/2, 1/2], ties included; NaN and inf still reach it.
-            n = 0 if -0.5 <= w.imag / v <= 0.5 else round(w.imag / v)
+            n = round(w.imag / v)
             if n:
                 nt = n * t
                 w -= nt
-            m = 0 if -0.5 <= w.real <= 0.5 else round(w.real)
+            m = round(w.real)
             if m:
                 w -= m
             if n:

@@ -141,8 +141,7 @@ def theta1_values_reference(zs, t, table, rho=1.0, kappa=0.0, scale=1.0, horner=
     the two before by sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x),
     s = sin(pi*w), for every table length.  With ``horner``, ``table`` holds the
     Horner terms of ``modular._theta1_sum`` instead, summed as the kernel sums
-    them.  Either way the cell reduction calls round() at every point, as the
-    kernel did before it skipped the call for points already in the cell.
+    them.  Either way the cell reduction calls round() at every point.
     """
     v = t.imag
     lead, rest = table[0], table[1:]

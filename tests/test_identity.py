@@ -229,9 +229,9 @@ class TestBatchedSurvey:
     # The survey evaluates each chunk of quadruples in one batch; every
     # value must equal the quadruple-by-quadruple loop's, bit for bit.
     def test_arguments_are_those_written_bit_for_bit(self):
-        # _arguments shares the partial sums x +- y +- z, each added left to
-        # right as written, so every argument keeps its repr: the signs of
-        # zeros, inf and NaN included.
+        # The batched survey's arguments are those four_point_sum writes, by
+        # repr, so a rewrite that shares partial sums must keep the signs of
+        # zeros, inf and NaN.
         parts = [0.0, -0.0, 0.1, -0.3, 1.0, -2.5, 1e-320, 3e307, -1.7e308,
                  math.inf, -math.inf, math.nan]
         rng = np.random.default_rng(8)
@@ -531,6 +531,31 @@ class TestSampling:
         for n in SAMPLE_COUNTS:
             for box in (0.3, 1.0, 8.0):
                 assert repr(list(_draw_quadruples(n, seed, box))) == repr(numpy_draw(n, seed, box))
+
+    @pytest.mark.parametrize("box", [0.0, -0.0])
+    def test_a_zero_box_draws_zeros_and_a_zero_report(self, box):
+        # Each entry is cmath.rect(r, angle), whose zero parts may take the
+        # other sign than NumPy's r*exp(1j*angle); == does not tell them
+        # apart, and a report, which takes magnitudes, does not change.
+        rows = list(_draw_quadruples(50, 4, box))
+        assert rows == numpy_draw(50, 4, box)
+        assert not any(v for row in rows for v in row)
+        for f in (OddFunctionHandle.sine(),
+                  OddFunctionHandle.from_sigma(lattice_from_rho_tau(1, 1j))):
+            report = identity_report(f, num_samples=50, seed=4, box_radius=box)
+            assert (report["max_abs_residual"], report["scale"],
+                    report["max_residual_over_scale"]) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("box", [math.inf, math.nan])
+    def test_a_non_finite_box_draws_no_finite_entry(self, box):
+        # rect's parts can differ from the product's there, as (inf, 0) from
+        # (inf, nan) at angle 0, but no entry is finite and a survey raises.
+        assert not any(cmath.isfinite(v) for row in _draw_quadruples(50, 4, box) for v in row)
+        with pytest.raises(NumericError):
+            identity_report(OddFunctionHandle.sine(), num_samples=20, seed=4, box_radius=box)
+        with pytest.raises(DomainError, match="z must be finite"):
+            identity_report(OddFunctionHandle.from_sigma(lattice_from_rho_tau(1, 1j)),
+                            num_samples=20, seed=4, box_radius=box)
 
     def test_negative_count_draws_nothing(self):
         assert sample_quadruples(-3, seed=5) == []

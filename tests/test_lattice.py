@@ -747,8 +747,8 @@ class TestSigmaEval:
         assert err.value.diagnostics["tau"] == [0.0, 1.0]
 
     def test_a_batch_whose_sum_overflows_returns_its_values(self):
-        # Each value is about 5.4e307, finite; their sum is not, and the scan
-        # that the non-finite sum starts finds no failing point.
+        # Each value is about 5.4e307, finite, though their sum is not: the
+        # finiteness check looks at each value, not at a total.
         lat = lattice_from_rho_tau(1, 1j)
         zs = [21.25 + 0.5j, 21.25 + 0.5001j, 21.25 + 0.5j, 21.2501 + 0.5j]
         values = sigmakit.lattice._sigma_values(zs, lat)

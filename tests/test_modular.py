@@ -234,9 +234,9 @@ def _around(x):
 
 
 class TestCellReduction:
-    # The kernel calls round() only for points outside the cell, since round
-    # gives 0 on [-1/2, 1/2], ties included.  The reference calls it at every
-    # point, and every value keeps its bits, the signs of zeros included.
+    # The cell reduction at its ties, where a rewrite of its round() calls
+    # (such as skipping them for points already in the cell) can change bits:
+    # every value equals the reference's, the signs of zeros included.
     @pytest.mark.parametrize("tau", [0.1 + 1j, -0.25 + 2j, CORNER, 0.3j])
     def test_ties_and_their_neighbours_keep_their_bits(self, tau):
         # Im w / Im tau on and next to +-1/2 and +-3/2, and Re w, after the
