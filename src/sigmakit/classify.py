@@ -174,7 +174,7 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
         kappa, _, scale, _ = lat.gauge
         alpha = _gauge_alpha(kappa, lat.rho) + alpha
         terms = [(scale * ck * (b := (2 * k + 1) * math.pi / lat.rho), b * b)
-                 for k, ck in enumerate(_theta1_table(lat.tau.value, max_degree))]
+                 for k, ck in enumerate(_theta1_table(lat.tau, max_degree))]
     return _twisted_sines(terms, alpha, c.beta, (max_degree + 1) // 2)
 
 

@@ -36,7 +36,6 @@ from collections import namedtuple
 from itertools import islice
 
 from .errors import DomainError, NotInOmegaError, NumericError, SigmaKitError, json_ready
-from .series import TruncatedOddSeries, _computed, duplication_rhs, scale_argument
 
 # Default points at which handle oddness is spot-checked.
 _ODDNESS_PROBES = (0.37, 0.11 + 0.23j, -0.52 + 0.08j)
@@ -188,9 +187,15 @@ def _residuals(f: OddFunctionHandle, rows) -> list[tuple[complex, float]]:
 def sample_quadruples(num_samples: int, seed: int, box_radius: float = 1.0):
     """Deterministic quadruples with all four entries in |.| <= box_radius.
 
-    ``seed`` is an integer >= 0; anything else raises DomainError.
+    ``seed`` is an integer >= 0 and ``box_radius`` finite and >= 0, else DomainError.
     """
+    _check_box(box_radius)
     return [QuadruplePoint(*row) for row in _draw_quadruples(num_samples, seed, box_radius)]
+
+
+def _check_box(box_radius: float) -> None:
+    if not 0.0 <= box_radius < math.inf:
+        raise DomainError(f"box_radius must be finite and >= 0, got {box_radius!r}")
 
 
 def _draw_quadruples(num_samples: int, seed: int, box_radius: float):
@@ -295,8 +300,9 @@ def identity_report(f: OddFunctionHandle, *, num_samples: int = 100, seed: int =
     scale at which it occurred, and the worst residual-to-scale ratio.
     The quadruples are drawn and evaluated ``_CHUNK`` at a time, one batch
     per chunk, so memory stays flat in num_samples; every value and error
-    is that of ``identity_residual`` on each quadruple in turn.
+    is that of ``sample_quadruples`` and ``identity_residual`` on each quadruple in turn.
     """
+    _check_box(box_radius)
     worst = 0.0
     worst_scale = 0.0
     worst_ratio = 0.0
@@ -330,6 +336,7 @@ def duplication_residual(s: TruncatedOddSeries) -> TruncatedOddSeries:
         raise NotInOmegaError("leading odd coefficient vanishes")
     if s.max_degree < 3:
         raise DomainError("duplication residual needs max_degree >= 3")
+    from .series import _computed, duplication_rhs, scale_argument
     a1 = s.leading
     doubled = scale_argument(s, 2.0)
     rhs = duplication_rhs(s)
@@ -365,6 +372,7 @@ def extend_series(s: TruncatedOddSeries, target_degree: int) -> TruncatedOddSeri
         raise DomainError("extension needs data through degree 7")
     if target_degree % 2 == 0 or target_degree <= s.max_degree:
         raise DomainError("target_degree must be odd and exceed max_degree")
+    from .series import _computed
     # ldexp, since 1/a1 overflows for a subnormal a1.
     shift = -math.frexp(abs(s.leading))[1]
     coeffs = _ldexp_all(s.odd_coefficients, shift, "the data scaled by 1/a1")

@@ -24,10 +24,10 @@ which depends on tau alone,
     sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
 
 ``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau), terms) once per lattice,
-on first use, from theta1's Horner form (``modular._theta1_sum``): e0 and e1 give the
-gauge, and the Horner terms are kept for ``sigma_eval``.  It is the one place the gauge
-is formed; ``sigma_eval``, ``sigma_gauge`` and ``classify.synthesize`` read it, and
-``_gauge_alpha`` is the one place alpha is formed.
+on first use, from theta1's Horner form in its tau's record (``TauPoint._theta1``): e0 and
+e1 give the gauge, and the Horner terms are kept for ``sigma_eval``.  It is the one place the
+gauge is formed and the only reader of theta1's sum here; ``sigma_eval``, ``sigma_gauge`` and
+``classify.synthesize`` read the gauge, and ``_gauge_alpha`` is the one place alpha is formed.
 ``sigma_eval`` needs no alpha, which overflows for |rho| below about
 1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
 exp, so sigma is found wherever it fits in a double even when theta1 or
@@ -46,7 +46,7 @@ import math
 from collections import namedtuple
 
 from .errors import J_TOLERANCE, ConvergenceError, DomainError, NumericError
-from .modular import TauPoint, _tau_point, _theta1_sum, _theta1_values, as_tau, j_invariant
+from .modular import TauPoint, _kept, _tau_point, _theta1_values, as_tau, j_invariant
 
 # Boundary tolerance for fundamental-domain tie-breaking.
 _EDGE = 1e-15
@@ -124,26 +124,6 @@ def _reduce(t: complex) -> tuple[TauPoint, UnimodularMap]:
     return _tau_point(t), tuple.__new__(UnimodularMap, (a, b, c, d))
 
 
-class _kept:
-    """A value computed from the instance on first access and kept in its dict.
-
-    A non-data descriptor: the instance dict entry it writes answers every
-    later access without calling it.  Unlike ``functools.cached_property``
-    on Python 3.11, it takes no lock, so two threads may both compute the
-    value on a first access; they store the same value.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.func.__name__] = self.func(obj)
-        return value
-
-
 class Lattice(namedtuple("Lattice",
                          "omega1 omega2 rho tau reduction orientation_flipped")):
     """A rank-2 lattice rho * (Z + tau*Z) with its original generators.
@@ -159,10 +139,10 @@ class Lattice(namedtuple("Lattice",
     def gauge(self) -> tuple[complex, complex, complex, tuple[complex, ...]]:
         """(kappa, beta, rho/theta1'(0, tau), terms), kept for the life of the lattice:
         the first three from ``sigma_gauge_from_head``, with theta1'(0) = pi*e0 and
-        theta1'''(0)/6 = pi^3*(e1 - e0/6) from ``modular._theta1_sum``, so kappa =
-        pi^2/6 - pi^2*e1/e0, whose rounding the constant pi^2/6 bounds (e0 = 0 only where
-        th1 underflows); terms are that sum's Horner terms, which ``sigma_eval`` reads."""
-        terms, e0, e1 = _theta1_sum(self.tau.value)
+        theta1'''(0)/6 = pi^3*(e1 - e0/6) from the sum in tau's record (``TauPoint._theta1``),
+        so kappa = pi^2/6 - pi^2*e1/e0, whose rounding the constant pi^2/6 bounds (e0 = 0 only
+        where th1 underflows); terms are the record's own Horner terms, read by ``sigma_eval``."""
+        terms, e0, e1 = self.tau._theta1
         kappa = _PI_SQUARED / 6.0 - _PI_SQUARED * e1 / e0 if e0 else 0.0
         return sigma_gauge_from_head(math.pi * e0, kappa, self.rho) + (terms,)
 
@@ -194,7 +174,7 @@ def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
     if flipped:
         ratio = -ratio
     tau, m = _reduce(ratio)
-    return Lattice(w1, w2, w1 * (m.c * ratio + m.d), tau, m, flipped)
+    return tuple.__new__(Lattice, (w1, w2, w1 * (m.c * ratio + m.d), tau, m, flipped))
 
 
 def lattice_from_rho_tau(rho: complex, tau) -> Lattice:

@@ -14,7 +14,7 @@ whose length is fixed once per tau and degree (see ``_table_size``); the
 coefficients through z^d keep more factors as d grows, and below Im tau = 1/2
 they are summed at -1/(tau - n).  theta1 itself is s * sum_j e_j*u^j with
 s = sin(pi*z), u = s^2, by Horner's rule on at most six factors (every
-Im tau >= 1/2), and e0 and e1 give sigma's gauge (see ``_theta1_sum``).
+Im tau >= 1/2), and e0 and e1 give sigma's gauge (see ``TauPoint._theta1``).
 g2, g3, the discriminant, j and (p, q) come from the theta constants theta2,
 theta3 and theta4 at z = 0, summed over the degree-1 number of terms in one
 pass (see ``_theta_constants``); below Im tau = 1/2 they are summed at
@@ -23,15 +23,15 @@ take Re tau modulo 8, under which theta1's factors and the theta constants
 are invariant, and ``dedekind_eta`` takes it modulo 24, its own period, so a
 large Re tau keeps its phase.
 
-These tau-only results are memoized: theta1's degree-1 sum, the forms
-(g2, g3, eta^3) and the term count each sit in a ``functools.lru_cache`` of
-``_MEMO_SIZE`` entries, keyed by the tau value that ``as_tau`` returns (Im tau
-and the degree for the term count).  So ``theta1_eval``, the sigma gauge (a
-lattice keeps the sum), ``j_invariant``, ``weierstrass_g``, ``modular_discriminant``
-and ``modular_pq`` at one tau share one theta1 sum and one theta-constant pass.
-theta1's factor tables are not memoized; their callers seldom repeat a tau.  A
-failure is not memoized: every call at a tau whose term count passes the cap
-raises its own ConvergenceError.
+Each ``TauPoint`` keeps these results in a record, each part formed on first use
+(see ``_kept``): a head (the degree-1 term count, tau shifted to the period 8,
+2*exp(i*pi*tau/4) and exp(2*pi*i*tau)), and theta1's degree-1 sum and the forms
+(g2, g3, eta^3), both summed from the head.  So ``theta1_eval``, the sigma gauge
+(a lattice keeps the sum's terms), ``j_invariant``, ``weierstrass_g``,
+``modular_discriminant`` and ``modular_pq`` at one tau share one theta1 sum and
+one theta-constant pass; ``as_tau`` interns a bare tau, in the one bounded memo of
+``_MEMO_SIZE`` TauPoints.  Longer factor tables are not kept.  A failure is not
+kept: every call at a tau past the cap raises its own ConvergenceError.
 
 Only ``dedekind_eta`` keeps a stopping rule of its own: its product runs
 until |q^n| drops below ``TERM_TOL``.  Every sum and product has one fixed
@@ -52,11 +52,10 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
-from .series import TruncatedOddSeries, _computed
 
 TERM_TOL = 1e-18
 
-# Entries of each per-tau memo; one operation at one tau needs one, and
+# TauPoints that ``as_tau`` interns; one operation at one tau needs one, and
 # the bound keeps the memo from growing with the points a process visits.
 _MEMO_SIZE = 16
 
@@ -79,10 +78,21 @@ _SINE_TERMS = tuple((k, j, (-4.0) ** j * ((2 * k + 1) * math.comb(k + j, 2 * j) 
 _SINE_ENDS = tuple(bisect_left(_SINE_TERMS, (n,)) for n in range(TERM_CAP + 1))
 
 
-class TauPoint(namedtuple("TauPoint", "value")):
-    """A point of the open upper half-plane."""
+class _kept:
+    """A value computed from the instance on first access and kept in its dict, whose entry
+    answers every later access (a non-data descriptor).  Unlike ``functools.cached_property``
+    on Python 3.11 it takes no lock: two threads may both compute it; the first one kept wins."""
 
-    __slots__ = ()
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
+class TauPoint(namedtuple("TauPoint", "value")):
+    """A point of the open upper half-plane.  The field is read-only and no attribute can
+    be set; the instance dict holds only the q-series record ``_head``, ``_theta1``, ``_forms``."""
 
     def __new__(cls, value: complex):
         v = complex(value)
@@ -92,15 +102,58 @@ class TauPoint(namedtuple("TauPoint", "value")):
             raise DomainError(f"tau must satisfy Im(tau) > 0, got {v}")
         return _tau_point(v)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TauPoint is read-only: cannot set {name!r}")
+
+    @_kept
+    def _head(self) -> tuple[int, complex, complex, complex]:
+        """(size, t, c0, g): tau's degree-1 ``_term_count``, which each sum checks; t, tau shifted
+        by ``_shift_real``; theta1's first factor c0 = 2*exp(i*pi*t/4); and g = exp(2*pi*i*t)."""
+        t = _shift_real(self.value, 8.0)
+        return (_term_count(self.value.imag, 1), t, 2.0 * cmath.exp(0.25j * math.pi * t),
+                cmath.exp(2j * math.pi * t))
+
+    @_kept
+    def _theta1(self) -> tuple[tuple[complex, ...], complex, complex]:
+        """(terms, e0, e1): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, with
+        e_j = sum_k c_k*[u^j]S_k over theta1's degree-1 factors c_k.  terms are the e_j, highest
+        first, on at most ``_HORNER_FACTORS`` factors, and else the c_k, where the e_j cancel
+        (told apart by length); theta1'(0) = pi*e0, theta1'''(0)/6 = pi^3*(e1 - e0/6) always."""
+        table = _theta1_table(self, 1)
+        n = len(table)
+        e = [0j] * _HORNER_FACTORS
+        for k, j, p in reversed(_SINE_TERMS[:_SINE_ENDS[n]]):
+            e[j] += table[k] * p
+        return (tuple(e[n - 1::-1]) if n <= _HORNER_FACTORS else table), e[0], e[1]
+
+    @_kept
+    def _forms(self) -> tuple[complex, complex, complex]:
+        """(g2, g3, eta^3) from one ``_theta_constants`` pass.
+
+        With a, b, c = theta2^4, theta3^4, theta4^4 (DLMF 23.15, 20.7(i)),
+
+            E4 = (a^2 + b^2 + c^2)/2,   E6 = (a + b)(b + c)(c - a)/2,
+            g2 = (2*pi)^4/12 * E4,      g3 = (2*pi)^6/216 * E6,
+            eta^3 = theta2*theta3*theta4/2.
+        """
+        th2, th3, th4 = _theta_constants(self)
+        a, b, c = (th2 * th2) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
+        return (_G2_SCALE * (a * a + b * b + c * c), _G3_SCALE * ((a + b) * (b + c) * (c - a)),
+                0.5 * th2 * th3 * th4)
+
 
 def _tau_point(v: complex) -> TauPoint:
     """TauPoint(v) unchecked, for finite v with Im v > 0; + 0.0 turns Re v = -0.0 to 0.0."""
     return tuple.__new__(TauPoint, (v + 0.0,))
 
 
+_interned = lru_cache(maxsize=_MEMO_SIZE)(TauPoint)  # the one bounded memo
+
+
 def as_tau(tau) -> TauPoint:
-    """Accept a TauPoint or a bare complex number."""
-    return tau if isinstance(tau, TauPoint) else TauPoint(tau)
+    """Accept a TauPoint, or a bare complex number, whose TauPoint ``_interned`` keeps
+    (keyed by ``complex(tau)``, so a number that does not hash, as a 0-d array, is taken too)."""
+    return tau if isinstance(tau, TauPoint) else _interned(complex(tau))
 
 
 def _cap_error(what, tau, partial, last_term):
@@ -127,11 +180,11 @@ def theta1_eval(z: complex, tau) -> complex:
     2*exp(i*pi*tau/4) below the normal doubles (Im tau above about 903),
     which would carry too few digits into the value.
     """
-    t = as_tau(tau).value
+    t = (tau := as_tau(tau)).value
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    terms, e0, _ = _theta1_sum(t)
+    terms, e0, _ = tau._theta1
     # e0 = c0 there, whose larger part, >= sqrt(2)*exp(-pi*Im(t)/4), is normal up to Im t = 900.
     if t.imag > 900.0 and max(abs(e0.real), abs(e0.imag)) < 2.0**-1022:
         raise NumericError(f"theta1's leading factor 2*exp(i*pi*tau/4) at tau={t} underflows",
@@ -166,7 +219,6 @@ def _table_size(t: complex, what: str, degree: int) -> int:
     return size
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _term_count(height: float, degree: int) -> int:
     """``_table_size`` at Im t = height, or TERM_CAP + 1 where the cap is reached.
 
@@ -199,18 +251,17 @@ def _shift_real(t: complex, period: float) -> complex:
     return complex(x + 0.0, t.imag)
 
 
-def _theta1_table(t: complex, degree: int) -> tuple[complex, ...]:
+def _theta1_table(tau: TauPoint, degree: int) -> tuple[complex, ...]:
     """The factors c_k = 2*(-1)^k*exp(pi*i*t*(k+1/2)^2) of theta1's sine series.
 
     The table has the ``_table_size`` factors that theta1's Taylor coefficients
     through z^degree need (degree 1 for theta1 itself), which follow from
-    c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t), at t shifted by ``_shift_real``.
-    A longer table begins with the factors of a shorter one, bit for bit.
+    c_k = -c_(k-1) * g^k, g = exp(2*pi*i*t), t tau shifted by ``_shift_real``, from
+    tau's head.  A longer table begins with the factors of a shorter one, bit for bit.
     """
-    size = _table_size(t, "theta1 series", degree)
-    t = _shift_real(t, 8.0)
-    g = cmath.exp(2j * math.pi * t)
-    c = 2.0 * cmath.exp(0.25j * math.pi * t)
+    size, _, c, g = tau._head
+    if degree > 1 or size > TERM_CAP:
+        size = _table_size(tau.value, "theta1 series", degree)
     table, gk = [c], 1.0
     for _ in range(1, size):
         gk *= g
@@ -219,23 +270,8 @@ def _theta1_table(t: complex, degree: int) -> tuple[complex, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _theta1_sum(t: complex) -> tuple[tuple[complex, ...], complex, complex]:
-    """(terms, e0, e1): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, with
-    e_j = sum_k c_k*[u^j]S_k over theta1's degree-1 factors c_k.  terms are the e_j, highest
-    first, on at most ``_HORNER_FACTORS`` factors, and else the c_k, where the e_j cancel
-    (``_theta1_values`` tells them apart by length).
-    theta1'(0) = pi*e0 and theta1'''(0)/6 = pi^3*(e1 - e0/6) at any length."""
-    table = _theta1_table(t, 1)
-    n = len(table)
-    e = [0j] * _HORNER_FACTORS
-    for k, j, p in reversed(_SINE_TERMS[:_SINE_ENDS[n]]):
-        e[j] += table[k] * p
-    return (tuple(e[n - 1::-1]) if n <= _HORNER_FACTORS else table), e[0], e[1]
-
-
-def _theta_constants(t: complex) -> tuple[complex, complex, complex]:
-    """(theta2, theta3, theta4) at z = 0, over ``_table_size`` terms.
+def _theta_constants(tau: TauPoint) -> tuple[complex, complex, complex]:
+    """(theta2, theta3, theta4) at z = 0, over the degree-1 terms of tau's head.
 
     With the nome q = exp(pi*i*t) (DLMF 20.2(i)),
 
@@ -256,16 +292,17 @@ def _theta_constants(t: complex) -> tuple[complex, complex, complex]:
         theta4(-1/s) = sqrt(-i*s) theta2(s),   theta2(u + n) = exp(i*pi*n/4) theta2(u),
 
     with theta3 and theta4 of u + n those of u, swapped for odd n.  The
-    term count at t itself is checked against ``TERM_CAP`` first, so a t far
-    from the fundamental domain still raises ConvergenceError; the sums then
-    run at t shifted by ``_shift_real``.
+    term count at tau itself is checked against ``TERM_CAP`` first, so a tau
+    far from the fundamental domain still raises ConvergenceError; the sums
+    then run at t, tau shifted by ``_shift_real``.
     """
-    size = _table_size(t, "theta constant series", 1)
-    t = _shift_real(t, 8.0)
+    size, t, c0, _ = tau._head
+    if size > TERM_CAP:
+        _table_size(tau.value, "theta constant series", 1)
     if t.imag < 0.5:
         n = round(t.real)
         s = -1.0 / (t - n)
-        th2, th3, th4 = _theta_constants(s)
+        th2, th3, th4 = _theta_constants(TauPoint(s))
         r = cmath.sqrt(-1j * s)
         th2, th3, th4 = r * th4, r * th3, r * th2
         if n & 1:
@@ -284,23 +321,7 @@ def _theta_constants(t: complex) -> tuple[complex, complex, complex]:
         s2 += a2
         s3 += a3
         s4 += -a3 if k & 1 else a3
-    return 2.0 * cmath.exp(0.25j * math.pi * t) * (1.0 + s2), 1.0 + 2.0 * s3, 1.0 + 2.0 * s4
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _modular_forms(t: complex) -> tuple[complex, complex, complex]:
-    """(g2, g3, eta^3) at t = ``as_tau(tau).value`` from one ``_theta_constants`` pass.
-
-    With a, b, c = theta2^4, theta3^4, theta4^4 (DLMF 23.15, 20.7(i)),
-
-        E4 = (a^2 + b^2 + c^2)/2,   E6 = (a + b)(b + c)(c - a)/2,
-        g2 = (2*pi)^4/12 * E4,      g3 = (2*pi)^6/216 * E6,
-        eta^3 = theta2*theta3*theta4/2.
-    """
-    th2, th3, th4 = _theta_constants(t)
-    a, b, c = (th2 * th2) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
-    return (_G2_SCALE * (a * a + b * b + c * c), _G3_SCALE * ((a + b) * (b + c) * (c - a)),
-            0.5 * th2 * th3 * th4)
+    return c0 * (1.0 + s2), 1.0 + 2.0 * s3, 1.0 + 2.0 * s4
 
 
 def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list[complex]:
@@ -309,7 +330,7 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
     w = z/rho is reduced into the cell |Im w| <= Im(t)/2, |Re w| <= 1/2, and theta1
     is s = sin(pi*w) times a sum in u = s^2, so it keeps its relative accuracy next
     to its zeros: Horner's rule on at most ``_HORNER_FACTORS`` terms, the e_j of
-    ``_theta1_sum``, and on more, theta1's factors c_k, the sines sin((2k+3)x) =
+    ``TauPoint._theta1``, and on more, theta1's factors c_k, the sines sin((2k+3)x) =
     (2 - 4u) sin((2k+1)x) - sin((2k-1)x).  The reduction's exponent joins kappa*w^2
     in one exp.  For a non-finite z, and where the value leaves the double range,
     the value comes back non-finite, for the caller to report.
@@ -381,10 +402,11 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
     """
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
-    t = as_tau(tau).value
+    from .series import _computed
+    t = (tau := as_tau(tau)).value
     coeffs = [0j] * ((max_degree + 1) // 2)
     if t.imag >= 0.5:
-        for k, c in enumerate(_theta1_table(t, max_degree)):
+        for k, c in enumerate(_theta1_table(tau, max_degree)):
             w = (2 * k + 1) * math.pi
             x, square = w, w * w
             for m in range(len(coeffs)):
@@ -396,7 +418,7 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
     n = round(t.real)
     s = -1.0 / (t - n)
     beta = 1j * math.pi * s
-    for k, c in enumerate(_theta1_table(s, max_degree)):
+    for k, c in enumerate(_theta1_table(TauPoint(s), max_degree)):
         lin = (2 * k + 1) * beta
         prev, cur = 1.0, lin
         for m in range(1, max_degree + 1):
@@ -431,9 +453,9 @@ def weierstrass_g(tau) -> tuple[complex, complex]:
 
     g2 = (2*pi)^4/12 * E4 and g3 = (2*pi)^6/216 * E6, with the Eisenstein
     series E4 = 1 + 240*sum sigma_3(n) q^n and E6 = 1 - 504*sum sigma_5(n) q^n,
-    q = exp(2*pi*i*tau), taken from the theta constants (``_modular_forms``).
+    q = exp(2*pi*i*tau), taken from the theta constants (``TauPoint._forms``).
     """
-    g2, g3, _ = _modular_forms(as_tau(tau).value)
+    g2, g3, _ = as_tau(tau)._forms
     return g2, g3
 
 
@@ -446,9 +468,9 @@ def modular_discriminant(tau) -> complex:
     agree to many digits; the two expressions are equal identically.  Delta has
     no zeros; a value below the normal doubles (Im tau above 116) is a NumericError.
     """
-    t = as_tau(tau).value
+    t = (tau := as_tau(tau)).value
     # With 16 = 2^(32/8) inside, no power of eta^3 underflows before Delta does.
-    delta = _TWO_PI**12 / 2**32 * (16.0 * _modular_forms(t)[2]) ** 8
+    delta = _TWO_PI**12 / 2**32 * (16.0 * tau._forms[2]) ** 8
     if max(abs(delta.real), abs(delta.imag)) < 2.0**-1022:
         raise NumericError(f"discriminant underflows at tau={t}", diagnostics={"tau": t})
     return delta
@@ -461,8 +483,8 @@ def j_invariant(tau) -> complex:
     g2, g3 and the discriminant come from one theta-constant pass.  A j
     outside the double range raises NumericError.
     """
-    t = as_tau(tau).value
-    g2, _, eta3 = _modular_forms(t)
+    t = (tau := as_tau(tau)).value
+    g2, _, eta3 = tau._forms
     delta = _TWO_PI**12 * eta3**8
     if delta == 0:
         # Delta underflows only for Im(tau) beyond about 118.
@@ -483,7 +505,7 @@ def modular_pq(tau) -> tuple[complex, complex]:
     ``invariants.pq_of_series``; the test suite checks the equality on a
     tau grid at 1e-8 relative.
     """
-    g2, g3, eta3 = _modular_forms(as_tau(tau).value)
+    g2, g3, eta3 = as_tau(tau)._forms
     p = (math.pi**2 / 30.0) * eta3**2 * g2
     q = -(math.pi**3 / 35.0) * eta3**3 * g3
     return p, q

@@ -36,7 +36,7 @@ from sigmakit.series import _computed
 
 
 def clear_memos():
-    """Empty the per-tau memos of ``sigmakit.modular``."""
+    """Empty the memos of ``sigmakit.modular``: the TauPoints that ``as_tau`` interns."""
     for value in vars(sigmakit.modular).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
@@ -44,8 +44,24 @@ def clear_memos():
 
 @pytest.fixture(autouse=True)
 def _fresh_memos():
-    # No test may see the tau values that another test evaluated.
+    # No test may see the bare tau values that another test evaluated.
     clear_memos()
+
+
+def record_builds(monkeypatch):
+    """A dict that counts, from now on, each part of a TauPoint's record built
+    (``_head``, ``_theta1``, ``_forms``), by the part's name."""
+    builds = {}
+    for name in ("_head", "_theta1", "_forms"):
+        kept = vars(TauPoint)[name]
+
+        def counted(tau, _name=name, _func=kept.func):
+            builds[_name] = builds.get(_name, 0) + 1
+            return _func(tau)
+
+        counted.__name__ = name
+        monkeypatch.setattr(kept, "func", counted)
+    return builds
 
 
 # SL(2, Z) words for the lattice tests.
@@ -127,7 +143,7 @@ def gauge_reference(lat):
     w = (2k+1)*pi and w**3 are formed for each of theta1's factors at tau,
     however many there are."""
     th1 = th3 = 0
-    for k, c in enumerate(sigmakit.modular._theta1_table(lat.tau.value, 1)):
+    for k, c in enumerate(sigmakit.modular._theta1_table(lat.tau, 1)):
         w = (2 * k + 1) * math.pi
         th1 += c * w
         th3 += c * w**3
@@ -140,7 +156,7 @@ def theta1_values_reference(zs, t, table, rho=1.0, kappa=0.0, scale=1.0, horner=
     factors c_k in ``table`` meet the sines sin((2k+1)*pi*w), each found from
     the two before by sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x),
     s = sin(pi*w), for every table length.  With ``horner``, ``table`` holds the
-    Horner terms of ``modular._theta1_sum`` instead, summed as the kernel sums
+    Horner terms of ``TauPoint._theta1`` instead, summed as the kernel sums
     them.  Either way the cell reduction calls round() at every point.
     """
     v = t.imag

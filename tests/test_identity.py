@@ -549,13 +549,29 @@ class TestSampling:
     @pytest.mark.parametrize("box", [math.inf, math.nan])
     def test_a_non_finite_box_draws_no_finite_entry(self, box):
         # rect's parts can differ from the product's there, as (inf, 0) from
-        # (inf, nan) at angle 0, but no entry is finite and a survey raises.
+        # (inf, nan) at angle 0, but no entry is finite, and a survey refuses
+        # the box before it draws.
         assert not any(cmath.isfinite(v) for row in _draw_quadruples(50, 4, box) for v in row)
-        with pytest.raises(NumericError):
-            identity_report(OddFunctionHandle.sine(), num_samples=20, seed=4, box_radius=box)
-        with pytest.raises(DomainError, match="z must be finite"):
-            identity_report(OddFunctionHandle.from_sigma(lattice_from_rho_tau(1, 1j)),
-                            num_samples=20, seed=4, box_radius=box)
+        for f in (OddFunctionHandle.sine(),
+                  OddFunctionHandle.from_sigma(lattice_from_rho_tau(1, 1j))):
+            with pytest.raises(DomainError) as err:
+                identity_report(f, num_samples=20, seed=4, box_radius=box)
+            assert str(err.value) == f"box_radius must be finite and >= 0, got {box!r}"
+
+    @pytest.mark.parametrize("box", [-1.0, -1e-300, -math.inf, math.inf, math.nan])
+    def test_a_negative_or_non_finite_box_is_refused_before_a_draw(self, box):
+        # The seed, which the draw checks, is never reached, and the handle is
+        # not called.
+        calls = []
+        f = OddFunctionHandle(lambda z: calls.append(z) or z, "z")
+        calls.clear()
+        message = f"box_radius must be finite and >= 0, got {box!r}"
+        for call in (lambda: sample_quadruples(5, seed=-1, box_radius=box),
+                     lambda: identity_report(f, num_samples=20, seed=-1, box_radius=box)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == message
+        assert calls == []
 
     def test_negative_count_draws_nothing(self):
         assert sample_quadruples(-3, seed=5) == []

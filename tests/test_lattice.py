@@ -13,6 +13,7 @@ from conftest import (
     compose,
     gauge_reference,
     integer_combination,
+    record_builds,
     sigma_product_oracle,
     theta1_values_reference,
     translation,
@@ -467,10 +468,10 @@ class TestHandBuiltLatticeGauge:
     @pytest.mark.parametrize("rho", [1.0, 0.8 - 0.6j])
     def test_gauge_and_sigma_keep_their_bits(self, tau, factors, rho):
         lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
-        table = sigmakit.modular._theta1_table(tau, 1)
+        table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
         assert len(table) == factors
         kappa, beta, scale, terms = lat.gauge
-        assert terms is sigmakit.modular._theta1_sum(tau)[0]
+        assert terms is lat.tau._theta1[0]
         old_kappa, _, old_scale = gauge_reference(lat)
         w = [(2 * k + 1) * math.pi for k in range(factors)]
         th1, old_th1 = rho / scale, rho / old_scale
@@ -674,8 +675,9 @@ class TestSigmaEval:
 
     def test_gauge_computed_once_per_lattice(self, monkeypatch):
         # The gauge is built once per lattice, from e0 and e1 of the one
-        # degree-1 memo that theta1's sums read: one miss per tau, one factor
-        # table and no coefficient series.
+        # degree-1 sum that theta1's sums read, in the record of tau: the record's
+        # head and sum are built once, on one factor table, and no coefficient
+        # series is.
         calls = {"sigma_gauge_from_head": 0, "theta1_odd_series": 0, "_theta1_table": 0}
         for name in calls:
             home = sigmakit.lattice if name == "sigma_gauge_from_head" else sigmakit.modular
@@ -688,10 +690,11 @@ class TestSigmaEval:
             for module in (sigmakit.modular, sigmakit.lattice):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        memo = sigmakit.modular._theta1_sum
+        builds = record_builds(monkeypatch)
         for lat in (lattice_from_rho_tau(1, 1j), normalize_lattice(1.2, 0.3 + 1.1j)):
             clear_memos()
             calls.update(dict.fromkeys(calls, 0))
+            builds.clear()
             identity_report(OddFunctionHandle.from_sigma(lat), num_samples=12,
                             seed=5, box_radius=2.0)
             for z in (0.4 + 0.1j, -1.3 + 0.7j):
@@ -699,15 +702,17 @@ class TestSigmaEval:
             sigma_gauge(lat)
             assert calls == {"sigma_gauge_from_head": 1, "theta1_odd_series": 0,
                              "_theta1_table": 1}
-            assert memo.cache_info().misses == 1
+            assert builds == {"_head": 1, "_theta1": 1}
+            assert lat.gauge[3] is lat.tau._theta1[0]
 
     def test_one_table_and_one_theta_constant_pass_per_tau(self, monkeypatch):
-        # point_eval's calls at one tau share theta1's degree-1 memo (terms,
-        # e0 and e1), built on one factor table, the theta-constant pass and
-        # the term count.
+        # point_eval's calls at one fresh TauPoint share the record of tau:
+        # theta1's degree-1 sum (terms, e0 and e1), built on one factor table,
+        # the theta-constant pass and the term count, each built once.
         modular = sigmakit.modular
-        passes, tables = [], []
-        for name, seen in (("_theta_constants", passes), ("_theta1_table", tables)):
+        passes, tables, counts = [], [], []
+        for name, seen in (("_theta_constants", passes), ("_theta1_table", tables),
+                           ("_term_count", counts)):
             original = getattr(modular, name)
 
             def counted(*args, _seen=seen, _original=original):
@@ -715,11 +720,11 @@ class TestSigmaEval:
                 return _original(*args)
 
             monkeypatch.setattr(modular, name, counted)
-        memos = (modular._theta1_sum, modular._modular_forms, modular._term_count)
+        builds = record_builds(monkeypatch)
         for w1, w2 in ((1.2, 0.3 + 1.1j), (0.7 + 0.2j, -1.1 + 0.9j), (1, CORNER)):
             clear_memos()
-            passes.clear()
-            tables.clear()
+            for seen in (passes, tables, counts, builds):
+                seen.clear()
             lat = normalize_lattice(w1, w2)
             tau = lat.tau
             sigma_eval(0.4 + 0.1j, lat)
@@ -729,16 +734,16 @@ class TestSigmaEval:
             weierstrass_g(tau)
             modular_discriminant(tau)
             modular_pq(tau)
-            assert passes == tables == [tau.value]
-            assert [memo.cache_info().misses for memo in memos] == [1, 1, 1]
+            assert passes == tables == [tau] and passes[0] is tables[0] is tau
+            assert counts == [tau.value.imag]
+            assert builds == {"_head": 1, "_theta1": 1, "_forms": 1}
 
     def test_a_reduced_table_has_at_most_five_factors(self):
         # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
         # is just above 1e-18, so the table keeps k = 0..4 there, and Horner's
         # rule sums five coefficients.
-        terms = sigmakit.modular._theta1_sum
-        assert len(terms(lattice_from_rho_tau(1, CORNER).tau.value)[0]) == 5
-        assert len(terms(lattice_from_rho_tau(1, 1j).tau.value)[0]) == 4
+        assert len(lattice_from_rho_tau(1, CORNER).tau._theta1[0]) == 5
+        assert len(lattice_from_rho_tau(1, 1j).tau._theta1[0]) == 4
 
     def test_outside_double_range_is_numeric_error(self):
         lat = lattice_from_rho_tau(1, 1j)
@@ -769,17 +774,19 @@ class TestSigmaEval:
             assert ([hex_bits(v) for v in sigmakit.lattice._sigma_values(zs, lat)]
                     == [hex_bits(v) for v in want])
 
-    def test_a_survey_builds_theta1s_sum_once_per_lattice(self):
-        # More lattices than the tau memo holds, surveyed in cycling rounds:
-        # each keeps theta1's Horner terms with its gauge, so the memo is
-        # missed once per lattice in all.
+    def test_a_survey_builds_theta1s_sum_once_per_lattice(self, monkeypatch):
+        # More lattices than the memo of bare tau values holds, surveyed in
+        # cycling rounds: each keeps theta1's Horner terms with its gauge, from
+        # the record of its own tau, so theta1's sum is built once per lattice
+        # in all.
+        builds = record_builds(monkeypatch)
         lattices = [lattice_from_rho_tau(1 + 0.1j * k, complex(0.02 * k - 0.4, 1.1 + 0.03 * k))
                     for k in range(2 * sigmakit.modular._MEMO_SIZE + 1)]
         for _ in range(3):
             for lat in lattices:
                 identity_report(OddFunctionHandle.from_sigma(lat), num_samples=4, seed=2,
                                 box_radius=1.5)
-        assert sigmakit.modular._theta1_sum.cache_info().misses == len(lattices)
+        assert builds == {"_head": len(lattices), "_theta1": len(lattices)}
 
     @pytest.mark.parametrize("rho", [1e-300, 1e-170, 1e200, 1e200j])
     def test_gauge_with_rho_squared_beyond_double_range_is_numeric_error(self, rho):

@@ -8,6 +8,7 @@ from conftest import (
     OFF_GRID,
     clear_memos,
     eta_product_oracle,
+    record_builds,
     theta1_sum_oracle,
     theta1_values_reference,
 )
@@ -18,6 +19,7 @@ from sigmakit import (
     DomainError,
     NumericError,
     TauPoint,
+    as_tau,
     dedekind_eta,
     j_invariant,
     lattice_from_rho_tau,
@@ -107,7 +109,7 @@ class TestTheta1:
         # The table ends before the first k with (2k+1) exp(-pi Im(tau) k^2)
         # <= 1e-18: k = 200 at Im tau = 3.8e-4, the cap's last admitted
         # table, and k = 201 at 3.7e-4, one factor past the cap.
-        assert len(sigmakit.modular._theta1_table(3.8e-4j, 1)) == TERM_CAP == 200
+        assert len(sigmakit.modular._theta1_table(TauPoint(3.8e-4j), 1)) == TERM_CAP == 200
         assert cmath.isfinite(theta1_eval(0.3, 3.8e-4j))
         with pytest.raises(ConvergenceError) as err:
             theta1_eval(0.3, 3.7e-4j)
@@ -189,8 +191,8 @@ class TestHornerForm:
         (20j, 1), (1j, 4), (CORNER, 5), (0.5j, 6), (0.39j, 6), (0.389j, 7), (0.3j, 7)])
     def test_six_factors_are_summed_by_horner(self, tau, factors):
         # Six factors reach down to Im tau = 0.389: 13 exp(-36 pi Im tau) <= 1e-18.
-        table = sigmakit.modular._theta1_table(tau, 1)
-        terms, e0, e1 = sigmakit.modular._theta1_sum(tau)
+        table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
+        terms, e0, e1 = TauPoint(tau)._theta1
         assert len(table) == len(terms) == factors
         if factors > 6:
             assert terms == table
@@ -212,7 +214,7 @@ class TestHornerForm:
     def test_long_tables_keep_their_bits(self, tau):
         # theta1_eval on more than six factors is the sine recurrence as it
         # was, bit for bit; 3.8e-4i keeps all 200 factors the cap admits.
-        table = sigmakit.modular._theta1_table(tau, 1)
+        table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
         rng = np.random.default_rng(17)
         v = tau.imag
         zs = [0.3, 0.1 + 0.003j] + [complex(rng.uniform(-2, 2), rng.uniform(-3 * v, 3 * v))
@@ -250,8 +252,8 @@ class TestCellReduction:
         assert {z.real for z in zs} >= {0.5, -0.5, 1.5, -1.5, 2.5, -2.5}
         # The degree-1 sum (Horner terms, or at 0.3i the factors), and a longer
         # table, which the kernel sums by the sine recurrence.
-        terms = sigmakit.modular._theta1_sum(t)[0]
-        table = sigmakit.modular._theta1_table(t, 201)
+        terms = TauPoint(t)._theta1[0]
+        table = sigmakit.modular._theta1_table(TauPoint(t), 201)
         assert len(table) > 6
         for args in ((terms,), (table,), (terms, 0.8 - 0.6j, 0.3 + 0.1j, 1.7j)):
             got = sigmakit.modular._theta1_values(zs, t, *args)
@@ -263,7 +265,7 @@ class TestCellReduction:
                                    complex(-math.inf, math.inf)])
     def test_a_non_finite_z_still_reaches_round(self, z):
         t = 0.1 + 1j
-        terms = sigmakit.modular._theta1_sum(t)[0]
+        terms = TauPoint(t)._theta1[0]
         got = sigmakit.modular._theta1_values([0.3, z], t, terms)
         want = theta1_values_reference([0.3, z], t, terms, horner=True)
         assert list(map(float.hex, _parts(got))) == list(map(float.hex, _parts(want)))
@@ -452,7 +454,7 @@ class TestLargeRealPart:
     def test_small_real_part_is_not_shifted(self):
         # Below |Re tau| = 4 the sums run at tau as given.
         for tau in (3.75 + 1.1j, -3.9 + 0.7j):
-            table = sigmakit.modular._theta1_table(tau, 1)
+            table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
             assert table[0] == 2.0 * cmath.exp(0.25j * math.pi * tau)
 
 
@@ -489,6 +491,16 @@ def _tau_only_values(tau, order):
     return {name: steps[name]() for name in order}
 
 
+def _hex_outcome(kernel, tau):
+    """float.hex of each part of kernel(tau), or the type and text of its error."""
+    try:
+        value = kernel(tau)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    values = value if isinstance(value, tuple) else (value,)
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
 class TestTauMemo:
     ORDER = ("j", "g", "disc", "pq", "theta1", "sigma")
 
@@ -502,11 +514,83 @@ class TestTauMemo:
         assert repr(_tau_only_values(tau, self.ORDER)) == first
 
     def test_memo_matches_a_fresh_pass(self):
+        # The record of an interned bare tau, read again by later calls, holds
+        # what a fresh TauPoint's record builds.
         t = 0.3 + 1.1j
-        forms = sigmakit.modular._modular_forms
-        terms = sigmakit.modular._theta1_sum
-        assert repr(forms(t)) == repr(forms.__wrapped__(t))
-        assert repr(terms(t)) == repr(terms.__wrapped__(t))
+        j_invariant(t)
+        theta1_eval(0.3, t)
+        kept = as_tau(t)
+        assert {"_forms", "_theta1"} <= set(vars(kept))
+        fresh = TauPoint(t)
+        assert repr(kept._forms) == repr(fresh._forms)
+        assert repr(kept._theta1) == repr(fresh._theta1)
+
+    def test_repeated_calls_at_a_bare_tau_build_one_record(self, monkeypatch):
+        builds = record_builds(monkeypatch)
+        t = -0.2 + 0.95j
+        for _ in range(3):
+            for call in (j_invariant, weierstrass_g, modular_discriminant, modular_pq,
+                         lambda tau: theta1_eval(0.3 - 0.2j, tau),
+                         lambda tau: theta1_odd_series(tau, 7)):
+                call(t)
+        assert builds == {"_head": 1, "_theta1": 1, "_forms": 1}
+        assert as_tau(t) is as_tau(complex(t.real, t.imag)) is not TauPoint(t)
+
+    def test_the_interning_memo_is_bounded(self, monkeypatch):
+        # 2*_MEMO_SIZE + 1 bare tau values, visited in cycling rounds, each miss
+        # the least recently used bound; the last _MEMO_SIZE of them stay.
+        builds = record_builds(monkeypatch)
+        size = sigmakit.modular._MEMO_SIZE
+        taus = [complex(0.01 * k - 0.2, 1.1 + 0.01 * k) for k in range(2 * size + 1)]
+        for _ in range(2):
+            for t in taus:
+                j_invariant(t)
+        assert builds["_forms"] == 2 * len(taus)
+        for t in reversed(taus[-size:]):
+            j_invariant(t)
+        assert builds["_forms"] == 2 * len(taus)
+        info = sigmakit.modular._interned.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (size, size, 2 * len(taus))
+        j_invariant(taus[0])
+        assert builds["_forms"] == 2 * len(taus) + 1
+
+    def test_a_tau_point_skips_the_memo(self):
+        tau = TauPoint(0.1 + 1.2j)
+        for call in (j_invariant, weierstrass_g, modular_pq, dedekind_eta):
+            call(tau)
+        theta1_eval(0.2, tau)
+        assert as_tau(tau) is tau
+        assert sigmakit.modular._interned.cache_info().currsize == 0
+
+    def test_a_number_that_does_not_hash_is_interned_by_its_value(self):
+        # A 0-d array is a number to complex() but has no hash.
+        want = j_invariant(0.1 + 1.2j)
+        for tau in (np.array(0.1 + 1.2j), np.complex128(0.1 + 1.2j)):
+            assert repr(j_invariant(tau)) == repr(want)
+        assert as_tau(np.array(0.1 + 1.2j)) is as_tau(0.1 + 1.2j)
+        assert sigmakit.modular._interned.cache_info().currsize == 1
+        with pytest.raises(TypeError):
+            as_tau([0.1 + 1.2j])
+
+    @pytest.mark.parametrize("group", ["reduced", "below one half", "large real part"])
+    def test_each_kernel_at_a_bare_tau_equals_its_call_at_a_tau_point(self, group):
+        rng = np.random.default_rng(29)
+        if group == "reduced":
+            taus = [lattice_from_rho_tau(1, complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3)))
+                    .tau.value for _ in range(12)]
+        elif group == "below one half":
+            taus = [complex(rng.uniform(-1, 1), rng.uniform(0.01, 0.5)) for _ in range(12)]
+        else:
+            taus = [complex(s * rng.uniform(4, 1e6), rng.uniform(0.5, 2))
+                    for s in (1, -1) for _ in range(6)]
+        kernels = (lambda t: theta1_eval(0.3 - 0.2j, t), lambda t: theta1_eval(1.7 + 0.1j, t),
+                   lambda t: theta1_odd_series(t, 9).odd_coefficients, dedekind_eta,
+                   weierstrass_g, j_invariant, modular_discriminant, modular_pq)
+        for t in taus:
+            bare = [_hex_outcome(kernel, t) for kernel in kernels]
+            clear_memos()
+            point = TauPoint(t)
+            assert [_hex_outcome(kernel, point) for kernel in kernels] == bare
 
 
 class TestTermCap:

@@ -70,6 +70,35 @@ def test_unbounded_cache_rule_allows_bounded(source):
     assert _unbounded_caches(ast.parse(source)) == []
 
 
+def _memo_sites(tree):
+    """Names below tree bound to an lru_cache: decorated functions and assignment targets."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            sites += [node.name for d in node.decorator_list if "lru_cache" in ast.unparse(d)]
+        elif isinstance(node, ast.Assign) and "lru_cache" in ast.unparse(node.value):
+            sites += [ast.unparse(target) for target in node.targets]
+    return sites
+
+
+def test_the_one_memo_interns_bare_tau():
+    # Each TauPoint keeps its own q-series record, so no value-keyed memo of
+    # tau results may return beside the one that maps a bare tau to its TauPoint.
+    sites = {f"{path.stem}.{name}" for path in SOURCES
+             for name in _memo_sites(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sites == {"modular._interned"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@lru_cache(maxsize=16)\ndef _theta1_sum(t): pass", ["_theta1_sum"]),
+    ("@functools.lru_cache\ndef f(t): pass", ["f"]),
+    ("_forms = lru_cache(maxsize=16)(forms)", ["_forms"]),
+    ("def f(t): pass", []),
+])
+def test_memo_rule(source, found):
+    assert _memo_sites(ast.parse(source)) == found
+
+
 def test_the_identity_arguments_are_written_once():
     # The survey's batches and identity_residual must share one formula
     # for the twelve arguments, so that the two cannot drift apart.
@@ -433,17 +462,29 @@ def _theta1_kernel_sites(tree):
     return sites
 
 
-def _theta1_calls(tree):
-    """(caller, callee) for every call below tree of a function named for theta1."""
-    return {(name, callee) for name, _, call in _calls(tree)
-            if "theta1" in (callee := getattr(call.func, "id", None) or "")}
+def _theta1_calls(tree, scope=()):
+    """(function with its classes, name) for every call below tree of a function
+    named for theta1, and every attribute so named that it reads (as a TauPoint's
+    record ``tau._theta1``)."""
+    uses = set()
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call) and "theta1" in getattr(child.func, "id", ""):
+            uses.add((".".join(scope) or "<module>", child.func.id))
+        elif isinstance(child, ast.Attribute) and "theta1" in child.attr:
+            uses.add((".".join(scope) or "<module>", child.attr))
+        uses |= _theta1_calls(child, inner)
+    return uses
 
 
 def test_theta1_is_summed_in_one_kernel():
     # cmath.sin and the cell reduction appear in modular._theta1_values alone,
     # and lattice.py reaches theta1 only through it and, in the gauge alone,
-    # the degree-1 memo, so that a second kernel (such as Horner's rule for
-    # sigma alone, with theta1 left on the recurrence) cannot return unseen.
+    # the degree-1 sum in the record of tau, so that a second kernel (such as
+    # Horner's rule for sigma alone, with theta1 left on the recurrence) cannot
+    # return unseen.
     sites, lattice_calls = set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -452,7 +493,7 @@ def test_theta1_is_summed_in_one_kernel():
         if path.name == "lattice.py":
             lattice_calls = _theta1_calls(tree)
     assert sites == {"modular._theta1_values"}
-    assert lattice_calls == {("Lattice.gauge", "_theta1_sum"), ("_sigma_values", "_theta1_values")}
+    assert lattice_calls == {("Lattice.gauge", "_theta1"), ("_sigma_values", "_theta1_values")}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -469,6 +510,16 @@ def test_theta1_kernel_rule_catches_a_second_kernel_call():
     source = ("def _sigma_values(zs, lat):\n"
               "    return [theta1_eval(z / lat.rho, lat.tau) for z in zs]")
     assert _theta1_calls(ast.parse(source)) == {("_sigma_values", "theta1_eval")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _sigma_values(zs, lat):\n    terms = lat.tau._theta1[0]",
+     {("_sigma_values", "_theta1")}),
+    ("class Lattice:\n    def table(self):\n        return modular._theta1_table(self.tau, 1)",
+     {("Lattice.table", "_theta1_table")}),
+])
+def test_theta1_kernel_rule_catches_a_second_read_of_the_record(source, found):
+    assert _theta1_calls(ast.parse(source)) == found
 
 
 @pytest.mark.parametrize("source", [

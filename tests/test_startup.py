@@ -80,13 +80,13 @@ def test_each_command_loads_only_its_layers(tmp_path):
     ]
     out = json.loads(run_python("-c", PROBE, json.dumps(commands)))
     cli = ["sigmakit", "sigmakit.cli", "sigmakit.errors"]
+    # series is compiled only where a command runs series arithmetic.
     expected = {
         "import sigmakit": ["sigmakit"],
-        "psi 9": cli + ["sigmakit.identity", "sigmakit.series"],
-        "eval eta --tau 0,1": cli + ["sigmakit.identity", "sigmakit.modular",
-                                     "sigmakit.series"],
+        "psi 9": cli + ["sigmakit.identity"],
+        "eval eta --tau 0,1": cli + ["sigmakit.identity", "sigmakit.modular"],
         "eval sigma --z 0.3,0.2 --tau 0,1": cli + [
-            "sigmakit.identity", "sigmakit.lattice", "sigmakit.modular", "sigmakit.series"],
+            "sigmakit.identity", "sigmakit.lattice", "sigmakit.modular"],
         f"classify {series}": cli + [
             "sigmakit.classify", "sigmakit.identity", "sigmakit.invariants",
             "sigmakit.lattice", "sigmakit.modular", "sigmakit.series"],
@@ -96,6 +96,28 @@ def test_each_command_loads_only_its_layers(tmp_path):
                                           "dataclasses": False}
     assert out == {key: {"modules": sorted(modules), "dataclasses": False, "exit": 0}
                    for key, modules in expected.items()}
+
+
+def test_commands_without_series_arithmetic_never_load_series():
+    # Run in one process, so each command also sees the modules of those before it.
+    commands = [
+        ["eval", "theta1", "--z", "0.3,0.1", "--tau", "0.1,1.1"],
+        ["eval", "eta", "--tau", "0,1"],
+        ["eval", "j", "--tau", "0,1"],
+        ["eval", "g2", "--tau", "0.2,0.4"],
+        ["eval", "sigma", "--z", "0.3,0.2", "--tau", "0,1"],
+        ["reduce-tau", "--tau", "3.7,0.2"],
+        ["invert-j", "--value", "1000,2000"],
+        ["psi", "9"],
+        ["verify-identity", "--function", "z", "--samples", "5"],
+        ["verify-identity", "--function", "sin", "--samples", "5"],
+        ["verify-identity", "--function", "sigma", "--samples", "5"],
+    ]
+    out = json.loads(run_python("-c", PROBE, json.dumps(commands)))
+    last = out[" ".join(commands[-1])]
+    assert [out[" ".join(argv)]["exit"] for argv in commands] == [0] * len(commands)
+    assert "sigmakit.series" not in last["modules"]
+    assert {"sigmakit.lattice", "sigmakit.modular", "sigmakit.identity"} <= set(last["modules"])
 
 
 def test_classify_stays_the_function_after_importing_its_module():
