@@ -174,7 +174,7 @@ def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
     if flipped:
         ratio = -ratio
     tau, m = _reduce(ratio)
-    return tuple.__new__(Lattice, (w1, w2, w1 * (m.c * ratio + m.d), tau, m, flipped))
+    return Lattice(w1, w2, w1 * (m.c * ratio + m.d), tau, m, flipped)
 
 
 def lattice_from_rho_tau(rho: complex, tau) -> Lattice:

@@ -28,10 +28,11 @@ Each ``TauPoint`` keeps these results in a record, each part formed on first use
 2*exp(i*pi*tau/4) and exp(2*pi*i*tau)), and theta1's degree-1 sum and the forms
 (g2, g3, eta^3), both summed from the head.  So ``theta1_eval``, the sigma gauge
 (a lattice keeps the sum's terms), ``j_invariant``, ``weierstrass_g``,
-``modular_discriminant`` and ``modular_pq`` at one tau share one theta1 sum and
-one theta-constant pass; ``as_tau`` interns a bare tau, in the one bounded memo of
-``_MEMO_SIZE`` TauPoints.  Longer factor tables are not kept.  A failure is not
-kept: every call at a tau past the cap raises its own ConvergenceError.
+``modular_discriminant`` and ``modular_pq`` at one TauPoint share one theta1 sum and
+one theta-constant pass.  A bare tau gets a TauPoint of its own on each call, so a
+caller that evaluates several of them at one tau passes a TauPoint.  Longer factor
+tables are not kept.  A failure is not kept: every call at a tau past the cap
+raises its own ConvergenceError.
 
 Only ``dedekind_eta`` keeps a stopping rule of its own: its product runs
 until |q^n| drops below ``TERM_TOL``.  Every sum and product has one fixed
@@ -49,15 +50,10 @@ import cmath
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
 
 TERM_TOL = 1e-18
-
-# TauPoints that ``as_tau`` interns; one operation at one tau needs one, and
-# the bound keeps the memo from growing with the points a process visits.
-_MEMO_SIZE = 16
 
 _TWO_PI = 2.0 * math.pi
 _I_PI = 1j * math.pi
@@ -107,8 +103,9 @@ class TauPoint(namedtuple("TauPoint", "value")):
 
     @_kept
     def _head(self) -> tuple[int, complex, complex, complex]:
-        """(size, t, c0, g): tau's degree-1 ``_term_count``, which each sum checks; t, tau shifted
-        by ``_shift_real``; theta1's first factor c0 = 2*exp(i*pi*t/4); and g = exp(2*pi*i*t)."""
+        """(size, t, c0, g): tau's degree-1 ``_term_count``, which ``_table_size`` checks; t,
+        tau shifted by ``_shift_real``; theta1's first factor c0 = 2*exp(i*pi*t/4); and
+        g = exp(2*pi*i*t)."""
         t = _shift_real(self.value, 8.0)
         return (_term_count(self.value.imag, 1), t, 2.0 * cmath.exp(0.25j * math.pi * t),
                 cmath.exp(2j * math.pi * t))
@@ -147,13 +144,9 @@ def _tau_point(v: complex) -> TauPoint:
     return tuple.__new__(TauPoint, (v + 0.0,))
 
 
-_interned = lru_cache(maxsize=_MEMO_SIZE)(TauPoint)  # the one bounded memo
-
-
 def as_tau(tau) -> TauPoint:
-    """Accept a TauPoint, or a bare complex number, whose TauPoint ``_interned`` keeps
-    (keyed by ``complex(tau)``, so a number that does not hash, as a 0-d array, is taken too)."""
-    return tau if isinstance(tau, TauPoint) else _interned(complex(tau))
+    """Accept a TauPoint or a bare complex number."""
+    return tau if isinstance(tau, TauPoint) else TauPoint(tau)
 
 
 def _cap_error(what, tau, partial, last_term):
@@ -196,8 +189,9 @@ def theta1_eval(z: complex, tau) -> complex:
     return value
 
 
-def _table_size(t: complex, what: str, degree: int) -> int:
-    """The number of terms k = 0, 1, ... that the theta sums at t keep.
+def _table_size(tau: TauPoint, what: str, degree: int) -> int:
+    """The number of terms k = 0, 1, ... that the theta sums at tau keep, for degree 1
+    the count in tau's head.
 
     On the reduced cell |Im w| <= Im(t)/2, the k-th term of theta1's sine
     series is at most (2k+1)*exp(-pi*Im(t)*k^2) times the first one, since
@@ -208,7 +202,8 @@ def _table_size(t: complex, what: str, degree: int) -> int:
     ``TERM_CAP`` raises ConvergenceError for ``what``, with magnitudes
     relative to the first term.
     """
-    size = _term_count(t.imag, degree)
+    t = tau.value
+    size = tau._head[0] if degree == 1 else _term_count(t.imag, degree)
     if size > TERM_CAP:
         root = (2 * size + 1) * math.exp(-math.pi * t.imag * size * size / degree)
         try:
@@ -260,8 +255,9 @@ def _theta1_table(tau: TauPoint, degree: int) -> tuple[complex, ...]:
     tau's head.  A longer table begins with the factors of a shorter one, bit for bit.
     """
     size, _, c, g = tau._head
+    # The head's count is the degree-1 size; only a longer table or a failure calls out.
     if degree > 1 or size > TERM_CAP:
-        size = _table_size(tau.value, "theta1 series", degree)
+        size = _table_size(tau, "theta1 series", degree)
     table, gk = [c], 1.0
     for _ in range(1, size):
         gk *= g
@@ -298,7 +294,7 @@ def _theta_constants(tau: TauPoint) -> tuple[complex, complex, complex]:
     """
     size, t, c0, _ = tau._head
     if size > TERM_CAP:
-        _table_size(tau.value, "theta constant series", 1)
+        _table_size(tau, "theta constant series", 1)
     if t.imag < 0.5:
         n = round(t.real)
         s = -1.0 / (t - n)
@@ -413,7 +409,7 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
                 coeffs[m] += c * x
                 x = -x * square / ((2 * m + 2) * (2 * m + 3))
         return _computed(coeffs, "theta1's coefficient series")
-    _table_size(t, "theta1 series", max_degree)
+    _table_size(tau, "theta1 series", max_degree)
     t = _shift_real(t, 8.0)
     n = round(t.real)
     s = -1.0 / (t - n)

@@ -12,7 +12,6 @@ from itertools import chain
 from operator import mul
 
 import numpy as np
-import pytest
 
 import sigmakit.lattice
 import sigmakit.modular
@@ -33,19 +32,6 @@ from sigmakit import (
     theta1_odd_series,
 )
 from sigmakit.series import _computed
-
-
-def clear_memos():
-    """Empty the memos of ``sigmakit.modular``: the TauPoints that ``as_tau`` interns."""
-    for value in vars(sigmakit.modular).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memos():
-    # No test may see the bare tau values that another test evaluated.
-    clear_memos()
 
 
 def record_builds(monkeypatch):

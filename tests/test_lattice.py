@@ -9,7 +9,6 @@ from conftest import (
     IDENTITY_MAP,
     INVERSION,
     circle_coefficients,
-    clear_memos,
     compose,
     gauge_reference,
     integer_combination,
@@ -692,7 +691,6 @@ class TestSigmaEval:
                     monkeypatch.setattr(module, name, counted)
         builds = record_builds(monkeypatch)
         for lat in (lattice_from_rho_tau(1, 1j), normalize_lattice(1.2, 0.3 + 1.1j)):
-            clear_memos()
             calls.update(dict.fromkeys(calls, 0))
             builds.clear()
             identity_report(OddFunctionHandle.from_sigma(lat), num_samples=12,
@@ -722,7 +720,6 @@ class TestSigmaEval:
             monkeypatch.setattr(modular, name, counted)
         builds = record_builds(monkeypatch)
         for w1, w2 in ((1.2, 0.3 + 1.1j), (0.7 + 0.2j, -1.1 + 0.9j), (1, CORNER)):
-            clear_memos()
             for seen in (passes, tables, counts, builds):
                 seen.clear()
             lat = normalize_lattice(w1, w2)
@@ -775,13 +772,12 @@ class TestSigmaEval:
                     == [hex_bits(v) for v in want])
 
     def test_a_survey_builds_theta1s_sum_once_per_lattice(self, monkeypatch):
-        # More lattices than the memo of bare tau values holds, surveyed in
-        # cycling rounds: each keeps theta1's Horner terms with its gauge, from
-        # the record of its own tau, so theta1's sum is built once per lattice
-        # in all.
+        # Lattices surveyed in cycling rounds: each keeps theta1's Horner terms
+        # with its gauge, from the record of its own tau, so theta1's sum is
+        # built once per lattice in all.
         builds = record_builds(monkeypatch)
         lattices = [lattice_from_rho_tau(1 + 0.1j * k, complex(0.02 * k - 0.4, 1.1 + 0.03 * k))
-                    for k in range(2 * sigmakit.modular._MEMO_SIZE + 1)]
+                    for k in range(33)]
         for _ in range(3):
             for lat in lattices:
                 identity_report(OddFunctionHandle.from_sigma(lat), num_samples=4, seed=2,

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import (
     OFF_GRID,
-    clear_memos,
     eta_product_oracle,
     record_builds,
     theta1_sum_oracle,
@@ -469,17 +468,17 @@ class TestJOverflow:
 
     def test_modular_pq_is_finite_there(self):
         # p and q carry powers of eta and stay in range; a failed j leaves
-        # nothing in the memo that they read.
-        p, q = modular_pq(115j)
+        # nothing in the record that they read.
+        tau = TauPoint(115j)
+        p, q = modular_pq(tau)
         with pytest.raises(NumericError):
-            j_invariant(115j)
-        assert modular_pq(115j) == (p, q)
+            j_invariant(tau)
+        assert modular_pq(tau) == (p, q)
         assert cmath.isfinite(p) and cmath.isfinite(q) and p != 0
 
 
-def _tau_only_values(tau, order):
-    """The tau-only values at tau, evaluated in ``order``."""
-    lat = lattice_from_rho_tau(1.25 - 0.5j, tau)
+def _tau_only_values(tau, lat, order):
+    """The tau-only values at the TauPoint tau and the lattice lat, evaluated in ``order``."""
     steps = {
         "j": lambda: j_invariant(tau),
         "g": lambda: weierstrass_g(tau),
@@ -506,71 +505,35 @@ class TestTauMemo:
 
     @pytest.mark.parametrize("tau", [0.3 + 1.1j, CORNER - 1, 0.1 + 0.3j, 6.5 + 1.25j])
     def test_values_do_not_depend_on_call_order(self, tau):
-        first = repr(_tau_only_values(tau, self.ORDER))
-        clear_memos()
-        backwards = _tau_only_values(tau, self.ORDER[::-1])
+        point, lat = TauPoint(tau), lattice_from_rho_tau(1.25 - 0.5j, tau)
+        first = repr(_tau_only_values(point, lat, self.ORDER))
+        backwards = _tau_only_values(TauPoint(tau), lattice_from_rho_tau(1.25 - 0.5j, tau),
+                                     self.ORDER[::-1])
         assert repr({name: backwards[name] for name in self.ORDER}) == first
-        # And again with every value taken from the memo.
-        assert repr(_tau_only_values(tau, self.ORDER)) == first
+        # And again with every value taken from the records.
+        assert repr(_tau_only_values(point, lat, self.ORDER)) == first
 
     def test_memo_matches_a_fresh_pass(self):
-        # The record of an interned bare tau, read again by later calls, holds
-        # what a fresh TauPoint's record builds.
-        t = 0.3 + 1.1j
-        j_invariant(t)
-        theta1_eval(0.3, t)
-        kept = as_tau(t)
+        # The record of a TauPoint, read again by later calls, holds what a
+        # fresh TauPoint's record builds.
+        kept = TauPoint(0.3 + 1.1j)
+        j_invariant(kept)
+        theta1_eval(0.3, kept)
         assert {"_forms", "_theta1"} <= set(vars(kept))
-        fresh = TauPoint(t)
+        fresh = TauPoint(kept.value)
         assert repr(kept._forms) == repr(fresh._forms)
         assert repr(kept._theta1) == repr(fresh._theta1)
 
-    def test_repeated_calls_at_a_bare_tau_build_one_record(self, monkeypatch):
+    def test_repeated_calls_at_a_tau_point_build_one_record(self, monkeypatch):
         builds = record_builds(monkeypatch)
-        t = -0.2 + 0.95j
+        tau = TauPoint(-0.2 + 0.95j)
         for _ in range(3):
             for call in (j_invariant, weierstrass_g, modular_discriminant, modular_pq,
                          lambda tau: theta1_eval(0.3 - 0.2j, tau),
                          lambda tau: theta1_odd_series(tau, 7)):
-                call(t)
+                call(tau)
         assert builds == {"_head": 1, "_theta1": 1, "_forms": 1}
-        assert as_tau(t) is as_tau(complex(t.real, t.imag)) is not TauPoint(t)
-
-    def test_the_interning_memo_is_bounded(self, monkeypatch):
-        # 2*_MEMO_SIZE + 1 bare tau values, visited in cycling rounds, each miss
-        # the least recently used bound; the last _MEMO_SIZE of them stay.
-        builds = record_builds(monkeypatch)
-        size = sigmakit.modular._MEMO_SIZE
-        taus = [complex(0.01 * k - 0.2, 1.1 + 0.01 * k) for k in range(2 * size + 1)]
-        for _ in range(2):
-            for t in taus:
-                j_invariant(t)
-        assert builds["_forms"] == 2 * len(taus)
-        for t in reversed(taus[-size:]):
-            j_invariant(t)
-        assert builds["_forms"] == 2 * len(taus)
-        info = sigmakit.modular._interned.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (size, size, 2 * len(taus))
-        j_invariant(taus[0])
-        assert builds["_forms"] == 2 * len(taus) + 1
-
-    def test_a_tau_point_skips_the_memo(self):
-        tau = TauPoint(0.1 + 1.2j)
-        for call in (j_invariant, weierstrass_g, modular_pq, dedekind_eta):
-            call(tau)
-        theta1_eval(0.2, tau)
         assert as_tau(tau) is tau
-        assert sigmakit.modular._interned.cache_info().currsize == 0
-
-    def test_a_number_that_does_not_hash_is_interned_by_its_value(self):
-        # A 0-d array is a number to complex() but has no hash.
-        want = j_invariant(0.1 + 1.2j)
-        for tau in (np.array(0.1 + 1.2j), np.complex128(0.1 + 1.2j)):
-            assert repr(j_invariant(tau)) == repr(want)
-        assert as_tau(np.array(0.1 + 1.2j)) is as_tau(0.1 + 1.2j)
-        assert sigmakit.modular._interned.cache_info().currsize == 1
-        with pytest.raises(TypeError):
-            as_tau([0.1 + 1.2j])
 
     @pytest.mark.parametrize("group", ["reduced", "below one half", "large real part"])
     def test_each_kernel_at_a_bare_tau_equals_its_call_at_a_tau_point(self, group):
@@ -588,7 +551,6 @@ class TestTauMemo:
                    weierstrass_g, j_invariant, modular_discriminant, modular_pq)
         for t in taus:
             bare = [_hex_outcome(kernel, t) for kernel in kernels]
-            clear_memos()
             point = TauPoint(t)
             assert [_hex_outcome(kernel, point) for kernel in kernels] == bare
 
@@ -608,10 +570,12 @@ class TestTermCap:
             "modular_discriminant", "modular_pq", "dedekind_eta"])
     def test_the_cap_is_reached_through_tau(self, call, what):
         call(1j)
-        # A failure is not memoized, so the second call raises as the first.
-        for _ in range(2):
+        # A failure is not kept in the record, so a second call at one TauPoint
+        # raises as the first, and as a call at the bare tau.
+        point = TauPoint(1e-4j)
+        for tau in (1e-4j, point, point):
             with pytest.raises(ConvergenceError) as err:
-                call(1e-4j)
+                call(tau)
             assert str(err.value) == (f"{what} did not converge within 200 terms at "
                                       "tau=0.0001j; reduce tau toward the fundamental domain first")
             assert err.value.diagnostics["tau"] == [0.0, 1e-4]

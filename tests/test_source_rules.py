@@ -81,12 +81,12 @@ def _memo_sites(tree):
     return sites
 
 
-def test_the_one_memo_interns_bare_tau():
+def test_no_memo_keeps_tau_results():
     # Each TauPoint keeps its own q-series record, so no value-keyed memo of
-    # tau results may return beside the one that maps a bare tau to its TauPoint.
+    # tau results may return beside it.
     sites = {f"{path.stem}.{name}" for path in SOURCES
              for name in _memo_sites(ast.parse(path.read_text(encoding="utf-8")))}
-    assert sites == {"modular._interned"}
+    assert sites == set()
 
 
 @pytest.mark.parametrize("source, found", [

@@ -1,15 +1,9 @@
-"""tools/size.py, which counts the library's lines and tokens, and tools/ab.py,
-which times two source trees against each other."""
+"""tools/size.py, which counts the library's lines and tokens."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
-import pytest
-
-ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "size.py"
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "size.py"
 
 
 def _size_tool():
@@ -45,17 +39,3 @@ def test_size_without_a_base_prints_counts_only(tmp_path, capsys):
     _size_tool().main([str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"{'a.py':<16}{1:>8}{3:>9}", f"{'total':<16}{1:>8}{3:>9}"]
-
-
-@pytest.mark.parametrize("mix", ["point", "survey", "classify"])
-def test_ab_of_one_tree_against_itself_matches_every_output(mix):
-    tree = str(ROOT / "src" / "sigmakit")
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), tree, tree,
-                           "--mix", mix, "--rounds", "2", "--ops", "6", "--seed", "3"],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == f"mix {mix}: 2 rounds of 6 operations, seed 3"
-    assert lines[1] == "outputs identical: yes (12 of 12)"
-    assert lines[2].startswith("median time ratio new/old: ")
-    assert lines[3].startswith("rounds won by new: ") and lines[3].endswith(" of 2")
