@@ -45,7 +45,7 @@ from .errors import (
     json_ready,
 )
 from .invariants import _invariants_and_hat
-from .lattice import _gauge_alpha, _lattice_from_g, lattice_from_rho_tau
+from .lattice import Lattice, _gauge_alpha, _lattice_from_g, lattice_from_rho_tau
 from .modular import TauPoint, _theta1_table
 from .series import TruncatedOddSeries, _computed
 
@@ -112,7 +112,7 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
     diagnostics = dict(inv.to_json_dict(), sign_convention=_SIGN_NOTE)
     big_a, big_b = hat.series.coefficient(5), hat.series.coefficient(7)
     alpha, beta = -hat.alpha, hat.beta
-    a = rho = tau = None
+    a = rho = tau = lat = None
     if inv.mu.tag == "undefined":
         case = "linear"
     elif inv.mu.tag == "finite" and abs(inv.mu.value - MU_TRIG) <= trig_tolerance * MU_TRIG:
@@ -130,20 +130,20 @@ def classify(s: TruncatedOddSeries, *, trig_tolerance: float = TRIG_TOLERANCE,
     result = Classification(case, alpha, beta, a, rho, tau, diagnostics)
 
     if s.max_degree > 7:
-        _validate_tail(s, result, validation_tolerance)
+        _validate_tail(s, result, validation_tolerance, lat)
     return result
 
 
-def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float):
+def _validate_tail(s: TruncatedOddSeries, c: Classification, tolerance: float, lat: Lattice | None):
     """Check coefficients beyond degree 7 against the member's closed form.
 
-    ``synthesize(c, s.max_degree)`` is the recovered member's own Taylor series,
-    one twisted-sine recurrence per theta factor (O(T*K) for T factors and K odd
-    coefficients), and the duplication recurrence's unique extension of its degree-7
-    data (psi(n) != 0 for odd n >= 9) without that recurrence's 9x-per-degree gain on rounding.
+    ``_synthesize(c, s.max_degree, lat)``, on classify's lattice lat, is the recovered member's
+    own Taylor series, one twisted-sine recurrence per theta factor (O(T*K) for T factors and K
+    odd coefficients), and the duplication recurrence's unique extension of its degree-7 data
+    (psi(n) != 0 for odd n >= 9) without that recurrence's 9x-per-degree gain on rounding.
     """
     got = s.odd_coefficients
-    want = synthesize(c, s.max_degree).odd_coefficients
+    want = _synthesize(c, s.max_degree, lat).odd_coefficients
     scale = max(math.hypot(v.real, v.imag) for v in (*got, *want))
     if not math.isfinite(scale):
         # An infinite scale would let any tail pass.
@@ -166,11 +166,16 @@ def synthesize(c: Classification, max_degree: int) -> TruncatedOddSeries:
     scale*theta1(z/rho)*exp(kappa*z^2/rho^2), with (kappa, _, scale, _) the ``gauge`` of
     ``lattice_from_rho_tau(rho, tau)`` and theta1(w) = sum c_k*sin(w_k*w), w_k = (2k+1)*pi,
     is (scale*c_k*b_k, b_k^2) with b_k = w_k/rho, and adds kappa/rho^2 to alpha."""
+    return _synthesize(c, max_degree, None)
+
+
+def _synthesize(c: Classification, max_degree: int, lat: Lattice | None) -> TruncatedOddSeries:
+    """``synthesize`` on lat, the lattice ``classify`` found for an elliptic c, if given."""
     if max_degree < 1 or max_degree % 2 == 0:
         raise DomainError("max_degree must be an odd integer >= 1")
     alpha, terms = c.alpha, [(c.a, c.a * c.a)] if c.case == "trig" else [(1.0, 0.0)]
     if c.case == "elliptic":
-        lat = lattice_from_rho_tau(c.rho, c.tau)
+        lat = lat or lattice_from_rho_tau(c.rho, c.tau)
         kappa, _, scale, _ = lat.gauge
         alpha = _gauge_alpha(kappa, lat.rho) + alpha
         terms = [(scale * ck * (b := (2 * k + 1) * math.pi / lat.rho), b * b)

@@ -28,20 +28,19 @@ Each ``TauPoint`` keeps these results in a record, each part formed on first use
 2*exp(i*pi*tau/4) and exp(2*pi*i*tau)), and theta1's degree-1 sum and the forms
 (g2, g3, eta^3), both summed from the head.  So ``theta1_eval``, the sigma gauge
 (a lattice keeps the sum's terms), ``j_invariant``, ``weierstrass_g``,
-``modular_discriminant`` and ``modular_pq`` at one TauPoint share one theta1 sum and
-one theta-constant pass.  A bare tau gets a TauPoint of its own on each call, so a
-caller that evaluates several of them at one tau passes a TauPoint.  Longer factor
-tables are not kept.  A failure is not kept: every call at a tau past the cap
-raises its own ConvergenceError.
+``modular_discriminant``, ``modular_pq`` and ``dedekind_eta`` at one TauPoint share
+one theta1 sum and one theta-constant pass.  A bare tau gets a TauPoint of its own on
+each call, so a caller that evaluates several of them at one tau passes a TauPoint.
+Longer factor tables are not kept.  A failure is not kept: every call at a tau past
+the cap raises its own ConvergenceError.
 
-Only ``dedekind_eta`` keeps a stopping rule of its own: its product runs
-until |q^n| drops below ``TERM_TOL``.  Every sum and product has one fixed
-cap of ``TERM_CAP`` = 200 terms, which no caller chooses, judged at tau as
-given.  Inside the fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful
-of terms suffice; far outside it the cap is reached and a ConvergenceError
-is raised.  Callers are expected to reduce tau first (see
-``lattice.reduce_tau``); these routines take tau exactly as given so that
-the modular transformation laws remain observable.
+Only ``dedekind_eta``, below Im tau = 1/2 and above 900, keeps a stopping rule of its own:
+its product runs until |q^n| drops below ``TERM_TOL``.  Every sum and product has one
+fixed cap of ``TERM_CAP`` = 200 terms, which no caller chooses, judged at tau as given.
+Inside the fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far
+outside it the cap is reached and a ConvergenceError is raised.  Callers are expected to
+reduce tau first (see ``lattice.reduce_tau``); these routines take tau exactly as given so
+that the modular transformation laws remain observable.
 """
 
 from __future__ import annotations
@@ -72,6 +71,8 @@ _HORNER_FACTORS = 6  # the most factors summed by Horner's rule, all that Im tau
 _SINE_TERMS = tuple((k, j, (-4.0) ** j * ((2 * k + 1) * math.comb(k + j, 2 * j) // (2 * j + 1)))
                     for k in range(TERM_CAP) for j in range(k + 1 if k < _HORNER_FACTORS else 2))
 _SINE_ENDS = tuple(bisect_left(_SINE_TERMS, (n,)) for n in range(TERM_CAP + 1))
+# The first _SINE_ENDS[n] triples in reverse, the order ``TauPoint._theta1`` adds them in.
+_HORNER_ROWS = tuple(_SINE_TERMS[:_SINE_ENDS[n]][::-1] for n in range(_HORNER_FACTORS + 1))
 
 
 class _kept:
@@ -119,7 +120,8 @@ class TauPoint(namedtuple("TauPoint", "value")):
         table = _theta1_table(self, 1)
         n = len(table)
         e = [0j] * _HORNER_FACTORS
-        for k, j, p in reversed(_SINE_TERMS[:_SINE_ENDS[n]]):
+        rows = _HORNER_ROWS[n] if n <= _HORNER_FACTORS else _SINE_TERMS[_SINE_ENDS[n] - 1::-1]
+        for k, j, p in rows:
             e[j] += table[k] * p
         return (tuple(e[n - 1::-1]) if n <= _HORNER_FACTORS else table), e[0], e[1]
 
@@ -426,14 +428,17 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
 
 
 def dedekind_eta(tau) -> complex:
-    """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at tau
-    shifted by ``_shift_real`` to its period 24.  eta has no zeros, and a value
-    below the normal doubles (Im tau above about 2706) raises NumericError."""
-    t = as_tau(tau).value
+    """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at tau shifted by
+    ``_shift_real`` to its period 24.  On 1/2 <= Im tau <= 900 the product is the cube root of
+    2*eta^3/c0, c0 = 2*exp(i*pi*t/4), from tau's record: |q| <= exp(-pi) holds its phase within
+    7.8 degrees.  Elsewhere it runs (its phase reaches 55 degrees at 0.1i; c0 underflows above
+    900).  eta has no zeros; from about Im tau = 2706 it underflows, which raises NumericError."""
+    t = (tau := as_tau(tau)).value
     s = _shift_real(t, 24.0)
-    q = cmath.exp(2j * math.pi * s)
     prod = cmath.exp(1j * math.pi * s / 12.0)
-    qn = 1.0 + 0.0j
+    if 0.5 <= t.imag <= 900.0:
+        return prod * (2.0 * tau._forms[2] / tau._head[2]) ** (1.0 / 3.0)
+    q, qn = cmath.exp(2j * math.pi * s), 1.0 + 0.0j
     for _ in range(TERM_CAP):
         qn *= q
         prod *= 1.0 - qn

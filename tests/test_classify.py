@@ -14,6 +14,7 @@ from conftest import (
     LARGE_ALPHAS,
     circle_coefficients,
     invariants_and_hat_reference,
+    record_builds,
     seeded_members_and_data,
     synthesize_reference,
 )
@@ -281,6 +282,30 @@ class TestValidationOfHigherDegrees:
         got = classify(series)
         assert got.case == "elliptic"
 
+    @pytest.mark.parametrize("degree, builds", [(7, {}), (9, {"_head": 1, "_theta1": 1}),
+                                                (21, {"_head": 1, "_theta1": 1})])
+    def test_the_tail_check_reuses_the_lattice_classify_found(self, degree, builds, monkeypatch):
+        # classify hands its lattice to the tail check, so each elliptic member
+        # is normalized once and its tau's record is built once, where the
+        # check once built the lattice again from (rho, tau).
+        rng = np.random.default_rng(17)
+        data = [synthesize(random_classification(rng, "elliptic"), degree) for _ in range(6)]
+        module = importlib.import_module("sigmakit.lattice")
+        calls, normalize = [], module.normalize_lattice
+
+        def counted(*args):
+            calls.append(args)
+            return normalize(*args)
+
+        monkeypatch.setattr(module, "normalize_lattice", counted)
+        built = record_builds(monkeypatch)
+        for s in data:
+            calls.clear()
+            built.clear()
+            assert classify(s).case == "elliptic"
+            assert len(calls) == 1
+            assert built == builds
+
     def test_corrupted_tail_rejected(self):
         made = Classification(case="trig", alpha=0.1, beta=0.0, a=1.2 + 0j)
         series = synthesize(made, 9)
@@ -444,7 +469,10 @@ class TestTwistedSineSynthesis:
             data.append(TruncatedOddSeries(coeffs))
         got = [_tail_outcome(s) for s in data]
         module = importlib.import_module("sigmakit.classify")
-        monkeypatch.setattr(module, "synthesize", synthesize_reference)
+        # The tail check synthesizes on the lattice classify found; the
+        # reference builds its own from (rho, tau).
+        monkeypatch.setattr(module, "_synthesize",
+                            lambda c, degree, lat: synthesize_reference(c, degree))
         assert got == [_tail_outcome(s) for s in data]
         assert {g[0] for g in got} == {"linear", "trig", "elliptic", IdentityNotSatisfiedError}
         assert len({g[1] for g in got if g[0] is IdentityNotSatisfiedError}) > 5

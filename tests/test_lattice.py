@@ -735,6 +735,23 @@ class TestSigmaEval:
             assert counts == [tau.value.imag]
             assert builds == {"_head": 1, "_theta1": 1, "_forms": 1}
 
+    @pytest.mark.parametrize("tau, builds", [
+        (0.5j, {"_head": 1, "_forms": 1}), (0.3 + 1.1j, {"_head": 1, "_forms": 1}),
+        (-7.5e5 + 2j, {"_head": 1, "_forms": 1}), (900j, {"_head": 1, "_forms": 1}),
+        (0.49j, {}), (900.5j, {}), (2000j, {})])
+    def test_eta_reads_the_theta_constant_pass_of_tau(self, tau, builds, monkeypatch):
+        # On 1/2 <= Im tau <= 900 eta is the cube root of 2*eta^3/c0 from the
+        # record of tau: a lone eta at a fresh TauPoint builds its head and its
+        # forms once, and a second call builds nothing.  Elsewhere eta is the
+        # product, which builds no record.
+        built = record_builds(monkeypatch)
+        point = TauPoint(tau)
+        first = dedekind_eta(point)
+        assert built == builds
+        built.clear()
+        assert dedekind_eta(point) == first
+        assert built == {}
+
     def test_a_reduced_table_has_at_most_five_factors(self):
         # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
         # is just above 1e-18, so the table keeps k = 0..4 there, and Horner's

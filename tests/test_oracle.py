@@ -13,7 +13,7 @@ corners, Im tau from 0.97 to 20) the largest measured errors are, for
 theta1_eval and sigma_eval, 4.2e-16 and 2.8e-16 next to 0, 4.6e-16 and
 9.5e-16 next to a nonzero lattice point, and 8.2e-16 and 2.7e-14 on the
 edge |Im w| = Im(tau)/2 of the reduced cell (sigma's edge error grows with
-|alpha*z^2|, about 160 at Im tau = 20); 1.9e-16 for eta, 8.0e-16 and
+|alpha*z^2|, about 160 at Im tau = 20); 2.1e-16 for eta, 8.0e-16 and
 7.9e-16 for g2 and g3 against max(|g2|, (2 pi)^4/12) and
 max(|g3|, (2 pi)^6/216) (both vanish at a special point), 3.8e-15 for j
 against max(|j|, 1728), 3.3e-15 for the discriminant, and 1.1e-15 and
@@ -39,15 +39,20 @@ of the exact extension under a 1-ulp change in a3, a5 or a7.
 sigma from the Lambert sums of g2 and g3 and the Laurent recurrence of wp,
 which share no formula with theta1's series, in six seeded groups of 24
 members at degrees 7 to 41 (``SYNTHESIS_BUDGETS``).
+
+``dedekind_eta`` is checked against the product ``qp`` in each of its three
+regimes (the product below Im tau = 1/2 and above 900, the cube root of
+2*eta^3/c0 between), on seeded groups with a budget each (``ETA_BUDGETS``).
 """
 
 import cmath
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from conftest import OFF_GRID, synthesize_reference
+from conftest import OFF_GRID, eta_product_oracle, synthesize_reference
 
 from sigmakit import (
     Classification,
@@ -69,6 +74,7 @@ from sigmakit import (
     theta1_odd_series,
     weierstrass_g,
 )
+from sigmakit.modular import _shift_real
 
 mp = pytest.importorskip("mpmath")
 
@@ -320,6 +326,70 @@ def test_below_the_normal_doubles_is_numeric_error(call, what, tau):
         call(tau)
     assert str(err.value) == f"{what} underflows at tau={tau}"
     assert err.value.diagnostics == {"tau": [tau.real, tau.imag]}
+
+
+def eta_error(eta, tau):
+    """|eta(tau) - oracle| / |oracle|, formed in mpmath, where eta**24 does not underflow."""
+    want = oracle_eta_and_delta(tau)[0]
+    with mp.workdps(DPS):
+        return float(abs(mp.mpc(eta(tau)) - want) / abs(want))
+
+
+def eta_taus(group, count=64):
+    """Seeded tau of one group of ``ETA_BUDGETS``."""
+    if group == "edges":
+        # Both sides of Im tau = 1/2 and 900, a rounding step apart.
+        return [complex(x, h) for x in (-0.5, -0.2, 0.0, 0.3, 7.5e5) for y in (0.5, 900.0)
+                for h in (math.nextafter(y, 0), y, math.nextafter(y, math.inf))]
+    rng = np.random.default_rng(list(ETA_BUDGETS).index(group) + 5300)
+    low, high = {"below one half": (0.05, 0.5), "theta constants": (0.5, 3),
+                 "large real part": (0.05, 2), "high": (3, 900), "above 900": (900, 2705)}[group]
+    taus = []
+    for _ in range(count):
+        x = rng.uniform(-0.5, 0.5)
+        if group == "large real part":
+            x = math.copysign(10 ** rng.uniform(0, 6), x)
+        taus.append(complex(x, rng.uniform(low, high)))
+    return taus
+
+
+# The budget of each group's largest relative error, about five times the
+# largest measured.  Mean / median / max measured, against the mpmath product:
+# below one half (Im tau from 0.05 to 1/2, the product) 2.9e-16 / 2.1e-16 /
+# 1.0e-15; theta constants (Im tau from 1/2 to 3, the cube root of
+# 2*eta^3/c0) 1.1e-16 / 9.7e-17 / 3.0e-16, where the product it replaced
+# gives 1.3e-16 / 1.1e-16 / 4.0e-16; large real part (|Re tau| from 1 to
+# 1e6, Im tau from 0.05 to 2) 3.4e-16 / 2.1e-16 / 2.2e-15 against 3.6e-16 /
+# 2.3e-16 / 2.2e-15; high (Im tau from 3 to 900) 8.8e-15 / 7.1e-15 / 2.8e-14
+# and above 900 (the product, to Im tau = 2705) 2.9e-14 / 2.1e-14 / 8.3e-14,
+# both set by the rounding of exp's argument near -pi*Im(tau)/12; edges (a
+# rounding step either side of Im tau = 1/2 and 900) 6.5e-15 / 5.9e-15 /
+# 1.4e-14.  From Im tau = 3 up both routes are that rounding, and they differ
+# at 2 of the 64 high points by an ulp of the product.
+ETA_BUDGETS = {
+    "below one half": 5e-15,
+    "theta constants": 1.5e-15,
+    "large real part": 1e-14,
+    "high": 1.5e-13,
+    "above 900": 4e-13,
+    "edges": 7e-14,
+}
+
+
+@pytest.mark.parametrize("group", ETA_BUDGETS)
+def test_eta_in_each_regime(group):
+    taus = eta_taus(group)
+    errors = [eta_error(dedekind_eta, tau) for tau in taus]
+    # The product, as eta was taken on every tau before the cube root.
+    reference = [eta_error(lambda t: eta_product_oracle(_shift_real(t, 24.0)), tau)
+                 for tau in taus]
+    report = {name: [f"{f(e):.2e}" for f in (statistics.mean, statistics.median, max)]
+              for name, e in (("eta", errors), ("product", reference))}
+    assert max(errors) <= ETA_BUDGETS[group], report
+    if group in ("theta constants", "large real part"):
+        # The cube root is no less accurate than the product it replaced.
+        assert statistics.mean(errors) <= statistics.mean(reference), report
+        assert statistics.median(errors) <= statistics.median(reference), report
 
 
 @pytest.mark.parametrize("tau", OFF_GRID)

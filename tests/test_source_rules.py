@@ -185,11 +185,11 @@ def _called_names(node):
             for call in ast.walk(node) if isinstance(call, ast.Call)]
 
 
-def _synthesis_sites(tree):
-    """(calls of _twisted_sines in synthesize's simple top-level statements, its
-    calls anywhere else in synthesize, the SERIES_STEPS that synthesize calls)."""
+def _synthesis_sites(tree, name="_synthesize"):
+    """(calls of _twisted_sines in the simple top-level statements of the function
+    so named, its calls anywhere else in it, the SERIES_STEPS that it calls)."""
     func = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "synthesize")
+                if isinstance(node, ast.FunctionDef) and node.name == name)
     total = _called_names(func).count("_twisted_sines")
     after = sum(_called_names(stmt).count("_twisted_sines") for stmt in func.body
                 if isinstance(stmt, (ast.Return, ast.Assign, ast.Expr)))
@@ -197,16 +197,19 @@ def _synthesis_sites(tree):
 
 
 def test_each_family_member_is_built_in_one_place():
-    # classify builds its one Classification and synthesize runs its one
+    # classify builds its one Classification and _synthesize runs its one
     # twisted-sine recurrence after the family branches, so that each family
     # adds only its own terms and cannot grow a second construction of the
     # result, nor return to an O(K^2) twist of a scaled base series.
+    # synthesize and classify's tail check reach the recurrence through it.
     path = next(path for path in SOURCES if path.name == "classify.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     calls = {func.name: _called_names(func) for func in tree.body
              if isinstance(func, ast.FunctionDef)}
     assert calls["classify"].count("Classification") == 1
     assert _synthesis_sites(tree) == (1, 0, [])
+    for name in ("synthesize", "_validate_tail"):
+        assert "_twisted_sines" not in calls[name] and calls[name].count("_synthesize") == 1
 
 
 @pytest.mark.parametrize("source, found", [
@@ -223,14 +226,14 @@ def test_each_family_member_is_built_in_one_place():
      "    return _twisted_sines(out, 0, 0, 1)", (2, 0, [])),
 ])
 def test_synthesis_rule_catches(source, found):
-    assert _synthesis_sites(ast.parse(source)) == found
+    assert _synthesis_sites(ast.parse(source), "synthesize") == found
 
 
 def test_synthesis_rule_allows_one_kernel_after_the_branches():
     source = ("def synthesize(c, d):\n    terms = [(1.0, 0.0)]\n    if c.case == 'elliptic':\n"
               "        kappa, _, scale = lattice_from_rho_tau(c.rho, c.tau).gauge\n"
               "    return _twisted_sines(terms, c.alpha, c.beta, 1)")
-    assert _synthesis_sites(ast.parse(source)) == (1, 0, [])
+    assert _synthesis_sites(ast.parse(source), "synthesize") == (1, 0, [])
 
 
 def _complex_pairs(tree):
@@ -529,3 +532,51 @@ def test_theta1_kernel_rule_catches_a_second_read_of_the_record(source, found):
 ])
 def test_theta1_kernel_rule_allows(source):
     assert _theta1_kernel_sites(ast.parse(source)) == set()
+
+
+def _theta_constant_sites(tree, scope=()):
+    """(functions below tree, with their classes, that call a function named
+    _theta_constants, those that read an attribute named _forms, the
+    TauPoint's record of that pass)."""
+    callers, readers = set(), set()
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call) and "_theta_constants" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            callers.add(".".join(scope) or "<module>")
+        elif isinstance(child, ast.Attribute) and child.attr == "_forms":
+            readers.add(".".join(scope) or "<module>")
+        found = _theta_constant_sites(child, inner)
+        callers, readers = callers | found[0], readers | found[1]
+    return callers, readers
+
+
+def test_the_theta_constants_are_summed_for_the_record_alone():
+    # The theta-constant pass runs only to build a TauPoint's forms, and again
+    # at -1/(tau - n) in its own inversion branch; eta, g2, g3, the
+    # discriminant, j and (p, q) read it from the record, so that no kernel
+    # (such as a second eta route) sums the constants again at one tau.
+    callers, readers = set(), set()
+    for path in SOURCES:
+        found = _theta_constant_sites(ast.parse(path.read_text(encoding="utf-8")))
+        callers |= {f"{path.stem}.{name}" for name in found[0]}
+        readers |= {f"{path.stem}.{name}" for name in found[1]}
+    assert callers == {"modular.TauPoint._forms", "modular._theta_constants"}
+    assert readers == {f"modular.{name}" for name in (
+        "dedekind_eta", "weierstrass_g", "modular_discriminant", "j_invariant", "modular_pq")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def dedekind_eta(tau):\n    th2, th3, th4 = _theta_constants(tau)",
+     ({"dedekind_eta"}, set())),
+    ("def f(tau):\n    return modular._theta_constants(as_tau(tau))", ({"f"}, set())),
+    ("class TauPoint:\n    def _forms(self):\n        return _theta_constants(self)",
+     ({"TauPoint._forms"}, set())),
+    ("def dedekind_eta(tau):\n    return tau._forms[2] ** (1 / 3)", (set(), {"dedekind_eta"})),
+    ("x = _theta_constants(TauPoint(1j))", ({"<module>"}, set())),
+    ("def f(tau):\n    return tau._head[2]", (set(), set())),
+])
+def test_theta_constant_rule(source, found):
+    assert _theta_constant_sites(ast.parse(source)) == found
