@@ -100,10 +100,13 @@ def mu_of_pq(p: complex, q: complex, *, p_scale: float | None = None,
     coefficient and the argument scale, so "zero" must be judged against a
     4th and a 6th power of a characteristic scale.  When no scales are
     supplied they are inferred from the pair itself:
-    s = max(|p|^(1/4), |q|^(1/6)), p_scale = s^4, q_scale = s^6.
+    s = max(|p|^(1/4), |q|^(1/6)), p_scale = s^4, q_scale = s^6.  Exact zeros are
+    zero at any scale: p == q == 0 is undefined even where the scales overflow.
     """
     p = complex(p)
     q = complex(q)
+    if p == 0 and q == 0:
+        return ProjectiveValue.undefined()
     try:
         if p_scale is None or q_scale is None:
             s = max(abs(p) ** 0.25, abs(q) ** (1.0 / 6.0))
@@ -192,8 +195,11 @@ def _invariants_and_hat(s: TruncatedOddSeries) -> tuple[InvariantData, HatForm]:
     a1, a3, a5, a7 = s.odd_coefficients[:4]
     if a1 == 0:
         raise NotInOmegaError("leading odd coefficient vanishes")
-    p = a3 * a3 - 2.0 * a1 * a5
-    q = 3.0 * a1 * a1 * a7 - 3.0 * a1 * a3 * a5 + a3 * a3 * a3
+    if a3 == a5 == a7 == 0:  # a1*z: p = q = 0, whose products overflow to NaN from |a1| ~ 1e154
+        p = q = 0j
+    else:
+        p = a3 * a3 - 2.0 * a1 * a5
+        q = 3.0 * a1 * a1 * a7 - 3.0 * a1 * a3 * a5 + a3 * a3 * a3
     hat = hat_normalize(_computed(s.odd_coefficients[:4], "the degree-7 head"))
     try:
         m1, m3, m5, m7, big_a, big_b = map(abs, (a1, a3, a5, a7, *hat.series.odd_coefficients[2:]))

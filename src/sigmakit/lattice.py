@@ -23,11 +23,13 @@ which depends on tau alone,
 
     sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
 
-``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau), terms) once per lattice,
+``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau), frame) once per lattice,
 on first use, from theta1's Horner form in its tau's record (``TauPoint._theta1``): e0 and
-e1 give the gauge, and the Horner terms are kept for ``sigma_eval``.  It is the one place the
-gauge is formed and the only reader of theta1's sum here; ``sigma_eval``, ``sigma_gauge`` and
-``classify.synthesize`` read the gauge, and ``_gauge_alpha`` is the one place alpha is formed.
+e1 give the gauge, and the frame of the kernel call (tau's Horner terms, or those of its
+modular inversion's cell below Im tau = 1/2) is kept for ``sigma_eval``.  It is the one
+place the gauge is formed and the only reader of theta1's sum here; ``sigma_eval``,
+``sigma_gauge`` and ``classify.synthesize`` read the gauge, and ``_gauge_alpha`` is the one
+place alpha is formed.
 ``sigma_eval`` needs no alpha, which overflows for |rho| below about
 1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
 exp, so sigma is found wherever it fits in a double even when theta1 or
@@ -46,7 +48,7 @@ import math
 from collections import namedtuple
 
 from .errors import J_TOLERANCE, ConvergenceError, DomainError, NumericError
-from .modular import TauPoint, _kept, _tau_point, _theta1_values, as_tau, j_invariant
+from .modular import TauPoint, _kept, _tau_point, _theta1_frame, _theta1_values, as_tau, j_invariant
 
 # Boundary tolerance for fundamental-domain tie-breaking.
 _EDGE = 1e-15
@@ -136,15 +138,16 @@ class Lattice(namedtuple("Lattice",
     """
 
     @_kept
-    def gauge(self) -> tuple[complex, complex, complex, tuple[complex, ...]]:
-        """(kappa, beta, rho/theta1'(0, tau), terms), kept for the life of the lattice:
+    def gauge(self) -> tuple[complex, complex, complex, tuple]:
+        """(kappa, beta, rho/theta1'(0, tau), frame), kept for the life of the lattice:
         the first three from ``sigma_gauge_from_head``, with theta1'(0) = pi*e0 and
         theta1'''(0)/6 = pi^3*(e1 - e0/6) from the sum in tau's record (``TauPoint._theta1``),
         so kappa = pi^2/6 - pi^2*e1/e0, whose rounding the constant pi^2/6 bounds (e0 = 0 only
-        where th1 underflows); terms are the record's own Horner terms, read by ``sigma_eval``."""
-        terms, e0, e1 = self.tau._theta1
+        where th1 underflows); frame, built last, is the ``_theta1_frame`` of rho, kappa, scale."""
+        _, e0, e1, _ = self.tau._theta1
         kappa = _PI_SQUARED / 6.0 - _PI_SQUARED * e1 / e0 if e0 else 0.0
-        return sigma_gauge_from_head(math.pi * e0, kappa, self.rho) + (terms,)
+        kappa, beta, scale = sigma_gauge_from_head(math.pi * e0, kappa, self.rho)
+        return kappa, beta, scale, _theta1_frame(self.tau, self.rho, kappa, scale)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -321,20 +324,19 @@ def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
 def sigma_eval(z: complex, lat: Lattice) -> complex:
     """Weierstrass sigma of the lattice, normalized by sigma'(0) = 1.
 
-    theta1 is summed on the terms that ``lat.gauge`` keeps with the gauge, by
-    Horner's rule on the five factors at most of a reduced tau (``TERM_CAP`` = 200
-    bounds a hand-built one).  The quasi-periodic
-    exponent of theta1 is added to alpha*z^2, formed as kappa*(z/rho)^2,
-    before one exp, since the two nearly cancel, so only a value outside the
-    double range raises NumericError.
+    theta1 is summed in the frame that ``lat.gauge`` keeps with the gauge, by
+    Horner's rule on six factors at most (five for a reduced tau; a hand-built tau
+    below Im tau = 1/2 is summed in its modular inversion's cell).  The
+    quasi-periodic exponent of theta1 is added to alpha*z^2, formed as
+    kappa*(z/rho)^2, before one exp, since the two nearly cancel, so only a value
+    outside the double range raises NumericError.
     """
     return _sigma_values((complex(z),), lat)[0]
 
 
 def _sigma_values(zs, lat: Lattice) -> list[complex]:
     """``sigma_eval`` at each of zs; the first failing z picks the error."""
-    kappa, _, scale, terms = lat.gauge
-    values = _theta1_values(zs, lat.tau.value, terms, lat.rho, kappa, scale)
+    values = _theta1_values(zs, *lat.gauge[3])
     if not all(map(cmath.isfinite, values)):
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
         if not cmath.isfinite(z):

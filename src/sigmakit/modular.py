@@ -11,33 +11,31 @@ which are the degree-5/7 Taylor invariants of theta1 (see ``invariants``).
 
 theta1 and its odd Taylor coefficients are summed on tables of its factors,
 whose length is fixed once per tau and degree (see ``_table_size``); the
-coefficients through z^d keep more factors as d grows, and below Im tau = 1/2
-they are summed at -1/(tau - n).  theta1 itself is s * sum_j e_j*u^j with
-s = sin(pi*z), u = s^2, by Horner's rule on at most six factors (every
-Im tau >= 1/2), and e0 and e1 give sigma's gauge (see ``TauPoint._theta1``).
-g2, g3, the discriminant, j and (p, q) come from the theta constants theta2,
-theta3 and theta4 at z = 0, summed over the degree-1 number of terms in one
-pass (see ``_theta_constants``); below Im tau = 1/2 they are summed at
--1/(tau - n) and mapped back, since their sums cancel there.  All of these
-take Re tau modulo 8, under which theta1's factors and the theta constants
-are invariant, and ``dedekind_eta`` takes it modulo 24, its own period, so a
-large Re tau keeps its phase.
+coefficients through z^d keep more factors as d grows.  theta1 itself is
+s * sum_j e_j*u^j with s = sin(pi*z), u = s^2, by Horner's rule on at most six
+factors, and e0 and e1 give sigma's gauge (see ``TauPoint._theta1``).  g2, g3,
+the discriminant, j and (p, q) come from the theta constants theta2, theta3 and
+theta4 at z = 0, summed over the degree-1 number of terms in one pass (see
+``_theta_constants``).  Below Im tau = 1/2, where these sums cancel, all of them
+run at the point of one modular inversion, ``_inversion``, and are mapped back
+by the transformation laws.  All take Re tau modulo 8, under which theta1's
+factors and the theta constants are invariant, and ``dedekind_eta`` takes it
+modulo 24, its own period, so a large Re tau keeps its phase.
 
 Each ``TauPoint`` keeps these results in a record, each part formed on first use
 (see ``_kept``): a head (the degree-1 term count, tau shifted to the period 8,
 2*exp(i*pi*tau/4) and exp(2*pi*i*tau)), and theta1's degree-1 sum and the forms
-(g2, g3, eta^3), both summed from the head.  So ``theta1_eval``, the sigma gauge
-(a lattice keeps the sum's terms), ``j_invariant``, ``weierstrass_g``,
-``modular_discriminant``, ``modular_pq`` and ``dedekind_eta`` at one TauPoint share
-one theta1 sum and one theta-constant pass.  A bare tau gets a TauPoint of its own on
-each call, so a caller that evaluates several of them at one tau passes a TauPoint.
-Longer factor tables are not kept.  A failure is not kept: every call at a tau past
-the cap raises its own ConvergenceError.
+(g2, g3, eta^3), both summed from the head, or read from the inversion's point.
+So ``theta1_eval``, the sigma gauge (a lattice keeps its frame), ``j_invariant``,
+``weierstrass_g``, ``modular_discriminant``, ``modular_pq`` and ``dedekind_eta`` at
+one TauPoint share one theta1 sum and one theta-constant pass.  A bare tau gets a
+TauPoint of its own on each call, so a caller that evaluates several of them at one
+tau passes a TauPoint.  Longer factor tables are not kept.  A failure is not kept:
+every call at a tau past the cap raises its own ConvergenceError.
 
-Only ``dedekind_eta``, below Im tau = 1/2 and above 900, keeps a stopping rule of its own:
-its product runs until |q^n| drops below ``TERM_TOL``.  Every sum and product has one
-fixed cap of ``TERM_CAP`` = 200 terms, which no caller chooses, judged at tau as given.
-Inside the fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far
+Every sum has one fixed cap of ``TERM_CAP`` = 200 terms, which no caller chooses,
+judged at tau as given, and none has a stopping rule of its own.  Inside the
+fundamental domain |q| <= exp(-pi*sqrt(3)) and a handful of terms suffice; far
 outside it the cap is reached and a ConvergenceError is raised.  Callers are expected to
 reduce tau first (see ``lattice.reduce_tau``); these routines take tau exactly as given so
 that the modular transformation laws remain observable.
@@ -47,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from collections import namedtuple
 
 from .errors import TERM_CAP, ConvergenceError, DomainError, NumericError
@@ -59,20 +56,14 @@ _I_PI = 1j * math.pi
 # (2*pi)^4/12 and (2*pi)^6/216, halved for E4 and E6.
 _G2_SCALE = _TWO_PI**4 / 24.0
 _G3_SCALE = _TWO_PI**6 / 432.0
-# exp(i*pi*k/4), the factor theta2 takes under t -> t + k.
-_H = math.sqrt(0.5)
-_EIGHTH_ROOTS = (1.0, complex(_H, _H), 1j, complex(-_H, _H),
-                 -1.0, complex(-_H, -_H), -1j, complex(_H, -_H))
 
-_HORNER_FACTORS = 6  # the most factors summed by Horner's rule, all that Im tau >= 1/2 needs
-# The triples (k, j, [u^j]S_k) in order of k < TERM_CAP, S_k(u) = sin((2k+1)x)/sin(x) with
-# u = sin(x)^2 (S_1 = 3 - 4u, S_2 = 5 - 20u + 16u^2): all j <= k for k < _HORNER_FACTORS,
-# j < 2 after.  [u^j]S_k = (-4)^j (2k+1)/(2j+1) C(k+j, 2j); the first _SINE_ENDS[n] have k < n.
+_HORNER_FACTORS = 6  # the most factors of theta1's sum, all that Im tau >= 1/2 needs
+# The triples (k, j, [u^j]S_k), j <= k < _HORNER_FACTORS, S_k(u) = sin((2k+1)x)/sin(x) with
+# u = sin(x)^2 (S_1 = 3 - 4u, S_2 = 5 - 20u + 16u^2): [u^j]S_k = (-4)^j (2k+1)/(2j+1) C(k+j, 2j).
 _SINE_TERMS = tuple((k, j, (-4.0) ** j * ((2 * k + 1) * math.comb(k + j, 2 * j) // (2 * j + 1)))
-                    for k in range(TERM_CAP) for j in range(k + 1 if k < _HORNER_FACTORS else 2))
-_SINE_ENDS = tuple(bisect_left(_SINE_TERMS, (n,)) for n in range(TERM_CAP + 1))
-# The first _SINE_ENDS[n] triples in reverse, the order ``TauPoint._theta1`` adds them in.
-_HORNER_ROWS = tuple(_SINE_TERMS[:_SINE_ENDS[n]][::-1] for n in range(_HORNER_FACTORS + 1))
+                    for k in range(_HORNER_FACTORS) for j in range(k + 1))
+# The n*(n+1)/2 triples with k < n in reverse, the order ``TauPoint._theta1`` adds them in.
+_HORNER_ROWS = tuple(_SINE_TERMS[:n * (n + 1) // 2][::-1] for n in range(_HORNER_FACTORS + 1))
 
 
 class _kept:
@@ -112,18 +103,26 @@ class TauPoint(namedtuple("TauPoint", "value")):
                 cmath.exp(2j * math.pi * t))
 
     @_kept
-    def _theta1(self) -> tuple[tuple[complex, ...], complex, complex]:
-        """(terms, e0, e1): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, with
-        e_j = sum_k c_k*[u^j]S_k over theta1's degree-1 factors c_k.  terms are the e_j, highest
-        first, on at most ``_HORNER_FACTORS`` factors, and else the c_k, where the e_j cancel
-        (told apart by length); theta1'(0) = pi*e0, theta1'''(0)/6 = pi^3*(e1 - e0/6) always."""
+    def _theta1(self):
+        """(terms, e0, e1, inner): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, so
+        theta1'(0) = pi*e0, theta1'''(0)/6 = pi^3*(e1 - e0/6).  From Im t = 1/2 up, terms are
+        the e_j = sum_k c_k*[u^j]S_k, highest first, over theta1's degree-1 factors c_k, at most
+        ``_HORNER_FACTORS``.  Below, inner is the ``_inversion`` (TauPoint(s), f), and the Taylor
+        series of f*exp(i*pi*s*w^2)*theta1(s*w, s) gives e0 = f*s*e0_s and
+        e1 = e0/6 + f*s^2*(s*(e1_s - e0_s/6) + i*e0_s/pi)."""
+        if self.value.imag < 0.5:
+            inner, f = _inversion(self, "theta1 series")
+            s = inner.value
+            _, e0, e1, _ = inner._theta1
+            fs = f * s
+            e1 = fs * e0 / 6.0 + fs * s * (s * (e1 - e0 / 6.0) + 1j / math.pi * e0)
+            return None, fs * e0, e1, (inner, f)
         table = _theta1_table(self, 1)
         n = len(table)
         e = [0j] * _HORNER_FACTORS
-        rows = _HORNER_ROWS[n] if n <= _HORNER_FACTORS else _SINE_TERMS[_SINE_ENDS[n] - 1::-1]
-        for k, j, p in rows:
+        for k, j, p in _HORNER_ROWS[n]:
             e[j] += table[k] * p
-        return (tuple(e[n - 1::-1]) if n <= _HORNER_FACTORS else table), e[0], e[1]
+        return tuple(e[n - 1::-1]), e[0], e[1], None
 
     @_kept
     def _forms(self) -> tuple[complex, complex, complex]:
@@ -134,7 +133,15 @@ class TauPoint(namedtuple("TauPoint", "value")):
             E4 = (a^2 + b^2 + c^2)/2,   E6 = (a + b)(b + c)(c - a)/2,
             g2 = (2*pi)^4/12 * E4,      g3 = (2*pi)^6/216 * E6,
             eta^3 = theta2*theta3*theta4/2.
+
+        Below Im tau = 1/2, where theta3 or theta4 cancel (theta4(0.1i) is 2.5e-3 from terms
+        near 1), they are (s^4*g2, s^6*g3, f*s*eta^3) at the ``_inversion`` (s, f).
         """
+        if self.value.imag < 0.5:
+            inner, f = _inversion(self, "theta constant series")
+            s = inner.value
+            g2, g3, eta3 = inner._forms
+            return s**4 * g2, s**6 * g3, f * s * eta3
         th2, th3, th4 = _theta_constants(self)
         a, b, c = (th2 * th2) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
         return (_G2_SCALE * (a * a + b * b + c * c), _G3_SCALE * ((a + b) * (b + c) * (c - a)),
@@ -151,14 +158,6 @@ def as_tau(tau) -> TauPoint:
     return tau if isinstance(tau, TauPoint) else TauPoint(tau)
 
 
-def _cap_error(what, tau, partial, last_term):
-    return ConvergenceError(
-        f"{what} did not converge within {TERM_CAP} terms at tau={tau}; "
-        "reduce tau toward the fundamental domain first",
-        diagnostics={"tau": tau, "term_cap": TERM_CAP, "partial_magnitude": abs(partial),
-                     "last_term_magnitude": abs(last_term)})
-
-
 def theta1_eval(z: complex, tau) -> complex:
     """First Jacobi theta function.
 
@@ -170,21 +169,15 @@ def theta1_eval(z: complex, tau) -> complex:
 
         theta1(z + m + n*tau) = (-1)^(m+n) exp(-pi*i*n*(n*tau + 2*z)) theta1(z),
 
-    so its terms never grow far beyond the result.  A value outside the
-    double range raises NumericError, and so does a leading factor
-    2*exp(i*pi*tau/4) below the normal doubles (Im tau above about 903),
-    which would carry too few digits into the value.
+    so its terms never grow far beyond the result; below Im tau = 1/2 it runs in
+    the cell t of ``_theta1_frame``.  A value outside the double range raises
+    NumericError, and so does a cell above Im t = 903 or so (tau = 950i or 0.001i).
     """
     t = (tau := as_tau(tau)).value
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    terms, e0, _ = tau._theta1
-    # e0 = c0 there, whose larger part, >= sqrt(2)*exp(-pi*Im(t)/4), is normal up to Im t = 900.
-    if t.imag > 900.0 and max(abs(e0.real), abs(e0.imag)) < 2.0**-1022:
-        raise NumericError(f"theta1's leading factor 2*exp(i*pi*tau/4) at tau={t} underflows",
-                           diagnostics={"z": z, "tau": t})
-    value = _theta1_values((z,), t, terms)[0]
+    value = _theta1_values((z,), *_theta1_frame(tau))[0]
     if not cmath.isfinite(value):
         raise NumericError(f"theta1 at z={z} is outside the double range",
                            diagnostics={"z": z, "tau": t})
@@ -212,8 +205,25 @@ def _table_size(tau: TauPoint, what: str, degree: int) -> int:
             last = root**degree
         except OverflowError:
             last = math.inf
-        raise _cap_error(what, t, 1.0, last)
+        raise ConvergenceError(
+            f"{what} did not converge within {TERM_CAP} terms at tau={t}; "
+            "reduce tau toward the fundamental domain first",
+            diagnostics={"tau": t, "term_cap": TERM_CAP, "partial_magnitude": 1.0,
+                         "last_term_magnitude": last})
     return size
+
+
+def _inversion(tau: TauPoint, what: str, degree=1):
+    """(TauPoint(s), f), s = -1/(t - n), t tau shifted by ``_shift_real``, n the integer nearest
+    Re t, f = -i*sqrt(-i*s)*exp(i*pi*n/4): theta1(w, tau) = f*exp(i*pi*s*w^2)*theta1(s*w, s)
+    (DLMF 20.7.30; theta1's factors take exp(i*pi*n/4) under t -> t + n).  The one modular
+    inversion: below Im tau = 1/2 every q-series runs at s, Im s > 2*Im tau, again while
+    Im s < 1/2.  The term count at tau through z^degree is checked first, for ``what``."""
+    _table_size(tau, what, degree)
+    t = tau._head[1]
+    n = round(t.real)
+    s = -1.0 / (t - n)
+    return TauPoint(s), -1j * cmath.sqrt(-1j * s) * cmath.exp(_I_PI * (n % 8) / 4.0)
 
 
 def _term_count(height: float, degree: int) -> int:
@@ -278,34 +288,10 @@ def _theta_constants(tau: TauPoint) -> tuple[complex, complex, complex]:
         theta4 = 1 + 2 sum_{k>=1} (-1)^k q^(k^2),
 
     each term found from the one before by the factor q^(2k) or q^(2k-1).
-    The first dropped term is below TERM_TOL of the first kept one.
-
-    Below Im t = 1/2, where |q| > 0.2, theta3 or theta4 would be summed
-    with cancellation (theta4(0.1i) is 2.5e-3 from terms near 1).  There
-    the sums run at s = -1/(t - n), n the integer nearest Re t, whose
-    imaginary part is at least twice Im t, and are mapped back by
-    (DLMF 20.7(viii))
-
-        theta2(-1/s) = sqrt(-i*s) theta4(s),   theta3(-1/s) = sqrt(-i*s) theta3(s),
-        theta4(-1/s) = sqrt(-i*s) theta2(s),   theta2(u + n) = exp(i*pi*n/4) theta2(u),
-
-    with theta3 and theta4 of u + n those of u, swapped for odd n.  The
-    term count at tau itself is checked against ``TERM_CAP`` first, so a tau
-    far from the fundamental domain still raises ConvergenceError; the sums
-    then run at t, tau shifted by ``_shift_real``.
+    The first dropped term is below TERM_TOL of the first kept one.  Only
+    ``TauPoint._forms`` calls it, from Im t = 1/2 up.
     """
     size, t, c0, _ = tau._head
-    if size > TERM_CAP:
-        _table_size(tau, "theta constant series", 1)
-    if t.imag < 0.5:
-        n = round(t.real)
-        s = -1.0 / (t - n)
-        th2, th3, th4 = _theta_constants(TauPoint(s))
-        r = cmath.sqrt(-1j * s)
-        th2, th3, th4 = r * th4, r * th3, r * th2
-        if n & 1:
-            th3, th4 = th4, th3
-        return th2 * _EIGHTH_ROOTS[n % 8], th3, th4
     q = cmath.exp(1j * math.pi * t)
     g = q * q
     s2 = s3 = s4 = 0.0
@@ -327,14 +313,11 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
 
     w = z/rho is reduced into the cell |Im w| <= Im(t)/2, |Re w| <= 1/2, and theta1
     is s = sin(pi*w) times a sum in u = s^2, so it keeps its relative accuracy next
-    to its zeros: Horner's rule on at most ``_HORNER_FACTORS`` terms, the e_j of
-    ``TauPoint._theta1``, and on more, theta1's factors c_k, the sines sin((2k+3)x) =
-    (2 - 4u) sin((2k+1)x) - sin((2k-1)x).  The reduction's exponent joins kappa*w^2
-    in one exp.  For a non-finite z, and where the value leaves the double range,
-    the value comes back non-finite, for the caller to report.
+    to its zeros: Horner's rule on the e_j of ``TauPoint._theta1``, Im t >= 1/2.  The
+    reduction's exponent joins kappa*w^2 in one exp.  For a non-finite z, and where
+    the value leaves the double range, the value comes back non-finite, for the caller.
     """
     v = t.imag
-    horner = len(terms) <= _HORNER_FACTORS
     lead, rest = terms[0], terms[1:]
     sin, exp, pi = cmath.sin, cmath.exp, math.pi
     out = []
@@ -352,18 +335,10 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
             if n:
                 exponent -= _I_PI * n * (nt + 2.0 * w)
             s = sin(pi * w)
-            if horner:
-                u, total = s * s, lead
-                for e in rest:
-                    total = total * u + e
-                total *= s
-            else:
-                c = 2.0 - 4.0 * s * s
-                prev, cur = -s, s
-                total = lead * s
-                for ck in rest:
-                    prev, cur = cur, c * cur - prev
-                    total += ck * cur
+            u, total = s * s, lead
+            for e in rest:
+                total = total * u + e
+            total *= s
             value = total * exp(exponent) * scale
             if (m + n) & 1:
                 value = -value
@@ -372,6 +347,27 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
             value = complex(math.inf)
         out.append(value)
     return out
+
+
+def _theta1_frame(tau: TauPoint, rho=1.0, kappa=0.0, scale=1.0):
+    """The arguments (t, terms, rho, kappa, scale), after zs, of the ``_theta1_values`` call
+    for theta1(w, tau)*exp(kappa*w^2)*scale, w = z/rho: from Im tau = 1/2 up, tau's own t
+    and terms; below, those at the ``_inversion`` (s, f) in tau's record, for rho/s,
+    (kappa + i*pi*s)/s^2 and f*scale, as w' = s*w, until Im t >= 1/2.  A cell t above
+    Im t = 900 whose leading factor e0 = c0 = 2*exp(i*pi*t/4) (larger part at least
+    sqrt(2)*exp(-pi*Im(t)/4)) is below the normal doubles, and would carry too few digits
+    into theta1, raises NumericError."""
+    terms, _, _, inner = (cell := tau)._theta1
+    while inner:
+        cell, f = inner
+        s = cell.value
+        rho, kappa, scale = rho / s, (kappa + _I_PI * s) / (s * s), f * scale
+        terms, _, _, inner = cell._theta1
+    t = cell.value
+    if t.imag > 900.0 and max(abs(terms[-1].real), abs(terms[-1].imag)) < 2.0**-1022:
+        raise NumericError(f"theta1's leading factor 2*exp(i*pi*t/4) at its cell t={t} underflows",
+                           diagnostics={"tau": tau.value})
+    return t, terms, rho, kappa, scale
 
 
 def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
@@ -387,11 +383,10 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
     truncation error is far below 1e-14 relative per coefficient.
 
     Below Im tau = 1/2 that sum cancels (at 0.02i, a1 is 2e-14 from terms
-    near 1), so it runs at s = -1/(tau - n), n the integer nearest Re tau,
-    as a sum of Gaussians (DLMF 20.7.30; theta1(z | u + n) is
-    exp(i*pi*n/4) * theta1(z | u)), with the term count at tau checked first:
+    near 1), so it runs at s of one ``_inversion``, with the term count at tau
+    through max_degree checked first, as a sum of Gaussians:
 
-        theta1(z | u) = -sqrt(-i*s) * sum_k c_k(s) * odd part of exp(beta*(z^2 + (2k+1)*z)),
+        theta1(z, tau) = -i*f * sum_k c_k(s) * odd part of exp(beta*(z^2 + (2k+1)*z)),
 
     beta = i*pi*s, c_k(s) from ``_theta1_table`` at s.  Each Gaussian's
     coefficients follow from (m+1)*b_(m+1) = beta*((2k+1)*b_m + 2*b_(m-1)),
@@ -411,42 +406,38 @@ def theta1_odd_series(tau, max_degree: int) -> TruncatedOddSeries:
                 coeffs[m] += c * x
                 x = -x * square / ((2 * m + 2) * (2 * m + 3))
         return _computed(coeffs, "theta1's coefficient series")
-    _table_size(tau, "theta1 series", max_degree)
-    t = _shift_real(t, 8.0)
-    n = round(t.real)
-    s = -1.0 / (t - n)
-    beta = 1j * math.pi * s
-    for k, c in enumerate(_theta1_table(TauPoint(s), max_degree)):
+    inner, f = _inversion(tau, "theta1 series", max_degree)
+    beta = _I_PI * inner.value
+    for k, c in enumerate(_theta1_table(inner, max_degree)):
         lin = (2 * k + 1) * beta
         prev, cur = 1.0, lin
         for m in range(1, max_degree + 1):
             if m & 1:
                 coeffs[m >> 1] += c * cur
             prev, cur = cur, (lin * cur + 2.0 * beta * prev) / (m + 1)
-    factor = -cmath.sqrt(-1j * s) * _EIGHTH_ROOTS[n % 8]
-    return _computed([factor * c for c in coeffs], "theta1's coefficient series")
+    # exp(beta*z^2)*sin((2k+1)*pi*s*z) is -i times the odd part of the Gaussian.
+    return _computed([-1j * f * c for c in coeffs], "theta1's coefficient series")
 
 
 def dedekind_eta(tau) -> complex:
-    """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at tau shifted by
+    """Dedekind eta, eta(tau) = exp(pi*i*tau/12) * prod_{n>=1} (1 - q^n), at u, tau shifted by
     ``_shift_real`` to its period 24.  On 1/2 <= Im tau <= 900 the product is the cube root of
     2*eta^3/c0, c0 = 2*exp(i*pi*t/4), from tau's record: |q| <= exp(-pi) holds its phase within
-    7.8 degrees.  Elsewhere it runs (its phase reaches 55 degrees at 0.1i; c0 underflows above
-    900).  eta has no zeros; from about Im tau = 2706 it underflows, which raises NumericError."""
+    7.8 degrees.  Above 900 each factor is 1.0 in doubles.  Below 1/2 eta is exp(i*pi*m/12) *
+    sqrt(-i*s) * eta(s), m the integer nearest Re u, s from ``_inversion``.  eta has no zeros;
+    from about Im tau = 2706 it underflows, which raises NumericError."""
     t = (tau := as_tau(tau)).value
-    s = _shift_real(t, 24.0)
-    prod = cmath.exp(1j * math.pi * s / 12.0)
-    if 0.5 <= t.imag <= 900.0:
-        return prod * (2.0 * tau._forms[2] / tau._head[2]) ** (1.0 / 3.0)
-    q, qn = cmath.exp(2j * math.pi * s), 1.0 + 0.0j
-    for _ in range(TERM_CAP):
-        qn *= q
-        prod *= 1.0 - qn
-        if abs(qn) <= TERM_TOL:
-            if max(abs(prod.real), abs(prod.imag)) < 2.0**-1022:
-                raise NumericError(f"eta underflows at tau={t}", diagnostics={"tau": t})
-            return prod
-    raise _cap_error("eta product", t, prod, qn)
+    u = _shift_real(t, 24.0)
+    if t.imag < 0.5:
+        inner, _ = _inversion(tau, "eta series")
+        return (cmath.exp(_I_PI * round(u.real) / 12.0) * cmath.sqrt(-1j * inner.value)
+                * dedekind_eta(inner))
+    eta = cmath.exp(1j * math.pi * u / 12.0)
+    if t.imag <= 900.0:
+        return eta * (2.0 * tau._forms[2] / tau._head[2]) ** (1.0 / 3.0)
+    if max(abs(eta.real), abs(eta.imag)) < 2.0**-1022:
+        raise NumericError(f"eta underflows at tau={t}", diagnostics={"tau": t})
+    return eta
 
 
 def weierstrass_g(tau) -> tuple[complex, complex]:

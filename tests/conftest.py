@@ -136,17 +136,13 @@ def gauge_reference(lat):
     return sigmakit.lattice.sigma_gauge_from_head(th1, th3 / 6.0 / th1, lat.rho)
 
 
-def theta1_values_reference(zs, t, table, rho=1.0, kappa=0.0, scale=1.0, horner=False):
-    """``modular._theta1_values`` as it was before it summed up to six factors
-    by Horner's rule in u = sin(pi*w)^2, kept as the reference for it: theta1's
-    factors c_k in ``table`` meet the sines sin((2k+1)*pi*w), each found from
-    the two before by sin((2k+3)x) = (2 - 4s^2) sin((2k+1)x) - sin((2k-1)x),
-    s = sin(pi*w), for every table length.  With ``horner``, ``table`` holds the
-    Horner terms of ``TauPoint._theta1`` instead, summed as the kernel sums
-    them.  Either way the cell reduction calls round() at every point.
+def theta1_values_reference(zs, t, terms, rho=1.0, kappa=0.0, scale=1.0):
+    """``modular._theta1_values`` kept as the reference for its cell reduction:
+    it calls round() at every point, where the kernel may skip what it can,
+    and sums the Horner terms of ``TauPoint._theta1`` as the kernel does.
     """
     v = t.imag
-    lead, rest = table[0], table[1:]
+    lead, rest = terms[0], terms[1:]
     out = []
     for z in zs:
         try:
@@ -162,18 +158,10 @@ def theta1_values_reference(zs, t, table, rho=1.0, kappa=0.0, scale=1.0, horner=
             if n:
                 exponent -= 1j * math.pi * n * (nt + 2.0 * w)
             s = cmath.sin(math.pi * w)
-            if horner:
-                u, total = s * s, lead
-                for e in rest:
-                    total = total * u + e
-                total *= s
-            else:
-                c = 2.0 - 4.0 * s * s
-                prev, cur = -s, s
-                total = lead * s
-                for ck in rest:
-                    prev, cur = cur, c * cur - prev
-                    total += ck * cur
+            u, total = s * s, lead
+            for e in rest:
+                total = total * u + e
+            total *= s
             value = total * cmath.exp(exponent) * scale
             if (m + n) & 1:
                 value = -value

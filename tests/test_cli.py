@@ -159,6 +159,16 @@ class TestEvalCommand:
         assert doc["error"]["type"] == "numeric"
         assert "underflows" in doc["error"]["message"]
 
+    def test_theta1_where_its_inverted_cell_is_too_high(self, capsys):
+        # This printed 1.53e-13 for theta1 of about 3e-61, summed at tau where
+        # the sum cancels.  Summed at the modular inversion's cell 1000i, whose
+        # leading factor underflows, it is a typed error.
+        code, doc = run_strict(capsys, "eval", "theta1", "--z=0.1,0.05", "--tau=0,0.001")
+        assert code == 2
+        assert doc["error"]["message"] == ("theta1's leading factor 2*exp(i*pi*t/4) at its "
+                                           "cell t=1000j underflows")
+        assert doc["error"]["diagnostics"] == {"tau": [0.0, 0.001]}
+
     @pytest.mark.parametrize("height", ["3000", "2800"])
     def test_eta_below_the_normal_doubles(self, capsys, height):
         # These printed [0.0, 0.0] for eta of about 8.1e-342, and 4.42095e-319

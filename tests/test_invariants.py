@@ -18,6 +18,7 @@ from sigmakit import (
     NumericError,
     ProjectiveValue,
     TruncatedOddSeries,
+    classify,
     gauss_twist,
     hat_normalize,
     modular_pq,
@@ -180,11 +181,12 @@ class TestHatNormalize:
         hat = hat_normalize(s)
         assert hat.series.odd_coefficients == (1, 0, 0, 0)
         assert hat.alpha == 0 and hat.beta == cmath.log(a1)
-        # Its invariants are p = q = 0, but their zero-test scales (|a1|^3)
-        # leave the doubles, as for every |a1| from about 1e103.
-        for data in (s, TruncatedOddSeries([1e200, 0, 0, 0])):
-            with pytest.raises(NumericError, match="zero-test scales are outside"):
-                pq_of_series(data)
+        # Its invariants are p = q = 0 exactly, zero at any scale, although
+        # their zero-test scales (|a1|^3) leave the doubles, as for every |a1|
+        # from about 1e103: the member is linear (this raised NumericError).
+        for data in (s, TruncatedOddSeries([1e103, 0, 0, 0]), TruncatedOddSeries([1e200, 0, 0, 0])):
+            assert pq_of_series(data) == (0, 0, ProjectiveValue.undefined())
+            assert classify(data).case == "linear"
 
     def test_a_finite_quotient_keeps_its_bits(self):
         s = TruncatedOddSeries([3 - 1e-300j, 1.5, 2 + 1j, 1e300 + 1j])

@@ -458,19 +458,20 @@ class TestTrustedConstruction:
 
 
 class TestHandBuiltLatticeGauge:
-    # A hand-built lattice off the fundamental domain has more factors than
-    # any reduced one (five at most).  Its sigma is summed on them by the sine
-    # recurrence as before, bit for bit given the gauge; its gauge, read from
-    # the Horner coefficients e0 and e1, moves only in the last bits of the
-    # terms that theta1'(0) and theta1'(0)*kappa sum, which cancel at 0.02i.
+    # A hand-built lattice below Im tau = 1/2 has more factors than any
+    # reduced one (five at most).  Its gauge, read from the e0 and e1 that the
+    # record of tau maps back from the modular inversion's s, is within the
+    # rounding of the terms that theta1'(0) and theta1'(0)*kappa sum, which
+    # cancel at 0.02i; its sigma is summed in the gauge's frame, at the cell
+    # of s, bit for bit as the reference kernel sums it there.
     @pytest.mark.parametrize("tau, factors", [(0.3j, 7), (0.02j, 27)])
     @pytest.mark.parametrize("rho", [1.0, 0.8 - 0.6j])
     def test_gauge_and_sigma_keep_their_bits(self, tau, factors, rho):
         lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
         table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
         assert len(table) == factors
-        kappa, beta, scale, terms = lat.gauge
-        assert terms is lat.tau._theta1[0]
+        kappa, beta, scale, frame = lat.gauge
+        assert frame[0] == -1 / tau and frame[1] == TauPoint(-1 / tau)._theta1[0]
         old_kappa, _, old_scale = gauge_reference(lat)
         w = [(2 * k + 1) * math.pi for k in range(factors)]
         th1, old_th1 = rho / scale, rho / old_scale
@@ -479,8 +480,8 @@ class TestHandBuiltLatticeGauge:
                 <= 1e-15 * sum(abs(c) * x**3 for c, x in zip(table, w)) / 6)
         assert beta == cmath.log(scale)
         for z in (0.1 + 0.05j, -0.37 + 0.011j, 0.25 * rho):
-            old = theta1_values_reference((z,), tau, table, rho, kappa, scale)[0]
-            assert hex_bits(sigma_eval(z, lat)) == hex_bits(old)
+            want = theta1_values_reference((z,), *frame)[0]
+            assert hex_bits(sigma_eval(z, lat)) == hex_bits(want)
 
 
 class TestLatticeFromG:
@@ -701,7 +702,8 @@ class TestSigmaEval:
             assert calls == {"sigma_gauge_from_head": 1, "theta1_odd_series": 0,
                              "_theta1_table": 1}
             assert builds == {"_head": 1, "_theta1": 1}
-            assert lat.gauge[3] is lat.tau._theta1[0]
+            assert lat.gauge[3] == (lat.tau.value, lat.tau._theta1[0], lat.rho) + lat.gauge[:3:2]
+            assert lat.gauge[3][1] is lat.tau._theta1[0]
 
     def test_one_table_and_one_theta_constant_pass_per_tau(self, monkeypatch):
         # point_eval's calls at one fresh TauPoint share the record of tau:
@@ -738,19 +740,21 @@ class TestSigmaEval:
     @pytest.mark.parametrize("tau, builds", [
         (0.5j, {"_head": 1, "_forms": 1}), (0.3 + 1.1j, {"_head": 1, "_forms": 1}),
         (-7.5e5 + 2j, {"_head": 1, "_forms": 1}), (900j, {"_head": 1, "_forms": 1}),
-        (0.49j, {}), (900.5j, {}), (2000j, {})])
+        (0.49j, {"_head": 2, "_forms": 1}), (900.5j, {}), (2000j, {})])
     def test_eta_reads_the_theta_constant_pass_of_tau(self, tau, builds, monkeypatch):
         # On 1/2 <= Im tau <= 900 eta is the cube root of 2*eta^3/c0 from the
         # record of tau: a lone eta at a fresh TauPoint builds its head and its
-        # forms once, and a second call builds nothing.  Elsewhere eta is the
-        # product, which builds no record.
+        # forms once, and a second call builds nothing.  Above 900 eta builds no
+        # record.  Below 1/2 each call checks the head of tau and reads eta at
+        # the modular inversion's s, a new TauPoint each time.
         built = record_builds(monkeypatch)
         point = TauPoint(tau)
         first = dedekind_eta(point)
         assert built == builds
         built.clear()
         assert dedekind_eta(point) == first
-        assert built == {}
+        # The inversion's new point builds its head and forms again.
+        assert built == ({"_head": 1, "_forms": 1} if tau.imag < 0.5 else {})
 
     def test_a_reduced_table_has_at_most_five_factors(self):
         # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
@@ -781,10 +785,8 @@ class TestSigmaEval:
         # tau classes and box radii 1 to 5, against the reference kernel that
         # rounds at every point, summed on the terms the gauge keeps.
         for lat, box in survey_lattices(seed):
-            kappa, _, scale, terms = lat.gauge
             zs = [z for row in _draw_quadruples(16, seed, box) for z in _arguments(*row)]
-            want = theta1_values_reference(zs, lat.tau.value, terms, lat.rho, kappa, scale,
-                                           horner=True)
+            want = theta1_values_reference(zs, *lat.gauge[3])
             assert ([hex_bits(v) for v in sigmakit.lattice._sigma_values(zs, lat)]
                     == [hex_bits(v) for v in want])
 

@@ -108,8 +108,10 @@ class TestTheta1:
         # The table ends before the first k with (2k+1) exp(-pi Im(tau) k^2)
         # <= 1e-18: k = 200 at Im tau = 3.8e-4, the cap's last admitted
         # table, and k = 201 at 3.7e-4, one factor past the cap.
+        # At 3.8e-4i theta1 is summed in the cell 2632i, whose leading factor underflows.
         assert len(sigmakit.modular._theta1_table(TauPoint(3.8e-4j), 1)) == TERM_CAP == 200
-        assert cmath.isfinite(theta1_eval(0.3, 3.8e-4j))
+        with pytest.raises(NumericError, match="leading factor"):
+            theta1_eval(0.3, 3.8e-4j)
         with pytest.raises(ConvergenceError) as err:
             theta1_eval(0.3, 3.7e-4j)
         assert err.value.diagnostics["term_cap"] == 200
@@ -146,10 +148,11 @@ class TestTheta1:
     @pytest.mark.parametrize("tau", [950j, 903.5j, 0.3 + 1e4j])
     def test_subnormal_leading_factor_is_numeric_error(self, tau):
         # theta1's factor 2*exp(i*pi*tau/4) leaves the normal doubles above
-        # Im tau of about 903; at 950i the value 2.0e-188 came back as 0.
+        # Im tau of about 903; at 950i the value 2.0e-188 came back as 0.  The
+        # error is the cell's, whatever z is, so its diagnostics name tau alone.
         with pytest.raises(NumericError) as err:
             theta1_eval(0.3 + 100j, tau)
-        assert err.value.diagnostics == {"z": [0.3, 100.0], "tau": [tau.real, tau.imag]}
+        assert err.value.diagnostics == {"tau": [tau.real, tau.imag]}
 
     def test_normal_leading_factor_answers(self):
         value = theta1_eval(0.3 + 100j, 900j)
@@ -170,14 +173,17 @@ def _sine_polynomial_reference(k):
 
 class TestHornerForm:
     # theta1 = s * sum_j e_j u^j, s = sin(pi*w), u = s^2, on at most six
-    # factors; longer tables keep the sine recurrence on the factors c_k.
+    # factors, all that Im tau >= 1/2 needs; below, the record sums at the
+    # modular inversion's s.
 
     def test_sine_terms_follow_the_recurrence(self):
-        terms, ends = sigmakit.modular._SINE_TERMS, sigmakit.modular._SINE_ENDS
-        for k in range(TERM_CAP):
+        terms = sigmakit.modular._SINE_TERMS
+        ends = [k * (k + 1) // 2 for k in range(7)]
+        assert len(terms) == ends[6]
+        for k in range(6):
             row = terms[ends[k]:ends[k + 1]]
-            want = _sine_polynomial_reference(k)[:k + 1 if k < 6 else 2]
-            assert [(kk, j) for kk, j, _ in row] == [(k, j) for j in range(len(want))]
+            want = _sine_polynomial_reference(k)
+            assert [(kk, j) for kk, j, _ in row] == [(k, j) for j in range(k + 1)]
             assert [p for _, _, p in row] == want
         for x in (0.3, 1.1 - 0.4j, -0.2 + 0.7j):
             u = cmath.sin(x) ** 2
@@ -191,41 +197,30 @@ class TestHornerForm:
     def test_six_factors_are_summed_by_horner(self, tau, factors):
         # Six factors reach down to Im tau = 0.389: 13 exp(-36 pi Im tau) <= 1e-18.
         table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
-        terms, e0, e1 = TauPoint(tau)._theta1
-        assert len(table) == len(terms) == factors
-        if factors > 6:
-            assert terms == table
+        terms, e0, e1, inner = TauPoint(tau)._theta1
+        assert len(table) == factors
+        # Below Im tau = 1/2 e0 and e1 come from the record at s = -1/tau
+        # (5.5e-16 the largest error measured here).
+        if tau.imag < 0.5:
+            assert terms is None and inner[0].value == -1 / tau
         else:
+            assert inner is None and len(terms) == factors
             u = cmath.sin(0.4 - 0.1j) ** 2
             horner = sum(e * u ** j for j, e in enumerate(reversed(terms)))
             sines = sum(c * sum(p * u**j for j, p in enumerate(_sine_polynomial_reference(k)))
                         for k, c in enumerate(table))
             assert abs(horner - sines) <= 1e-15 * abs(sines)
+            assert terms[-1] == e0 and (factors == 1 or terms[-2] == e1)
         w = [(2 * k + 1) * math.pi for k in range(factors)]
         th1 = sum(c * x for c, x in zip(table, w))
         th3 = -sum(c * x**3 for c, x in zip(table, w)) / 6
         assert abs(math.pi * e0 - th1) <= 1e-15 * abs(th1)
         assert abs(math.pi**3 * (e1 - e0 / 6) - th3) <= 1e-15 * abs(th3)
-        if factors <= 6:
-            assert terms[-1] == e0 and (factors == 1 or terms[-2] == e1)
-
-    @pytest.mark.parametrize("tau", [t for t in OFF_GRID if t.imag < 0.389] + [3.8e-4j])
-    def test_long_tables_keep_their_bits(self, tau):
-        # theta1_eval on more than six factors is the sine recurrence as it
-        # was, bit for bit; 3.8e-4i keeps all 200 factors the cap admits.
-        table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
-        rng = np.random.default_rng(17)
-        v = tau.imag
-        zs = [0.3, 0.1 + 0.003j] + [complex(rng.uniform(-2, 2), rng.uniform(-3 * v, 3 * v))
-                                    for _ in range(16)]
-        assert len(table) > 6
-        want = theta1_values_reference(zs, TauPoint(tau).value, table)
-        assert [repr(theta1_eval(z, tau)) for z in zs] == [repr(w) for w in want]
 
     def test_the_whole_table_is_summed_below_the_sixteenth_factor(self):
         # A kernel that dropped every factor past the 16th gave 1.18 and
-        # 5.5e-8 here, and every other test passed.
-        assert abs(theta1_eval(0.3, 3.8e-4j)) < 1e-15
+        # 5.5e-8 here, and every other test passed; the sum now runs at the
+        # inversion's cell 50i, on one factor.
         value = theta1_eval(0.1 + 0.003j, 0.02j)
         assert abs(value - theta1_sum_oracle(0.1 + 0.003j, 0.02j, terms=60)) <= 1e-14
 
@@ -242,21 +237,18 @@ class TestCellReduction:
     def test_ties_and_their_neighbours_keep_their_bits(self, tau):
         # Im w / Im tau on and next to +-1/2 and +-3/2, and Re w, after the
         # shift by n*tau, on and next to +-1/2, +-3/2 and +-5/2: exactly so
-        # where n = 0 or where tau is dyadic.
-        t = TauPoint(tau).value
+        # where n = 0 or where tau is dyadic.  At 0.3i the kernel runs in the
+        # cell 10i/3 of the modular inversion, on which the points are placed.
+        t, terms = sigmakit.modular._theta1_frame(TauPoint(tau))[:2]
+        assert t == (tau if tau.imag >= 0.5 else -1 / tau)
         res = [x for e in (0.5, 1.5, 2.5) for x in _around(e) + _around(-e)] + [0.0, 0.2]
         ims = [y for e in (0.5, 1.5) for y in _around(e) + _around(-e)] + [0.0, 0.1]
         zs = [complex(x + round(y) * t.real, y * t.imag) for x in res for y in ims]
         assert {z.imag / t.imag for z in zs} >= {0.5, -0.5}
         assert {z.real for z in zs} >= {0.5, -0.5, 1.5, -1.5, 2.5, -2.5}
-        # The degree-1 sum (Horner terms, or at 0.3i the factors), and a longer
-        # table, which the kernel sums by the sine recurrence.
-        terms = TauPoint(t)._theta1[0]
-        table = sigmakit.modular._theta1_table(TauPoint(t), 201)
-        assert len(table) > 6
-        for args in ((terms,), (table,), (terms, 0.8 - 0.6j, 0.3 + 0.1j, 1.7j)):
+        for args in ((terms,), (terms, 0.8 - 0.6j, 0.3 + 0.1j, 1.7j)):
             got = sigmakit.modular._theta1_values(zs, t, *args)
-            want = theta1_values_reference(zs, t, *args, horner=len(args[0]) <= 6)
+            want = theta1_values_reference(zs, t, *args)
             assert list(map(float.hex, _parts(got))) == list(map(float.hex, _parts(want)))
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0.1), complex(0.1, math.nan),
@@ -266,7 +258,7 @@ class TestCellReduction:
         t = 0.1 + 1j
         terms = TauPoint(t)._theta1[0]
         got = sigmakit.modular._theta1_values([0.3, z], t, terms)
-        want = theta1_values_reference([0.3, z], t, terms, horner=True)
+        want = theta1_values_reference([0.3, z], t, terms)
         assert list(map(float.hex, _parts(got))) == list(map(float.hex, _parts(want)))
         assert not cmath.isfinite(got[1])
         lat = lattice_from_rho_tau(1, t)
@@ -565,7 +557,7 @@ class TestTermCap:
         (weierstrass_g, "theta constant series"),
         (modular_discriminant, "theta constant series"),
         (modular_pq, "theta constant series"),
-        (dedekind_eta, "eta product"),
+        (dedekind_eta, "eta series"),
     ], ids=["theta1_eval", "theta1_odd_series", "j_invariant", "weierstrass_g",
             "modular_discriminant", "modular_pq", "dedekind_eta"])
     def test_the_cap_is_reached_through_tau(self, call, what):

@@ -19,11 +19,15 @@ max(|g3|, (2 pi)^6/216) (both vanish at a special point), 3.8e-15 for j
 against max(|j|, 1728), 3.3e-15 for the discriminant, and 1.1e-15 and
 1.5e-15 for p and q against the same floors as g2 and g3.  On ``OFF_GRID``
 (Im tau from 0.02 to 0.45, near the cusps 0, 1/2, 1/3 and 3), with the
-floors scaled by the weights of the reducing map, they are 2.3e-15 for
-g2, 2.5e-15 for g3, 7.9e-15 for the discriminant, 9.4e-15 for j, and
-3.9e-15 and 5.3e-15 for p and q.  theta1_eval measured 6.1e-16 on six and
-seven factors (Im tau from 0.35 to 0.55), and 1.3e-14 on ``OFF_GRID``
-against the largest term of its sum.
+floors scaled by the weights of the reducing map, they are 1.4e-15 for
+g2, 2.3e-15 for g3, 8.4e-15 for the discriminant, 8.5e-15 for j, and
+2.3e-15 and 3.1e-15 for p and q.  theta1_eval measured 1.4e-15 on six and
+seven factors (Im tau from 0.35 to 0.55), and 8.4e-15 on ``OFF_GRID``.
+Below Im tau = 1/2 every kernel runs at the point of the modular inversion;
+a seeded sweep down to the cap (``SWEEP_BUDGETS``) checks theta1 and sigma
+against their series summed in mpmath as they stand, with the digits their
+cancellation needs, and eta, g2, g3 and j against their values near the
+fundamental domain carried back by their transformation laws.
 
 ``extend_series`` is checked against a 60-digit run of the same recurrence
 on the same double data (``oracle_extend``), so the test sees the error
@@ -41,8 +45,9 @@ which share no formula with theta1's series, in six seeded groups of 24
 members at degrees 7 to 41 (``SYNTHESIS_BUDGETS``).
 
 ``dedekind_eta`` is checked against the product ``qp`` in each of its three
-regimes (the product below Im tau = 1/2 and above 900, the cube root of
-2*eta^3/c0 between), on seeded groups with a budget each (``ETA_BUDGETS``).
+regimes (eta at the modular inversion's point below Im tau = 1/2, the cube
+root of 2*eta^3/c0 up to 900, exp(i*pi*tau/12) above), on seeded groups with
+a budget each (``ETA_BUDGETS``).
 """
 
 import cmath
@@ -56,9 +61,11 @@ from conftest import OFF_GRID, eta_product_oracle, synthesize_reference
 
 from sigmakit import (
     Classification,
+    Lattice,
     NumericError,
     TauPoint,
     TruncatedOddSeries,
+    UnimodularMap,
     dedekind_eta,
     extend_series,
     invert_j,
@@ -211,8 +218,8 @@ def cell_points(tau, seed, count=12):
     return [complex(rng.uniform(-0.5, 0.5), rng.uniform(-v / 2, v / 2)) for _ in range(count)]
 
 
-# Six factors reach down to Im tau = 0.389 and take Horner's rule; from there
-# on the kernel sums the factors by the sine recurrence.
+# Six factors reach down to Im tau = 0.389; below Im tau = 1/2 the kernel sums
+# in the modular inversion's cell, on either side of the seventh factor.
 @pytest.mark.parametrize("tau", [0.55j, 0.5j, 0.25 + 0.5j, -0.4 + 0.52j, 0.45j, 0.39j,
                                  0.389j, 0.38j, 0.3 + 0.35j])
 def test_theta1_eval_at_six_and_seven_factors(tau):
@@ -229,11 +236,14 @@ def largest_term(z, tau):
 
 @pytest.mark.parametrize("tau", OFF_GRID)
 def test_theta1_eval_below_one_half_against_its_largest_term(tau):
-    # theta1's sum cancels here (at 0.007 + 0.01i the relative error passes 1
-    # on points of the reduced cell; summing at -1/tau is left for later), so
-    # the error is judged against the largest term: 1.3e-14 measured.
+    # theta1's sum at tau cancels here, and the sum it once ran judged only
+    # against its largest term (1.3e-14 measured) passed 1 relative at
+    # 0.007 + 0.01i.  Summed in the modular inversion's cell, it keeps its
+    # relative accuracy: 8.4e-15 measured.
     for z in cell_points(tau, 4) + [0.3, 0.1 + 0.003j]:
-        assert abs(theta1_eval(z, tau) - oracle_theta1(z, tau)) <= 7e-14 * largest_term(z, tau)
+        want = oracle_theta1(z, tau)
+        assert abs(theta1_eval(z, tau) - want) <= 7e-14 * largest_term(z, tau)
+        assert abs(theta1_eval(z, tau) - want) <= 4e-14 * abs(want)
 
 
 def oracle_modular(tau):
@@ -355,17 +365,19 @@ def eta_taus(group, count=64):
 
 # The budget of each group's largest relative error, about five times the
 # largest measured.  Mean / median / max measured, against the mpmath product:
-# below one half (Im tau from 0.05 to 1/2, the product) 2.9e-16 / 2.1e-16 /
+# below one half (Im tau from 0.05 to 1/2, eta at the inversion's point) 1.4e-16 /
+# 1.3e-16 / 3.8e-16, where the product it replaced gave 2.9e-16 / 2.1e-16 /
 # 1.0e-15; theta constants (Im tau from 1/2 to 3, the cube root of
-# 2*eta^3/c0) 1.1e-16 / 9.7e-17 / 3.0e-16, where the product it replaced
-# gives 1.3e-16 / 1.1e-16 / 4.0e-16; large real part (|Re tau| from 1 to
-# 1e6, Im tau from 0.05 to 2) 3.4e-16 / 2.1e-16 / 2.2e-15 against 3.6e-16 /
+# 2*eta^3/c0) 1.1e-16 / 9.7e-17 / 3.0e-16, where the product gives
+# 1.3e-16 / 1.1e-16 / 4.0e-16; large real part (|Re tau| from 1 to 1e6,
+# Im tau from 0.05 to 2) 2.1e-16 / 1.8e-16 / 5.5e-16 against 3.6e-16 /
 # 2.3e-16 / 2.2e-15; high (Im tau from 3 to 900) 8.8e-15 / 7.1e-15 / 2.8e-14
-# and above 900 (the product, to Im tau = 2705) 2.9e-14 / 2.1e-14 / 8.3e-14,
-# both set by the rounding of exp's argument near -pi*Im(tau)/12; edges (a
-# rounding step either side of Im tau = 1/2 and 900) 6.5e-15 / 5.9e-15 /
-# 1.4e-14.  From Im tau = 3 up both routes are that rounding, and they differ
-# at 2 of the 64 high points by an ulp of the product.
+# and above 900 (exp(i*pi*tau/12), every factor of the product being 1 in
+# doubles, to Im tau = 2705) 2.9e-14 / 2.1e-14 / 8.3e-14, both set by the
+# rounding of exp's argument near -pi*Im(tau)/12; edges (a rounding step
+# either side of Im tau = 1/2 and 900) 6.4e-15 / 5.8e-15 / 1.4e-14.  From
+# Im tau = 3 up both routes are that rounding, and they differ at 2 of the 64
+# high points by an ulp of the product.
 ETA_BUDGETS = {
     "below one half": 5e-15,
     "theta constants": 1.5e-15,
@@ -386,8 +398,8 @@ def test_eta_in_each_regime(group):
     report = {name: [f"{f(e):.2e}" for f in (statistics.mean, statistics.median, max)]
               for name, e in (("eta", errors), ("product", reference))}
     assert max(errors) <= ETA_BUDGETS[group], report
-    if group in ("theta constants", "large real part"):
-        # The cube root is no less accurate than the product it replaced.
+    if group in ("below one half", "theta constants", "large real part"):
+        # The inversion and the cube root are no less accurate than the product.
         assert statistics.mean(errors) <= statistics.mean(reference), report
         assert statistics.median(errors) <= statistics.median(reference), report
 
@@ -409,6 +421,143 @@ def test_modular_forms_off_the_fundamental_domain(tau):
     eta = abs(want["eta"])
     assert abs(p - want["p"]) <= 2e-14 * math.pi**2 / 30 * eta**6 * g2_floor
     assert abs(q - want["q"]) <= 2.7e-14 * math.pi**3 / 35 * eta**9 * g3_floor
+
+# Below Im tau = 1/2 every q-series runs at the point of the modular inversion
+# s = -1/(tau - n), repeated until Im s >= 1/2.  The sweep draws Im tau
+# log-uniform from the cap's 3.8e-4 to 1/2 and |Re tau| <= 2, and z in tau's
+# cell or up to two periods beyond it; theta1 and sigma (on hand-built
+# lattices, whose tau is not reduced) are checked against their series summed
+# in mpmath as they stand, and eta, g2, g3 and j against their values near the
+# fundamental domain carried back in mpmath by their transformation laws.
+SWEEP_LOW = 3.8e-4
+
+
+def sweep_taus(seed, count):
+    rng = np.random.default_rng(seed)
+    return [complex(rng.uniform(-2, 2), 10 ** rng.uniform(math.log10(SWEEP_LOW), math.log10(0.5)))
+            for _ in range(count)]
+
+
+def sweep_points(tau, rng, count):
+    """Seeded z in tau's cell, or up to two periods beyond it."""
+    out = []
+    for _ in range(count):
+        m, n = rng.integers(-2, 3, 2)
+        out.append(complex(rng.uniform(-0.5, 0.5), rng.uniform(-tau.imag / 2, tau.imag / 2))
+                   + int(m) + int(n) * tau)
+    return out
+
+
+def series_theta1(z, tau, derivative=0):
+    """theta1 or, at z = 0, its first or third z-derivative, from
+    2 sum_k (-1)^k exp(i pi tau (k+1/2)^2) sin((2k+1) pi z) summed in mpmath
+    without reduction.  Its terms near 1 cancel to about exp(-pi/(4 Im tau)),
+    so the digits grow as Im tau falls; each term comes from the one before."""
+    v = tau.imag
+    dps = 30 + int(math.pi / (4 * v) / math.log(10))
+    with mp.workdps(dps):
+        t, x = mp.mpc(tau), mp.pi * mp.mpc(z)
+        g, c = mp.exp(2j * mp.pi * t), 2 * mp.exp(1j * mp.pi * t / 4)
+        e, e2 = mp.exp(1j * x), mp.exp(2j * x)
+        total, gk = 0, 1
+        for k in range(int(math.sqrt(dps * math.log(10) / (math.pi * v))) + 10):
+            if k:
+                gk *= g
+                c, e = -c * gk, e * e2
+            w = (2 * k + 1) * mp.pi
+            total += c * ((e - 1 / e) / 2j if derivative == 0 else w**derivative
+                          * (1 if derivative == 1 else -1))
+        return total
+
+
+def modular_by_steps(tau):
+    """eta, g2, g3 and j at tau, and |cd|: from ``oracle_modular`` near the
+    fundamental domain, carried back step by step in mpmath through t -> t + n
+    (eta gains exp(i pi n/12)) and t -> -1/t (eta gains sqrt(-i t), g2 and g3
+    the weights t^4 and t^6); |cd| is |c tau + d| of the whole map."""
+    with mp.workdps(DPS):
+        t, eta, weight = mp.mpc(tau), mp.mpf(1), mp.mpf(1)
+        while True:
+            n = int(mp.nint(t.real))
+            t -= n
+            eta *= mp.exp(1j * mp.pi * n / 12)
+            if abs(t) >= 1:
+                break
+            t = -1 / t
+            eta *= mp.sqrt(-1j * t)
+            weight *= t
+        want = oracle_modular(complex(t))
+        return {"eta": eta * want["eta"], "g2": weight**4 * want["g2"],
+                "g3": weight**6 * want["g3"], "j": want["j"], "cd": float(abs(weight))}
+
+
+def sweep_errors(group, seed=29, count=24):
+    """{kernel: relative errors} over the sweep's draws, and the count of typed errors.
+
+    A value below the normal doubles (sigma's Gaussian can take it there) counts
+    as answered where the answer is below them too.
+    """
+    errors, typed = {}, 0
+    rng = np.random.default_rng(seed + 1)
+    for tau in sweep_taus(seed, count):
+        found = {}
+        try:
+            if group == "theta1":
+                found["theta1"] = [(theta1_eval(z, tau), series_theta1(z, tau))
+                                   for z in sweep_points(tau, rng, 3)]
+            elif group == "sigma":
+                rho = cmath.rect(rng.uniform(0.5, 2), rng.uniform(-math.pi, math.pi))
+                lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
+                got = [(w, sigma_eval(rho * w, lat)) for w in sweep_points(tau, rng, 2)]
+                th1, th3 = series_theta1(0, tau, 1), series_theta1(0, tau, 3) / 6
+                with mp.workdps(30 + int(math.pi / (4 * tau.imag) / math.log(10))):
+                    found["sigma"] = [(s, series_theta1(w, tau) * mp.exp(-th3 / th1 * mp.mpc(w)**2)
+                                       * rho / th1) for w, s in got]
+            else:
+                want = modular_by_steps(tau)
+                g2, g3 = weierstrass_g(tau)
+                found["eta"] = [(dedekind_eta(tau), want["eta"])]
+                # g2 and g3 against their floors, with the weights of the map.
+                found["g2"] = [(g2, want["g2"], G2_FLOOR / want["cd"] ** 4)]
+                found["g3"] = [(g3, want["g3"], G3_FLOOR / want["cd"] ** 6)]
+                found["j"] = [(j_invariant(tau), want["j"], 1728)]
+        except NumericError:
+            typed += 1
+            continue
+        for kernel, pairs in found.items():
+            for got, want, *floor in pairs:
+                with mp.workdps(30):
+                    scale = max([abs(mp.mpc(want)), *floor])
+                    if scale < 2.0**-1022:
+                        errors.setdefault(kernel, []).append(0.0 if abs(got) < 2.0**-1022 else 1.0)
+                    else:
+                        errors.setdefault(kernel, []).append(float(abs(mp.mpc(got) - want) / scale))
+    return errors, typed
+
+
+# The budget of each kernel's largest relative error over the sweep, about five
+# times the largest measured; g2, g3 against max(|g|, its cusp value over
+# |c tau + d| to its weight), j against max(|j|, 1728).  Mean / median / max
+# measured on 24 tau: theta1 (72 z) 3.9e-13 / 2.4e-14 / 9.1e-12; sigma (32 z;
+# 8 lattices raised NumericError, each at a sigma from 1e481 to 1e8233)
+# 8.7e-13 / 1.6e-14 / 2.0e-11; eta 1.6e-15 / 4.0e-16 / 1.5e-14; g2 1.4e-14 /
+# 1.2e-15 / 1.7e-13; g3 2.1e-14 / 1.7e-15 / 2.6e-13; j 5.3e-14 / 6.0e-15 /
+# 5.6e-13.  The errors grow as Im tau falls, with the arguments of the
+# exponentials (up to about pi/(4 Im tau)) whose rounding they carry.
+SWEEP_BUDGETS = {"theta1": 5e-11, "sigma": 1e-10, "eta": 8e-14, "g2": 8e-13, "g3": 1.3e-12,
+                 "j": 3e-12}
+
+
+@pytest.mark.parametrize("group", ["theta1", "sigma", "modular forms"])
+def test_sweep_below_one_half(group):
+    errors, typed = sweep_errors(group)
+    report = {kernel: [f"{f(e):.2e}" for f in (statistics.mean, statistics.median, max)]
+              for kernel, e in errors.items()}
+    report["typed"] = typed
+    # Most draws answer (8 of 24 sigma lattices raised, each on a value past the doubles).
+    assert 2 * typed <= 24, report
+    for kernel, e in errors.items():
+        assert max(e) <= SWEEP_BUDGETS[kernel], report
 
 
 # |j| from 0.5 to the largest double: phases all round, negative reals,

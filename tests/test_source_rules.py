@@ -485,9 +485,9 @@ def _theta1_calls(tree, scope=()):
 def test_theta1_is_summed_in_one_kernel():
     # cmath.sin and the cell reduction appear in modular._theta1_values alone,
     # and lattice.py reaches theta1 only through it and, in the gauge alone,
-    # the degree-1 sum in the record of tau, so that a second kernel (such as
-    # Horner's rule for sigma alone, with theta1 left on the recurrence) cannot
-    # return unseen.
+    # the degree-1 sum in the record of tau and the frame built from it, so
+    # that a second kernel (such as Horner's rule for sigma alone, with theta1
+    # left on another form) cannot return unseen.
     sites, lattice_calls = set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -496,7 +496,8 @@ def test_theta1_is_summed_in_one_kernel():
         if path.name == "lattice.py":
             lattice_calls = _theta1_calls(tree)
     assert sites == {"modular._theta1_values"}
-    assert lattice_calls == {("Lattice.gauge", "_theta1"), ("_sigma_values", "_theta1_values")}
+    assert lattice_calls == {("Lattice.gauge", "_theta1"), ("Lattice.gauge", "_theta1_frame"),
+                             ("_sigma_values", "_theta1_values")}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -554,18 +555,19 @@ def _theta_constant_sites(tree, scope=()):
 
 
 def test_the_theta_constants_are_summed_for_the_record_alone():
-    # The theta-constant pass runs only to build a TauPoint's forms, and again
-    # at -1/(tau - n) in its own inversion branch; eta, g2, g3, the
-    # discriminant, j and (p, q) read it from the record, so that no kernel
-    # (such as a second eta route) sums the constants again at one tau.
+    # The theta-constant pass runs only to build a TauPoint's forms, which
+    # below Im tau = 1/2 read the forms of the modular inversion's point; eta,
+    # g2, g3, the discriminant, j and (p, q) read them from the record, so that
+    # no kernel (such as a second eta route) sums the constants again at one tau.
     callers, readers = set(), set()
     for path in SOURCES:
         found = _theta_constant_sites(ast.parse(path.read_text(encoding="utf-8")))
         callers |= {f"{path.stem}.{name}" for name in found[0]}
         readers |= {f"{path.stem}.{name}" for name in found[1]}
-    assert callers == {"modular.TauPoint._forms", "modular._theta_constants"}
+    assert callers == {"modular.TauPoint._forms"}
     assert readers == {f"modular.{name}" for name in (
-        "dedekind_eta", "weierstrass_g", "modular_discriminant", "j_invariant", "modular_pq")}
+        "TauPoint._forms", "dedekind_eta", "weierstrass_g", "modular_discriminant",
+        "j_invariant", "modular_pq")}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -580,3 +582,67 @@ def test_the_theta_constants_are_summed_for_the_record_alone():
 ])
 def test_theta_constant_rule(source, found):
     assert _theta_constant_sites(ast.parse(source)) == found
+
+
+def _is_minus_one(node):
+    return (isinstance(node, ast.Constant) and node.value == -1
+            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+
+def _inversion_sites(tree):
+    """Functions below tree that form -1/(a - b), a modular inversion of a shifted point."""
+    return {name for name, node in _named_nodes(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and _is_minus_one(node.left) and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Sub)}
+
+
+def test_one_modular_inversion():
+    # Every q-series below Im tau = 1/2 runs at s = -1/(t - n) from
+    # modular._inversion, so that no kernel (such as the theta constants or
+    # theta1's coefficient series) grows an inversion, or a fallback, of its own.
+    sites = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites |= {f"{path.stem}.{name}" for name in _inversion_sites(tree)}
+    assert sites == {"modular._inversion"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _theta_constants(tau):\n    s = -1.0 / (t - n)", {"_theta_constants"}),
+    ("def f(t, n):\n    return -1 / (t - n)", {"f"}),
+    ("def _reduce(t):\n    t = -1.0 / t", set()),
+    ("def f(t):\n    return 1.0 / (t - 1)", set()),
+])
+def test_inversion_rule(source, found):
+    assert _inversion_sites(ast.parse(source)) == found
+
+
+def _loops(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def _function(path_name, function):
+    tree = ast.parse(next(p for p in SOURCES if p.name == path_name).read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+
+
+def test_theta1_has_one_summation_loop_and_eta_none():
+    # theta1's kernel sums by Horner's rule alone, one loop inside its loop
+    # over the points, so that no second form (such as the sine recurrence on
+    # long tables) can return unseen; eta reads the theta-constant pass or the
+    # inversion and runs no product of its own.
+    (points,) = [node for node in ast.iter_child_nodes(_function("modular.py", "_theta1_values"))
+                 if isinstance(node, ast.For)]
+    assert len(_loops(points)) == 2
+    assert _loops(_function("modular.py", "dedekind_eta")) == []
+
+
+def test_loop_rule_catches():
+    source = ("for z in zs:\n    for e in rest:\n        total = total * u + e\n"
+              "    for ck in rest:\n        total += ck * cur")
+    assert len(_loops(ast.parse(source).body[0])) == 3
+    assert len(_loops(ast.parse("while abs(qn) > tol:\n    qn *= q"))) == 1
