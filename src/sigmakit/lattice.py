@@ -23,13 +23,13 @@ which depends on tau alone,
 
     sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * rho/theta1'(0, tau),  w = z/rho.
 
-``Lattice.gauge`` computes (kappa, beta, rho/theta1'(0, tau), frame) once per lattice,
+``Lattice.gauge`` forms and checks (kappa, rho/theta1'(0, tau), frame) once per lattice,
 on first use, from theta1's Horner form in its tau's record (``TauPoint._theta1``): e0 and
 e1 give the gauge, and the frame of the kernel call (tau's Horner terms, or those of its
 modular inversion's cell below Im tau = 1/2) is kept for ``sigma_eval``.  It is the one
 place the gauge is formed and the only reader of theta1's sum here; ``sigma_eval``,
-``sigma_gauge`` and ``classify.synthesize`` read the gauge, and ``_gauge_alpha`` is the one
-place alpha is formed.
+``sigma_gauge`` and ``classify.synthesize`` read the gauge, ``_gauge_alpha`` is the one
+place alpha is formed, and ``sigma_gauge``, its one reader, forms beta.
 ``sigma_eval`` needs no alpha, which overflows for |rho| below about
 1e-154.  It adds theta1's quasi-periodic exponent to kappa*w^2 before one
 exp, so sigma is found wherever it fits in a double even when theta1 or
@@ -138,16 +138,26 @@ class Lattice(namedtuple("Lattice",
     """
 
     @_kept
-    def gauge(self) -> tuple[complex, complex, complex, tuple]:
-        """(kappa, beta, rho/theta1'(0, tau), frame), kept for the life of the lattice:
-        the first three from ``sigma_gauge_from_head``, with theta1'(0) = pi*e0 and
-        theta1'''(0)/6 = pi^3*(e1 - e0/6) from the sum in tau's record (``TauPoint._theta1``),
-        so kappa = pi^2/6 - pi^2*e1/e0, whose rounding the constant pi^2/6 bounds (e0 = 0 only
-        where th1 underflows); frame, built last, is the ``_theta1_frame`` of rho, kappa, scale."""
-        _, e0, e1, _ = self.tau._theta1
-        kappa = _PI_SQUARED / 6.0 - _PI_SQUARED * e1 / e0 if e0 else 0.0
-        kappa, beta, scale = sigma_gauge_from_head(math.pi * e0, kappa, self.rho)
-        return kappa, beta, scale, _theta1_frame(self.tau, self.rho, kappa, scale)
+    def gauge(self) -> tuple[complex, complex, tuple]:
+        """(kappa, scale, frame), kept for the life of the lattice: sigma(z, Lambda) =
+        theta1(w, tau) * exp(kappa*w^2) * scale, w = z/rho.  From the sum in tau's record
+        (``TauPoint._theta1``), th1 = theta1'(0) = pi*e0 and theta1'''(0)/6 = pi^3*(e1 - e0/6),
+        so kappa = -theta1'''(0)/(6*th1) = pi^2/6 - pi^2*e1/e0, whose rounding pi^2/6 bounds,
+        and scale = rho/th1; frame, built last, is the ``_theta1_frame`` of rho, kappa, scale.
+        A th1 that underflows (e0 = 0, beyond Im tau of about 900), a rho whose 1/rho is 0
+        (CPython's division, from |rho| of about 1.3e308 off the axes; every w would be 0)
+        and a scale below the normal doubles (|rho| below about 6e-308 at tau = i: too few
+        digits) raise NumericError."""
+        _, e0, e1 = self.tau._theta1
+        th1, rho = math.pi * e0, self.rho
+        if th1 == 0 or not cmath.isfinite(scale := rho / th1) or (rho and 1 / rho == 0):
+            raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
+                               diagnostics={"theta1_prime": complex(th1)})
+        if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
+            raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} underflows",
+                               diagnostics={"theta1_prime": complex(th1)})
+        kappa = _PI_SQUARED / 6.0 - _PI_SQUARED * e1 / e0
+        return kappa, scale, _theta1_frame(self.tau, rho, kappa, scale)
 
 
 def normalize_lattice(omega1: complex, omega2: complex) -> Lattice:
@@ -278,27 +288,6 @@ def invert_j(jval: complex, *, tolerance: float = J_TOLERANCE) -> TauPoint:
         diagnostics={"jval": jval, "tau": tau.value, "residual": resid})
 
 
-def sigma_gauge_from_head(th1: complex, kappa: complex,
-                          rho: complex) -> tuple[complex, complex, complex]:
-    """(kappa, beta, scale) with sigma(z, Lambda) = theta1(w, tau) * exp(kappa*w^2) * scale,
-    w = z/rho.
-
-    th1 = theta1'(0, tau), and kappa = -theta1'''(0, tau)/(6*th1) = alpha*rho^2 depends on
-    tau alone (``_gauge_alpha`` gives alpha); scale = rho/th1 = exp(beta), beta the principal
-    logarithm.  th1 underflows beyond Im tau of about 900, where scale overflows:
-    NumericError.  So does a rho that CPython's division overflows on (1/rho = 0, from
-    |rho| of about 1.3e308 off the axes), where every w = z/rho would be 0, and a scale
-    below the normal doubles (|rho| below about 6e-308 at tau = i): too few digits.
-    """
-    if th1 == 0 or not cmath.isfinite(scale := rho / th1) or (rho and 1 / rho == 0):
-        raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} overflows",
-                           diagnostics={"theta1_prime": complex(th1)})
-    if max(abs(scale.real), abs(scale.imag)) < 2.0**-1022:
-        raise NumericError(f"the sigma gauge rho/theta1'(0) = {rho}/{th1} underflows",
-                           diagnostics={"theta1_prime": complex(th1)})
-    return kappa, cmath.log(scale), scale
-
-
 def _gauge_alpha(kappa: complex, rho: complex) -> complex:
     """alpha = kappa/rho^2.
 
@@ -316,9 +305,10 @@ def _gauge_alpha(kappa: complex, rho: complex) -> complex:
 
 
 def sigma_gauge(lat: Lattice) -> tuple[complex, complex]:
-    """The (alpha, beta) pair of the gauge, from ``lat.gauge``."""
-    kappa, beta, _, _ = lat.gauge
-    return _gauge_alpha(kappa, lat.rho), beta
+    """The (alpha, beta) pair of the gauge, from ``lat.gauge``: alpha = kappa/rho^2, and
+    beta = log(scale), the principal logarithm."""
+    kappa, scale, _ = lat.gauge
+    return _gauge_alpha(kappa, lat.rho), cmath.log(scale)
 
 
 def sigma_eval(z: complex, lat: Lattice) -> complex:
@@ -336,7 +326,7 @@ def sigma_eval(z: complex, lat: Lattice) -> complex:
 
 def _sigma_values(zs, lat: Lattice) -> list[complex]:
     """``sigma_eval`` at each of zs; the first failing z picks the error."""
-    values = _theta1_values(zs, *lat.gauge[3])
+    values = _theta1_values(zs, *lat.gauge[2])
     if not all(map(cmath.isfinite, values)):
         z = next(z for z, v in zip(zs, values) if not cmath.isfinite(v))
         if not cmath.isfinite(z):

@@ -24,14 +24,15 @@ modulo 24, its own period, so a large Re tau keeps its phase.
 
 Each ``TauPoint`` keeps these results in a record, each part formed on first use
 (see ``_kept``): a head (the degree-1 term count, tau shifted to the period 8,
-2*exp(i*pi*tau/4) and exp(2*pi*i*tau)), and theta1's degree-1 sum and the forms
-(g2, g3, eta^3), both summed from the head, or read from the inversion's point.
-So ``theta1_eval``, the sigma gauge (a lattice keeps its frame), ``j_invariant``,
-``weierstrass_g``, ``modular_discriminant``, ``modular_pq`` and ``dedekind_eta`` at
-one TauPoint share one theta1 sum and one theta-constant pass.  A bare tau gets a
-TauPoint of its own on each call, so a caller that evaluates several of them at one
-tau passes a TauPoint.  Longer factor tables are not kept.  A failure is not kept:
-every call at a tau past the cap raises its own ConvergenceError.
+2*exp(i*pi*tau/4) and exp(2*pi*i*tau)), below Im tau = 1/2 the inversion's point, and
+theta1's degree-1 sum and the forms (g2, g3, eta^3), summed from the head or read from
+the inversion's point.  So ``theta1_eval``, the sigma gauge (a lattice keeps its frame),
+``j_invariant``, ``weierstrass_g``, ``modular_discriminant``, ``modular_pq`` and
+``dedekind_eta`` at one TauPoint share one theta1 sum and one theta-constant pass, and
+with ``theta1_odd_series`` one inversion.  A bare tau gets a TauPoint of its own on each
+call, so a caller that evaluates several of them at one tau passes a TauPoint.  Longer
+factor tables are not kept.  A failure is not kept: every call at a tau past the cap
+raises its own ConvergenceError.
 
 Every sum has one fixed cap of ``TERM_CAP`` = 200 terms, which no caller chooses,
 judged at tau as given, and none has a stopping rule of its own.  Inside the
@@ -79,8 +80,8 @@ class _kept:
 
 
 class TauPoint(namedtuple("TauPoint", "value")):
-    """A point of the open upper half-plane.  The field is read-only and no attribute can
-    be set; the instance dict holds only the q-series record ``_head``, ``_theta1``, ``_forms``."""
+    """A point of the open upper half-plane, with a read-only field and no settable attribute;
+    its dict holds only the q-series record ``_head``, ``_inverted``, ``_theta1``, ``_forms``."""
 
     def __new__(cls, value: complex):
         v = complex(value)
@@ -104,25 +105,36 @@ class TauPoint(namedtuple("TauPoint", "value")):
 
     @_kept
     def _theta1(self):
-        """(terms, e0, e1, inner): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, so
+        """(terms, e0, e1): theta1(w, t) = s * sum_j e_j*u^j, s = sin(pi*w), u = s^2, so
         theta1'(0) = pi*e0, theta1'''(0)/6 = pi^3*(e1 - e0/6).  From Im t = 1/2 up, terms are
         the e_j = sum_k c_k*[u^j]S_k, highest first, over theta1's degree-1 factors c_k, at most
-        ``_HORNER_FACTORS``.  Below, inner is the ``_inversion`` (TauPoint(s), f), and the Taylor
-        series of f*exp(i*pi*s*w^2)*theta1(s*w, s) gives e0 = f*s*e0_s and
+        ``_HORNER_FACTORS``.  Below, terms is None, and with the ``_inversion`` (TauPoint(s), f)
+        the Taylor series of f*exp(i*pi*s*w^2)*theta1(s*w, s) gives e0 = f*s*e0_s and
         e1 = e0/6 + f*s^2*(s*(e1_s - e0_s/6) + i*e0_s/pi)."""
         if self.value.imag < 0.5:
             inner, f = _inversion(self, "theta1 series")
             s = inner.value
-            _, e0, e1, _ = inner._theta1
+            _, e0, e1 = inner._theta1
             fs = f * s
             e1 = fs * e0 / 6.0 + fs * s * (s * (e1 - e0 / 6.0) + 1j / math.pi * e0)
-            return None, fs * e0, e1, (inner, f)
+            return None, fs * e0, e1
         table = _theta1_table(self, 1)
         n = len(table)
         e = [0j] * _HORNER_FACTORS
         for k, j, p in _HORNER_ROWS[n]:
             e[j] += table[k] * p
-        return tuple(e[n - 1::-1]), e[0], e[1], None
+        return tuple(e[n - 1::-1]), e[0], e[1]
+
+    @_kept
+    def _inverted(self):
+        """(TauPoint(s), f), read through ``_inversion``: s = -1/(t - n), t the head's, n the
+        integer nearest Re t, f = -i*sqrt(-i*s)*exp(i*pi*n/4), so theta1(w, tau) =
+        f*exp(i*pi*s*w^2)*theta1(s*w, s) (DLMF 20.7.30; theta1's factors take exp(i*pi*n/4)
+        under t -> t + n)."""
+        t = self._head[1]
+        n = round(t.real)
+        s = -1.0 / (t - n)
+        return TauPoint(s), -1j * cmath.sqrt(-1j * s) * cmath.exp(_I_PI * (n % 8) / 4.0)
 
     @_kept
     def _forms(self) -> tuple[complex, complex, complex]:
@@ -214,16 +226,11 @@ def _table_size(tau: TauPoint, what: str, degree: int) -> int:
 
 
 def _inversion(tau: TauPoint, what: str, degree=1):
-    """(TauPoint(s), f), s = -1/(t - n), t tau shifted by ``_shift_real``, n the integer nearest
-    Re t, f = -i*sqrt(-i*s)*exp(i*pi*n/4): theta1(w, tau) = f*exp(i*pi*s*w^2)*theta1(s*w, s)
-    (DLMF 20.7.30; theta1's factors take exp(i*pi*n/4) under t -> t + n).  The one modular
-    inversion: below Im tau = 1/2 every q-series runs at s, Im s > 2*Im tau, again while
-    Im s < 1/2.  The term count at tau through z^degree is checked first, for ``what``."""
+    """tau's ``TauPoint._inverted``, the one modular inversion, once the term count at tau through
+    z^degree is checked for ``what``, so no failure is kept.  Below Im tau = 1/2 every q-series
+    runs at its s, Im s > 2*Im tau, again while Im s < 1/2."""
     _table_size(tau, what, degree)
-    t = tau._head[1]
-    n = round(t.real)
-    s = -1.0 / (t - n)
-    return TauPoint(s), -1j * cmath.sqrt(-1j * s) * cmath.exp(_I_PI * (n % 8) / 4.0)
+    return tau._inverted
 
 
 def _term_count(height: float, degree: int) -> int:
@@ -352,17 +359,17 @@ def _theta1_values(zs, t: complex, terms, rho=1.0, kappa=0.0, scale=1.0) -> list
 def _theta1_frame(tau: TauPoint, rho=1.0, kappa=0.0, scale=1.0):
     """The arguments (t, terms, rho, kappa, scale), after zs, of the ``_theta1_values`` call
     for theta1(w, tau)*exp(kappa*w^2)*scale, w = z/rho: from Im tau = 1/2 up, tau's own t
-    and terms; below, those at the ``_inversion`` (s, f) in tau's record, for rho/s,
+    and terms; below, those at each level's kept inversion (s, f), for rho/s,
     (kappa + i*pi*s)/s^2 and f*scale, as w' = s*w, until Im t >= 1/2.  A cell t above
     Im t = 900 whose leading factor e0 = c0 = 2*exp(i*pi*t/4) (larger part at least
     sqrt(2)*exp(-pi*Im(t)/4)) is below the normal doubles, and would carry too few digits
     into theta1, raises NumericError."""
-    terms, _, _, inner = (cell := tau)._theta1
-    while inner:
-        cell, f = inner
+    terms = (cell := tau)._theta1[0]
+    while terms is None:
+        cell, f = cell._inverted
         s = cell.value
         rho, kappa, scale = rho / s, (kappa + _I_PI * s) / (s * s), f * scale
-        terms, _, _, inner = cell._theta1
+        terms = cell._theta1[0]
     t = cell.value
     if t.imag > 900.0 and max(abs(terms[-1].real), abs(terms[-1].imag)) < 2.0**-1022:
         raise NumericError(f"theta1's leading factor 2*exp(i*pi*t/4) at its cell t={t} underflows",

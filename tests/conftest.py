@@ -36,9 +36,9 @@ from sigmakit.series import _computed
 
 def record_builds(monkeypatch):
     """A dict that counts, from now on, each part of a TauPoint's record built
-    (``_head``, ``_theta1``, ``_forms``), by the part's name."""
+    (``_head``, ``_inverted``, ``_theta1``, ``_forms``), by the part's name."""
     builds = {}
-    for name in ("_head", "_theta1", "_forms"):
+    for name in ("_head", "_inverted", "_theta1", "_forms"):
         kept = vars(TauPoint)[name]
 
         def counted(tau, _name=name, _func=kept.func):
@@ -127,13 +127,14 @@ def gauge_reference(lat):
     """``Lattice.gauge`` as it was before it read theta1'(0) and theta1'''(0)
     from the Horner coefficients e0 and e1, kept as the reference for it:
     w = (2k+1)*pi and w**3 are formed for each of theta1's factors at tau,
-    however many there are."""
+    however many there are.  It returns (kappa, beta, scale), beta = log(scale)
+    as ``sigma_gauge`` forms it."""
     th1 = th3 = 0
     for k, c in enumerate(sigmakit.modular._theta1_table(lat.tau, 1)):
         w = (2 * k + 1) * math.pi
         th1 += c * w
         th3 += c * w**3
-    return sigmakit.lattice.sigma_gauge_from_head(th1, th3 / 6.0 / th1, lat.rho)
+    return th3 / 6.0 / th1, cmath.log(lat.rho / th1), lat.rho / th1
 
 
 def theta1_values_reference(zs, t, terms, rho=1.0, kappa=0.0, scale=1.0):
@@ -197,8 +198,7 @@ def synthesize_reference(c, max_degree):
         # The gauge needs the cubic coefficient even when max_degree is 1.
         theta = theta1_odd_series(c.tau, max(max_degree, 3))
         a1, a3 = theta.odd_coefficients[:2]
-        kappa, gauge_beta, _ = sigmakit.lattice.sigma_gauge_from_head(
-            a1, -a3 / a1 if a1 else 0.0, c.rho)
+        kappa, gauge_beta = -a3 / a1 if a1 else 0.0, cmath.log(c.rho / a1)
         base = _computed(scale_argument(theta, 1.0 / c.rho).odd_coefficients[:count],
                          "the scaled theta series")
         alpha, beta = sigmakit.lattice._gauge_alpha(kappa, c.rho) + alpha, gauge_beta + beta

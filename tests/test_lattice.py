@@ -20,6 +20,7 @@ from conftest import (
 import sigmakit.lattice
 import sigmakit.modular
 from sigmakit import (
+    Classification,
     ConvergenceError,
     DomainError,
     Lattice,
@@ -38,6 +39,7 @@ from sigmakit import (
     reduce_tau,
     sigma_eval,
     sigma_gauge,
+    synthesize,
     theta1_eval,
     weierstrass_g,
 )
@@ -470,15 +472,20 @@ class TestHandBuiltLatticeGauge:
         lat = Lattice(rho, rho * tau, rho, TauPoint(tau), UnimodularMap(1, 0, 0, 1), False)
         table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
         assert len(table) == factors
-        kappa, beta, scale, frame = lat.gauge
+        kappa, scale, frame = lat.gauge
         assert frame[0] == -1 / tau and frame[1] == TauPoint(-1 / tau)._theta1[0]
-        old_kappa, _, old_scale = gauge_reference(lat)
+        old_kappa, old_beta, old_scale = gauge_reference(lat)
         w = [(2 * k + 1) * math.pi for k in range(factors)]
         th1, old_th1 = rho / scale, rho / old_scale
         assert abs(th1 - old_th1) <= 1e-15 * sum(abs(c) * x for c, x in zip(table, w))
         assert (abs(kappa * th1 - old_kappa * old_th1)
                 <= 1e-15 * sum(abs(c) * x**3 for c, x in zip(table, w)) / 6)
+        # sigma_gauge forms beta as the reference does, log(rho/theta1'(0)), at
+        # the gauge's own theta1'(0), so within the rounding of theta1'(0).
+        beta = sigma_gauge(lat)[1]
         assert beta == cmath.log(scale)
+        assert (abs(beta - old_beta)
+                <= 2e-15 * sum(abs(c) * x for c, x in zip(table, w)) / abs(th1))
         for z in (0.1 + 0.05j, -0.37 + 0.011j, 0.25 * rho):
             want = theta1_values_reference((z,), *frame)[0]
             assert hex_bits(sigma_eval(z, lat)) == hex_bits(want)
@@ -678,10 +685,16 @@ class TestSigmaEval:
         # degree-1 sum that theta1's sums read, in the record of tau: the record's
         # head and sum are built once, on one factor table, and no coefficient
         # series is.
-        calls = {"sigma_gauge_from_head": 0, "theta1_odd_series": 0, "_theta1_table": 0}
-        for name in calls:
-            home = sigmakit.lattice if name == "sigma_gauge_from_head" else sigmakit.modular
-            original = getattr(home, name)
+        calls = {"gauge": 0, "theta1_odd_series": 0, "_theta1_table": 0}
+        kept = vars(Lattice)["gauge"]
+
+        def gauge(lat, _func=kept.func):
+            calls["gauge"] += 1
+            return _func(lat)
+
+        monkeypatch.setattr(kept, "func", gauge)
+        for name in ("theta1_odd_series", "_theta1_table"):
+            original = getattr(sigmakit.modular, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
@@ -699,11 +712,10 @@ class TestSigmaEval:
             for z in (0.4 + 0.1j, -1.3 + 0.7j):
                 sigma_eval(z, lat)
             sigma_gauge(lat)
-            assert calls == {"sigma_gauge_from_head": 1, "theta1_odd_series": 0,
-                             "_theta1_table": 1}
+            assert calls == {"gauge": 1, "theta1_odd_series": 0, "_theta1_table": 1}
             assert builds == {"_head": 1, "_theta1": 1}
-            assert lat.gauge[3] == (lat.tau.value, lat.tau._theta1[0], lat.rho) + lat.gauge[:3:2]
-            assert lat.gauge[3][1] is lat.tau._theta1[0]
+            assert lat.gauge[2] == (lat.tau.value, lat.tau._theta1[0], lat.rho) + lat.gauge[:2]
+            assert lat.gauge[2][1] is lat.tau._theta1[0]
 
     def test_one_table_and_one_theta_constant_pass_per_tau(self, monkeypatch):
         # point_eval's calls at one fresh TauPoint share the record of tau:
@@ -740,21 +752,20 @@ class TestSigmaEval:
     @pytest.mark.parametrize("tau, builds", [
         (0.5j, {"_head": 1, "_forms": 1}), (0.3 + 1.1j, {"_head": 1, "_forms": 1}),
         (-7.5e5 + 2j, {"_head": 1, "_forms": 1}), (900j, {"_head": 1, "_forms": 1}),
-        (0.49j, {"_head": 2, "_forms": 1}), (900.5j, {}), (2000j, {})])
+        (0.49j, {"_head": 2, "_inverted": 1, "_forms": 1}), (900.5j, {}), (2000j, {})])
     def test_eta_reads_the_theta_constant_pass_of_tau(self, tau, builds, monkeypatch):
         # On 1/2 <= Im tau <= 900 eta is the cube root of 2*eta^3/c0 from the
         # record of tau: a lone eta at a fresh TauPoint builds its head and its
-        # forms once, and a second call builds nothing.  Above 900 eta builds no
-        # record.  Below 1/2 each call checks the head of tau and reads eta at
-        # the modular inversion's s, a new TauPoint each time.
+        # forms once.  Above 900 eta builds no record.  Below 1/2 eta is read at
+        # the modular inversion's s, kept in the record of tau with its own
+        # record.  A second call at a kept TauPoint builds nothing.
         built = record_builds(monkeypatch)
         point = TauPoint(tau)
         first = dedekind_eta(point)
         assert built == builds
         built.clear()
         assert dedekind_eta(point) == first
-        # The inversion's new point builds its head and forms again.
-        assert built == ({"_head": 1, "_forms": 1} if tau.imag < 0.5 else {})
+        assert built == {}
 
     def test_a_reduced_table_has_at_most_five_factors(self):
         # Im tau is least, sqrt(3)/2, at the corner: 9 exp(-16 pi sqrt(3)/2)
@@ -786,7 +797,7 @@ class TestSigmaEval:
         # rounds at every point, summed on the terms the gauge keeps.
         for lat, box in survey_lattices(seed):
             zs = [z for row in _draw_quadruples(16, seed, box) for z in _arguments(*row)]
-            want = theta1_values_reference(zs, *lat.gauge[3])
+            want = theta1_values_reference(zs, *lat.gauge[2])
             assert ([hex_bits(v) for v in sigmakit.lattice._sigma_values(zs, lat)]
                     == [hex_bits(v) for v in want])
 
@@ -836,6 +847,24 @@ class TestSigmaEval:
             sigma_gauge(lat)
         assert err.value.diagnostics["rho"] == [lat.rho.real, lat.rho.imag]
         assert cmath.isfinite(sigma_eval(0.3 * rho, lat))
+
+    @pytest.mark.parametrize("rho, tau, message, prime", [
+        (1, 1000j, "the sigma gauge rho/theta1'(0) = (1+0j)/0j overflows", [0.0, 0.0]),
+        (5e-324, 1j, "the sigma gauge rho/theta1'(0) = (5e-324+0j)/(2.848694603987787+0j) "
+         "underflows", [2.848694603987787, 0.0])])
+    def test_every_gauge_reader_meets_one_message(self, rho, tau, message, prime):
+        # Lattice.gauge forms and checks the gauge, so the gauge itself,
+        # sigma_eval, sigma_gauge and the elliptic synthesize raise one message
+        # and one theta1'(0); a failure is not kept.
+        lat = lattice_from_rho_tau(rho, tau)
+        member = Classification("elliptic", 0, 0, rho=rho, tau=TauPoint(tau))
+        for evaluate in (lambda: lat.gauge, lambda: sigma_eval(0.3 * rho, lat),
+                         lambda: sigma_gauge(lat), lambda: synthesize(member, 9)):
+            with pytest.raises(NumericError) as err:
+                evaluate()
+            assert str(err.value) == message
+            assert err.value.diagnostics == {"theta1_prime": prime}
+        assert "gauge" not in vars(lat)
 
     @pytest.mark.parametrize("height", [925.0, 1000.0])
     def test_gauge_beyond_double_range_is_numeric_error(self, height):

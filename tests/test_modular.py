@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    IDENTITY_MAP,
     OFF_GRID,
     eta_product_oracle,
     record_builds,
@@ -16,6 +17,7 @@ import sigmakit.modular
 from sigmakit import (
     ConvergenceError,
     DomainError,
+    Lattice,
     NumericError,
     TauPoint,
     as_tau,
@@ -197,14 +199,14 @@ class TestHornerForm:
     def test_six_factors_are_summed_by_horner(self, tau, factors):
         # Six factors reach down to Im tau = 0.389: 13 exp(-36 pi Im tau) <= 1e-18.
         table = sigmakit.modular._theta1_table(TauPoint(tau), 1)
-        terms, e0, e1, inner = TauPoint(tau)._theta1
+        terms, e0, e1 = (point := TauPoint(tau))._theta1
         assert len(table) == factors
         # Below Im tau = 1/2 e0 and e1 come from the record at s = -1/tau
         # (5.5e-16 the largest error measured here).
         if tau.imag < 0.5:
-            assert terms is None and inner[0].value == -1 / tau
+            assert terms is None and point._inverted[0].value == -1 / tau
         else:
-            assert inner is None and len(terms) == factors
+            assert "_inverted" not in vars(point) and len(terms) == factors
             u = cmath.sin(0.4 - 0.1j) ** 2
             horner = sum(e * u ** j for j, e in enumerate(reversed(terms)))
             sines = sum(c * sum(p * u**j for j, p in enumerate(_sine_polynomial_reference(k)))
@@ -526,6 +528,46 @@ class TestTauMemo:
                 call(tau)
         assert builds == {"_head": 1, "_theta1": 1, "_forms": 1}
         assert as_tau(tau) is tau
+
+    @pytest.mark.parametrize("tau, levels", [(0.49j, 1), (0.45 + 0.05j, 2)])
+    def test_each_level_keeps_one_inversion(self, tau, levels, monkeypatch):
+        # Below Im tau = 1/2 theta1's sum, the forms, eta, theta1_odd_series and
+        # a hand-built lattice's frame all run at the inversion that the record
+        # of tau keeps, and the frame walks on to the next level's while Im < 1/2
+        # (Im s is 0.24 at 0.45 + 0.05i): one _inverted per level, and a second
+        # round of calls builds nothing.
+        builds = record_builds(monkeypatch)
+        point = TauPoint(tau)
+        lat = Lattice(1.0, tau, 1.0, point, IDENTITY_MAP, False)
+        calls = (lambda: theta1_eval(0.3 - 0.2j, point), lambda: weierstrass_g(point),
+                 lambda: dedekind_eta(point), lambda: theta1_odd_series(point, 9),
+                 lambda: sigma_eval(0.3, lat))
+        first = [repr(call()) for call in calls]
+        assert builds == {"_head": levels + 1, "_inverted": levels, "_theta1": levels + 1,
+                          "_forms": levels + 1}
+        cell = point
+        for _ in range(levels):
+            cell = cell._inverted[0]
+        assert lat.gauge[2][0] == cell.value and "_inverted" not in vars(cell)
+        builds.clear()
+        assert [repr(call()) for call in calls] == first
+        assert builds == {}
+
+    def test_a_tau_past_the_cap_keeps_no_inversion(self):
+        # Each call checks the cap for its own label before it reads the
+        # inversion, so every call raises, and the record keeps only its head.
+        point = TauPoint(1e-5j)
+        lat = Lattice(1.0, 1e-5j, 1.0, point, IDENTITY_MAP, False)
+        for call, what in ((lambda: theta1_eval(0.3, point), "theta1 series"),
+                           (lambda: weierstrass_g(point), "theta constant series"),
+                           (lambda: dedekind_eta(point), "eta series"),
+                           (lambda: theta1_odd_series(point, 7), "theta1 series"),
+                           (lambda: lat.gauge, "theta1 series")):
+            for _ in range(2):
+                with pytest.raises(ConvergenceError) as err:
+                    call()
+                assert str(err.value).startswith(f"{what} did not converge within 200 terms")
+        assert set(vars(point)) == {"_head"} and "gauge" not in vars(lat)
 
     @pytest.mark.parametrize("group", ["reduced", "below one half", "large real part"])
     def test_each_kernel_at_a_bare_tau_equals_its_call_at_a_tau_point(self, group):

@@ -26,7 +26,6 @@ from sigmakit import (
 )
 from sigmakit.cli import emit
 from sigmakit.errors import json_ready
-from sigmakit.lattice import sigma_gauge_from_head
 
 SERIES = TruncatedOddSeries([1, 0, 0, 0])
 
@@ -180,7 +179,7 @@ class TestJsonForm:
             (lambda: identity_residual(OddFunctionHandle.identity(), QuadruplePoint(*[1e200] * 4)),
              "quadruple", [[1e200, 0.0]] * 4),
             (lambda: identity_residual(handle, QuadruplePoint(30.0, 30.0, 0, 1)), "z", [30.0, 0.0]),
-            (lambda: sigma_gauge_from_head(0.0, 1.0, 1.0), "theta1_prime", [0.0, 0.0]),
+            (lambda: normalize_lattice(1, 1000j).gauge, "theta1_prime", [0.0, 0.0]),
         ]
         for fail, key, pair in cases:
             with pytest.raises(NumericError) as err:

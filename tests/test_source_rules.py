@@ -177,7 +177,7 @@ def test_term_cap_rule_allows_the_constant():
 
 
 # The generic series steps that the one twisted-sine recurrence replaces.
-SERIES_STEPS = ("gauss_twist", "scale_argument", "theta1_odd_series", "sigma_gauge_from_head")
+SERIES_STEPS = ("gauss_twist", "scale_argument", "theta1_odd_series")
 
 
 def _called_names(node):
@@ -220,8 +220,7 @@ def test_each_family_member_is_built_in_one_place():
     ("def synthesize(c, d):\n    s = series.scale_argument(x, c.a)\n"
      "    return _twisted_sines(t, 0, 0, 1)", (1, 0, ["scale_argument"])),
     ("def synthesize(c, d):\n    if c.rho:\n        th = theta1_odd_series(c.tau, d)\n"
-     "        g = sigma_gauge_from_head(*th.odd_coefficients[:2], c.rho)\n"
-     "    return _twisted_sines(t, 0, 0, 1)", (1, 0, ["sigma_gauge_from_head", "theta1_odd_series"])),
+     "    return _twisted_sines(t, 0, 0, 1)", (1, 0, ["theta1_odd_series"])),
     ("def synthesize(c, d):\n    out = _twisted_sines(t, 0, 0, 1)\n"
      "    return _twisted_sines(out, 0, 0, 1)", (2, 0, [])),
 ])
@@ -231,7 +230,7 @@ def test_synthesis_rule_catches(source, found):
 
 def test_synthesis_rule_allows_one_kernel_after_the_branches():
     source = ("def synthesize(c, d):\n    terms = [(1.0, 0.0)]\n    if c.case == 'elliptic':\n"
-              "        kappa, _, scale = lattice_from_rho_tau(c.rho, c.tau).gauge\n"
+              "        kappa, scale, _ = lattice_from_rho_tau(c.rho, c.tau).gauge\n"
               "    return _twisted_sines(terms, c.alpha, c.beta, 1)")
     assert _synthesis_sites(ast.parse(source), "synthesize") == (1, 0, [])
 
@@ -599,14 +598,15 @@ def _inversion_sites(tree):
 
 
 def test_one_modular_inversion():
-    # Every q-series below Im tau = 1/2 runs at s = -1/(t - n) from
-    # modular._inversion, so that no kernel (such as the theta constants or
-    # theta1's coefficient series) grows an inversion, or a fallback, of its own.
+    # Every q-series below Im tau = 1/2 runs at s = -1/(t - n), kept in the
+    # record of tau as TauPoint._inverted and read through modular._inversion,
+    # so that no kernel (such as the theta constants or theta1's coefficient
+    # series) grows an inversion, or a fallback, of its own.
     sites = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites |= {f"{path.stem}.{name}" for name in _inversion_sites(tree)}
-    assert sites == {"modular._inversion"}
+    assert sites == {"modular._inverted"}
 
 
 @pytest.mark.parametrize("source, found", [

@@ -69,33 +69,42 @@ def run_python(*args):
     return done.stdout
 
 
+# The README "Start-up" table, one entry per command it names: the sigmakit
+# modules that the command loads besides cli and errors.  series is loaded
+# only where a command runs series arithmetic or reads a series file.
+STARTUP_TABLE = [
+    (["psi", "9"], ["identity"]),
+    (["verify-identity", "--function", "z", "--samples", "5"], ["identity"]),
+    (["verify-identity", "--function", "sin", "--samples", "5"], ["identity"]),
+    (["extend", "{series}", "--target", "11"], ["identity", "series"]),
+    (["verify-duplication", "{series}"], ["identity", "series"]),
+    (["verify-identity", "--series", "{series}", "--samples", "5"], ["identity", "series"]),
+    (["verify-identity", "--function", "sigma", "--samples", "5"],
+     ["identity", "lattice", "modular"]),
+    *((["eval", name, "--z", "0.3,0.1", "--tau", "0.1,1.1"], ["modular"])
+      for name in ("theta1", "eta", "g2", "g3", "j")),
+    (["eval", "sigma", "--z", "0.3,0.2", "--tau", "0,1"], ["lattice", "modular"]),
+    (["reduce-tau", "--tau", "3.7,0.2"], ["lattice", "modular"]),
+    (["invert-j", "--value", "1000,2000"], ["lattice", "modular"]),
+    (["invariants", "{series}"], ["invariants", "series"]),
+    (["classify", "{series}"], ["classify", "invariants", "lattice", "modular", "series"]),
+]
+
+
 def test_each_command_loads_only_its_layers(tmp_path):
+    # Each command runs in a fresh interpreter, so it sees no module that
+    # another command loaded.
     series = tmp_path / "sine.json"
     series.write_text(json.dumps(SINE_DOC))
-    commands = [
-        ["psi", "9"],
-        ["eval", "eta", "--tau", "0,1"],
-        ["eval", "sigma", "--z", "0.3,0.2", "--tau", "0,1"],
-        ["classify", str(series)],
-    ]
-    out = json.loads(run_python("-c", PROBE, json.dumps(commands)))
     cli = ["sigmakit", "sigmakit.cli", "sigmakit.errors"]
-    # series is compiled only where a command runs series arithmetic.
-    expected = {
-        "import sigmakit": ["sigmakit"],
-        "psi 9": cli + ["sigmakit.identity"],
-        "eval eta --tau 0,1": cli + ["sigmakit.identity", "sigmakit.modular"],
-        "eval sigma --z 0.3,0.2 --tau 0,1": cli + [
-            "sigmakit.identity", "sigmakit.lattice", "sigmakit.modular"],
-        f"classify {series}": cli + [
-            "sigmakit.classify", "sigmakit.identity", "sigmakit.invariants",
-            "sigmakit.lattice", "sigmakit.modular", "sigmakit.series"],
-    }
-    assert out.pop("classify is callable") is True
-    assert out.pop("import sigmakit") == {"modules": expected.pop("import sigmakit"),
-                                          "dataclasses": False}
-    assert out == {key: {"modules": sorted(modules), "dataclasses": False, "exit": 0}
-                   for key, modules in expected.items()}
+    for argv, modules in STARTUP_TABLE:
+        argv = [arg.replace("{series}", str(series)) for arg in argv]
+        out = json.loads(run_python("-c", PROBE, json.dumps([argv])))
+        assert out.pop("classify is callable") is True
+        assert out.pop("import sigmakit") == {"modules": ["sigmakit"], "dataclasses": False}
+        assert out == {" ".join(argv): {
+            "modules": sorted(cli + [f"sigmakit.{name}" for name in modules]),
+            "dataclasses": False, "exit": 0}}
 
 
 def test_commands_without_series_arithmetic_never_load_series():
